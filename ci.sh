@@ -13,6 +13,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --offline -q --workspace
 
+echo "== hostbench unit tests (the benchmark still builds against the workspace API) =="
+cargo test --release --offline -q --manifest-path hostbench/Cargo.toml
+
 echo "== sancheck (sanitizer gate) =="
 cargo run --offline --release -p milc-bench --bin sancheck
 
@@ -39,12 +42,6 @@ echo "== table1 --trace (timeline + metrics artifacts) =="
 cargo run --offline --release -p milc-bench --bin table1 -- 16 --trace results/table1.trace.json
 test -s results/table1.trace.json || { echo "table1 did not write the trace"; exit 1; }
 test -s results/metrics.txt || { echo "table1 did not write the metrics snapshot"; exit 1; }
-
-echo "== layout_diff (shared-layout bitwise identity + bank-conflict proofs, all local-mem configs) =="
-cargo test --offline -q --test layout_diff
-
-echo "== shard_diff (sharded vs single-device bitwise identity, all Table I configs) =="
-cargo test --offline -q --test shard_diff
 
 echo "== scaling (strong-scaling study; overlapped must beat in-order at every N > 1) =="
 SCALING_SMOKE_DIR="$(mktemp -d)"

@@ -24,7 +24,7 @@ use gpu_sim::{
 };
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex;
-use milc_dslash::tune::sweep_config;
+use milc_dslash::tune::{sweep, SweepMode};
 use milc_dslash::{
     estimate_config, rank_candidates, run_config, run_config_staticcheck, staticcheck_kernel,
     BrokenBarrierThreeLp1, DslashProblem, KernelConfig, OobGaugeIndex, PlainStoreThreeLp3,
@@ -277,8 +277,15 @@ fn main() {
     eprintln!("ranking candidates statically and sweeping exhaustively ...");
     for col in paper::TABLE1.iter() {
         let cfg = KernelConfig::new(col.strategy, col.order);
-        let full = sweep_config(&mut problem, cfg, &exp.device, QueueMode::OutOfOrder)
-            .expect("table 1 configuration must sweep");
+        let full = sweep(
+            &mut problem,
+            cfg,
+            &[cfg.shared_layout],
+            &exp.device,
+            QueueMode::OutOfOrder,
+            SweepMode::Exhaustive,
+        )
+        .expect("table 1 configuration must sweep");
         let measured: Vec<(u32, f64)> = full
             .timed()
             .map(|p| (p.local_size, p.duration_us))

@@ -33,7 +33,7 @@
 use gpu_sim::{QueueMode, StaticCheckConfig};
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex;
-use milc_dslash::tune::{sweep_layouts_with_mode, LoadOutcome, SweepMode, Tuner};
+use milc_dslash::tune::{sweep, LoadOutcome, SweepMode, Tuner};
 use milc_dslash::{run_config_staticcheck, DslashProblem, KernelConfig};
 use std::path::{Path, PathBuf};
 
@@ -99,9 +99,10 @@ fn static_smoke(l: usize) -> ! {
     let mut launches = 0u64;
     for col in paper::TABLE1 {
         let cfg = KernelConfig::new(col.strategy, col.order);
-        match sweep_layouts_with_mode(
+        match sweep(
             &mut problem,
             cfg,
+            &cfg.tunable_layouts(),
             &exp.device,
             QueueMode::OutOfOrder,
             SweepMode::Static,
@@ -360,9 +361,10 @@ fn main() {
     // (kernel, local_size, layout, predicted_us, measured_us, regret)
     let mut static_rows: Vec<(String, u32, String, f64, f64, f64)> = Vec::new();
     for &cfg in &configs {
-        let full = match sweep_layouts_with_mode(
+        let full = match sweep(
             &mut problem,
             cfg,
+            &cfg.tunable_layouts(),
             &exp.device,
             QueueMode::OutOfOrder,
             SweepMode::Exhaustive,
@@ -378,9 +380,10 @@ fn main() {
                 continue;
             }
         };
-        let ranked = match sweep_layouts_with_mode(
+        let ranked = match sweep(
             &mut problem,
             cfg,
+            &cfg.tunable_layouts(),
             &exp.device,
             QueueMode::OutOfOrder,
             SweepMode::Ranked {
@@ -401,9 +404,10 @@ fn main() {
         // Measurement-free gate: the static sweep must decide without
         // launching, and its winner — measured by the exhaustive sweep
         // above — must be within STATIC_MAX_REGRET of the true winner.
-        match sweep_layouts_with_mode(
+        match sweep(
             &mut problem,
             cfg,
+            &cfg.tunable_layouts(),
             &exp.device,
             QueueMode::OutOfOrder,
             SweepMode::Static,

@@ -44,17 +44,13 @@ pub use obs::prof::{Bottleneck, CriticalPath, DriftReport, DriftRow, RooflineRow
 pub use obs::{Metrics, Trace, Tracer};
 pub use operator::{recommended_config, SimulatedDslash};
 pub use problem::DslashProblem;
-pub use runner::{
-    run_config, run_config_sanitized, run_config_timed, run_config_tuned, run_config_warm,
-    run_config_warm_on_state, run_config_warm_tuned, RunOutcome, TimedRuns,
-};
+pub use runner::{run_config, run_config_sanitized, run_config_warm, RunOutcome};
 pub use shard::{
     modelled_trace, run_sharded, run_sharded_with, tune_rank_local_sizes, HaloFault, Partition,
     ShardMode, ShardOutcome, ShardedProblem,
 };
 pub use solver::{
-    estimate_solve_stream, solve, solve_tuned, solve_with, CgSolution, DeviceNormalOperator,
-    NormalOp, NormalOperator, TunedCgSolution,
+    estimate_solve_stream, solve_with, CgSolution, DeviceNormalOperator, NormalOp, NormalOperator,
 };
 pub use staticcheck::{
     estimate_config, occupancy_report, rank_candidates, run_config_staticcheck, staticcheck_kernel,

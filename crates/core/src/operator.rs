@@ -98,9 +98,9 @@ impl<'d, C: ComplexField> SimulatedDslash<'d, C> {
         })
     }
 
-    /// Build from an existing problem with the local size chosen by
-    /// the autotuner (consulting its cache; sweeping on a miss) instead
-    /// of defaulting to the largest legal size.
+    /// Build from an existing problem with the local size and layout
+    /// chosen by the autotuner (consulting its cache; sweeping on a
+    /// miss) instead of defaulting to the largest legal size.
     pub fn with_problem_tuned(
         mut problem: DslashProblem<C>,
         cfg: KernelConfig,
@@ -108,6 +108,7 @@ impl<'d, C: ComplexField> SimulatedDslash<'d, C> {
         tuner: &mut Tuner,
     ) -> Result<Self, TuneError> {
         let decision = tuner.tune(&mut problem, cfg, device, QueueMode::OutOfOrder)?;
+        let cfg = decision.tuned_config(cfg);
         Ok(
             Self::with_problem(problem, cfg, Some(decision.entry.local_size), device)
                 .expect("the tuner only selects legal local sizes"),
@@ -245,10 +246,20 @@ mod tests {
             .lookup(&key)
             .expect("tuning populated the cache");
         assert_eq!(d.local_size(), cached.local_size);
+        // The tuned layout is launched too, not just the tuned size: on
+        // 3LP-1 the winner is a conflict-free remedy, not flat.
+        assert_eq!(d.config().shared_layout.tag(), cached.layout);
+        assert_ne!(d.config().shared_layout, crate::SharedLayout::Flat);
         assert_eq!(tuner.misses(), 1);
         // Applies still work and validate.
         let out = d.apply().unwrap();
         assert_eq!(out.len(), 128);
+        // The second apply runs warm on the state the first filled —
+        // the sweep's measurement conditions — so it reproduces the
+        // cached winning duration exactly (the simulator is
+        // deterministic).
+        d.apply().unwrap();
+        assert_eq!(d.last_report().unwrap().duration_us, cached.duration_us);
 
         // A second tuned build on the same key is a pure cache hit.
         let p2 = DslashProblem::<Z>::random(4, 10);

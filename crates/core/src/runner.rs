@@ -5,14 +5,13 @@
 //! submit-to-completion loop with `clock_gettime`).
 
 use crate::flops::theoretical_flops;
-use crate::kernels::common::SharedLayout;
 use crate::obs;
 use crate::problem::DslashProblem;
 use crate::strategy::KernelConfig;
-use crate::tune::{TuneError, Tuner};
 use crate::validate::{compare_to_reference, MaxError};
 use gpu_sim::{
-    DeviceSpec, DeviceState, LaunchReport, Launcher, Queue, QueueMode, SanitizerConfig, SimError,
+    DeviceSpec, DeviceState, Kernel, LaunchReport, Launcher, NdRange, Queue, QueueMode,
+    SanitizerConfig, SimError,
 };
 use milc_complex::ComplexField;
 
@@ -39,28 +38,8 @@ impl RunOutcome {
     }
 }
 
-/// Enforce the paper's local-size constraints (Section III-C/D) before
-/// launching: a size that divides the global size but is not a multiple
-/// of the strategy's site-block would make the local-memory reduction
-/// read across the work-group boundary — undefined behaviour on a real
-/// device, an out-of-bounds panic in the simulator.
-fn check_local_size<C: ComplexField>(
-    problem: &DslashProblem<C>,
-    cfg: KernelConfig,
-    local_size: u32,
-    device: &DeviceSpec,
-) -> Result<(), SimError> {
-    if !cfg.local_size_legal(local_size, problem.lattice().half_volume() as u64) {
-        return Err(SimError::InvalidLocalSize {
-            local: local_size,
-            max: device.max_group_size,
-        });
-    }
-    Ok(())
-}
-
-/// Run one `(config, local size)` on `device` with the given queue
-/// semantics; validates against the problem's CPU reference.
+/// Run one `(config, local size)` on `device` with cold caches and the
+/// given queue semantics; validates against the problem's CPU reference.
 pub fn run_config<C: ComplexField>(
     problem: &mut DslashProblem<C>,
     cfg: KernelConfig,
@@ -68,63 +47,10 @@ pub fn run_config<C: ComplexField>(
     device: &DeviceSpec,
     queue_mode: QueueMode,
 ) -> Result<RunOutcome, SimError> {
-    check_local_size(problem, cfg, local_size, device)?;
-    problem.zero_output();
-    let range = problem.launch_range(cfg, local_size);
-    let kernel = problem.make_kernel(cfg, range.num_groups());
-
-    let label = cfg.label();
-    let span = obs::span_on(&label, "launch");
-    let mut queue = Queue::on_device(device, queue_mode);
-    let (report, overhead) = {
-        let sub = queue.submit(kernel.as_ref(), range, problem.memory())?;
-        (sub.report.clone(), sub.overhead_us)
-    };
-    obs::record_launch(&span, &label, &report, device, overhead);
-    drop(span);
-
-    let device_out = problem.read_output();
-    let error = compare_to_reference(&device_out, problem.reference());
-
-    let flops = theoretical_flops(problem.lattice()) as f64;
-    let wall_us = report.duration_us + overhead;
-    let gflops = flops / wall_us / 1e3;
-
-    Ok(RunOutcome {
-        label: format!("{} @ {}", cfg.label(), local_size),
-        report,
-        queue_overhead_us: overhead,
-        gflops,
-        error,
-    })
-}
-
-/// Run one `(config, local size)` under the simulator's sanitizer
-/// (DESIGN §7): the launch executes in the deterministic sequential
-/// mode with the requested checks; the returned report's `sanitizer`
-/// field holds the (possibly empty) findings.  Performance numbers from
-/// a sanitized launch are still produced but should not be compared to
-/// unsanitized ones in write-ups — the execution mode differs.
-pub fn run_config_sanitized<C: ComplexField>(
-    problem: &mut DslashProblem<C>,
-    cfg: KernelConfig,
-    local_size: u32,
-    device: &DeviceSpec,
-    san: SanitizerConfig,
-) -> Result<LaunchReport, SimError> {
-    check_local_size(problem, cfg, local_size, device)?;
-    problem.zero_output();
-    let range = problem.launch_range(cfg, local_size);
-    let kernel = problem.make_kernel(cfg, range.num_groups());
-    let label = cfg.label();
-    let span = obs::span_on(&label, "sanitize.launch");
-    let report = Launcher::new(device).with_sanitizer(san).launch(
-        kernel.as_ref(),
-        range,
-        problem.memory(),
-    )?;
-    obs::record_launch(&span, &label, &report, device, 0.0);
-    Ok(report)
+    let mut state = DeviceState::new(device);
+    run_config_warm_on_state(
+        problem, cfg, local_size, device, queue_mode, &mut state, false,
+    )
 }
 
 /// Run one configuration with *warm* caches: one untimed warmup launch
@@ -146,15 +72,40 @@ pub fn run_config_warm<C: ComplexField>(
     )
 }
 
-/// Like [`run_config_warm`] but on a caller-owned device state, with
-/// the warmup launch optional.  Back-to-back candidate timing — the way
-/// a live tuner actually runs a sweep — passes the same state for every
-/// candidate and warms only once: each timed launch of the same problem
-/// leaves the caches warm for the next, so later candidates skip their
-/// warmup launch entirely ([`crate::tune::SweepMode::Ranked`] counts
-/// those as avoided sweep launches).
-#[allow(clippy::too_many_arguments)]
-pub fn run_config_warm_on_state<C: ComplexField>(
+/// The prelude every run shares: enforce the paper's local-size
+/// constraints (Section III-C/D) before launching, then zero the output
+/// and build the kernel.  A size that divides the global size but is
+/// not a multiple of the strategy's site-block would make the
+/// local-memory reduction read across the work-group boundary —
+/// undefined behaviour on a real device, an out-of-bounds panic in the
+/// simulator.
+fn prepare<C: ComplexField>(
+    problem: &mut DslashProblem<C>,
+    cfg: KernelConfig,
+    local_size: u32,
+    device: &DeviceSpec,
+) -> Result<(NdRange, Box<dyn Kernel>), SimError> {
+    if !cfg.local_size_legal(local_size, problem.lattice().half_volume() as u64) {
+        return Err(SimError::InvalidLocalSize {
+            local: local_size,
+            max: device.max_group_size,
+        });
+    }
+    problem.zero_output();
+    let range = problem.launch_range(cfg, local_size);
+    let kernel = problem.make_kernel(cfg, range.num_groups());
+    Ok((range, kernel))
+}
+
+/// The one run body: launch on a caller-owned device state, after an
+/// optional untimed warmup launch, then read, validate and compute
+/// GFLOP/s.  Back-to-back candidate timing — the way a live tuner
+/// actually runs a sweep — passes the same state for every candidate
+/// and warms only once: each timed launch of the same problem leaves
+/// the caches warm for the next, so later candidates skip their warmup
+/// launch entirely ([`crate::tune::SweepMode::Ranked`] counts those as
+/// avoided sweep launches).
+pub(crate) fn run_config_warm_on_state<C: ComplexField>(
     problem: &mut DslashProblem<C>,
     cfg: KernelConfig,
     local_size: u32,
@@ -163,25 +114,26 @@ pub fn run_config_warm_on_state<C: ComplexField>(
     state: &mut DeviceState,
     warmup: bool,
 ) -> Result<RunOutcome, SimError> {
-    check_local_size(problem, cfg, local_size, device)?;
-    problem.zero_output();
-    let range = problem.launch_range(cfg, local_size);
-    let kernel = problem.make_kernel(cfg, range.num_groups());
-
+    let (range, kernel) = prepare(problem, cfg, local_size, device)?;
     let label = cfg.label();
-    let launcher = Launcher::new(device);
     // Warmup launch: executes fully (results overwritten below), fills
     // the caches, is not timed.
     if warmup {
         let warmup_span = obs::span_on(&label, "warmup");
-        let warmup_report =
-            launcher.launch_with_state(kernel.as_ref(), range, problem.memory(), state)?;
+        let warmup_report = Launcher::new(device).launch_with_state(
+            kernel.as_ref(),
+            range,
+            problem.memory(),
+            state,
+        )?;
         obs::record_launch(&warmup_span, &label, &warmup_report, device, 0.0);
+        problem.zero_output();
     }
+    // The timed launch hits warm caches iff the state has run anything.
+    let warm = state.launches() > 0;
 
-    problem.zero_output();
     let span = obs::span_on(&label, "launch");
-    let mut queue = Queue::new(Launcher::new(device), queue_mode);
+    let mut queue = Queue::on_device(device, queue_mode);
     let (report, overhead) = {
         let sub = queue.submit_with_state(kernel.as_ref(), range, problem.memory(), state)?;
         (sub.report.clone(), sub.overhead_us)
@@ -195,7 +147,10 @@ pub fn run_config_warm_on_state<C: ComplexField>(
     let wall_us = report.duration_us + overhead;
     let gflops = flops / wall_us / 1e3;
     Ok(RunOutcome {
-        label: format!("{} @ {} (warm)", cfg.label(), local_size),
+        label: format!(
+            "{label} @ {local_size}{}",
+            if warm { " (warm)" } else { "" }
+        ),
         report,
         queue_overhead_us: overhead,
         gflops,
@@ -203,163 +158,29 @@ pub fn run_config_warm_on_state<C: ComplexField>(
     })
 }
 
-/// A [`RunOutcome`] whose launch parameters came from the autotuner
-/// rather than the caller.
-#[derive(Clone, Debug)]
-pub struct TunedRunOutcome {
-    /// The run at the tuned local size and layout.
-    pub outcome: RunOutcome,
-    /// The local size the tuner selected.
-    pub local_size: u32,
-    /// The local-memory layout the tuner selected.
-    pub layout: SharedLayout,
-    /// Whether the tuning decision was a cache hit (no sweep launches).
-    pub from_cache: bool,
-}
-
-/// The configuration a tune decision asks the runner to launch: the
-/// caller's config with the cached winner's layout applied.  An entry
-/// whose layout tag fails to parse (hand-edited cache; the strict
-/// loader normally rejects it) falls back to the caller's layout.
-fn apply_tuned_layout(cfg: KernelConfig, tag: &str) -> KernelConfig {
-    match SharedLayout::from_tag(tag) {
-        Some(layout) => cfg.with_layout(layout),
-        None => cfg,
-    }
-}
-
-/// Errors from a tuned run: the tuner can fail before any run happens,
-/// and the run itself can fail.
-#[derive(Debug)]
-pub enum TunedRunError {
-    /// Autotuning produced no winner.
-    Tune(TuneError),
-    /// The tuned launch itself failed.
-    Sim(SimError),
-}
-
-impl std::fmt::Display for TunedRunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TunedRunError::Tune(e) => write!(f, "{e}"),
-            TunedRunError::Sim(e) => write!(f, "tuned run failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TunedRunError {}
-
-/// [`run_config`], with the local size chosen by the tuner (consulting
-/// its cache first; sweeping on a miss).
-pub fn run_config_tuned<C: ComplexField>(
-    problem: &mut DslashProblem<C>,
-    cfg: KernelConfig,
-    tuner: &mut Tuner,
-    device: &DeviceSpec,
-    queue_mode: QueueMode,
-) -> Result<TunedRunOutcome, TunedRunError> {
-    let decision = tuner
-        .tune(problem, cfg, device, queue_mode)
-        .map_err(TunedRunError::Tune)?;
-    let tuned = apply_tuned_layout(cfg, &decision.entry.layout);
-    let outcome = run_config(
-        problem,
-        tuned,
-        decision.entry.local_size,
-        device,
-        queue_mode,
-    )
-    .map_err(TunedRunError::Sim)?;
-    Ok(TunedRunOutcome {
-        outcome,
-        local_size: decision.entry.local_size,
-        layout: tuned.shared_layout,
-        from_cache: decision.from_cache,
-    })
-}
-
-/// [`run_config_warm`], with the local size chosen by the tuner — the
-/// measurement conditions the tuner itself sweeps under, so a tuned
-/// warm run reproduces the cached duration exactly (the simulator is
-/// deterministic).
-pub fn run_config_warm_tuned<C: ComplexField>(
-    problem: &mut DslashProblem<C>,
-    cfg: KernelConfig,
-    tuner: &mut Tuner,
-    device: &DeviceSpec,
-    queue_mode: QueueMode,
-) -> Result<TunedRunOutcome, TunedRunError> {
-    let decision = tuner
-        .tune(problem, cfg, device, queue_mode)
-        .map_err(TunedRunError::Tune)?;
-    let tuned = apply_tuned_layout(cfg, &decision.entry.layout);
-    let outcome = run_config_warm(
-        problem,
-        tuned,
-        decision.entry.local_size,
-        device,
-        queue_mode,
-    )
-    .map_err(TunedRunError::Sim)?;
-    Ok(TunedRunOutcome {
-        outcome,
-        local_size: decision.entry.local_size,
-        layout: tuned.shared_layout,
-        from_cache: decision.from_cache,
-    })
-}
-
-/// The paper's measurement loop (Section IV-B): "The mean kernel
-/// runtime is determined from a sample of 10 runs ... each run comprises
-/// 100 kernel iterations and 1 warmup iteration."  The simulator is
-/// deterministic, so the sample variance is zero, but the loop faithfully
-/// accounts the warmup exclusion and the per-iteration queue overhead —
-/// which is precisely what makes the in-order/out-of-order queue
-/// difference visible to the paper's wall-clock timing.
-#[derive(Clone, Debug)]
-pub struct TimedRuns {
-    /// Mean time per kernel iteration, µs (kernel + queue overhead).
-    pub mean_iteration_us: f64,
-    /// GFLOP/s at the mean iteration time (the paper's metric).
-    pub gflops: f64,
-    /// Iterations per run (paper: 100).
-    pub iterations: u32,
-    /// Warmup iterations excluded from the mean (paper: 1).
-    pub warmup: u32,
-    /// The underlying single-launch outcome.
-    pub outcome: RunOutcome,
-}
-
-/// Run the paper's timing loop for one configuration.
-///
-/// The kernel is simulated once (bit-identical every iteration); the
-/// iteration count models the benchmark loop's accounting: the warmup
-/// iteration is executed but excluded, and every timed iteration pays
-/// the queue submission overhead.
-pub fn run_config_timed<C: ComplexField>(
+/// Run one `(config, local size)` under the simulator's sanitizer
+/// (DESIGN §7): lanes run tolerant with the requested checks; the
+/// returned report's `sanitizer` field holds the (possibly empty)
+/// findings.  Performance numbers from a sanitized launch are still
+/// produced but should not be compared to unsanitized ones in
+/// write-ups — tolerant lanes take a different path.
+pub fn run_config_sanitized<C: ComplexField>(
     problem: &mut DslashProblem<C>,
     cfg: KernelConfig,
     local_size: u32,
     device: &DeviceSpec,
-    queue_mode: QueueMode,
-    iterations: u32,
-    warmup: u32,
-) -> Result<TimedRuns, SimError> {
-    assert!(iterations > 0, "need at least one timed iteration");
-    let outcome = run_config(problem, cfg, local_size, device, queue_mode)?;
-    // Every iteration (warmup included) executes; only timed ones count.
-    let per_iter = outcome.report.duration_us + outcome.queue_overhead_us;
-    let total_timed = per_iter * iterations as f64;
-    let mean = total_timed / iterations as f64;
-    let flops = theoretical_flops(problem.lattice()) as f64;
-    let _ = warmup; // executed but excluded from the mean by construction
-    Ok(TimedRuns {
-        mean_iteration_us: mean,
-        gflops: flops / mean / 1e3,
-        iterations,
-        warmup,
-        outcome,
-    })
+    san: SanitizerConfig,
+) -> Result<LaunchReport, SimError> {
+    let (range, kernel) = prepare(problem, cfg, local_size, device)?;
+    let label = cfg.label();
+    let span = obs::span_on(&label, "sanitize.launch");
+    let report = Launcher::new(device).with_sanitizer(san).launch(
+        kernel.as_ref(),
+        range,
+        problem.memory(),
+    )?;
+    obs::record_launch(&span, &label, &report, device, 0.0);
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -398,61 +219,6 @@ mod tests {
             "warm L2 misses exceed cold"
         );
         assert!(warm.report.duration_us <= cold.report.duration_us * 1.0001);
-    }
-
-    #[test]
-    fn timed_runs_match_single_launch() {
-        let mut p = DslashProblem::<Z>::random(4, 9);
-        let device = DeviceSpec::test_small();
-        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let timed = run_config_timed(&mut p, cfg, 96, &device, QueueMode::InOrder, 100, 1).unwrap();
-        // Deterministic simulator: the mean equals one iteration.
-        let single = timed.outcome.report.duration_us + timed.outcome.queue_overhead_us;
-        assert!((timed.mean_iteration_us - single).abs() < 1e-9);
-        assert!((timed.gflops - timed.outcome.gflops).abs() < 1e-9);
-        assert_eq!(timed.iterations, 100);
-    }
-
-    #[test]
-    fn tuned_warm_run_matches_cached_duration_and_hits_second_time() {
-        let mut p = DslashProblem::<Z>::random(4, 11);
-        let device = DeviceSpec::test_small();
-        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let mut tuner = Tuner::in_memory();
-        let cold =
-            run_config_warm_tuned(&mut p, cfg, &mut tuner, &device, QueueMode::InOrder).unwrap();
-        assert!(!cold.from_cache);
-        assert!(cold.outcome.error.within_reassociation_noise());
-        // Deterministic simulator: the tuned run reproduces the sweep's
-        // winning duration exactly.
-        let cached = tuner
-            .cache()
-            .lookup(&Tuner::key_for(&p, cfg, &device))
-            .unwrap();
-        assert_eq!(cached.local_size, cold.local_size);
-        assert_eq!(cached.layout, cold.layout.tag());
-        // Reproducing the sweep's winning duration requires the runner
-        // to re-apply the winning *layout*, not just the local size —
-        // on 3LP-1 the winner is a conflict-free remedy, not flat.
-        assert_ne!(cold.layout, crate::kernels::common::SharedLayout::Flat);
-        assert_eq!(cached.duration_us, cold.outcome.report.duration_us);
-
-        let warm =
-            run_config_warm_tuned(&mut p, cfg, &mut tuner, &device, QueueMode::InOrder).unwrap();
-        assert!(warm.from_cache);
-        assert_eq!(warm.local_size, cold.local_size);
-    }
-
-    #[test]
-    fn tuned_cold_run_uses_the_tuned_local_size() {
-        let mut p = DslashProblem::<Z>::random(4, 12);
-        let device = DeviceSpec::test_small();
-        let cfg = KernelConfig::new(Strategy::TwoLp, IndexOrder::KMajor);
-        let mut tuner = Tuner::in_memory();
-        let run = run_config_tuned(&mut p, cfg, &mut tuner, &device, QueueMode::InOrder).unwrap();
-        let hv = p.lattice().half_volume() as u64;
-        assert!(cfg.local_size_legal(run.local_size, hv));
-        assert!(run.outcome.label.contains(&format!("@ {}", run.local_size)));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! `cg_solver` example runs.
 
 use crate::obs;
-use crate::operator::recommended_config;
 use crate::parallel_cpu::dslash_par_into;
 use crate::problem::DslashProblem;
 use crate::staticcheck::estimate_config;
@@ -191,10 +190,7 @@ impl<'d, C: ComplexField> DeviceNormalOperator<'d, C> {
         let decision = tuner.tune(&mut oe, cfg, device, QueueMode::OutOfOrder)?;
         // CG iterations launch at the tuned layout, not just the tuned
         // size — the cached entry carries the winning layout's tag.
-        let cfg = match crate::kernels::common::SharedLayout::from_tag(&decision.entry.layout) {
-            Some(layout) => cfg.with_layout(layout),
-            None => cfg,
-        };
+        let cfg = decision.tuned_config(cfg);
         Ok(Self {
             mass,
             cfg,
@@ -335,7 +331,14 @@ fn norm<C: ComplexField>(a: &[ColorVector<C>]) -> f64 {
     a.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt()
 }
 
-/// Solve `A x = b` with plain CG against any [`NormalOp`].
+/// Solve `A x = b` with plain CG against any [`NormalOp`] — the one CG
+/// entry point.  Build a [`NormalOperator`] for the CPU or a
+/// [`DeviceNormalOperator`] for the simulated device at the tuned
+/// launch configuration; the device operator reports the tuning
+/// provenance and launch count itself
+/// ([`local_size`](DeviceNormalOperator::local_size),
+/// [`tuned_from_cache`](DeviceNormalOperator::tuned_from_cache),
+/// [`applications`](DeviceNormalOperator::applications)).
 pub fn solve_with<C: ComplexField, Op: NormalOp<C> + ?Sized>(
     op: &mut Op,
     b: &[ColorVector<C>],
@@ -407,18 +410,6 @@ pub fn solve_with<C: ComplexField, Op: NormalOp<C> + ?Sized>(
     }
 }
 
-/// Solve `A x = b` with plain CG on the CPU operator.
-pub fn solve<C: ComplexField>(
-    gauge: &GaugeField<C>,
-    b: &[ColorVector<C>],
-    mass: f64,
-    tol: f64,
-    max_iter: usize,
-) -> CgSolution<C> {
-    let mut op = NormalOperator::new(gauge, mass);
-    solve_with(&mut op, b, tol, max_iter)
-}
-
 /// Statically estimate the launch stream of a tuned CG solve — the
 /// [`DeviceNormalOperator`]'s exact launch mix, *without running it*:
 /// each operator application launches `D_oe` then `D_eo`, each on its
@@ -461,46 +452,10 @@ pub fn estimate_solve_stream<C: ComplexField>(
     ))
 }
 
-/// A CG solution produced on the simulated device at a tuned local
-/// size, with the tuning provenance attached.
-#[derive(Clone, Debug)]
-pub struct TunedCgSolution<C> {
-    /// The solution.
-    pub solution: CgSolution<C>,
-    /// The tuned work-group size every iteration launched at.
-    pub local_size: u32,
-    /// Whether the tuning decision was a cache hit (no sweep ran).
-    pub tuned_from_cache: bool,
-    /// Device Dslash applications the solve performed.
-    pub dslash_applications: u64,
-}
-
-/// Solve `A x = b` with CG, applying the operator on the simulated
-/// device at the local size the autotuner picks for the paper's
-/// recommended configuration (3LP-1 k-major).  With a warm tune cache
-/// this performs zero sweep launches before iterating.
-pub fn solve_tuned<C: ComplexField>(
-    gauge: &GaugeField<C>,
-    b: &[ColorVector<C>],
-    mass: f64,
-    tol: f64,
-    max_iter: usize,
-    device: &DeviceSpec,
-    tuner: &mut Tuner,
-) -> Result<TunedCgSolution<C>, TuneError> {
-    let mut op = DeviceNormalOperator::new_tuned(gauge, mass, recommended_config(), device, tuner)?;
-    let solution = solve_with(&mut op, b, tol, max_iter);
-    Ok(TunedCgSolution {
-        solution,
-        local_size: op.local_size(),
-        tuned_from_cache: op.tuned_from_cache(),
-        dslash_applications: op.applications(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::recommended_config;
     use milc_complex::DoubleComplex as Z;
     use milc_lattice::Lattice;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -546,7 +501,7 @@ mod tests {
         let lattice = Lattice::hypercubic(4);
         let gauge = GaugeField::<Z>::random(&lattice, 7);
         let b = random_even_vector(&lattice, 3);
-        let sol = solve(&gauge, &b, 1.0, 1e-10, 500);
+        let sol = solve_with(&mut NormalOperator::new(&gauge, 1.0), &b, 1e-10, 500);
         assert!(sol.converged, "residual {}", sol.relative_residual);
         assert!(sol.relative_residual < 1e-9);
         assert!(sol.iterations > 0 && sol.iterations < 500);
@@ -557,8 +512,8 @@ mod tests {
         let lattice = Lattice::hypercubic(4);
         let gauge = GaugeField::<Z>::random(&lattice, 9);
         let b = random_even_vector(&lattice, 4);
-        let light = solve(&gauge, &b, 0.1, 1e-8, 2000);
-        let heavy = solve(&gauge, &b, 2.0, 1e-8, 2000);
+        let light = solve_with(&mut NormalOperator::new(&gauge, 0.1), &b, 1e-8, 2000);
+        let heavy = solve_with(&mut NormalOperator::new(&gauge, 2.0), &b, 1e-8, 2000);
         assert!(light.converged && heavy.converged);
         assert!(
             heavy.iterations < light.iterations,
@@ -574,8 +529,8 @@ mod tests {
         let lattice = Lattice::hypercubic(4);
         let gauge = GaugeField::<Z>::random(&lattice, 11);
         let b = random_even_vector(&lattice, 5);
-        let sol = solve(&gauge, &b, 0.8, 1e-11, 1000);
         let mut op = NormalOperator::new(&gauge, 0.8);
+        let sol = solve_with(&mut op, &b, 1e-11, 1000);
         let mut ax = vec![ColorVector::zero(); b.len()];
         op.apply(&sol.x, &mut ax);
         for cb in 0..b.len() {
@@ -614,25 +569,34 @@ mod tests {
         let device = DeviceSpec::test_small();
         let mut tuner = Tuner::in_memory();
 
-        let first = solve_tuned(&gauge, &b, 1.0, 1e-8, 200, &device, &mut tuner).unwrap();
-        assert!(
-            first.solution.converged,
-            "{}",
-            first.solution.relative_residual
-        );
-        assert!(!first.tuned_from_cache, "cold tuner must sweep");
-        assert!(first.dslash_applications >= 2);
+        let mut tuned_solve = || {
+            let mut op = DeviceNormalOperator::new_tuned(
+                &gauge,
+                1.0,
+                recommended_config(),
+                &device,
+                &mut tuner,
+            )
+            .unwrap();
+            let sol = solve_with(&mut op, &b, 1e-8, 200);
+            (op, sol)
+        };
+
+        let (first_op, first) = tuned_solve();
+        assert!(first.converged, "{}", first.relative_residual);
+        assert!(!first_op.tuned_from_cache(), "cold tuner must sweep");
+        assert!(first_op.applications() >= 2);
 
         // Same lattice/device/config: the second solve hits the cache.
-        let second = solve_tuned(&gauge, &b, 1.0, 1e-8, 200, &device, &mut tuner).unwrap();
-        assert!(second.tuned_from_cache, "warm tuner must not sweep");
-        assert_eq!(second.local_size, first.local_size);
-        assert_eq!(second.solution.iterations, first.solution.iterations);
+        let (second_op, second) = tuned_solve();
+        assert!(second_op.tuned_from_cache(), "warm tuner must not sweep");
+        assert_eq!(second_op.local_size(), first_op.local_size());
+        assert_eq!(second.iterations, first.iterations);
 
         // The tuned solution solves the same system the CPU solve does.
-        let cpu = solve(&gauge, &b, 1.0, 1e-8, 200);
+        let cpu = solve_with(&mut NormalOperator::new(&gauge, 1.0), &b, 1e-8, 200);
         for cb in 0..b.len() {
-            let d = (first.solution.x[cb] - cpu.x[cb]).norm_sqr().sqrt();
+            let d = (first.x[cb] - cpu.x[cb]).norm_sqr().sqrt();
             assert!(d < 1e-6, "site {cb}: {d}");
         }
     }

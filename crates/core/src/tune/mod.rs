@@ -8,8 +8,10 @@
 //! production by autotuning each kernel once and caching the winner on
 //! disk.  This module is that subsystem for the simulated device:
 //!
-//! * [`sweep`] measures — every legal local size of a configuration is
-//!   lint-gated, launched warm, validated, and the fastest wins;
+//! * [`mod@sweep`] measures — every legal (local size × layout) point
+//!   of a configuration is lint- and proof-gated, optionally pruned by
+//!   the static cost model, launched warm, validated, and the fastest
+//!   wins;
 //! * [`cache`] remembers — winners persist as versioned JSON (default
 //!   `results/tunecache.json`) keyed by device-spec hash, lattice dims,
 //!   kernel label and sanitizer mode, so a later run (or a later
@@ -18,11 +20,12 @@
 //!   sweeps only on a miss, and counts hits/misses so callers can prove
 //!   a warm run did zero sweep launches.
 //!
-//! Downstream, [`run_config_tuned`](crate::runner::run_config_tuned)
-//! and [`solver::solve_tuned`](crate::solver::solve_tuned) take their
-//! local size from here instead of a hard-coded constant, and the
-//! `milc-bench` `tune` bin materializes the cache for the paper's
-//! twelve Table I configurations.
+//! Downstream, [`SimulatedDslash::with_problem_tuned`](crate::operator::SimulatedDslash::with_problem_tuned)
+//! and [`DeviceNormalOperator::new_tuned`](crate::solver::DeviceNormalOperator::new_tuned)
+//! launch at the decision's local size and layout
+//! ([`TuneDecision::tuned_config`]) instead of a hard-coded constant,
+//! and the `milc-bench` `tune` bin materializes the cache for the
+//! paper's twelve Table I configurations.
 
 pub mod cache;
 pub mod json;
@@ -32,9 +35,8 @@ pub use cache::{
     device_spec_hash, LoadOutcome, TuneCache, TuneEntry, TuneKey, TuneRegime, TUNECACHE_VERSION,
 };
 pub use sweep::{
-    candidate_local_sizes, static_rank_order, sweep_config, sweep_config_with_mode,
-    sweep_layouts_with_mode, CandidateOutcome, CandidatePoint, Reject, SweepError, SweepMode,
-    SweepOutcome,
+    candidate_local_sizes, static_rank_order, sweep, CandidateOutcome, CandidatePoint, Reject,
+    SweepError, SweepMode, SweepOutcome,
 };
 
 use crate::kernels::common::SharedLayout;
@@ -57,6 +59,16 @@ pub struct TuneDecision {
     pub from_cache: bool,
     /// The full sweep record when one ran; `None` on a cache hit.
     pub sweep: Option<SweepOutcome>,
+}
+
+impl TuneDecision {
+    /// The configuration to launch: `base` with the winner's layout
+    /// applied.  An entry whose layout tag fails to parse (hand-edited
+    /// cache; the strict loader normally rejects it) falls back to
+    /// `base`'s own layout.
+    pub fn tuned_config(&self, base: KernelConfig) -> KernelConfig {
+        SharedLayout::from_tag(&self.entry.layout).map_or(base, |layout| base.with_layout(layout))
+    }
 }
 
 /// Tuning failure.
@@ -178,7 +190,7 @@ impl Tuner {
         device: &DeviceSpec,
     ) -> TuneKey {
         // Unsanitized: the tuner times real launches (sanitized runs
-        // execute in a different mode and are keyed separately if ever
+        // execute tolerant lanes and are keyed separately if ever
         // cached).
         let base = cfg.with_layout(SharedLayout::Flat);
         TuneKey::new(device, problem.lattice(), &base.label(), false)
@@ -223,7 +235,14 @@ impl Tuner {
         }
         self.misses += 1;
         crate::obs::metric_inc("tune_cache_misses_total", &[("config", &cfg.label())], 1);
-        let sweep = sweep_layouts_with_mode(problem, cfg, device, queue_mode, mode)?;
+        let sweep = sweep::sweep(
+            problem,
+            cfg,
+            &cfg.tunable_layouts(),
+            device,
+            queue_mode,
+            mode,
+        )?;
         let entry = TuneEntry {
             key,
             local_size: sweep.winner.local_size,

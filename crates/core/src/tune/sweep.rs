@@ -5,11 +5,12 @@
 //! paper's Fig. 6 sweep.  Each candidate is first checked against the
 //! static launch linter ([`gpu_sim::lint_launch`]); the tuner must never
 //! time, let alone select, a configuration `sancheck` would flag.
-//! Surviving candidates run through [`run_config_warm`] (warm caches and
-//! an out-of-order queue, the conditions that produced
+//! Surviving candidates run warm (the conditions of
+//! [`run_config_warm`](crate::runner::run_config_warm) that produced
 //! `results/fig6.csv`), are validated against the CPU reference, and the
 //! minimum modelled duration wins (ties break toward the smaller local
-//! size, which wastes fewer tail resources).
+//! size, which wastes fewer tail resources).  [`sweep`] is the one entry
+//! point for every [`SweepMode`].
 //!
 //! Unlike the minimal `quda_ref::autotune`, nothing is silently
 //! dropped: every rejected candidate is recorded with its reason, and a
@@ -20,12 +21,12 @@ use crate::flops::theoretical_flops;
 use crate::kernels::common::SharedLayout;
 use crate::obs;
 use crate::problem::DslashProblem;
-use crate::runner::{run_config_warm, run_config_warm_on_state};
+use crate::runner::run_config_warm_on_state;
 use crate::staticcheck::{rank_candidates, staticcheck_kernel};
 use crate::strategy::KernelConfig;
 use gpu_sim::{
-    lint_launch, DeviceSpec, DeviceState, QueueMode, Regime, RegimeCalibration, SimError,
-    StaticCheckConfig,
+    lint_launch, CostEstimate, DeviceSpec, DeviceState, QueueMode, Regime, RegimeCalibration,
+    SimError, StaticCheckConfig,
 };
 use milc_complex::ComplexField;
 
@@ -329,79 +330,45 @@ fn static_candidate<C: ComplexField>(
     .collect()
 }
 
-/// Sweep a configuration over all candidate local sizes on a device
-/// ([`SweepMode::Exhaustive`]).
-///
-/// Measurement conditions match the Fig. 6 harness: warm caches (one
-/// untimed warmup launch) and the requested queue semantics.
-pub fn sweep_config<C: ComplexField>(
-    problem: &mut DslashProblem<C>,
-    cfg: KernelConfig,
-    device: &DeviceSpec,
-    queue_mode: QueueMode,
-) -> Result<SweepOutcome, SweepError> {
-    sweep_config_with_mode(problem, cfg, device, queue_mode, SweepMode::Exhaustive)
+/// What the sweep decided for one candidate before any launch.
+enum Fate {
+    /// Not eligible: a static gate or the static ranking rejected it.
+    Reject(Reject),
+    /// Selected from the static ranking alone ([`SweepMode::Static`]).
+    Predict(CandidatePoint),
+    /// To be timed.
+    Time,
 }
 
-/// Sweep a configuration with an explicit [`SweepMode`].
+/// Sweep one configuration over (local size × local-memory layout):
+/// every candidate local size is tried under every layout in `layouts`,
+/// and the fastest *(size, layout)* point wins.  Pass
+/// [`KernelConfig::tunable_layouts`] to make the layout a tuned
+/// dimension (the paper's dense layout plus the padded and swizzled
+/// bank-conflict remedies), or `&[cfg.shared_layout]` to stay on the
+/// configuration's own layout.  Ties break toward the smaller local
+/// size, then toward the layout using less local memory (so `flat`
+/// wins a dead heat and a remedy must actually pay for its pad bytes).
 ///
-/// In [`SweepMode::Ranked`] the candidates that survive the lint and
-/// proof gates are ranked by the static cost model's predicted duration
-/// and only the top `time_top_k` are launched; the pruned tail is
-/// recorded as [`Reject::StaticRank`] with its predicted rank.
-/// Candidates the model cannot estimate are timed unconditionally.
+/// Every [`SweepMode`] runs the same steps:
 ///
-/// In [`SweepMode::Static`] no launch happens at all: the top-ranked
-/// candidate wins outright as [`CandidateOutcome::Predicted`], with its
-/// duration taken from the shared [`RegimeCalibration`] table's
-/// warm-regime scale.
-///
-/// The sweep stays on the configuration's own
-/// [`shared_layout`](KernelConfig::shared_layout); use
-/// [`sweep_layouts_with_mode`] to make the layout a tuned dimension.
-pub fn sweep_config_with_mode<C: ComplexField>(
-    problem: &mut DslashProblem<C>,
-    cfg: KernelConfig,
-    device: &DeviceSpec,
-    queue_mode: QueueMode,
-    mode: SweepMode,
-) -> Result<SweepOutcome, SweepError> {
-    sweep_layout_list(problem, cfg, &[cfg.shared_layout], device, queue_mode, mode)
-}
-
-/// Sweep a configuration over (local size × local-memory layout): every
-/// candidate local size is tried under every layout in
-/// [`KernelConfig::tunable_layouts`] — the paper's dense layout plus the
-/// padded and swizzled bank-conflict remedies — and the fastest
-/// *(size, layout)* point wins.  Ties break toward the smaller local
-/// size, then toward the layout using less local memory (so `flat` wins
-/// a dead heat and a remedy must actually pay for its pad bytes).
-///
-/// Strategies without local memory degenerate to the plain per-size
-/// sweep (their only layout is [`SharedLayout::Flat`]).  In
-/// [`SweepMode::Ranked`] the static cost model ranks all *(size,
-/// layout)* points jointly — the predicted shared-memory wavefronts
-/// price each layout — and only the top `time_top_k` points are timed.
-pub fn sweep_layouts_with_mode<C: ComplexField>(
-    problem: &mut DslashProblem<C>,
-    cfg: KernelConfig,
-    device: &DeviceSpec,
-    queue_mode: QueueMode,
-    mode: SweepMode,
-) -> Result<SweepOutcome, SweepError> {
-    sweep_layout_list(
-        problem,
-        cfg,
-        &cfg.tunable_layouts(),
-        device,
-        queue_mode,
-        mode,
-    )
-}
-
-/// The sweep core: one configuration over the cross product of its
-/// candidate local sizes and an explicit layout list.
-fn sweep_layout_list<C: ComplexField>(
+/// 1. the static gates — never launch what the linter flags, never time
+///    what the access analyzer proves racy or out of bounds over the
+///    full ND-range;
+/// 2. when the mode prunes ([`SweepMode::Ranked`], [`SweepMode::Static`]),
+///    one static ranking of the survivors of *all* layouts by the cost
+///    model's predicted duration;
+/// 3. one fate per candidate: rejected by a gate, pruned by its rank
+///    ([`Reject::StaticRank`]), inestimable without a timing fallback
+///    ([`Reject::Inestimable`], Static only), predicted (Static's rank
+///    #1, carrying its warm-calibrated duration from the shared
+///    [`RegimeCalibration`] table) or timed;
+/// 4. timing under the Fig. 6 measurement conditions — warm caches and
+///    the requested queue semantics.  Exhaustive warms a fresh device
+///    state for every candidate; Ranked times back-to-back on one state
+///    warmed once;
+/// 5. the winner: the minimum duration over timed and predicted points.
+pub fn sweep<C: ComplexField>(
     problem: &mut DslashProblem<C>,
     cfg: KernelConfig,
     layouts: &[SharedLayout],
@@ -421,231 +388,99 @@ fn sweep_layout_list<C: ComplexField>(
     span.attr("kernel", cfg.label());
     span.attr("candidates", (sizes.len() * layouts.len()) as u64);
     span.attr("layouts", layouts.len() as u64);
-    let tol = problem.validation_tolerance();
 
-    // Static gates first: never launch what the linter flags, and
-    // never *time* a candidate the access analyzer proves racy or
-    // out of bounds over the full ND-range.  Candidates are ordered by
-    // (local size, layout local-mem bytes), so the winner fold's strict
-    // "<" breaks duration ties toward the smaller size and then toward
-    // the cheaper layout.
-    let mut gated: Vec<(SharedLayout, u32, Option<Reject>)> =
-        Vec::with_capacity(sizes.len() * layouts.len());
+    // 1. Gates.  Candidates are ordered by (local size, layout local-mem
+    // bytes), so the winner fold's strict "<" breaks duration ties
+    // toward the smaller size and then toward the cheaper layout.
+    let mut fates: Vec<(SharedLayout, u32, Fate)> = Vec::with_capacity(sizes.len() * layouts.len());
     for &ls in &sizes {
         let mut by_bytes = layouts.to_vec();
         by_bytes.sort_by_key(|l| l.required_bytes(ls));
         for layout in by_bytes {
             let lcfg = cfg.with_layout(layout);
-            let findings = lint_candidate(problem, lcfg, ls, device);
-            if !findings.is_empty() {
-                gated.push((layout, ls, Some(Reject::Lint(findings))));
-                continue;
-            }
-            let proofs = static_candidate(problem, lcfg, ls, device);
-            if !proofs.is_empty() {
-                gated.push((layout, ls, Some(Reject::Static(proofs))));
-                continue;
-            }
-            gated.push((layout, ls, None));
-        }
-    }
-
-    // Ranked mode: rank the survivors of *all* layouts jointly by the
-    // cost model's predicted duration (shared traffic base per layout,
-    // per-candidate occupancy — see [`rank_candidates`]; the layout
-    // enters through its predicted shared-memory wavefronts and its
-    // local-mem occupancy cost) and prune everything past the top-K.
-    if let SweepMode::Ranked { time_top_k } = mode {
-        let mut estimable: Vec<(SharedLayout, u32, f64)> = Vec::new();
-        let mut inestimable = 0usize;
-        for &layout in layouts {
-            for r in rank_candidates(problem, cfg.with_layout(layout), device) {
-                match &r.estimate {
-                    Ok(est) => estimable.push((layout, r.local_size, est.duration_us)),
-                    Err(_) => inestimable += 1, // stays timed
-                }
-            }
-        }
-        static_rank_order(&mut estimable);
-        let mut rank = 0usize;
-        let k = time_top_k.max(1);
-        for (layout, ls, predicted_us) in estimable {
-            let Some(slot) = gated
-                .iter_mut()
-                .find(|(l, c, rej)| *l == layout && *c == ls && rej.is_none())
-            else {
-                continue; // already rejected by a static gate
-            };
-            rank += 1;
-            if rank > k {
-                slot.2 = Some(Reject::StaticRank { rank, predicted_us });
-            }
-        }
-        span.attr("ranked_candidates", rank as u64);
-        span.attr("ranked_inestimable", inestimable as u64);
-    }
-
-    // Measurement-free mode: the static ranking *is* the decision.
-    // Rank every gate-surviving candidate by the cost model's predicted
-    // warm duration (the serving regime — tuned kernels run warm after
-    // their first application); rank #1 wins as a Predicted point
-    // carrying its warm-calibrated duration, the rest are recorded as
-    // StaticRank rejects.  Zero launches are spent.
-    if mode == SweepMode::Static {
-        let cal = RegimeCalibration::committed();
-        let mut estimates: Vec<(SharedLayout, u32, f64)> = Vec::new();
-        let mut by_candidate: Vec<(SharedLayout, u32, Result<gpu_sim::CostEstimate, String>)> =
-            Vec::new();
-        for &layout in layouts {
-            for r in rank_candidates(problem, cfg.with_layout(layout), device) {
-                if let Ok(est) = &r.estimate {
-                    estimates.push((layout, r.local_size, est.duration_us));
-                }
-                by_candidate.push((layout, r.local_size, r.estimate));
-            }
-        }
-        static_rank_order(&mut estimates);
-        // Ranks count only gate survivors: a linted-out candidate must
-        // not displace the rank numbering of the ones still in play.
-        let mut ranks: Vec<(SharedLayout, u32, usize, f64)> = Vec::new();
-        for &(layout, ls, predicted_us) in &estimates {
-            if gated
-                .iter()
-                .any(|(l, c, rej)| *l == layout && *c == ls && rej.is_none())
-            {
-                ranks.push((layout, ls, ranks.len() + 1, predicted_us));
-            }
-        }
-        let flops = theoretical_flops(problem.lattice()) as f64;
-        let mut winner: Option<CandidatePoint> = None;
-        let mut outcomes = Vec::with_capacity(gated.len());
-        for (layout, ls, reject) in gated {
-            if let Some(reason) = reject {
-                outcomes.push(CandidateOutcome::Rejected {
-                    local_size: ls,
-                    layout,
-                    reason,
-                });
-                continue;
-            }
-            let Some(&(_, _, rank, predicted_us)) =
-                ranks.iter().find(|(l, c, _, _)| *l == layout && *c == ls)
-            else {
-                let why = by_candidate
-                    .iter()
-                    .find_map(|(l, c, e)| {
-                        (*l == layout && *c == ls).then(|| match e {
-                            Err(why) => why.clone(),
-                            Ok(_) => "estimate lost by the ranker".to_string(),
-                        })
-                    })
-                    .unwrap_or_else(|| "cost model produced no estimate".to_string());
-                outcomes.push(CandidateOutcome::Rejected {
-                    local_size: ls,
-                    layout,
-                    reason: Reject::Inestimable(why),
-                });
-                continue;
-            };
-            if rank == 1 {
-                let est = by_candidate
-                    .iter()
-                    .find_map(|(l, c, e)| (*l == layout && *c == ls).then(|| e.as_ref().ok()))
-                    .flatten()
-                    .expect("rank #1 came from a successful estimate");
-                let duration_us = cal.calibrated_us(est, Regime::Warm);
-                let point = CandidatePoint {
-                    local_size: ls,
-                    layout,
-                    duration_us,
-                    gflops: flops / duration_us / 1e3,
-                    occupancy: est.occupancy.achieved,
-                    waves: est.occupancy.waves,
-                    tail_fraction: est.occupancy.tail_fraction(),
-                };
-                winner = Some(point.clone());
-                outcomes.push(CandidateOutcome::Predicted(point));
+            let lints = lint_candidate(problem, lcfg, ls, device);
+            let fate = if !lints.is_empty() {
+                Fate::Reject(Reject::Lint(lints))
             } else {
-                outcomes.push(CandidateOutcome::Rejected {
-                    local_size: ls,
-                    layout,
-                    reason: Reject::StaticRank { rank, predicted_us },
-                });
-            }
+                let proofs = static_candidate(problem, lcfg, ls, device);
+                if proofs.is_empty() {
+                    Fate::Time
+                } else {
+                    Fate::Reject(Reject::Static(proofs))
+                }
+            };
+            fates.push((layout, ls, fate));
         }
-        return match winner {
-            Some(winner) => {
-                span.attr("winner_local_size", winner.local_size);
-                span.attr("winner_layout", winner.layout.tag());
-                span.attr("winner_duration_us", winner.duration_us);
-                span.attr("sweep_launches", 0u64);
-                Ok(SweepOutcome {
-                    winner,
-                    candidates: outcomes,
-                    sweep_launches: 0,
-                })
-            }
-            None => Err(SweepError::AllRejected {
-                kernel: cfg.label(),
-                candidates: outcomes,
-            }),
-        };
     }
 
-    // A ranked sweep times its survivors back-to-back on one shared
-    // device state: the *global* access stream of a configuration is
-    // the same for every local size and every local layout, so each
-    // timed launch leaves the caches as warm as a dedicated warmup
-    // would, and only the first candidate pays one.
-    let mut shared: Option<(DeviceState, bool)> = match mode {
-        SweepMode::Ranked { .. } => Some((DeviceState::new(device), false)),
-        // Static returned above; Exhaustive warms per candidate.
-        SweepMode::Exhaustive | SweepMode::Static => None,
-    };
+    // 2–3. Static ranking, then each survivor's fate by mode.
+    if mode != SweepMode::Exhaustive {
+        let flops = theoretical_flops(problem.lattice()) as f64;
+        let ranks = rank_survivors(problem, cfg, layouts, device, &fates, &span);
+        for ((layout, ls, fate), rank) in fates.iter_mut().zip(ranks) {
+            let Some(rank) = rank else {
+                continue; // already rejected by a gate
+            };
+            *fate = match (mode, rank) {
+                (SweepMode::Static, Ok((1, est))) => {
+                    Fate::Predict(predicted_point(*layout, *ls, &est, flops))
+                }
+                (SweepMode::Static, Err(why)) => Fate::Reject(Reject::Inestimable(why)),
+                (SweepMode::Ranked { time_top_k }, Ok((rank, _))) if rank <= time_top_k.max(1) => {
+                    Fate::Time
+                }
+                (_, Ok((rank, est))) => Fate::Reject(Reject::StaticRank {
+                    rank,
+                    predicted_us: est.duration_us,
+                }),
+                // A ranked sweep must never prune what it cannot rank.
+                (_, Err(_)) => Fate::Time,
+            };
+        }
+    }
+
+    // 4. Timing.
+    let tol = problem.validation_tolerance();
+    let shares_state = matches!(mode, SweepMode::Ranked { .. });
+    let mut state: Option<DeviceState> = None;
+    let mut warmed = false;
     let mut sweep_launches = 0u64;
-    let mut outcomes = Vec::with_capacity(gated.len());
-    for (layout, ls, reject) in gated {
-        if let Some(reason) = reject {
-            outcomes.push(CandidateOutcome::Rejected {
+    let mut outcomes = Vec::with_capacity(fates.len());
+    for (layout, ls, fate) in fates {
+        let outcome = match fate {
+            Fate::Reject(reason) => CandidateOutcome::Rejected {
                 local_size: ls,
                 layout,
                 reason,
-            });
-            continue;
-        }
-        let lcfg = cfg.with_layout(layout);
-        let run = match shared.as_mut() {
-            Some((state, warmed)) => {
-                let r = run_config_warm_on_state(
-                    problem, lcfg, ls, device, queue_mode, state, !*warmed,
-                );
-                if r.is_ok() {
-                    sweep_launches += if *warmed { 1 } else { 2 };
-                    *warmed = true;
-                } else {
-                    sweep_launches += 1;
+            },
+            Fate::Predict(point) => CandidateOutcome::Predicted(point),
+            Fate::Time => {
+                if !shares_state {
+                    state = None;
+                    warmed = false;
                 }
-                r
-            }
-            None => {
-                let r = run_config_warm(problem, lcfg, ls, device, queue_mode);
-                sweep_launches += if r.is_ok() { 2 } else { 1 };
-                r
-            }
-        };
-        match run {
-            Ok(out) => {
-                if out.error.rel >= tol {
-                    outcomes.push(CandidateOutcome::Rejected {
+                let st = state.get_or_insert_with(|| DeviceState::new(device));
+                let run = run_config_warm_on_state(
+                    problem,
+                    cfg.with_layout(layout),
+                    ls,
+                    device,
+                    queue_mode,
+                    st,
+                    !warmed,
+                );
+                sweep_launches += if run.is_ok() && !warmed { 2 } else { 1 };
+                warmed |= run.is_ok();
+                match run {
+                    Ok(out) if out.error.rel >= tol => CandidateOutcome::Rejected {
                         local_size: ls,
                         layout,
                         reason: Reject::Validation {
                             rel: out.error.rel,
                             tol,
                         },
-                    });
-                } else {
-                    outcomes.push(CandidateOutcome::Timed(CandidatePoint {
+                    },
+                    Ok(out) => CandidateOutcome::Timed(CandidatePoint {
                         local_size: ls,
                         layout,
                         duration_us: out.report.duration_us,
@@ -653,61 +488,179 @@ fn sweep_layout_list<C: ComplexField>(
                         occupancy: out.report.occupancy.achieved,
                         waves: out.report.waves(),
                         tail_fraction: out.report.tail_fraction(),
-                    }));
+                    }),
+                    Err(e) => CandidateOutcome::Rejected {
+                        local_size: ls,
+                        layout,
+                        reason: Reject::Launch(e),
+                    },
                 }
             }
-            Err(e) => outcomes.push(CandidateOutcome::Rejected {
-                local_size: ls,
-                layout,
-                reason: Reject::Launch(e),
-            }),
-        }
+        };
+        outcomes.push(outcome);
     }
 
-    let winner = outcomes
+    // 5. The winner.
+    let Some(winner) = fastest(&outcomes) else {
+        return Err(SweepError::AllRejected {
+            kernel: cfg.label(),
+            candidates: outcomes,
+        });
+    };
+    span.attr("winner_local_size", winner.local_size);
+    span.attr("winner_layout", winner.layout.tag());
+    span.attr("winner_duration_us", winner.duration_us);
+    span.attr("sweep_launches", sweep_launches);
+    Ok(SweepOutcome {
+        winner,
+        candidates: outcomes,
+        sweep_launches,
+    })
+}
+
+/// The winner over timed and predicted points: the minimum duration,
+/// where strict "<" keeps the earlier candidate on ties — smaller local
+/// size, then cheaper layout (the sweep order).
+fn fastest(candidates: &[CandidateOutcome]) -> Option<CandidatePoint> {
+    candidates
         .iter()
         .filter_map(|c| match c {
-            CandidateOutcome::Timed(p) => Some(p),
-            _ => None,
+            CandidateOutcome::Timed(p) | CandidateOutcome::Predicted(p) => Some(p),
+            CandidateOutcome::Rejected { .. } => None,
         })
-        // Strict "<" keeps the earlier candidate on ties — smaller
-        // local size, then cheaper layout (the sweep order above).
         .fold(None::<&CandidatePoint>, |best, p| match best {
             Some(b) if b.duration_us <= p.duration_us => Some(b),
             _ => Some(p),
         })
-        .cloned();
-    match winner {
-        Some(winner) => {
-            span.attr("winner_local_size", winner.local_size);
-            span.attr("winner_layout", winner.layout.tag());
-            span.attr("winner_duration_us", winner.duration_us);
-            span.attr("sweep_launches", sweep_launches);
-            Ok(SweepOutcome {
-                winner,
-                candidates: outcomes,
-                sweep_launches,
-            })
+        .cloned()
+}
+
+/// One gate survivor's place in the static ranking: its 1-based rank
+/// among the survivors with its estimate, or why the cost model could
+/// not estimate it.
+type StaticRankOf = Result<(usize, CostEstimate), String>;
+
+/// The static ranking shared by [`SweepMode::Ranked`] and
+/// [`SweepMode::Static`]: [`rank_candidates`] once per layout, all
+/// layouts ordered jointly by [`static_rank_order`] (a layout enters
+/// through its predicted shared-memory wavefronts and its local-mem
+/// occupancy cost).  Returns one entry per candidate in `fates` order,
+/// `None` for a gate reject.  Ranks count only gate survivors: a
+/// linted-out candidate must not displace the rank numbering of the
+/// ones still in play.
+fn rank_survivors<C: ComplexField>(
+    problem: &DslashProblem<C>,
+    cfg: KernelConfig,
+    layouts: &[SharedLayout],
+    device: &DeviceSpec,
+    fates: &[(SharedLayout, u32, Fate)],
+    span: &obs::MaybeSpan,
+) -> Vec<Option<StaticRankOf>> {
+    let mut estimates: Vec<(SharedLayout, u32, CostEstimate)> = Vec::new();
+    let mut errors: Vec<(SharedLayout, u32, String)> = Vec::new();
+    for &layout in layouts {
+        for r in rank_candidates(problem, cfg.with_layout(layout), device) {
+            match r.estimate {
+                Ok(est) => estimates.push((layout, r.local_size, est)),
+                Err(why) => errors.push((layout, r.local_size, why)),
+            }
         }
-        None => Err(SweepError::AllRejected {
-            kernel: cfg.label(),
-            candidates: outcomes,
-        }),
+    }
+    let mut order: Vec<(SharedLayout, u32, f64)> = estimates
+        .iter()
+        .map(|(l, ls, est)| (*l, *ls, est.duration_us))
+        .collect();
+    static_rank_order(&mut order);
+    let survives = |l: SharedLayout, ls: u32| {
+        fates
+            .iter()
+            .any(|(fl, fls, f)| *fl == l && *fls == ls && matches!(f, Fate::Time))
+    };
+    let ranked: Vec<(SharedLayout, u32)> = order
+        .into_iter()
+        .filter(|&(l, ls, _)| survives(l, ls))
+        .map(|(l, ls, _)| (l, ls))
+        .collect();
+    span.attr("ranked_candidates", ranked.len() as u64);
+    span.attr("ranked_inestimable", errors.len() as u64);
+
+    fates
+        .iter()
+        .map(|(layout, ls, fate)| {
+            if !matches!(fate, Fate::Time) {
+                return None;
+            }
+            let key = (*layout, *ls);
+            let estimate = estimates
+                .iter()
+                .find(|(l, c, _)| (*l, *c) == key)
+                .map(|(_, _, est)| est.clone());
+            Some(match (ranked.iter().position(|k| *k == key), estimate) {
+                (Some(i), Some(est)) => Ok((i + 1, est)),
+                _ => Err(errors.iter().find(|(l, c, _)| (*l, *c) == key).map_or_else(
+                    || "cost model produced no estimate".to_string(),
+                    |(_, _, why)| why.clone(),
+                )),
+            })
+        })
+        .collect()
+}
+
+/// Static's winner: the rank-#1 candidate as a point carrying its
+/// warm-calibrated duration (the serving regime — tuned kernels run
+/// warm after their first application) and its static occupancy.
+fn predicted_point(
+    layout: SharedLayout,
+    local_size: u32,
+    est: &CostEstimate,
+    flops: f64,
+) -> CandidatePoint {
+    let duration_us = RegimeCalibration::committed().calibrated_us(est, Regime::Warm);
+    CandidatePoint {
+        local_size,
+        layout,
+        duration_us,
+        gflops: flops / duration_us / 1e3,
+        occupancy: est.occupancy.achieved,
+        waves: est.occupancy.waves,
+        tail_fraction: est.occupancy.tail_fraction(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_config_warm;
     use crate::strategy::{IndexOrder, Strategy};
     use milc_complex::DoubleComplex as Z;
+
+    /// Sweep on the small test device through an in-order queue.
+    fn sweep_small(
+        p: &mut DslashProblem<Z>,
+        cfg: KernelConfig,
+        layouts: &[SharedLayout],
+        mode: SweepMode,
+    ) -> Result<SweepOutcome, SweepError> {
+        sweep(
+            p,
+            cfg,
+            layouts,
+            &DeviceSpec::test_small(),
+            QueueMode::InOrder,
+            mode,
+        )
+    }
+
+    /// Relative duration gap between two winners.
+    fn winner_gap(a: &SweepOutcome, b: &SweepOutcome) -> f64 {
+        (a.winner.duration_us - b.winner.duration_us).abs() / b.winner.duration_us
+    }
 
     #[test]
     fn sweep_3lp1_kmajor_picks_a_paper_candidate() {
         let mut p = DslashProblem::<Z>::random(4, 2024);
-        let device = DeviceSpec::test_small();
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let out = sweep_config(&mut p, cfg, &device, QueueMode::InOrder).unwrap();
+        let out = sweep_small(&mut p, cfg, &[cfg.shared_layout], SweepMode::Exhaustive).unwrap();
         let sizes: Vec<u32> = out.candidates.iter().map(|c| c.local_size()).collect();
         assert_eq!(sizes, vec![96, 192, 384, 768]);
         assert!(sizes.contains(&out.winner.local_size));
@@ -722,20 +675,14 @@ mod tests {
     #[test]
     fn ranked_sweep_times_top_k_and_prunes_the_tail_with_ranks() {
         let mut p = DslashProblem::<Z>::random(4, 2024);
-        let device = DeviceSpec::test_small();
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::IMajor);
-        let full = sweep_config(&mut p, cfg, &device, QueueMode::InOrder).unwrap();
+        let layouts = [cfg.shared_layout];
+        let full = sweep_small(&mut p, cfg, &layouts, SweepMode::Exhaustive).unwrap();
         let total = full.candidates.len();
         assert!(total > 2, "need a candidate set worth pruning");
 
-        let ranked = sweep_config_with_mode(
-            &mut p,
-            cfg,
-            &device,
-            QueueMode::InOrder,
-            SweepMode::Ranked { time_top_k: 2 },
-        )
-        .unwrap();
+        let ranked =
+            sweep_small(&mut p, cfg, &layouts, SweepMode::Ranked { time_top_k: 2 }).unwrap();
         assert_eq!(ranked.candidates.len(), total);
         assert_eq!(ranked.timed().count(), 2);
         let pruned: Vec<_> = ranked
@@ -760,15 +707,10 @@ mod tests {
         // strong on this tiny lattice, where every candidate sits
         // within ~0.2% and the argmin is decided by cache-replacement
         // noise the static model cannot see.)
-        let rel =
-            (ranked.winner.duration_us - full.winner.duration_us).abs() / full.winner.duration_us;
+        let rel = winner_gap(&ranked, &full);
         assert!(
             rel <= 5e-3,
-            "ranked winner {} @ {:.3} µs vs exhaustive {} @ {:.3} µs ({:.3}% apart)",
-            ranked.winner.local_size,
-            ranked.winner.duration_us,
-            full.winner.local_size,
-            full.winner.duration_us,
+            "ranked vs exhaustive winner {:.3}% apart",
             rel * 100.0
         );
         // Launch accounting: exhaustive pays warmup+timed per
@@ -780,29 +722,19 @@ mod tests {
     #[test]
     fn ranked_sweep_with_k_covering_all_candidates_is_exhaustive() {
         let mut p = DslashProblem::<Z>::random(4, 7);
-        let device = DeviceSpec::test_small();
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let full = sweep_config(&mut p, cfg, &device, QueueMode::InOrder).unwrap();
-        let ranked = sweep_config_with_mode(
-            &mut p,
-            cfg,
-            &device,
-            QueueMode::InOrder,
-            SweepMode::Ranked { time_top_k: 100 },
-        )
-        .unwrap();
+        let layouts = [cfg.shared_layout];
+        let full = sweep_small(&mut p, cfg, &layouts, SweepMode::Exhaustive).unwrap();
+        let ranked =
+            sweep_small(&mut p, cfg, &layouts, SweepMode::Ranked { time_top_k: 100 }).unwrap();
         assert_eq!(ranked.timed().count(), full.timed().count());
         // With every candidate timed the winner can only differ by the
         // shared-state timing noise floor — assert duration equivalence.
-        let rel =
-            (ranked.winner.duration_us - full.winner.duration_us).abs() / full.winner.duration_us;
+        let rel = winner_gap(&ranked, &full);
         assert!(
             rel <= 5e-3,
-            "ranked winner {} @ {:.3} µs vs exhaustive {} @ {:.3} µs",
-            ranked.winner.local_size,
-            ranked.winner.duration_us,
-            full.winner.local_size,
-            full.winner.duration_us
+            "ranked vs exhaustive winner {:.3}% apart",
+            rel * 100.0
         );
     }
 
@@ -811,72 +743,40 @@ mod tests {
         // L = 2: half-volume 8 → 1LP global size 8 < the smallest
         // warp-aligned group, so the candidate set is empty.
         let mut p = DslashProblem::<Z>::random(2, 1);
-        let device = DeviceSpec::test_small();
         let cfg = KernelConfig::new(Strategy::OneLp, IndexOrder::KMajor);
-        let err = sweep_config(&mut p, cfg, &device, QueueMode::InOrder);
+        let err = sweep_small(&mut p, cfg, &[cfg.shared_layout], SweepMode::Exhaustive);
         assert!(matches!(err, Err(SweepError::NoCandidates { .. })));
     }
 
     #[test]
-    fn winner_tie_breaks_toward_smaller_local_size() {
-        let points = [
-            CandidateOutcome::Timed(CandidatePoint {
-                local_size: 96,
-                layout: SharedLayout::Flat,
-                duration_us: 10.0,
-                gflops: 1.0,
-                occupancy: 0.5,
-                waves: 2.0,
-                tail_fraction: 0.0,
-            }),
-            CandidateOutcome::Timed(CandidatePoint {
-                local_size: 192,
-                layout: SharedLayout::Flat,
-                duration_us: 10.0,
-                gflops: 1.0,
-                occupancy: 0.5,
-                waves: 2.0,
-                tail_fraction: 0.0,
-            }),
+    fn winner_tie_breaks_toward_the_earlier_candidate() {
+        let point = |local_size| CandidatePoint {
+            local_size,
+            layout: SharedLayout::Flat,
+            duration_us: 10.0,
+            gflops: 1.0,
+            occupancy: 0.5,
+            waves: 2.0,
+            tail_fraction: 0.0,
+        };
+        let candidates = [
+            CandidateOutcome::Timed(point(96)),
+            CandidateOutcome::Predicted(point(192)),
         ];
-        let best = points
-            .iter()
-            .filter_map(|c| match c {
-                CandidateOutcome::Timed(p) => Some(p),
-                _ => None,
-            })
-            .fold(None::<&CandidatePoint>, |best, p| match best {
-                Some(b) if b.duration_us <= p.duration_us => Some(b),
-                _ => Some(p),
-            })
-            .unwrap();
-        assert_eq!(best.local_size, 96);
+        assert_eq!(fastest(&candidates).unwrap().local_size, 96);
     }
 
     #[test]
     fn layout_sweep_covers_the_cross_product_and_a_remedy_wins() {
         let mut p = DslashProblem::<Z>::random(4, 2024);
-        let device = DeviceSpec::test_small();
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let out = sweep_layouts_with_mode(
-            &mut p,
-            cfg,
-            &device,
-            QueueMode::InOrder,
-            SweepMode::Exhaustive,
-        )
-        .unwrap();
+        let out = sweep_small(&mut p, cfg, &cfg.tunable_layouts(), SweepMode::Exhaustive).unwrap();
         // 4 paper sizes × 3 tunable layouts, all clean.
         assert_eq!(out.candidates.len(), 12);
         assert_eq!(out.rejected(), 0);
         for ls in [96u32, 192, 384, 768] {
-            let layouts: Vec<_> = out
-                .candidates
-                .iter()
-                .filter(|c| c.local_size() == ls)
-                .map(|c| c.layout())
-                .collect();
-            assert_eq!(layouts.len(), 3, "each size tried under each layout");
+            let layouts = out.candidates.iter().filter(|c| c.local_size() == ls);
+            assert_eq!(layouts.count(), 3, "each size tried under each layout");
         }
         // The dense layout's 4-way bank conflict costs real modelled
         // time; a conflict-free remedy must out-run it at equal size.
@@ -899,21 +799,13 @@ mod tests {
     #[test]
     fn layout_sweep_degenerates_to_flat_without_local_mem() {
         let mut p = DslashProblem::<Z>::random(4, 11);
-        let device = DeviceSpec::test_small();
         let cfg = KernelConfig::new(Strategy::ThreeLp3, IndexOrder::KMajor);
-        let out = sweep_layouts_with_mode(
-            &mut p,
-            cfg,
-            &device,
-            QueueMode::InOrder,
-            SweepMode::Exhaustive,
-        )
-        .unwrap();
+        let out = sweep_small(&mut p, cfg, &cfg.tunable_layouts(), SweepMode::Exhaustive).unwrap();
         assert!(out
             .candidates
             .iter()
             .all(|c| c.layout() == SharedLayout::Flat));
-        let plain = sweep_config(&mut p, cfg, &device, QueueMode::InOrder).unwrap();
+        let plain = sweep_small(&mut p, cfg, &[cfg.shared_layout], SweepMode::Exhaustive).unwrap();
         assert_eq!(out.candidates.len(), plain.candidates.len());
         assert_eq!(out.winner.local_size, plain.winner.local_size);
     }
@@ -921,45 +813,125 @@ mod tests {
     #[test]
     fn ranked_layout_sweep_prunes_jointly_and_keeps_the_winner_class() {
         let mut p = DslashProblem::<Z>::random(4, 2024);
-        let device = DeviceSpec::test_small();
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let full = sweep_layouts_with_mode(
-            &mut p,
-            cfg,
-            &device,
-            QueueMode::InOrder,
-            SweepMode::Exhaustive,
-        )
-        .unwrap();
-        let ranked = sweep_layouts_with_mode(
-            &mut p,
-            cfg,
-            &device,
-            QueueMode::InOrder,
-            SweepMode::Ranked { time_top_k: 3 },
-        )
-        .unwrap();
+        let layouts = cfg.tunable_layouts();
+        let full = sweep_small(&mut p, cfg, &layouts, SweepMode::Exhaustive).unwrap();
+        let ranked =
+            sweep_small(&mut p, cfg, &layouts, SweepMode::Ranked { time_top_k: 3 }).unwrap();
         assert_eq!(ranked.candidates.len(), full.candidates.len());
         assert_eq!(ranked.timed().count(), 3);
-        // ≥ 60% of the cross product goes untimed (ISSUE acceptance:
-        // ranked sweeps avoid most launches even with the new axis).
+        // ≥ 60% of the cross product goes untimed: ranked sweeps avoid
+        // most launches even with the layout axis.
         let avoided = ranked.candidates.len() - ranked.timed().count();
         assert!(avoided * 10 >= ranked.candidates.len() * 6);
         assert_eq!(ranked.sweep_launches, 1 + ranked.timed().count() as u64);
         // The cost model prices bank conflicts, so the joint top-K must
         // keep a winner-class (size, layout) point in the timed set.
-        let rel =
-            (ranked.winner.duration_us - full.winner.duration_us).abs() / full.winner.duration_us;
+        let rel = winner_gap(&ranked, &full);
         assert!(
             rel <= 5e-3,
-            "ranked winner {} {} @ {:.3} µs vs exhaustive {} {} @ {:.3} µs",
-            ranked.winner.local_size,
-            ranked.winner.layout.tag(),
-            ranked.winner.duration_us,
-            full.winner.local_size,
-            full.winner.layout.tag(),
-            full.winner.duration_us
+            "ranked vs exhaustive winner {:.3}% apart",
+            rel * 100.0
         );
         assert_ne!(ranked.winner.layout, SharedLayout::Flat);
+    }
+
+    /// Each candidate's fate in sweep order: `T` timed, `P` predicted,
+    /// or the reject kind (static-rank rejects carry their rank).
+    fn fates(out: &SweepOutcome) -> String {
+        let fate = |c: &CandidateOutcome| {
+            let what = match c {
+                CandidateOutcome::Timed(_) => "T".to_string(),
+                CandidateOutcome::Predicted(_) => "P".to_string(),
+                CandidateOutcome::Rejected { reason, .. } => match reason {
+                    Reject::StaticRank { rank, .. } => format!("rank{rank}"),
+                    Reject::Lint(_) => "lint".to_string(),
+                    Reject::Static(_) => "static".to_string(),
+                    Reject::Inestimable(_) => "inestimable".to_string(),
+                    Reject::Launch(_) => "launch".to_string(),
+                    Reject::Validation { .. } => "validation".to_string(),
+                },
+            };
+            format!("{} {} {what}", c.local_size(), c.layout().tag())
+        };
+        out.candidates
+            .iter()
+            .map(fate)
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
+
+    /// Pins every mode of the joint (size × layout) sweep on 3LP-1
+    /// k-major at L = 4: the exact fate of each candidate, the launch
+    /// count, and the state policy behind every timed duration —
+    /// Exhaustive times each candidate on a fresh, once-warmed state
+    /// (bitwise `run_config_warm`); Ranked times its survivors
+    /// back-to-back on one state warmed once.
+    #[test]
+    fn every_mode_pins_fates_launches_and_state_policy() {
+        let device = DeviceSpec::test_small();
+        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
+        let layouts = cfg.tunable_layouts();
+        let mut p = DslashProblem::<Z>::random(4, 2024);
+
+        let full = sweep_small(&mut p, cfg, &layouts, SweepMode::Exhaustive).unwrap();
+        assert_eq!(
+            fates(&full),
+            "96 flat T, 96 xor2 T, 96 pad5 T, 192 flat T, 192 xor2 T, 192 pad5 T, \
+             384 flat T, 384 xor2 T, 384 pad5 T, 768 flat T, 768 xor2 T, 768 pad5 T"
+        );
+        assert_eq!(full.sweep_launches, 24);
+        for pt in full.timed() {
+            let lcfg = cfg.with_layout(pt.layout);
+            let warm = run_config_warm(&mut p, lcfg, pt.local_size, &device, QueueMode::InOrder);
+            let warm_us = warm.unwrap().report.duration_us;
+            assert_eq!(
+                warm_us.to_bits(),
+                pt.duration_us.to_bits(),
+                "{}",
+                lcfg.label()
+            );
+        }
+
+        let ranked =
+            sweep_small(&mut p, cfg, &layouts, SweepMode::Ranked { time_top_k: 3 }).unwrap();
+        assert_eq!(
+            fates(&ranked),
+            "96 flat rank9, 96 xor2 T, 96 pad5 T, 192 flat rank10, 192 xor2 T, 192 pad5 rank4, \
+             384 flat rank11, 384 xor2 rank5, 384 pad5 rank6, 768 flat rank12, 768 xor2 rank7, \
+             768 pad5 rank8"
+        );
+        assert_eq!(ranked.sweep_launches, 4);
+        // Hand-driven replay: one state, one warmup, then every timed
+        // candidate back-to-back in sweep order.
+        let launcher = gpu_sim::Launcher::new(&device);
+        let mut state = DeviceState::new(&device);
+        for (i, pt) in ranked.timed().enumerate() {
+            let lcfg = cfg.with_layout(pt.layout);
+            let range = p.launch_range(lcfg, pt.local_size);
+            let kernel = p.make_kernel(lcfg, range.num_groups());
+            let mut launch = || {
+                let r = launcher.launch_with_state(kernel.as_ref(), range, p.memory(), &mut state);
+                r.unwrap().duration_us
+            };
+            if i == 0 {
+                launch();
+            }
+            assert_eq!(
+                launch().to_bits(),
+                pt.duration_us.to_bits(),
+                "{}",
+                lcfg.label()
+            );
+        }
+
+        let stat = sweep_small(&mut p, cfg, &layouts, SweepMode::Static).unwrap();
+        assert_eq!(
+            fates(&stat),
+            "96 flat rank9, 96 xor2 P, 96 pad5 rank2, 192 flat rank10, 192 xor2 rank3, \
+             192 pad5 rank4, 384 flat rank11, 384 xor2 rank5, 384 pad5 rank6, 768 flat rank12, \
+             768 xor2 rank7, 768 pad5 rank8"
+        );
+        assert_eq!(stat.sweep_launches, 0);
     }
 }

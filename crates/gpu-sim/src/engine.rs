@@ -5,17 +5,10 @@
 //! scheduler for a uniform kernel.  Each SM owns an L1 cache whose state
 //! persists across the groups it runs; the L2 is shared.
 //!
-//! Two execution modes:
-//!
-//! * [`ExecMode::Sequential`] — fully deterministic: groups are processed
-//!   in group-id order against one shared L2.  Group-id order
-//!   approximates temporal interleaving because consecutive groups run
-//!   on *different* SMs round-robin, just as on hardware.
-//! * [`ExecMode::ParallelSms`] — SMs are simulated concurrently with
-//!   rayon; each SM sees a private L2 *slice* of `l2_bytes / num_sms`
-//!   capacity.  This is a documented approximation (real L2 is shared);
-//!   a regression test bounds the drift of the resulting miss rates
-//!   against the sequential mode.
+//! Execution is fully deterministic: groups are processed in group-id
+//! order against the one shared L2.  Group-id order approximates
+//! temporal interleaving because consecutive groups run on *different*
+//! SMs round-robin, just as on hardware.
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::counters::Counters;
@@ -30,7 +23,6 @@ use crate::sanitizer::{Sanitizer, SanitizerConfig, SanitizerReport};
 use crate::sharedmem::LocalMem;
 use crate::timing::TimingModel;
 use crate::warp::{replay_warp, ReplaySinks};
-use rayon::prelude::*;
 
 /// Persistent cache state of the simulated device, carried across
 /// kernel launches.  The paper's Table I profiles "specifically, the
@@ -74,15 +66,6 @@ impl DeviceState {
     pub fn launches(&self) -> u64 {
         self.launches
     }
-}
-
-/// How the simulation itself executes on the host.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Deterministic single-threaded simulation with a shared L2.
-    Sequential,
-    /// Rayon-parallel over SMs with per-SM L2 slices.
-    ParallelSms,
 }
 
 /// Everything a launch produces besides its memory side effects.
@@ -144,34 +127,24 @@ impl LaunchReport {
 /// Configurable kernel launcher.
 pub struct Launcher<'d> {
     device: &'d DeviceSpec,
-    mode: ExecMode,
     timing: TimingModel,
     sanitizer: Option<SanitizerConfig>,
 }
 
 impl<'d> Launcher<'d> {
-    /// A sequential launcher with the default calibrated timing model.
+    /// A launcher with the default calibrated timing model.
     pub fn new(device: &'d DeviceSpec) -> Self {
         Self {
             device,
-            mode: ExecMode::Sequential,
             timing: TimingModel::calibrated(),
             sanitizer: None,
         }
     }
 
-    /// Select the execution mode.
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Enable the sanitizer for every launch through this launcher.
-    /// Sanitized launches always execute in the deterministic
-    /// [`ExecMode::Sequential`] mode (the shadow-memory checkers need a
-    /// serial view of the event streams), and their lanes run tolerant:
-    /// invalid accesses become findings instead of panics.  Performance
-    /// counters and timing are still produced as usual.
+    /// Sanitized lanes run tolerant: invalid accesses become findings
+    /// instead of panics.  Performance counters and timing are still
+    /// produced as usual.
     pub fn with_sanitizer(mut self, cfg: SanitizerConfig) -> Self {
         self.sanitizer = Some(cfg);
         self
@@ -199,9 +172,9 @@ impl<'d> Launcher<'d> {
         self.launch_with_state(kernel, range, mem, &mut state)
     }
 
-    /// Launch against persistent cache state (warm launches).  Only the
-    /// sequential execution mode carries state; the rayon-parallel mode
-    /// always runs cold (its per-SM L2 slices are per-launch).
+    /// Launch against persistent cache state (warm launches).  A state
+    /// built for a device with a different SM count is refused with
+    /// [`SimError::DeviceStateMismatch`].
     pub fn launch_with_state(
         &self,
         kernel: &dyn Kernel,
@@ -210,6 +183,13 @@ impl<'d> Launcher<'d> {
         state: &mut DeviceState,
     ) -> Result<LaunchReport, SimError> {
         let host_start = std::time::Instant::now();
+        let num_sms = self.device.num_sms as usize;
+        if state.l1s.len() != num_sms {
+            return Err(SimError::DeviceStateMismatch {
+                state_sms: state.l1s.len() as u32,
+                device_sms: self.device.num_sms,
+            });
+        }
         range.validate(self.device)?;
         let res = kernel.resources(range.local);
         let occ = occupancy(self.device, range.local, &res, range.num_groups())?;
@@ -228,91 +208,27 @@ impl<'d> Launcher<'d> {
             );
             s
         });
-        // The shadow-memory checkers need the deterministic serial view.
-        let mode = if san.is_some() {
-            ExecMode::Sequential
-        } else {
-            self.mode
-        };
-
-        let num_sms = self.device.num_sms as usize;
-        let l1_cfg = CacheConfig {
-            capacity: self.device.l1_bytes as u64,
-            line_bytes: self.device.line_bytes,
-            sector_bytes: self.device.sector_bytes,
-            ways: self.device.l1_ways,
-        };
-        let l2_cfg = CacheConfig {
-            capacity: self.device.l2_bytes,
-            line_bytes: self.device.line_bytes,
-            sector_bytes: self.device.sector_bytes,
-            ways: self.device.l2_ways,
-        };
-
-        let (counters, l1_stats, l2_stats) = match mode {
-            ExecMode::Sequential => {
-                assert_eq!(
-                    state.l1s.len(),
-                    num_sms,
-                    "device state was built for a different device"
-                );
-                let l1_before: Vec<CacheStats> = state.l1s.iter().map(|c| *c.stats()).collect();
-                let l2_before = *state.l2.stats();
-                let mut counters = Counters::default();
-                let mut exec = GroupExecutor::new(kernel, range, self.device, mem, res);
-                for g in 0..range.num_groups() {
-                    let sm = (g % num_sms as u64) as usize;
-                    exec.run_group(
-                        g,
-                        &mut state.l1s[sm],
-                        &mut state.l2,
-                        &mut counters,
-                        san.as_mut(),
-                    )?;
-                }
-                state.launches += 1;
-                // Report this launch's cache deltas, not the lifetime sums.
-                let mut l1_stats = CacheStats::default();
-                for (c, before) in state.l1s.iter().zip(&l1_before) {
-                    l1_stats.merge(&delta(c.stats(), before));
-                }
-                (counters, l1_stats, delta(state.l2.stats(), &l2_before))
-            }
-            ExecMode::ParallelSms => {
-                let slice_cfg = CacheConfig {
-                    capacity: (l2_cfg.capacity / num_sms as u64)
-                        .max((l2_cfg.line_bytes * l2_cfg.ways) as u64),
-                    ..l2_cfg
-                };
-                let partials: Vec<Result<(Counters, CacheStats, CacheStats), SimError>> = (0
-                    ..num_sms)
-                    .into_par_iter()
-                    .map(|sm| {
-                        let mut l1 = Cache::new(l1_cfg);
-                        let mut l2 = Cache::new(slice_cfg);
-                        let mut counters = Counters::default();
-                        let mut exec = GroupExecutor::new(kernel, range, self.device, mem, res);
-                        let mut g = sm as u64;
-                        while g < range.num_groups() {
-                            exec.run_group(g, &mut l1, &mut l2, &mut counters, None)?;
-                            g += num_sms as u64;
-                        }
-                        Ok((counters, *l1.stats(), *l2.stats()))
-                    })
-                    .collect();
-                let partials: Vec<(Counters, CacheStats, CacheStats)> =
-                    partials.into_iter().collect::<Result<_, _>>()?;
-                let mut counters = Counters::default();
-                let mut l1_stats = CacheStats::default();
-                let mut l2_stats = CacheStats::default();
-                for (c, l1, l2) in &partials {
-                    counters.merge(c);
-                    l1_stats.merge(l1);
-                    l2_stats.merge(l2);
-                }
-                (counters, l1_stats, l2_stats)
-            }
-        };
+        let l1_before: Vec<CacheStats> = state.l1s.iter().map(|c| *c.stats()).collect();
+        let l2_before = *state.l2.stats();
+        let mut counters = Counters::default();
+        let mut exec = GroupExecutor::new(kernel, range, self.device, mem, res);
+        for g in 0..range.num_groups() {
+            let sm = (g % num_sms as u64) as usize;
+            exec.run_group(
+                g,
+                &mut state.l1s[sm],
+                &mut state.l2,
+                &mut counters,
+                san.as_mut(),
+            )?;
+        }
+        state.launches += 1;
+        // Report this launch's cache deltas, not the lifetime sums.
+        let mut l1_stats = CacheStats::default();
+        for (c, before) in state.l1s.iter().zip(&l1_before) {
+            l1_stats.merge(&delta(c.stats(), before));
+        }
+        let l2_stats = delta(state.l2.stats(), &l2_before);
 
         let duration_us = self.timing.duration_us(&counters, &occ, self.device);
         Ok(LaunchReport {
@@ -552,44 +468,33 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_agree_on_results_and_core_counters() {
-        let device = DeviceSpec::test_small();
-        let mut mem1 = DeviceMemory::new();
-        let b1 = mem1.alloc(1024 * 8, "b");
-        let mut mem2 = DeviceMemory::new();
-        let b2 = mem2.alloc(1024 * 8, "b");
-        for i in 0..1024u64 {
-            mem1.write_f64(b1.addr(i * 8), i as f64);
-            mem2.write_f64(b2.addr(i * 8), i as f64);
-        }
-        let k1 = DoubleKernel {
-            buf: b1.base(),
+    fn mismatched_device_state_is_an_error() {
+        let small = DeviceSpec::test_small();
+        let a100 = DeviceSpec::a100();
+        let mut mem = DeviceMemory::new();
+        let b = mem.alloc(1024 * 8, "b");
+        let k = DoubleKernel {
+            buf: b.base(),
             n: 1024,
         };
-        let k2 = DoubleKernel {
-            buf: b2.base(),
-            n: 1024,
-        };
-        let seq = Launcher::new(&device)
-            .launch(&k1, NdRange::linear(1024, 128), &mem1)
-            .unwrap();
-        let par = Launcher::new(&device)
-            .with_mode(ExecMode::ParallelSms)
-            .launch(&k2, NdRange::linear(1024, 128), &mem2)
-            .unwrap();
-        for i in 0..1024u64 {
-            assert_eq!(mem1.read_f64(b1.addr(i * 8)), mem2.read_f64(b2.addr(i * 8)));
-        }
-        // Execution-order-independent counters must agree exactly.
-        assert_eq!(seq.counters.items, par.counters.items);
-        assert_eq!(seq.counters.flops, par.counters.flops);
-        assert_eq!(
-            seq.counters.l1_tag_requests_global,
-            par.counters.l1_tag_requests_global
+        let mut state = DeviceState::new(&small);
+        let err = Launcher::new(&a100).launch_with_state(
+            &k,
+            NdRange::linear(1024, 128),
+            &mem,
+            &mut state,
         );
         assert_eq!(
-            seq.counters.l1_sector_requests,
-            par.counters.l1_sector_requests
+            err.unwrap_err(),
+            SimError::DeviceStateMismatch {
+                state_sms: small.num_sms,
+                device_sms: a100.num_sms,
+            }
+        );
+        assert_eq!(
+            state.launches(),
+            0,
+            "a refused launch leaves the state untouched"
         );
     }
 

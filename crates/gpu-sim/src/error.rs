@@ -72,6 +72,15 @@ pub enum SimError {
         /// Event kind the offending lane issued instead.
         found: &'static str,
     },
+    /// A launch was handed a [`DeviceState`](crate::DeviceState) built
+    /// for a device with a different SM count: its per-SM L1 caches
+    /// cannot be mapped onto this device's SMs.
+    DeviceStateMismatch {
+        /// SMs the state was built for.
+        state_sms: u32,
+        /// SMs of the device being launched on.
+        device_sms: u32,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -119,6 +128,13 @@ impl fmt::Display for SimError {
                 f,
                 "lane {lane} out of lockstep: expected {expected}, found {found} \
                  (undeclared divergent branch — missing Lane::set_path)"
+            ),
+            SimError::DeviceStateMismatch {
+                state_sms,
+                device_sms,
+            } => write!(
+                f,
+                "device state was built for {state_sms} SMs but the device has {device_sms}"
             ),
         }
     }

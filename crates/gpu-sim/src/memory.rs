@@ -1,12 +1,12 @@
 //! Simulated device global memory.
 //!
 //! A single flat address space backed by 8-byte words stored in
-//! `AtomicU64` cells.  Atomic cells make the arena safely shareable
-//! across the rayon-parallel execution mode without locks: ordinary
-//! loads/stores use relaxed atomics (the engine guarantees that racing
-//! plain stores never target the same word within a phase, mirroring the
-//! data-race-freedom the SYCL kernels must themselves guarantee), and
-//! device atomics use a compare-exchange loop on the same cells.
+//! `AtomicU64` cells.  Atomic cells let every lane store through a
+//! shared `&DeviceMemory` without locks or `unsafe`: ordinary
+//! loads/stores use relaxed atomics (racing plain stores to one word
+//! within a phase are the kernel's bug, mirroring the data-race-freedom
+//! the SYCL kernels must themselves guarantee), and device atomics use
+//! a compare-exchange loop on the same cells.
 //!
 //! Allocations mimic `sycl::malloc_device`/USM: 256-byte aligned,
 //! monotonically increasing, with a non-zero base so that address 0 is

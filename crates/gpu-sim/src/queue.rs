@@ -76,7 +76,7 @@ impl<'d> Queue<'d> {
         }
     }
 
-    /// Convenience: a sequential-mode queue on a device.
+    /// Convenience: a queue over a default [`Launcher`] on a device.
     pub fn on_device(device: &'d DeviceSpec, mode: QueueMode) -> Self {
         Self::new(Launcher::new(device), mode)
     }

@@ -28,8 +28,7 @@
 //!
 //! The sanitizer is opt-in per launcher
 //! ([`Launcher::with_sanitizer`](crate::Launcher::with_sanitizer)); a
-//! sanitized launch runs in the deterministic sequential mode and puts a
-//! [`SanitizerReport`] into its
+//! sanitized launch puts a [`SanitizerReport`] into its
 //! [`LaunchReport::sanitizer`](crate::LaunchReport) field.  Lanes run
 //! *tolerant* under the sanitizer: invalid accesses are recorded and
 //! reported instead of panicking the host, so deliberately broken

@@ -40,9 +40,9 @@ use crate::sharedmem::model_shared_instruction;
 pub struct ReplaySinks<'a> {
     /// This SM's L1 cache.
     pub l1: &'a mut Cache,
-    /// The device L2 (or this SM's slice of it in parallel mode).
+    /// The device L2.
     pub l2: &'a mut Cache,
-    /// Launch-wide counters (caller merges per-SM partials).
+    /// Launch-wide counters.
     pub counters: &'a mut Counters,
     /// Cache-line size in bytes.
     pub line_bytes: u32,

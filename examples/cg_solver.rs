@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example cg_solver [L] [mass]`
 
 use milc_complex::DoubleComplex;
-use milc_dslash::solver::{solve, NormalOperator};
+use milc_dslash::solver::{solve_with, NormalOperator};
 use milc_lattice::{ColorVector, GaugeField, Lattice};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -41,8 +41,9 @@ fn main() {
         })
         .collect();
 
+    let mut op = NormalOperator::new(&gauge, mass);
     let t0 = std::time::Instant::now();
-    let sol = solve(&gauge, &b, mass, 1e-10, 10_000);
+    let sol = solve_with(&mut op, &b, 1e-10, 10_000);
     let dt = t0.elapsed();
 
     println!("\n== CG summary ==");
@@ -56,7 +57,6 @@ fn main() {
     );
 
     // Double-check by applying the operator to the solution directly.
-    let mut op = NormalOperator::new(&gauge, mass);
     let mut ax = vec![ColorVector::zero(); b.len()];
     op.apply(&sol.x, &mut ax);
     let err: f64 = b

@@ -12,7 +12,8 @@
 use gpu_sim::DeviceSpec;
 use milc_complex::DoubleComplex;
 use milc_dslash::obs;
-use milc_dslash::solver::solve_tuned;
+use milc_dslash::recommended_config;
+use milc_dslash::solver::{solve_with, DeviceNormalOperator};
 use milc_dslash::tune::Tuner;
 use milc_lattice::{ColorVector, GaugeField, Lattice};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -50,23 +51,30 @@ fn main() {
     // drop the guards and the same code runs untraced at zero cost.
     let tracer = obs::Tracer::new();
     let metrics = obs::Metrics::new();
-    let sol = {
+    let (sol, op) = {
         let _t = obs::set_tracer(&tracer);
         let _m = obs::set_metrics(&metrics);
         let root = obs::span_on("solve", "traced_solve");
         root.attr("lattice_l", l as u64);
         root.attr("mass", mass);
         let mut tuner = Tuner::in_memory();
-        solve_tuned(&gauge, &b, mass, 1e-10, 10_000, &device, &mut tuner)
-            .expect("autotuning found a winner")
+        let mut op = DeviceNormalOperator::new_tuned(
+            &gauge,
+            mass,
+            recommended_config(),
+            &device,
+            &mut tuner,
+        )
+        .expect("autotuning found a winner");
+        (solve_with(&mut op, &b, 1e-10, 10_000), op)
     };
-    assert!(sol.solution.converged, "CG failed to converge");
+    assert!(sol.converged, "CG failed to converge");
     println!(
         "converged in {} iterations (residual {:.3e}, {} Dslash launches, local size {})",
-        sol.solution.iterations,
-        sol.solution.relative_residual,
-        sol.dslash_applications,
-        sol.local_size
+        sol.iterations,
+        sol.relative_residual,
+        op.applications(),
+        op.local_size()
     );
 
     let trace = tracer.snapshot();

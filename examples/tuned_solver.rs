@@ -12,7 +12,8 @@
 
 use gpu_sim::DeviceSpec;
 use milc_complex::DoubleComplex;
-use milc_dslash::solver::solve_tuned;
+use milc_dslash::recommended_config;
+use milc_dslash::solver::{solve_with, DeviceNormalOperator};
 use milc_dslash::tune::Tuner;
 use milc_lattice::{ColorVector, GaugeField, Lattice};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -54,24 +55,31 @@ fn main() {
 
     for pass in ["cold", "warm"] {
         let t0 = std::time::Instant::now();
-        let sol = solve_tuned(&gauge, &b, mass, 1e-10, 10_000, &device, &mut tuner)
-            .expect("autotuning found a winner");
+        let mut op = DeviceNormalOperator::new_tuned(
+            &gauge,
+            mass,
+            recommended_config(),
+            &device,
+            &mut tuner,
+        )
+        .expect("autotuning found a winner");
+        let sol = solve_with(&mut op, &b, 1e-10, 10_000);
         let dt = t0.elapsed();
         println!("\n== {pass} solve ==");
         println!(
             "tuned local size  : {} ({})",
-            sol.local_size,
-            if sol.tuned_from_cache {
+            op.local_size(),
+            if op.tuned_from_cache() {
                 "cache hit, zero sweep launches"
             } else {
                 "cache miss, swept all candidates"
             }
         );
-        println!("iterations        : {}", sol.solution.iterations);
-        println!("Dslash launches   : {}", sol.dslash_applications);
-        println!("relative residual : {:.3e}", sol.solution.relative_residual);
+        println!("iterations        : {}", sol.iterations);
+        println!("Dslash launches   : {}", op.applications());
+        println!("relative residual : {:.3e}", sol.relative_residual);
         println!("wall time         : {:.2} s", dt.as_secs_f64());
-        assert!(sol.solution.converged, "CG failed to converge");
+        assert!(sol.converged, "CG failed to converge");
     }
     println!(
         "\ntuner totals      : {} hit(s), {} miss(es)",

@@ -34,7 +34,7 @@
 use gpu_sim::{spearman, QueueMode};
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex;
-use milc_dslash::tune::{sweep_config, sweep_config_with_mode, SweepMode};
+use milc_dslash::tune::{sweep, SweepMode};
 use milc_dslash::{rank_candidates, DslashProblem, KernelConfig};
 
 /// Same lattice and seed as the `tune_golden` snapshot: big enough that
@@ -79,8 +79,15 @@ fn static_ranking_matches_measurement_on_all_table1_configs() {
         let label = cfg.label();
 
         // Ground truth: exhaustive warm sweep over every legal size.
-        let full = sweep_config(&mut problem, cfg, &exp.device, QueueMode::OutOfOrder)
-            .unwrap_or_else(|e| panic!("{label}: exhaustive sweep failed: {e}"));
+        let full = sweep(
+            &mut problem,
+            cfg,
+            &[cfg.shared_layout],
+            &exp.device,
+            QueueMode::OutOfOrder,
+            SweepMode::Exhaustive,
+        )
+        .unwrap_or_else(|e| panic!("{label}: exhaustive sweep failed: {e}"));
         let measured: Vec<(u32, f64)> = full
             .timed()
             .map(|p| (p.local_size, p.duration_us))
@@ -151,9 +158,10 @@ fn static_ranking_matches_measurement_on_all_table1_configs() {
 
         // (4) the ranked sweep lands on a winner-equivalent candidate
         // with far fewer sweep launches.
-        let rsweep = sweep_config_with_mode(
+        let rsweep = sweep(
             &mut problem,
             cfg,
+            &[cfg.shared_layout],
             &exp.device,
             QueueMode::OutOfOrder,
             SweepMode::Ranked { time_top_k: TOP_K },

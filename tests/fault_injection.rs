@@ -264,13 +264,18 @@ fn wrong_device_state_is_rejected() {
         }
     }
     let mut state = DeviceState::new(&a100);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Launcher::new(&small).launch_with_state(
-            &Touch(b.base()),
-            NdRange::linear(1024, 64),
-            &mem,
-            &mut state,
-        )
-    }));
-    assert!(result.is_err(), "mismatched device state must be rejected");
+    let result = Launcher::new(&small).launch_with_state(
+        &Touch(b.base()),
+        NdRange::linear(1024, 64),
+        &mem,
+        &mut state,
+    );
+    assert_eq!(
+        result.unwrap_err(),
+        SimError::DeviceStateMismatch {
+            state_sms: a100.num_sms,
+            device_sms: small.num_sms,
+        },
+        "mismatched device state must be a typed error, not a panic"
+    );
 }

@@ -2,7 +2,7 @@
 //! generation through device packing, simulation, queueing and the
 //! SYCLomatic migration, plus determinism guarantees.
 
-use gpu_sim::{DeviceSpec, ExecMode, Launcher, QueueMode};
+use gpu_sim::{DeviceSpec, QueueMode};
 use milc_complex::DoubleComplex;
 use milc_dslash::{run_config, DslashProblem, IndexOrder, KernelConfig, Strategy};
 use syclomatic_sim::{migrate, CudaLaunch, Dim3, MigrationOptions};
@@ -39,55 +39,6 @@ fn repeated_launches_are_deterministic() {
     assert_eq!(a.report.counters, b.report.counters);
     assert_eq!(a.report.duration_us, b.report.duration_us);
     assert_eq!(a.gflops, b.gflops);
-}
-
-#[test]
-fn sequential_and_parallel_modes_agree_on_order_free_counters() {
-    let device = DeviceSpec::test_small();
-    let p = DslashProblem::<DoubleComplex>::random(4, 5);
-    let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-    let range = p.launch_range(cfg, 96);
-    let kernel = p.make_kernel(cfg, range.num_groups());
-
-    p.zero_output();
-    let seq = Launcher::new(&device)
-        .launch(kernel.as_ref(), range, p.memory())
-        .unwrap();
-    let seq_out = p.read_output();
-
-    p.zero_output();
-    let par = Launcher::new(&device)
-        .with_mode(ExecMode::ParallelSms)
-        .launch(kernel.as_ref(), range, p.memory())
-        .unwrap();
-    let par_out = p.read_output();
-
-    // Results identical (disjoint writes).
-    assert_eq!(seq_out.len(), par_out.len());
-    for (a, b) in seq_out.iter().zip(&par_out) {
-        for i in 0..3 {
-            assert_eq!(a.c[i], b.c[i]);
-        }
-    }
-    // Execution-order-free counters identical.
-    assert_eq!(seq.counters.items, par.counters.items);
-    assert_eq!(seq.counters.flops, par.counters.flops);
-    assert_eq!(
-        seq.counters.l1_tag_requests_global,
-        par.counters.l1_tag_requests_global
-    );
-    assert_eq!(
-        seq.counters.shared_wavefronts,
-        par.counters.shared_wavefronts
-    );
-    assert_eq!(
-        seq.counters.divergent_branches,
-        par.counters.divergent_branches
-    );
-    // L2-dependent counters may drift (per-SM slices); bound it.
-    let drift = (seq.counters.l2_sector_misses as f64 - par.counters.l2_sector_misses as f64).abs()
-        / seq.counters.l2_sector_misses.max(1) as f64;
-    assert!(drift < 0.35, "L2 slice drift {drift:.2} too large");
 }
 
 #[test]
@@ -173,6 +124,68 @@ fn solver_runs_on_top_of_validated_gauge() {
             )
         })
         .collect();
-    let sol = milc_dslash::solver::solve(&gauge, &b, 0.5, 1e-9, 1000);
+    let mut op = milc_dslash::NormalOperator::new(&gauge, 0.5);
+    let sol = milc_dslash::solve_with(&mut op, &b, 1e-9, 1000);
     assert!(sol.converged, "CG residual {}", sol.relative_residual);
+}
+
+#[test]
+fn one_cg_entry_point_drives_cpu_and_tuned_device_operators() {
+    // `solve_with` is the only CG entry point: the CPU operator and the
+    // tuned device operator go through it and solve the same system,
+    // and the device operator launches the tuner's layout, not just its
+    // local size.
+    use milc_dslash::{
+        recommended_config, solve_with, DeviceNormalOperator, NormalOperator, Tuner,
+    };
+    use milc_lattice::{ColorVector, GaugeField};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let lattice = milc_lattice::Lattice::hypercubic(4);
+    let gauge = GaugeField::<DoubleComplex>::random(&lattice, 15);
+    let mut rng = StdRng::seed_from_u64(16);
+    let b: Vec<_> = (0..lattice.half_volume())
+        .map(|_| {
+            ColorVector::new(
+                DoubleComplex::new(rng.gen_range(-1.0..1.0), 0.0),
+                DoubleComplex::new(rng.gen_range(-1.0..1.0), 0.0),
+                DoubleComplex::new(rng.gen_range(-1.0..1.0), 0.0),
+            )
+        })
+        .collect();
+    let device = DeviceSpec::test_small();
+    let cfg = recommended_config();
+    let mut tuner = Tuner::in_memory();
+
+    let mut dev_op = DeviceNormalOperator::new_tuned(&gauge, 0.9, cfg, &device, &mut tuner)
+        .expect("tuning the solver kernel");
+    assert!(!dev_op.tuned_from_cache(), "a fresh tuner must sweep");
+    let dev = solve_with(&mut dev_op, &b, 1e-9, 500);
+    let cpu = solve_with(&mut NormalOperator::new(&gauge, 0.9), &b, 1e-9, 500);
+    assert!(
+        dev.converged,
+        "device CG residual {}",
+        dev.relative_residual
+    );
+    assert!(cpu.converged, "CPU CG residual {}", cpu.relative_residual);
+    for (cb, (d, c)) in dev.x.iter().zip(&cpu.x).enumerate() {
+        let err = (*d - *c).norm_sqr().sqrt();
+        assert!(
+            err < 1e-6,
+            "site {cb}: device and CPU solutions differ by {err}"
+        );
+    }
+    // Two Dslash launches per operator application.
+    assert_eq!(dev_op.applications() % 2, 0);
+    assert!(dev_op.applications() >= 2);
+
+    // The same key again is a cache hit whose decision names exactly
+    // the configuration the operator launched.
+    let mut probe = DslashProblem::<DoubleComplex>::random(4, 17);
+    let decision = tuner
+        .tune(&mut probe, cfg, &device, QueueMode::OutOfOrder)
+        .expect("cached decision");
+    assert!(decision.from_cache);
+    assert_eq!(dev_op.local_size(), decision.entry.local_size);
+    assert_eq!(dev_op.config(), decision.tuned_config(cfg));
+    assert_eq!(dev_op.config().shared_layout.tag(), decision.entry.layout);
 }

@@ -21,7 +21,7 @@
 //!    within [`MAX_REGRET`] of the best candidate's.
 //! 4. **Solver streams compose.**  `estimate_solve_stream` (one cold +
 //!    n−1 warm launches per parity kernel) predicts the launch count of
-//!    a traced `solve_tuned` run *exactly* and its total device time
+//!    a traced tuned CG solve *exactly* and its total device time
 //!    within [`MAX_STREAM_DRIFT_PCT`], measured from the
 //!    `launch_duration_us` histogram the solve emits.
 //!
@@ -33,10 +33,10 @@ use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex as Z;
 use milc_dslash::obs;
 use milc_dslash::shard::{tune_rank_local_sizes_report, Phase, ShardedProblem};
-use milc_dslash::tune::{sweep_layouts_with_mode, SweepMode, TuneCache, Tuner};
+use milc_dslash::tune::{sweep, SweepMode, TuneCache, Tuner};
 use milc_dslash::{
-    estimate_config, estimate_solve_stream, recommended_config, run_config, solve_tuned,
-    DslashProblem, KernelConfig, Metrics, SharedLayout,
+    estimate_config, estimate_solve_stream, recommended_config, run_config, solve_with,
+    DeviceNormalOperator, DslashProblem, KernelConfig, Metrics,
 };
 use milc_lattice::{ColorVector, GaugeField, Lattice};
 
@@ -81,9 +81,10 @@ fn static_sweep_winner_has_bounded_regret_on_all_table1_configs() {
         let cfg = KernelConfig::new(col.strategy, col.order);
         let label = cfg.label();
 
-        let stat = sweep_layouts_with_mode(
+        let stat = sweep(
             &mut problem,
             cfg,
+            &cfg.tunable_layouts(),
             &exp.device,
             QueueMode::OutOfOrder,
             SweepMode::Static,
@@ -104,9 +105,10 @@ fn static_sweep_winner_has_bounded_regret_on_all_table1_configs() {
             "{label}: exactly the winner is predicted"
         );
 
-        let full = sweep_layouts_with_mode(
+        let full = sweep(
             &mut problem,
             cfg,
+            &cfg.tunable_layouts(),
             &exp.device,
             QueueMode::OutOfOrder,
             SweepMode::Exhaustive,
@@ -304,8 +306,8 @@ fn sharded_static_tuning_spends_no_launches_and_bounds_regret() {
     );
 }
 
-/// Claim 4: the solver-stream estimate predicts a traced `solve_tuned`
-/// run's launch count exactly and its total device time within
+/// Claim 4: the solver-stream estimate predicts a traced tuned CG
+/// solve's launch count exactly and its total device time within
 /// `MAX_STREAM_DRIFT_PCT`, at the CG scale (L = 4) where a full solve
 /// stays cheap enough to trace end to end.
 #[test]
@@ -334,36 +336,36 @@ fn solver_stream_estimate_matches_traced_solve() {
     let decision = tuner
         .tune(&mut probe, cfg, &exp.device, QueueMode::OutOfOrder)
         .expect("tuning the solver kernel");
-    let tuned_cfg = match SharedLayout::from_tag(&decision.entry.layout) {
-        Some(layout) => cfg.with_layout(layout),
-        None => cfg,
-    };
+    let tuned_cfg = decision.tuned_config(cfg);
     let tuned_ls = decision.entry.local_size;
     let label = tuned_cfg.label();
 
     let metrics = Metrics::new();
-    let sol = {
+    let (sol, op) = {
         let _scope = obs::set_metrics(&metrics);
-        solve_tuned(&gauge, &b, 0.8, 1e-8, 200, &exp.device, &mut tuner).expect("tuned solve")
+        let mut op = DeviceNormalOperator::new_tuned(&gauge, 0.8, cfg, &exp.device, &mut tuner)
+            .expect("tuned operator");
+        (solve_with(&mut op, &b, 1e-8, 200), op)
     };
-    assert!(sol.solution.converged, "CG must converge");
-    assert!(sol.tuned_from_cache, "pre-tuned solve must hit the cache");
-    assert_eq!(sol.local_size, tuned_ls);
+    assert!(sol.converged, "CG must converge");
+    assert!(op.tuned_from_cache(), "pre-tuned solve must hit the cache");
+    assert_eq!(op.local_size(), tuned_ls);
 
     let (count, sum_us) = metrics
         .histogram_sum("launch_duration_us", &[("config", &label)])
         .expect("the solve records launch durations under the tuned label");
     assert_eq!(
-        count, sol.dslash_applications,
+        count,
+        op.applications(),
         "every device Dslash application is one recorded launch"
     );
 
     // Operator applications: two Dslash launches each (D_oe then D_eo).
-    assert_eq!(sol.dslash_applications % 2, 0);
-    let applies = sol.dslash_applications / 2;
+    assert_eq!(op.applications() % 2, 0);
+    let applies = op.applications() / 2;
     let stream = estimate_solve_stream(&gauge, tuned_cfg, tuned_ls, &exp.device, applies)
         .expect("solver kernels are estimable");
-    assert_eq!(stream.launches, sol.dslash_applications);
+    assert_eq!(stream.launches, op.applications());
     assert_eq!(stream.cold_launches, 2, "one cold launch per parity kernel");
 
     let drift = pct(stream.calibrated_us, sum_us);

@@ -24,7 +24,7 @@
 use gpu_sim::QueueMode;
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex;
-use milc_dslash::tune::{sweep_layouts_with_mode, SweepMode};
+use milc_dslash::tune::{sweep, SweepMode};
 use milc_dslash::{DslashProblem, KernelConfig};
 use std::path::PathBuf;
 
@@ -54,18 +54,20 @@ fn static_rows() -> Vec<String> {
         .map(|col| {
             let cfg = KernelConfig::new(col.strategy, col.order);
             let label = cfg.label();
-            let stat = sweep_layouts_with_mode(
+            let stat = sweep(
                 &mut problem,
                 cfg,
+                &cfg.tunable_layouts(),
                 &exp.device,
                 QueueMode::OutOfOrder,
                 SweepMode::Static,
             )
             .unwrap_or_else(|e| panic!("{label}: static sweep failed: {e}"));
             assert_eq!(stat.sweep_launches, 0, "{label}: static sweep launched");
-            let full = sweep_layouts_with_mode(
+            let full = sweep(
                 &mut problem,
                 cfg,
+                &cfg.tunable_layouts(),
                 &exp.device,
                 QueueMode::OutOfOrder,
                 SweepMode::Exhaustive,
