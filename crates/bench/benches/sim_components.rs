@@ -1,13 +1,17 @@
 //! Microbenchmarks of the simulator's hot components: the coalescer,
-//! the sectored cache, the shared-memory bank model and the atomic
-//! serialization model — the per-event costs that set the simulation's
-//! own throughput.
+//! the sectored cache, the shared-memory bank model, the atomic
+//! serialization model and the warp replay that drives them — the
+//! per-event costs that set the simulation's own throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_sim::atomics::model_atomic_instruction;
 use gpu_sim::cache::{Cache, CacheConfig};
 use gpu_sim::coalesce::coalesce;
-use gpu_sim::sharedmem::model_shared_instruction;
+use gpu_sim::sharedmem::{model_shared_instruction, LocalMem};
+use gpu_sim::warp::{replay_warp, ReplaySinks};
+use gpu_sim::{Counters, DeviceSpec, Event, Lane};
+use milc_complex::DoubleComplex;
+use milc_dslash::{DslashProblem, IndexOrder, KernelConfig, Strategy};
 
 fn bench_coalescer(c: &mut Criterion) {
     let mut group = c.benchmark_group("coalescer");
@@ -88,11 +92,85 @@ fn bench_atomics(c: &mut Criterion) {
     group.finish();
 }
 
+/// The phase-0 event streams of the first warp of group 0, recorded
+/// lane by lane as the launch engine records them.
+fn record_warp(problem: &DslashProblem<DoubleComplex>, cfg: KernelConfig) -> Vec<Vec<Event>> {
+    const LOCAL_SIZE: u32 = 96;
+    let kernel = problem.make_kernel(cfg, problem.launch_range(cfg, LOCAL_SIZE).num_groups());
+    let mut local = LocalMem::new(kernel.resources(LOCAL_SIZE).local_mem_bytes_per_group);
+    (0..32u32)
+        .map(|lane| {
+            let mut events = Vec::new();
+            let mut ctx = Lane::new(
+                lane as u64,
+                lane,
+                0,
+                LOCAL_SIZE,
+                problem.memory(),
+                &mut local,
+                &mut events,
+            );
+            kernel.run_phase(0, &mut ctx);
+            events
+        })
+        .collect()
+}
+
+fn bench_replay(c: &mut Criterion) {
+    let mut group = c.benchmark_group("replay_warp");
+    let problem = DslashProblem::<DoubleComplex>::random(4, 42);
+    let device = DeviceSpec::a100();
+    let cache = |capacity, ways| {
+        Cache::new(CacheConfig {
+            capacity,
+            line_bytes: device.line_bytes,
+            sector_bytes: device.sector_bytes,
+            ways,
+        })
+    };
+    let warps = [
+        (
+            "3lp1_k_major",
+            KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor),
+        ),
+        (
+            "4lp1_divergent",
+            KernelConfig::new(Strategy::FourLp1, IndexOrder::KMajor),
+        ),
+    ];
+    for (name, cfg) in warps {
+        let streams = record_warp(&problem, cfg);
+        let events: usize = streams.iter().map(Vec::len).sum();
+        group.throughput(Throughput::Elements(events as u64));
+        let (mut l1, mut l2) = (
+            cache(device.l1_bytes as u64, device.l1_ways),
+            cache(device.l2_bytes, device.l2_ways),
+        );
+        let mut counters = Counters::default();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut sinks = ReplaySinks {
+                    l1: &mut l1,
+                    l2: &mut l2,
+                    counters: &mut counters,
+                    line_bytes: device.line_bytes,
+                    sector_bytes: device.sector_bytes,
+                    banks: device.shared_banks,
+                    bank_width: device.bank_width,
+                };
+                replay_warp(&streams, &mut sinks).expect("recorded warps replay in lockstep")
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_coalescer,
     bench_cache,
     bench_bank_model,
-    bench_atomics
+    bench_atomics,
+    bench_replay
 );
 criterion_main!(benches);

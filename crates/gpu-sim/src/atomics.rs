@@ -9,6 +9,8 @@
 //! work-group competing for an atomic region"; this module counts that
 //! competition.
 
+use crate::warp::STACK_LANES;
+
 /// Serialization profile of one warp-level atomic instruction.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct AtomicAccess {
@@ -36,13 +38,22 @@ pub fn model_atomic_instruction(addrs: &[u64]) -> AtomicAccess {
             unique_addresses: 0,
         };
     }
-    let mut sorted: Vec<u64> = addrs.to_vec();
+    // Sort a copy: on the stack for any warp up to `STACK_LANES` wide.
+    let mut stack = [0u64; STACK_LANES];
+    let mut heap = Vec::new();
+    let sorted: &mut [u64] = if addrs.len() <= STACK_LANES {
+        &mut stack[..addrs.len()]
+    } else {
+        heap.resize(addrs.len(), 0);
+        &mut heap
+    };
+    sorted.copy_from_slice(addrs);
     sorted.sort_unstable();
     let mut unique = 0u64;
     let mut worst = 0u64;
     let mut run = 0u64;
     let mut prev = None;
-    for &a in &sorted {
+    for &a in sorted.iter() {
         if prev == Some(a) {
             run += 1;
         } else {
@@ -94,6 +105,14 @@ mod tests {
         let a = model_atomic_instruction(&addrs[..24.min(addrs.len())]);
         assert_eq!(a.passes, 4);
         assert_eq!(a.unique_addresses, 6);
+    }
+
+    #[test]
+    fn more_lanes_than_the_stack_copy_holds() {
+        let addrs: Vec<u64> = (0..100).map(|i| 64 * (i % 10)).collect();
+        let a = model_atomic_instruction(&addrs);
+        assert_eq!(a.passes, 10);
+        assert_eq!(a.unique_addresses, 10);
     }
 
     #[test]

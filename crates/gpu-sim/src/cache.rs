@@ -81,26 +81,33 @@ impl CacheStats {
     }
 }
 
-#[derive(Copy, Clone)]
+#[derive(Copy, Clone, Default)]
 struct LineState {
-    /// Line base address, or u64::MAX when invalid.
+    /// Line base address.
     tag: u64,
     /// Bitmask of resident sectors.
     sectors: u8,
     /// Bitmask of dirty sectors (written, not yet flushed below).
     dirty: u8,
-    /// LRU timestamp.
+    /// LRU timestamp: the clock of the line's last access.  A line is
+    /// valid only if stamped after the cache's `epoch`.
     stamp: u64,
 }
-
-const INVALID: u64 = u64::MAX;
 
 /// A sectored set-associative cache.
 pub struct Cache {
     cfg: CacheConfig,
     sets: u64,
+    /// `log2(line_bytes)`: a line address shifted right is its line number.
+    line_shift: u32,
+    /// `sets - 1` when the set count is a power of two (every shipped
+    /// configuration), so set selection is a mask instead of a `%`.
+    set_mask: Option<u64>,
     lines: Vec<LineState>,
     clock: u64,
+    /// The clock at the last [`reset`](Self::reset): lines stamped at or
+    /// before it are invalid, so a reset need not touch the lines.
+    epoch: u64,
     stats: CacheStats,
 }
 
@@ -108,19 +115,15 @@ impl Cache {
     /// Build a cache from a configuration.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
+        debug_assert!(cfg.line_bytes.is_power_of_two());
         Self {
             cfg,
             sets,
-            lines: vec![
-                LineState {
-                    tag: INVALID,
-                    sectors: 0,
-                    dirty: 0,
-                    stamp: 0
-                };
-                (sets * cfg.ways as u64) as usize
-            ],
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: sets.is_power_of_two().then_some(sets - 1),
+            lines: vec![LineState::default(); (sets * cfg.ways as u64) as usize],
             clock: 0,
+            epoch: 0,
             stats: CacheStats::default(),
         }
     }
@@ -135,23 +138,20 @@ impl Cache {
         &self.stats
     }
 
-    /// Clear contents and statistics.
+    /// Clear contents and statistics, in constant time: every line
+    /// stamped so far becomes invalid.
     pub fn reset(&mut self) {
-        for l in &mut self.lines {
-            *l = LineState {
-                tag: INVALID,
-                sectors: 0,
-                dirty: 0,
-                stamp: 0,
-            };
-        }
-        self.clock = 0;
+        self.epoch = self.clock;
         self.stats = CacheStats::default();
     }
 
     #[inline]
     fn set_of(&self, line_addr: u64) -> u64 {
-        (line_addr / self.cfg.line_bytes as u64) % self.sets
+        let line = line_addr >> self.line_shift;
+        match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets,
+        }
     }
 
     /// Access one line with a mask of requested sectors (read).  Returns
@@ -179,9 +179,13 @@ impl Cache {
         let ways = self.cfg.ways as usize;
         let base = (self.set_of(line_addr) * ways as u64) as usize;
         let set = &mut self.lines[base..base + ways];
+        let epoch = self.epoch;
 
         // Tag lookup.
-        if let Some(line) = set.iter_mut().find(|l| l.tag == line_addr) {
+        if let Some(line) = set
+            .iter_mut()
+            .find(|l| l.tag == line_addr && l.stamp > epoch)
+        {
             let missed_mask = sector_mask & !line.sectors;
             let hits = (sector_mask & line.sectors).count_ones();
             let misses = requested - hits;
@@ -202,9 +206,9 @@ impl Cache {
         // Tag miss: victim = invalid line if any, else LRU.
         let victim = set
             .iter_mut()
-            .min_by_key(|l| if l.tag == INVALID { 0 } else { l.stamp })
+            .min_by_key(|l| if l.stamp > epoch { l.stamp } else { 0 })
             .expect("cache set cannot be empty");
-        if victim.tag != INVALID {
+        if victim.stamp > epoch {
             self.stats.evictions += 1;
             self.stats.writeback_sectors += victim.dirty.count_ones() as u64;
         }
@@ -373,6 +377,30 @@ mod tests {
             let s = c.stats();
             prop_assert!(s.sector_misses <= s.sector_requests);
             prop_assert!(s.miss_rate_pct() <= 100.0);
+        }
+
+        /// A reset cache replays any access sequence exactly like a
+        /// fresh one, whatever it held before.
+        #[test]
+        fn reset_is_as_good_as_new(
+            before in proptest::collection::vec((0u64..64, 1u8..16, 0u8..2), 0..100),
+            after in proptest::collection::vec((0u64..64, 1u8..16, 0u8..2), 1..100),
+        ) {
+            let run = |c: &mut Cache, ops: &[(u64, u8, u8)]| -> Vec<CacheOutcome> {
+                ops.iter()
+                    .map(|&(line, mask, write)| if write == 1 {
+                        c.access_write(line * 128, mask)
+                    } else {
+                        c.access(line * 128, mask)
+                    })
+                    .collect()
+            };
+            let mut reused = small();
+            run(&mut reused, &before);
+            reused.reset();
+            let mut fresh = small();
+            prop_assert_eq!(run(&mut reused, &after), run(&mut fresh, &after));
+            prop_assert_eq!(reused.stats(), fresh.stats());
         }
 
         #[test]

@@ -9,10 +9,9 @@
 /// Coalescing result for one warp-level global-memory instruction.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoalescedAccess {
-    /// Unique 128-byte line base addresses touched (tag requests).
-    pub lines: Vec<u64>,
-    /// Unique `(line base, sector mask)` pairs: for each touched line,
-    /// the bitmask of its touched 32-byte sectors.
+    /// Unique `(line base, sector mask)` pairs in ascending line order:
+    /// for each touched 128-byte line (one tag request), the bitmask of
+    /// its touched 32-byte sectors.
     pub sector_masks: Vec<(u64, u8)>,
 }
 
@@ -20,7 +19,7 @@ impl CoalescedAccess {
     /// Number of tag (line) requests.
     #[inline]
     pub fn tag_requests(&self) -> u64 {
-        self.lines.len() as u64
+        self.sector_masks.len() as u64
     }
 
     /// Number of 32-byte sector requests.
@@ -37,6 +36,7 @@ impl CoalescedAccess {
 /// instruction into lines and sectors.
 ///
 /// `line_bytes` must be a power of two and a multiple of `sector_bytes`.
+/// A thin wrapper over [`coalesce_into`].
 ///
 /// ```
 /// use gpu_sim::coalesce::coalesce;
@@ -49,33 +49,51 @@ impl CoalescedAccess {
 /// assert_eq!(coalesce(&sparse, 128, 32).tag_requests(), 32);
 /// ```
 pub fn coalesce(accesses: &[(u64, u8)], line_bytes: u32, sector_bytes: u32) -> CoalescedAccess {
+    let mut sector_masks = Vec::with_capacity(8);
+    coalesce_into(accesses, line_bytes, sector_bytes, &mut sector_masks);
+    CoalescedAccess { sector_masks }
+}
+
+/// [`coalesce`] into a caller-owned buffer: `out` is cleared, then
+/// holds the unique `(line base, sector mask)` pairs in ascending line
+/// order.  The warp replayer reuses one buffer for every instruction,
+/// so coalescing allocates nothing once the buffer has grown.
+///
+/// Lanes usually walk memory upward, so a line at or past the last
+/// recorded one is merged or appended in place; only an out-of-order
+/// line pays a binary search and insert.
+pub fn coalesce_into(
+    accesses: &[(u64, u8)],
+    line_bytes: u32,
+    sector_bytes: u32,
+    out: &mut Vec<(u64, u8)>,
+) {
     debug_assert!(line_bytes.is_power_of_two());
     debug_assert_eq!(line_bytes % sector_bytes, 0);
+    debug_assert!(line_bytes / sector_bytes <= 8, "sector mask is a u8");
+    // A divisor of a power of two is one too, so both are shifts/masks.
     let line_mask = !(line_bytes as u64 - 1);
-    let sectors_per_line = line_bytes / sector_bytes;
-    debug_assert!(sectors_per_line <= 8, "sector mask is a u8");
-
-    // A warp has at most 32 lanes each touching at most 2 lines, so a
-    // small sorted vec beats a hash map here.
-    let mut out: Vec<(u64, u8)> = Vec::with_capacity(8);
+    let sector_shift = sector_bytes.trailing_zeros();
+    out.clear();
     for &(addr, bytes) in accesses {
         let mut a = addr;
         let end = addr + bytes as u64;
         while a < end {
             let line = a & line_mask;
-            let sector = ((a - line) / sector_bytes as u64) as u8;
-            match out.binary_search_by_key(&line, |&(l, _)| l) {
-                Ok(idx) => out[idx].1 |= 1 << sector,
-                Err(idx) => out.insert(idx, (line, 1 << sector)),
+            let sector = ((a - line) >> sector_shift) as u8;
+            let bit = 1u8 << sector;
+            match out.last_mut() {
+                Some(last) if last.0 == line => last.1 |= bit,
+                Some(last) if last.0 > line => match out.binary_search_by_key(&line, |&(l, _)| l) {
+                    Ok(idx) => out[idx].1 |= bit,
+                    Err(idx) => out.insert(idx, (line, bit)),
+                },
+                _ => out.push((line, bit)),
             }
             // Advance to the next sector boundary (an access can straddle
             // sectors and even lines if unaligned).
-            a = line + (sector as u64 + 1) * sector_bytes as u64;
+            a = line + ((sector as u64 + 1) << sector_shift);
         }
-    }
-    CoalescedAccess {
-        lines: out.iter().map(|&(l, _)| l).collect(),
-        sector_masks: out,
     }
 }
 
@@ -150,10 +168,33 @@ mod tests {
     fn lines_are_sorted_and_unique() {
         let acc = [(700u64, 8u8), (100, 8), (700, 8), (300, 8)];
         let c = coalesce(&acc, LINE, SECTOR);
-        let mut sorted = c.lines.clone();
+        let lines: Vec<u64> = c.sector_masks.iter().map(|&(l, _)| l).collect();
+        let mut sorted = lines.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(c.lines, sorted);
+        assert_eq!(lines, sorted);
+    }
+
+    #[test]
+    fn into_reuses_and_clears_the_buffer() {
+        let mut out = vec![(1 << 40, 0xff); 3];
+        coalesce_into(&[(124, 8)], LINE, SECTOR, &mut out);
+        assert_eq!(out, vec![(0, 0b1000), (128, 0b0001)]);
+        coalesce_into(&[], LINE, SECTOR, &mut out);
+        assert!(out.is_empty());
+    }
+
+    /// The coalescer's definition, spelled out with a map: every byte
+    /// range is cut at sector boundaries and OR-ed into its line's mask.
+    fn reference(accesses: &[(u64, u8)]) -> Vec<(u64, u8)> {
+        let mut lines = std::collections::BTreeMap::<u64, u8>::new();
+        for &(addr, bytes) in accesses {
+            for byte in addr..addr + bytes as u64 {
+                let line = byte / LINE as u64 * LINE as u64;
+                *lines.entry(line).or_default() |= 1 << ((byte - line) / SECTOR as u64);
+            }
+        }
+        lines.into_iter().collect()
     }
 
     proptest! {
@@ -172,11 +213,24 @@ mod tests {
         fn sector_mask_consistent(addrs in proptest::collection::vec(0u64..10_000, 1..32)) {
             let acc: Vec<(u64, u8)> = addrs.iter().map(|&a| (a, 8)).collect();
             let c = coalesce(&acc, LINE, SECTOR);
-            prop_assert_eq!(c.lines.len(), c.sector_masks.len());
             for &(line, mask) in &c.sector_masks {
                 prop_assert_eq!(line % LINE as u64, 0);
                 prop_assert!(mask != 0);
             }
+        }
+
+        /// Unsorted accesses over a few lines: duplicates, sector and
+        /// line straddles, widths 4, 8 and 16, and warps of 0..=64 lanes.
+        #[test]
+        fn coalesce_into_matches_the_map_reference(
+            raw in proptest::collection::vec((0u64..1024, 0usize..3), 0..65),
+            dirty in 0usize..4,
+        ) {
+            let acc: Vec<(u64, u8)> = raw.iter().map(|&(a, w)| (a, [4u8, 8, 16][w])).collect();
+            let mut out = vec![(7, 7); dirty];
+            coalesce_into(&acc, LINE, SECTOR, &mut out);
+            prop_assert_eq!(&out, &reference(&acc));
+            prop_assert_eq!(coalesce(&acc, LINE, SECTOR).sector_masks, out);
         }
     }
 }

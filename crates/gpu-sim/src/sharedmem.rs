@@ -20,6 +20,8 @@
 //! memory_l1_wavefronts_shared_ideal"); a conflict-free layout is one
 //! that drives it to zero.
 
+use crate::warp::STACK_LANES;
+
 /// Per-work-group local memory storage.
 pub struct LocalMem {
     bytes: Vec<u8>,
@@ -107,41 +109,60 @@ pub fn model_shared_instruction(
     banks: u32,
     bank_width: u32,
 ) -> SharedAccess {
-    if accesses.is_empty() {
+    let Some(max_bytes) = accesses.iter().map(|&(_, b)| b as u32).max() else {
         return SharedAccess {
             wavefronts: 0,
             ideal_wavefronts: 0,
         };
-    }
-    let max_bytes = accesses.iter().map(|&(_, b)| b as u32).max().unwrap();
+    };
     let phases = max_bytes.div_ceil(bank_width);
     let mut wavefronts = 0u64;
     let mut total_words = 0u64;
     let mut active_phases = 0u64;
-    // Scratch: distinct words per bank for the current phase.
-    let mut per_bank = vec![Vec::<u32>::new(); banks as usize];
+    // Scratch: one `(bank, word)` key per active lane of the current
+    // phase, on the stack for any warp up to `STACK_LANES` wide.
+    let mut stack = [0u64; STACK_LANES];
+    let mut heap = Vec::new();
+    let keys: &mut [u64] = if accesses.len() <= STACK_LANES {
+        &mut stack[..accesses.len()]
+    } else {
+        heap.resize(accesses.len(), 0);
+        &mut heap
+    };
     for phase in 0..phases {
-        for v in per_bank.iter_mut() {
-            v.clear();
-        }
+        let byte = phase * bank_width;
+        let mut n = 0;
         for &(off, bytes) in accesses {
-            let byte = phase * bank_width;
             if byte >= bytes as u32 {
                 continue; // narrower access: inactive in this phase
             }
             let word = (off + byte) / bank_width;
-            let bank = (word % banks) as usize;
-            // Hardware broadcasts identical words within a phase.
-            if !per_bank[bank].contains(&word) {
-                per_bank[bank].push(word);
-            }
+            keys[n] = (((word % banks) as u64) << 32) | word as u64;
+            n += 1;
         }
-        let worst = per_bank.iter().map(|v| v.len() as u64).max().unwrap_or(0);
+        // Sorted, a bank's words are adjacent: equal keys are one word
+        // broadcast to several lanes, and the run of distinct words in
+        // one bank is that bank's wavefront count.
+        let keys = &mut keys[..n];
+        keys.sort_unstable();
+        let (mut worst, mut run) = (0u64, 0u64);
+        let mut prev: Option<u64> = None;
+        for &k in keys.iter() {
+            if prev == Some(k) {
+                continue;
+            }
+            run = match prev {
+                Some(p) if p >> 32 == k >> 32 => run + 1,
+                _ => 1,
+            };
+            worst = worst.max(run);
+            total_words += 1;
+            prev = Some(k);
+        }
         wavefronts += worst;
         if worst > 0 {
             active_phases += 1;
         }
-        total_words += per_bank.iter().map(|v| v.len() as u64).sum::<u64>();
     }
     // Ideal: the larger of the two lower bounds — the deduplicated
     // words spread perfectly over the banks, and one wavefront per
@@ -156,6 +177,8 @@ pub fn model_shared_instruction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
 
     const BANKS: u32 = 32;
     const WIDTH: u32 = 4;
@@ -252,5 +275,46 @@ mod tests {
         let r = model_shared_instruction(&[], BANKS, WIDTH);
         assert_eq!(r.wavefronts, 0);
         assert_eq!(r.ideal_wavefronts, 0);
+    }
+
+    /// The bank model's definition, spelled out with one set of
+    /// distinct words per bank.
+    fn reference(accesses: &[(u32, u8)], banks: u32) -> SharedAccess {
+        let max_bytes = accesses.iter().map(|&(_, b)| b as u32).max().unwrap_or(0);
+        let (mut wavefronts, mut words, mut active_phases) = (0u64, 0u64, 0u64);
+        for phase in 0..max_bytes.div_ceil(WIDTH) {
+            let mut per_bank = HashMap::<u32, HashSet<u32>>::new();
+            for &(off, bytes) in accesses {
+                if phase * WIDTH < bytes as u32 {
+                    let word = (off + phase * WIDTH) / WIDTH;
+                    per_bank.entry(word % banks).or_default().insert(word);
+                }
+            }
+            let worst = per_bank.values().map(|w| w.len() as u64).max().unwrap_or(0);
+            wavefronts += worst;
+            active_phases += u64::from(worst > 0);
+            words += per_bank.values().map(|w| w.len() as u64).sum::<u64>();
+        }
+        SharedAccess {
+            wavefronts,
+            ideal_wavefronts: words
+                .div_ceil(banks as u64)
+                .max(active_phases)
+                .min(wavefronts),
+        }
+    }
+
+    proptest! {
+        /// Partial and full warps (and wider ones, which spill the
+        /// stack scratch) of unaligned, colliding 4/8/16-byte accesses.
+        #[test]
+        fn matches_the_per_bank_set_reference(
+            raw in proptest::collection::vec((0u32..2048, 0usize..3), 0..97),
+            banks in 0usize..2,
+        ) {
+            let acc: Vec<(u32, u8)> = raw.iter().map(|&(o, w)| (o, [4u8, 8, 16][w])).collect();
+            let banks = [16, 32][banks];
+            prop_assert_eq!(model_shared_instruction(&acc, banks, WIDTH), reference(&acc, banks));
+        }
     }
 }

@@ -319,15 +319,7 @@ fn estimate_from_model(
     let mut notes = Vec::new();
 
     // Mean cache-state-independent counters over every probed block.
-    let mut acc = Counters::default();
-    let mut replayed = 0u64;
-    for &g in &model.probed_groups {
-        for &m in &model.probed_blocks {
-            let c = traffic::block_counters(model, mem, device, g, m)?;
-            acc.merge(&c);
-            replayed += 1;
-        }
-    }
+    let (acc, replayed) = traffic::probed_block_counters(model, mem, device)?;
     if replayed == 0 {
         return Err("no probed blocks to replay".to_string());
     }

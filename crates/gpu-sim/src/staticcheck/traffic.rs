@@ -25,7 +25,7 @@ use crate::device::DeviceSpec;
 use crate::event::Event;
 use crate::memory::DeviceMemory;
 use crate::sharedmem::model_shared_instruction;
-use crate::warp::{replay_warp, segment, ReplaySinks};
+use crate::warp::{replay_warp, Alignment, GroupLane, ReplaySinks};
 
 /// Predicted cache-state-independent traffic of one launch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -163,6 +163,16 @@ pub(crate) fn rep_phase_metrics(
     out
 }
 
+/// A 4-way cache of `capacity` bytes with the device's line geometry.
+fn cache_config(device: &DeviceSpec, capacity: u64) -> CacheConfig {
+    CacheConfig {
+        capacity,
+        line_bytes: device.line_bytes,
+        sector_bytes: device.sector_bytes,
+        ways: 4,
+    }
+}
+
 /// Scratch replay state: the counters we harvest are cache-state
 /// independent, so tiny throwaway caches suffice.
 struct Replayer {
@@ -177,25 +187,17 @@ struct Replayer {
 
 impl Replayer {
     fn new(device: &DeviceSpec) -> Self {
-        Self::with_capacities(
+        Self::with_caches(
             device,
-            16 * device.line_bytes as u64,
-            64 * device.line_bytes as u64,
+            Cache::new(cache_config(device, 16 * device.line_bytes as u64)),
+            Cache::new(cache_config(device, 64 * device.line_bytes as u64)),
         )
     }
 
-    fn with_capacities(device: &DeviceSpec, l1_bytes: u64, l2_bytes: u64) -> Self {
-        let cache = |capacity| {
-            Cache::new(CacheConfig {
-                capacity,
-                line_bytes: device.line_bytes,
-                sector_bytes: device.sector_bytes,
-                ways: 4,
-            })
-        };
+    fn with_caches(device: &DeviceSpec, l1: Cache, l2: Cache) -> Self {
         Self {
-            l1: cache(l1_bytes),
-            l2: cache(l2_bytes),
+            l1,
+            l2,
             counters: Counters::default(),
             line_bytes: device.line_bytes,
             sector_bytes: device.sector_bytes,
@@ -221,21 +223,20 @@ impl Replayer {
     }
 }
 
-/// Replay every phase of one `(group, block)` against oversized *cold*
-/// caches and return the full counter block.  With caches large enough
-/// that nothing evicts, `l1_sector_misses` is exactly the block's
-/// unique global sector count (compulsory misses), and
-/// `l2_sector_requests - l1_sector_misses` is the sector traffic of the
-/// block's atomics (which bypass L1) — both pure functions of the
-/// address vectors, which is what the cost model needs.  `Err` when any
-/// phase is irregular, warp-misaligned or has an unresolvable slot.
-pub(crate) fn block_counters(
+/// Replay every phase of each probed `(group, block)` against
+/// oversized *cold* caches and return the blocks' counters, summed, with
+/// the number of blocks replayed.  With caches large enough that nothing
+/// evicts, a block's `l1_sector_misses` is exactly its unique global
+/// sector count (compulsory misses), and `l2_sector_requests -
+/// l1_sector_misses` is the sector traffic of its atomics (which bypass
+/// L1) — both pure functions of the address vectors, which is what the
+/// cost model needs.  `Err` when any phase is irregular,
+/// warp-misaligned or has an unresolvable slot.
+pub(crate) fn probed_block_counters(
     model: &LaunchModel,
     mem: &DeviceMemory,
     device: &DeviceSpec,
-    group: u64,
-    block: u64,
-) -> Result<Counters, String> {
+) -> Result<(Counters, u64), String> {
     let warp = device.warp_size;
     if warp == 0 || !model.q_len.is_multiple_of(warp) {
         return Err(format!(
@@ -244,9 +245,36 @@ pub(crate) fn block_counters(
         ));
     }
     // A residue block is at most `max_group_size` lanes touching a few
-    // KB each: 8 MB per level never evicts for any shipped kernel.
-    const NO_EVICT_BYTES: u64 = 8 << 20;
-    let mut r = Replayer::with_capacities(device, NO_EVICT_BYTES, NO_EVICT_BYTES);
+    // KB each: 8 MB per level never evicts for any shipped kernel.  One
+    // pair serves every block, reset (in constant time) in between:
+    // building and filling fresh 8 MB caches per block costs more than
+    // the block's replay.
+    let no_evict = cache_config(device, 8 << 20);
+    let mut r = Replayer::with_caches(device, Cache::new(no_evict), Cache::new(no_evict));
+    let mut sum = Counters::default();
+    let mut blocks = 0u64;
+    for &g in &model.probed_groups {
+        for &m in &model.probed_blocks {
+            r.l1.reset();
+            r.l2.reset();
+            r.counters = Counters::default();
+            replay_block(&mut r, model, mem, warp, g, m)?;
+            sum.merge(&r.counters);
+            blocks += 1;
+        }
+    }
+    Ok((sum, blocks))
+}
+
+/// Replay every phase of one `(group, block)` into `r`.
+fn replay_block(
+    r: &mut Replayer,
+    model: &LaunchModel,
+    mem: &DeviceMemory,
+    warp: u32,
+    group: u64,
+    block: u64,
+) -> Result<(), String> {
     for (p, pm) in model.phases.iter().enumerate() {
         let shapes = match pm {
             PhaseModel::Uniform(s) => s,
@@ -263,7 +291,7 @@ pub(crate) fn block_counters(
             r.replay(&streams)?;
         }
     }
-    Ok(r.counters)
+    Ok(())
 }
 
 /// Rebuild one lane's stream, substituting the representative probed
@@ -566,10 +594,11 @@ pub fn prove_bank_conflicts(
 /// index paired with every participating `(residue, event index)`.
 type AlignedInstruction = (usize, Vec<(u32, usize)>);
 
-/// Align one warp pattern's residue streams by the replayer's rules
-/// (segment at `set_path`, serialize path groups, lockstep with
-/// early-return lanes dropping out) and return every warp-level local
-/// instruction as `(leader event index, [(residue, event index)])`.
+/// Align one warp pattern's residue streams by the replayer's own walk
+/// ([`Alignment`]: segment at `set_path`, serialize path groups,
+/// lockstep with early-return lanes dropping out) and return every
+/// warp-level local instruction as `(leader event index, [(residue,
+/// event index)])`.
 fn aligned_local_instructions(
     shapes: &[ResidueShape],
     residues: &[u32],
@@ -578,74 +607,31 @@ fn aligned_local_instructions(
         .iter()
         .map(|&q| shapes[q as usize].events.as_slice())
         .collect();
-    let segs: Vec<Vec<(u32, usize, usize)>> = streams.iter().map(|s| segment(s)).collect();
-    let max_segs = segs.iter().map(|s| s.len()).max().unwrap_or(0);
+    let is_local = |m: &GroupLane, step: usize| {
+        matches!(
+            streams[m.lane][m.start + step],
+            Event::LocalLoad { .. } | Event::LocalStore { .. }
+        )
+    };
     let mut out = Vec::new();
-    for seg_idx in 0..max_segs {
-        let mut paths: Vec<u32> = Vec::with_capacity(4);
-        for ls in &segs {
-            if let Some(&(path, _, _)) = ls.get(seg_idx) {
-                if !paths.contains(&path) {
-                    paths.push(path);
-                }
-            }
+    Alignment::default().for_each_instruction(&streams, |_, step, active| {
+        if !is_local(&active[0], step) {
+            return Ok(());
         }
-        paths.sort_unstable();
-        for &path in &paths {
-            let mut group: Vec<usize> = Vec::with_capacity(residues.len());
-            for (lane, ls) in segs.iter().enumerate() {
-                if let Some(&(pth, s, e)) = ls.get(seg_idx) {
-                    if pth == path && e > s {
-                        group.push(lane);
-                    }
-                }
+        let mut members = Vec::with_capacity(active.len());
+        for m in active {
+            let idx = m.start + step;
+            if !is_local(m, step) {
+                return Err(format!(
+                    "residue {} fell out of lockstep at event {idx}",
+                    residues[m.lane]
+                ));
             }
-            if group.is_empty() {
-                continue;
-            }
-            let steps = group
-                .iter()
-                .map(|&l| {
-                    let (_, s, e) = segs[l][seg_idx];
-                    e - s
-                })
-                .max()
-                .expect("non-empty group");
-            for step in 0..steps {
-                let active: Vec<usize> = group
-                    .iter()
-                    .copied()
-                    .filter(|&l| {
-                        let (_, s, e) = segs[l][seg_idx];
-                        e - s > step
-                    })
-                    .collect();
-                let (_, s0, _) = segs[active[0]][seg_idx];
-                if !matches!(
-                    streams[active[0]][s0 + step],
-                    Event::LocalLoad { .. } | Event::LocalStore { .. }
-                ) {
-                    continue;
-                }
-                let mut members = Vec::with_capacity(active.len());
-                for &l in &active {
-                    let (_, s, _) = segs[l][seg_idx];
-                    let idx = s + step;
-                    if !matches!(
-                        streams[l][idx],
-                        Event::LocalLoad { .. } | Event::LocalStore { .. }
-                    ) {
-                        return Err(format!(
-                            "residue {} fell out of lockstep at event {idx}",
-                            residues[l]
-                        ));
-                    }
-                    members.push((residues[l], idx));
-                }
-                out.push((s0 + step, members));
-            }
+            members.push((residues[m.lane], idx));
         }
-    }
+        out.push((active[0].start + step, members));
+        Ok(())
+    })?;
     Ok(out)
 }
 

@@ -28,13 +28,20 @@
 //! mis-attributing transactions (this used to be a debug-only
 //! assertion).
 
+use std::cell::RefCell;
+
 use crate::atomics::model_atomic_instruction;
 use crate::cache::Cache;
-use crate::coalesce::coalesce;
+use crate::coalesce::coalesce_into;
 use crate::counters::Counters;
 use crate::error::SimError;
 use crate::event::Event;
 use crate::sharedmem::model_shared_instruction;
+
+/// Lanes the bank and atomic models sort on the stack.  A wider warp
+/// (none ships: NVIDIA warps have 32 lanes, AMD wavefronts 64) still
+/// works; it spills to one heap buffer per instruction.
+pub(crate) const STACK_LANES: usize = 64;
 
 /// Mutable simulation state one warp replay writes into.
 pub struct ReplaySinks<'a> {
@@ -54,22 +61,140 @@ pub struct ReplaySinks<'a> {
     pub bank_width: u32,
 }
 
-/// One lane's stream split into `(path, start, end)` segments.
-/// Shared with the static analyzer (`staticcheck`), which replays
-/// *predicted* streams through the same alignment rules.
-pub(crate) fn segment(stream: &[Event]) -> Vec<(u32, usize, usize)> {
-    let mut segs = Vec::with_capacity(4);
-    let mut path = 0u32;
-    let mut start = 0usize;
-    for (idx, ev) in stream.iter().enumerate() {
-        if let Event::SetPath(p) = ev {
-            segs.push((path, start, idx));
-            path = *p;
-            start = idx + 1;
+/// One lane of a path group: its segment is
+/// `streams[lane][start..start + len]`.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct GroupLane {
+    pub(crate) lane: usize,
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+}
+
+/// Where one lane stands in the alignment walk.
+#[derive(Copy, Clone)]
+struct Cursor {
+    /// `(path, start)` of the lane's next segment; `None` once its
+    /// stream is exhausted (an early-returning lane runs out first).
+    next: Option<(u32, usize)>,
+    /// `(path, start, end)` of the lane's current segment.
+    seg: Option<(u32, usize, usize)>,
+}
+
+/// Reusable buffers of the alignment walk.  Shared with the static
+/// analyzer (`staticcheck`), which aligns *predicted* streams by the
+/// same rules, so static and dynamic alignment cannot drift apart.
+#[derive(Default)]
+pub(crate) struct Alignment {
+    cursors: Vec<Cursor>,
+    paths: Vec<u32>,
+    group: Vec<GroupLane>,
+}
+
+impl Alignment {
+    /// Align one warp's lane streams and call `visit(group_ord, step,
+    /// active)` once per warp instruction, in issue order.
+    ///
+    /// Each segment index (streams are cut at every `SetPath`) issues
+    /// its path groups in ascending path order; `group_ord` counts the
+    /// groups of the segment that issued before this one (0 for the
+    /// first).  `active` lists, in lane order, the group's lanes whose
+    /// segment still has an event at `step`; the event of lane `m` is
+    /// `streams[m.lane][m.start + step]`.  A group whose lanes all have
+    /// empty segments issues nothing and takes no ordinal.
+    pub(crate) fn for_each_instruction<S: AsRef<[Event]>, E>(
+        &mut self,
+        streams: &[S],
+        mut visit: impl FnMut(u64, usize, &[GroupLane]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let Self {
+            cursors,
+            paths,
+            group,
+        } = self;
+        cursors.clear();
+        cursors.extend(streams.iter().map(|_| Cursor {
+            next: Some((0, 0)),
+            seg: None,
+        }));
+        loop {
+            // Cut every remaining lane's next segment at its next
+            // `SetPath`, and collect the paths present.
+            paths.clear();
+            for (c, stream) in cursors.iter_mut().zip(streams) {
+                c.seg = None;
+                let Some((path, start)) = c.next else {
+                    continue;
+                };
+                let events = stream.as_ref();
+                let end = events[start..]
+                    .iter()
+                    .position(|e| matches!(e, Event::SetPath(_)))
+                    .map_or(events.len(), |i| start + i);
+                c.next = match events.get(end) {
+                    Some(&Event::SetPath(p)) => Some((p, end + 1)),
+                    _ => None,
+                };
+                c.seg = Some((path, start, end));
+                if !paths.contains(&path) {
+                    paths.push(path);
+                }
+            }
+            if paths.is_empty() {
+                return Ok(());
+            }
+            paths.sort_unstable();
+
+            let mut group_ord = 0u64;
+            for &path in paths.iter() {
+                group.clear();
+                group.extend(
+                    cursors
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(lane, c)| match c.seg {
+                            Some((p, start, end)) if p == path && end > start => Some(GroupLane {
+                                lane,
+                                start,
+                                len: end - start,
+                            }),
+                            _ => None,
+                        }),
+                );
+                // Lanes of one path group advance in lockstep, but a lane
+                // may *return early* (e.g. the bounds guard of a padded
+                // CUDA-style grid): it stops issuing while the rest of the
+                // group continues, so it leaves `active` after its last
+                // event.
+                let Some(mut shortest) = group.iter().map(|m| m.len).min() else {
+                    continue; // predicated-off empty branch arm
+                };
+                let mut step = 0;
+                while !group.is_empty() {
+                    visit(group_ord, step, group)?;
+                    step += 1;
+                    if step == shortest {
+                        group.retain(|m| m.len > step);
+                        shortest = group.iter().map(|m| m.len).min().unwrap_or(0);
+                    }
+                }
+                group_ord += 1;
+            }
         }
     }
-    segs.push((path, start, stream.len()));
-    segs
+}
+
+/// Per-thread replay scratch, reused by every warp the thread replays.
+#[derive(Default)]
+struct Scratch {
+    align: Alignment,
+    addrs: Vec<(u64, u8)>,
+    lines: Vec<(u64, u8)>,
+    local_accs: Vec<(u32, u8)>,
+    atomic_addrs: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// Replay one warp's per-lane event streams (one phase) into the sinks.
@@ -77,241 +202,158 @@ pub(crate) fn segment(stream: &[Event]) -> Vec<(u32, usize, usize)> {
 /// `streams[lane]` is the ordered event list lane `lane` produced;
 /// lanes beyond the launch boundary simply pass empty streams.
 ///
+/// Replay allocates nothing per warp or per instruction: its buffers
+/// live in a per-thread scratch that every call clears and reuses, so
+/// only a thread's first (or first wider) warp grows them.
+///
 /// Returns [`SimError::LaneDivergenceMismatch`] if lanes sharing a path
 /// fall out of lockstep (an undeclared divergent branch in the kernel).
 pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Result<(), SimError> {
-    let segs: Vec<Vec<(u32, usize, usize)>> = streams.iter().map(|s| segment(s)).collect();
-    let max_segs = segs.iter().map(|s| s.len()).max().unwrap_or(0);
-
-    // Scratch buffers reused across steps.
-    let mut group_lanes: Vec<usize> = Vec::with_capacity(32);
-    let mut addrs: Vec<(u64, u8)> = Vec::with_capacity(32);
-    let mut local_accs: Vec<(u32, u8)> = Vec::with_capacity(32);
-    let mut atomic_addrs: Vec<u64> = Vec::with_capacity(32);
-
-    for seg_idx in 0..max_segs {
-        // Lanes that have this segment (an early-returning lane has
-        // fewer segments and simply drops out).
-        let mut paths: Vec<u32> = Vec::with_capacity(4);
-        for (lane, ls) in segs.iter().enumerate() {
-            if let Some(&(path, start, end)) = ls.get(seg_idx) {
-                if !paths.contains(&path) {
-                    paths.push(path);
-                }
-                let _ = (lane, start, end);
-            }
-        }
-        if paths.is_empty() {
-            continue;
-        }
-        paths.sort_unstable();
-
-        // Divergence is counted over the path groups that actually issue
-        // instructions: a one-sided `if (k == 0) ...` whose other arm is
-        // empty compiles to predication, not a divergent branch — which
-        // is why Table I row 13 is zero for every 3LP variant despite
-        // their single-writer collapses.
-        let mut executed_groups = 0u64;
-
-        for &path in paths.iter() {
-            group_lanes.clear();
-            for (lane, ls) in segs.iter().enumerate() {
-                if let Some(&(p, start, end)) = ls.get(seg_idx) {
-                    if p == path && end > start {
-                        group_lanes.push(lane);
-                    }
+    SCRATCH.with(|scratch| {
+        let Scratch {
+            align,
+            addrs,
+            lines,
+            local_accs,
+            atomic_addrs,
+        } = &mut *scratch.borrow_mut();
+        align.for_each_instruction(streams, |group_ord, step, active| {
+            let event = |m: &GroupLane| streams[m.lane][m.start + step];
+            let mismatch = |m: &GroupLane, expected| SimError::LaneDivergenceMismatch {
+                lane: m.lane as u32,
+                expected,
+                found: event(m).kind_name(),
+            };
+            // Divergence is counted over the path groups that actually
+            // issue instructions: a one-sided `if (k == 0) ...` whose
+            // other arm is empty compiles to predication, not a divergent
+            // branch — which is why Table I row 13 is zero for every 3LP
+            // variant despite their single-writer collapses.
+            if group_ord > 0 {
+                sinks.counters.replayed_instructions += 1;
+                if step == 0 {
+                    sinks.counters.divergent_branches += 1;
                 }
             }
-            if group_lanes.is_empty() {
-                continue; // predicated-off empty branch arm
-            }
-            executed_groups += 1;
-            let group_ord = executed_groups - 1;
-            // Lanes of one path group advance in lockstep, but a lane
-            // may *return early* (e.g. the bounds guard of a padded
-            // CUDA-style grid): it simply stops issuing while the rest
-            // of the group continues — so each step only involves the
-            // lanes whose stream still has events.
-            let steps = group_lanes
-                .iter()
-                .map(|&l| {
-                    let (_, s, e) = segs[l][seg_idx];
-                    e - s
-                })
-                .max()
-                .expect("non-empty group");
 
-            let mut active: Vec<usize> = Vec::with_capacity(group_lanes.len());
-            for step in 0..steps {
-                active.clear();
-                active.extend(group_lanes.iter().copied().filter(|&l| {
-                    let (_, s, e) = segs[l][seg_idx];
-                    e - s > step
-                }));
-                let group_lanes: &[usize] = &active;
-                let leader = {
-                    let (_, s, _) = segs[group_lanes[0]][seg_idx];
-                    &streams[group_lanes[0]][s + step]
-                };
-                if group_ord > 0 {
-                    sinks.counters.replayed_instructions += 1;
-                }
-
-                match *leader {
-                    Event::GlobalLoad { .. } | Event::GlobalStore { .. } => {
-                        addrs.clear();
-                        let mut is_store = false;
-                        for &l in group_lanes {
-                            let (_, s, _) = segs[l][seg_idx];
-                            match streams[l][s + step] {
-                                Event::GlobalLoad { addr, bytes } => addrs.push((addr, bytes)),
-                                Event::GlobalStore { addr, bytes } => {
-                                    is_store = true;
-                                    addrs.push((addr, bytes));
-                                }
-                                ref other => {
-                                    return Err(SimError::LaneDivergenceMismatch {
-                                        lane: l as u32,
-                                        expected: "global access",
-                                        found: other.kind_name(),
-                                    })
-                                }
-                            }
-                        }
-                        let c = coalesce(&addrs, sinks.line_bytes, sinks.sector_bytes);
-                        sinks.counters.l1_tag_requests_global += c.tag_requests();
-                        sinks.counters.l1_sector_requests += c.sector_requests();
-                        for &(line, mask) in &c.sector_masks {
-                            let o = if is_store {
-                                sinks.l1.access_write(line, mask)
-                            } else {
-                                sinks.l1.access(line, mask)
-                            };
-                            sinks.counters.l1_sector_misses += o.sector_misses as u64;
-                            if o.missed_mask != 0 {
-                                let o2 = if is_store {
-                                    sinks.l2.access_write(line, o.missed_mask)
-                                } else {
-                                    sinks.l2.access(line, o.missed_mask)
-                                };
-                                sinks.counters.l2_sector_requests += o.sector_misses as u64;
-                                sinks.counters.l2_sector_misses += o2.sector_misses as u64;
-                            }
-                        }
-                        if is_store {
-                            sinks.counters.global_store_instructions += 1;
-                        } else {
-                            sinks.counters.global_load_instructions += 1;
-                        }
-                        sinks.counters.warp_instructions += 1;
-                    }
-                    Event::AtomicRmw { .. } => {
-                        atomic_addrs.clear();
-                        addrs.clear();
-                        for &l in group_lanes {
-                            let (_, s, _) = segs[l][seg_idx];
-                            if let Event::AtomicRmw { addr, bytes } = streams[l][s + step] {
-                                atomic_addrs.push(addr);
+            match event(&active[0]) {
+                Event::GlobalLoad { .. } | Event::GlobalStore { .. } => {
+                    addrs.clear();
+                    let mut is_store = false;
+                    for m in active {
+                        match event(m) {
+                            Event::GlobalLoad { addr, bytes } => addrs.push((addr, bytes)),
+                            Event::GlobalStore { addr, bytes } => {
+                                is_store = true;
                                 addrs.push((addr, bytes));
-                            } else {
-                                return Err(SimError::LaneDivergenceMismatch {
-                                    lane: l as u32,
-                                    expected: "atomic rmw",
-                                    found: streams[l][s + step].kind_name(),
-                                });
                             }
+                            _ => return Err(mismatch(m, "global access")),
                         }
-                        let a = model_atomic_instruction(&atomic_addrs);
-                        sinks.counters.atomic_passes += a.passes;
-                        sinks.counters.atomic_instructions += 1;
-                        // Atomics resolve at L2, bypassing L1, and dirty
-                        // their sectors (read-modify-write).
-                        let c = coalesce(&addrs, sinks.line_bytes, sinks.sector_bytes);
-                        for &(line, mask) in &c.sector_masks {
-                            let o2 = sinks.l2.access_write(line, mask);
-                            sinks.counters.l2_sector_requests += mask.count_ones() as u64;
+                    }
+                    coalesce_into(addrs, sinks.line_bytes, sinks.sector_bytes, lines);
+                    sinks.counters.l1_tag_requests_global += lines.len() as u64;
+                    for &(line, mask) in lines.iter() {
+                        sinks.counters.l1_sector_requests += mask.count_ones() as u64;
+                        let o = if is_store {
+                            sinks.l1.access_write(line, mask)
+                        } else {
+                            sinks.l1.access(line, mask)
+                        };
+                        sinks.counters.l1_sector_misses += o.sector_misses as u64;
+                        if o.missed_mask != 0 {
+                            let o2 = if is_store {
+                                sinks.l2.access_write(line, o.missed_mask)
+                            } else {
+                                sinks.l2.access(line, o.missed_mask)
+                            };
+                            sinks.counters.l2_sector_requests += o.sector_misses as u64;
                             sinks.counters.l2_sector_misses += o2.sector_misses as u64;
                         }
-                        sinks.counters.warp_instructions += a.passes;
                     }
-                    Event::LocalLoad { .. } | Event::LocalStore { .. } => {
-                        local_accs.clear();
-                        for &l in group_lanes {
-                            let (_, s, _) = segs[l][seg_idx];
-                            match streams[l][s + step] {
-                                Event::LocalLoad { offset, bytes }
-                                | Event::LocalStore { offset, bytes } => {
-                                    local_accs.push((offset, bytes))
-                                }
-                                ref other => {
-                                    return Err(SimError::LaneDivergenceMismatch {
-                                        lane: l as u32,
-                                        expected: "local access",
-                                        found: other.kind_name(),
-                                    })
-                                }
+                    if is_store {
+                        sinks.counters.global_store_instructions += 1;
+                    } else {
+                        sinks.counters.global_load_instructions += 1;
+                    }
+                    sinks.counters.warp_instructions += 1;
+                }
+                Event::AtomicRmw { .. } => {
+                    atomic_addrs.clear();
+                    addrs.clear();
+                    for m in active {
+                        let Event::AtomicRmw { addr, bytes } = event(m) else {
+                            return Err(mismatch(m, "atomic rmw"));
+                        };
+                        atomic_addrs.push(addr);
+                        addrs.push((addr, bytes));
+                    }
+                    let a = model_atomic_instruction(atomic_addrs);
+                    sinks.counters.atomic_passes += a.passes;
+                    sinks.counters.atomic_instructions += 1;
+                    // Atomics resolve at L2, bypassing L1, and dirty
+                    // their sectors (read-modify-write).
+                    coalesce_into(addrs, sinks.line_bytes, sinks.sector_bytes, lines);
+                    for &(line, mask) in lines.iter() {
+                        let o2 = sinks.l2.access_write(line, mask);
+                        sinks.counters.l2_sector_requests += mask.count_ones() as u64;
+                        sinks.counters.l2_sector_misses += o2.sector_misses as u64;
+                    }
+                    sinks.counters.warp_instructions += a.passes;
+                }
+                Event::LocalLoad { .. } | Event::LocalStore { .. } => {
+                    local_accs.clear();
+                    for m in active {
+                        match event(m) {
+                            Event::LocalLoad { offset, bytes }
+                            | Event::LocalStore { offset, bytes } => {
+                                local_accs.push((offset, bytes))
                             }
+                            _ => return Err(mismatch(m, "local access")),
                         }
-                        let r =
-                            model_shared_instruction(&local_accs, sinks.banks, sinks.bank_width);
-                        sinks.counters.shared_wavefronts += r.wavefronts;
-                        sinks.counters.shared_wavefronts_ideal += r.ideal_wavefronts;
-                        sinks.counters.local_instructions += 1;
-                        sinks.counters.warp_instructions += r.wavefronts.max(1);
                     }
-                    Event::Flops(_) => {
-                        let mut worst = 0u64;
-                        for &l in group_lanes {
-                            let (_, s, _) = segs[l][seg_idx];
-                            if let Event::Flops(n) = streams[l][s + step] {
-                                sinks.counters.flops += n as u64;
-                                worst = worst.max(n as u64);
-                            } else {
-                                return Err(SimError::LaneDivergenceMismatch {
-                                    lane: l as u32,
-                                    expected: "flops",
-                                    found: streams[l][s + step].kind_name(),
-                                });
-                            }
-                        }
-                        // An fp64 FMA retires 2 FLOPs per lane per slot,
-                        // so a batched Flops(n) event occupies ceil(n/2)
-                        // issue slots (the A100's fp64 pipe issues one
-                        // warp FMA per SM per cycle).
-                        sinks.counters.warp_instructions += worst.div_ceil(2).max(1);
+                    let r = model_shared_instruction(local_accs, sinks.banks, sinks.bank_width);
+                    sinks.counters.shared_wavefronts += r.wavefronts;
+                    sinks.counters.shared_wavefronts_ideal += r.ideal_wavefronts;
+                    sinks.counters.local_instructions += 1;
+                    sinks.counters.warp_instructions += r.wavefronts.max(1);
+                }
+                Event::Flops(_) => {
+                    let mut worst = 0u64;
+                    for m in active {
+                        let Event::Flops(n) = event(m) else {
+                            return Err(mismatch(m, "flops"));
+                        };
+                        sinks.counters.flops += n as u64;
+                        worst = worst.max(n as u64);
                     }
-                    Event::Iops(_) => {
-                        for &l in group_lanes {
-                            let (_, s, _) = segs[l][seg_idx];
-                            if let Event::Iops(n) = streams[l][s + step] {
-                                sinks.counters.iops += n as u64;
-                            } else {
-                                return Err(SimError::LaneDivergenceMismatch {
-                                    lane: l as u32,
-                                    expected: "iops",
-                                    found: streams[l][s + step].kind_name(),
-                                });
-                            }
-                        }
-                        sinks.counters.warp_instructions += 1;
+                    // An fp64 FMA retires 2 FLOPs per lane per slot,
+                    // so a batched Flops(n) event occupies ceil(n/2)
+                    // issue slots (the A100's fp64 pipe issues one
+                    // warp FMA per SM per cycle).
+                    sinks.counters.warp_instructions += worst.div_ceil(2).max(1);
+                }
+                Event::Iops(_) => {
+                    for m in active {
+                        let Event::Iops(n) = event(m) else {
+                            return Err(mismatch(m, "iops"));
+                        };
+                        sinks.counters.iops += n as u64;
                     }
-                    Event::SetPath(_) => {
-                        debug_assert!(false, "SetPath inside a segment is impossible");
-                    }
+                    sinks.counters.warp_instructions += 1;
+                }
+                Event::SetPath(_) => {
+                    debug_assert!(false, "SetPath inside a segment is impossible");
                 }
             }
-        }
-        if executed_groups > 1 {
-            sinks.counters.divergent_branches += executed_groups - 1;
-        }
-    }
-    Ok(())
+            Ok(())
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheConfig;
+    use crate::cache::{CacheConfig, CacheStats};
 
     fn sinks_with<'a>(
         l1: &'a mut Cache,
@@ -544,6 +586,125 @@ mod tests {
                 found: "local store",
             }
         );
+    }
+
+    /// Counters and cache statistics of one warp replayed into fresh
+    /// caches and counters.
+    fn replay_fresh(streams: &[Vec<Event>]) -> (Counters, CacheStats, CacheStats) {
+        let (mut l1, mut l2) = caches();
+        let mut c = Counters::default();
+        replay_warp(streams, &mut sinks_with(&mut l1, &mut l2, &mut c)).unwrap();
+        (c, *l1.stats(), *l2.stats())
+    }
+
+    /// Three path groups with different instruction mixes and a
+    /// predicated-off empty one, then a second, uniform segment.
+    fn divergent_warp() -> Vec<Vec<Event>> {
+        (0..32u32)
+            .map(|i| {
+                let mut s = vec![Event::Iops(1), Event::SetPath(1 + i % 4)];
+                match i % 4 {
+                    0 => s.extend([
+                        Event::GlobalLoad {
+                            addr: 4096 + i as u64 * 8,
+                            bytes: 8,
+                        },
+                        Event::Flops(4),
+                    ]),
+                    1 => s.push(Event::LocalStore {
+                        offset: i * 16,
+                        bytes: 16,
+                    }),
+                    2 => s.push(Event::Iops(2)),
+                    _ => {}
+                }
+                s.extend([
+                    Event::SetPath(0),
+                    Event::GlobalStore {
+                        addr: 8192 + i as u64 * 8,
+                        bytes: 8,
+                    },
+                ]);
+                s
+            })
+            .collect()
+    }
+
+    /// An 8-lane warp whose lanes return after 1..=8 events.
+    fn ragged_warp() -> Vec<Vec<Event>> {
+        (0..8u64)
+            .map(|i| {
+                (0..=i)
+                    .map(|step| Event::AtomicRmw {
+                        addr: 512 + (i % 2) * 8 + step * 1024,
+                        bytes: 8,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A full warp touching every model once.
+    fn full_warp() -> Vec<Vec<Event>> {
+        (0..32u64)
+            .map(|i| {
+                vec![
+                    Event::GlobalLoad {
+                        addr: 4096 + i * 48,
+                        bytes: 8,
+                    },
+                    Event::LocalLoad {
+                        offset: (i * 8) as u32,
+                        bytes: 8,
+                    },
+                    Event::AtomicRmw {
+                        addr: 2048 + (i % 4) * 16,
+                        bytes: 8,
+                    },
+                    Event::Flops(2),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reused_scratch_replays_like_a_fresh_thread() {
+        // One thread replays a divergent, a ragged 8-lane and a full
+        // warp back to back, so each replay starts from the scratch the
+        // previous, differently shaped warp left behind.
+        let warps = [divergent_warp(), ragged_warp(), full_warp()];
+        let reused: Vec<_> = warps.iter().map(|w| replay_fresh(w)).collect();
+        assert_eq!(reused[0].0.divergent_branches, 2);
+        assert_eq!(reused[1].0.atomic_instructions, 8);
+        for (warp, got) in warps.into_iter().zip(&reused) {
+            let fresh = std::thread::spawn(move || replay_fresh(&warp))
+                .join()
+                .expect("replay thread panicked");
+            assert_eq!(*got, fresh);
+        }
+    }
+
+    #[test]
+    fn warps_wider_than_the_stack_scratch_replay() {
+        // 96 lanes: the bank and atomic models spill to the heap.
+        let streams: Vec<Vec<Event>> = (0..96u32)
+            .map(|i| {
+                vec![
+                    Event::LocalStore {
+                        offset: i * 16,
+                        bytes: 16,
+                    },
+                    Event::AtomicRmw {
+                        addr: 8192,
+                        bytes: 8,
+                    },
+                ]
+            })
+            .collect();
+        let (c, _, _) = replay_fresh(&streams);
+        // 12 words per bank in each of the four 4-byte phases.
+        assert_eq!(c.shared_wavefronts, 48);
+        assert_eq!(c.atomic_passes, 96);
     }
 
     #[test]
