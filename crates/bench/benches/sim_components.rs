@@ -1,7 +1,8 @@
 //! Microbenchmarks of the simulator's hot components: the coalescer,
 //! the sectored cache, the shared-memory bank model, the atomic
 //! serialization model and the warp replay that drives them — the
-//! per-event costs that set the simulation's own throughput.
+//! per-event costs that set the simulation's own throughput — plus the
+//! static analyzer's footprint model and tuner-preset proofs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_sim::atomics::model_atomic_instruction;
@@ -9,7 +10,10 @@ use gpu_sim::cache::{Cache, CacheConfig};
 use gpu_sim::coalesce::coalesce;
 use gpu_sim::sharedmem::{model_shared_instruction, LocalMem};
 use gpu_sim::warp::{replay_warp, ReplaySinks};
-use gpu_sim::{Counters, DeviceSpec, Event, Lane};
+use gpu_sim::{
+    build_launch_model, staticcheck_analyze, Counters, DeviceSpec, Event, Lane, StaticCheckConfig,
+};
+use milc_bench::Experiment;
 use milc_complex::DoubleComplex;
 use milc_dslash::{DslashProblem, IndexOrder, KernelConfig, Strategy};
 
@@ -165,12 +169,49 @@ fn bench_replay(c: &mut Criterion) {
     group.finish();
 }
 
+/// The static tuner's per-candidate analysis at L = 4 on the
+/// volume-matched device: the probe-and-fit footprint model alone, and
+/// the whole tuner-preset analysis (lints, model, bounds and race
+/// proofs).  1LP gathers every operand through the neighbour tables;
+/// 4LP-1 runs three barrier phases over local memory.
+fn bench_staticcheck(c: &mut Criterion) {
+    let mut group = c.benchmark_group("staticcheck");
+    let exp = Experiment::new(4, 42);
+    let problem = DslashProblem::<DoubleComplex>::random(exp.l, exp.seed);
+    let candidates = [
+        (
+            "1lp_gather_ls64",
+            KernelConfig::new(Strategy::OneLp, IndexOrder::KMajor),
+            64,
+        ),
+        (
+            "4lp1_three_phase_ls192",
+            KernelConfig::new(Strategy::FourLp1, IndexOrder::KMajor),
+            192,
+        ),
+    ];
+    let tuner = StaticCheckConfig::tuner();
+    for (name, cfg, ls) in candidates {
+        let range = problem.launch_range(cfg, ls);
+        let kernel = problem.make_kernel(cfg, range.num_groups());
+        let mem = problem.memory();
+        group.bench_function(format!("{name}/model").as_str(), |b| {
+            b.iter(|| build_launch_model(kernel.as_ref(), &range, &exp.device, mem))
+        });
+        group.bench_function(format!("{name}/analyze_tuner").as_str(), |b| {
+            b.iter(|| staticcheck_analyze(kernel.as_ref(), &range, &exp.device, mem, &tuner))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_coalescer,
     bench_cache,
     bench_bank_model,
     bench_atomics,
-    bench_replay
+    bench_replay,
+    bench_staticcheck
 );
 criterion_main!(benches);

@@ -127,11 +127,12 @@ impl DeviceMemory {
 
     /// The allocation containing `addr`, if any, as `(base, len, label)`.
     /// Alignment padding between allocations belongs to none of them.
+    /// Allocations are appended at ascending bases, so this is a binary
+    /// search for the last allocation starting at or below `addr`.
     pub fn find_allocation(&self, addr: u64) -> Option<(u64, u64, &str)> {
-        self.allocs
-            .iter()
-            .find(|(b, l, _)| addr >= *b && addr < *b + *l)
-            .map(|(b, l, s)| (*b, *l, s.as_str()))
+        let i = self.allocs.partition_point(|&(b, _, _)| b <= addr);
+        let (b, l, s) = self.allocs.get(i.checked_sub(1)?)?;
+        (addr < b + l).then_some((*b, *l, s.as_str()))
     }
 
     /// One past the highest allocated device address (aligned).
@@ -365,13 +366,30 @@ mod tests {
     #[test]
     fn find_allocation_maps_addresses_to_labels() {
         let mut m = DeviceMemory::new();
+        assert!(m.find_allocation(BASE_ADDR).is_none());
         let a = m.alloc(100, "a");
         let b = m.alloc(300, "b");
-        assert_eq!(m.find_allocation(a.addr(99)).unwrap().2, "a");
-        assert_eq!(m.find_allocation(b.base()).unwrap().2, "b");
+        let c = m.alloc(256, "c");
+        let label = |addr: u64| m.find_allocation(addr).map(|(_, _, l)| l);
+        assert!(label(0).is_none());
+        assert!(label(a.base() - 1).is_none());
+        // First and last byte of each allocation.
+        assert_eq!(m.find_allocation(a.base()), Some((a.base(), 100, "a")));
+        assert_eq!(label(a.addr(99)), Some("a"));
+        assert_eq!(m.find_allocation(b.base()), Some((b.base(), 300, "b")));
+        assert_eq!(label(b.addr(299)), Some("b"));
+        assert_eq!(label(c.base()), Some("c"));
+        assert_eq!(label(c.addr(255)), Some("c"));
         // Alignment padding between allocations belongs to neither.
-        assert!(m.find_allocation(a.base() + 100).is_none());
-        assert!(m.find_allocation(m.arena_end()).is_none());
+        assert!(label(a.base() + 100).is_none());
+        assert!(label(b.base() - 1).is_none());
+        assert!(label(b.base() + 300).is_none());
+        assert!(label(c.base() - 1).is_none());
+        // `c` fills its last 256-byte block, so the arena ends right
+        // after its last byte.
+        assert_eq!(m.arena_end(), c.base() + 256);
+        assert!(label(m.arena_end()).is_none());
+        assert!(label(u64::MAX).is_none());
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::kernel::Kernel;
 use crate::memory::DeviceMemory;
 use crate::ndrange::NdRange;
 use crate::sanitizer::{lint_launch, Finding};
-use footprint::form_signature;
+use footprint::FormShape;
 use proofs::{ProofSink, Prover};
 use std::fmt::Write as _;
 
@@ -421,29 +421,34 @@ fn model_has_local_slots(model: &LaunchModel) -> bool {
 
 fn summarize_footprints(model: &LaunchModel) -> Vec<SlotSummary> {
     let mut out: Vec<SlotSummary> = Vec::new();
+    // Rows are keyed on the form's shape; the signature is rendered
+    // once per new row.
+    let mut shapes_of_rows: Vec<FormShape> = Vec::new();
     for (p, pm) in model.phases.iter().enumerate() {
         let PhaseModel::Uniform(shapes) = pm else {
             continue;
         };
         for shape in shapes {
             for slot in &shape.slots {
-                let sig = form_signature(&slot.form);
                 let op = slot.kind.mnemonic();
-                if let Some(row) = out.iter_mut().find(|r| {
-                    r.phase == p
+                let form = FormShape::of(&slot.form);
+                if let Some(row) = out.iter_mut().zip(&shapes_of_rows).find_map(|(r, &f)| {
+                    (r.phase == p
                         && r.op == op
                         && r.label == slot.label
                         && r.bytes == slot.bytes
-                        && r.signature == sig
+                        && f == form)
+                        .then_some(r)
                 }) {
                     row.count += 1;
                 } else {
+                    shapes_of_rows.push(form);
                     out.push(SlotSummary {
                         phase: p,
                         op,
                         label: slot.label.clone(),
                         bytes: slot.bytes,
-                        signature: sig,
+                        signature: form.signature(),
                         count: 1,
                     });
                 }

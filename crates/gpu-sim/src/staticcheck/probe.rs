@@ -10,9 +10,7 @@
 //! merely looks affine on a corner (e.g. the spill arena's modular
 //! wrap) is demoted to residual rather than mis-extrapolated.
 
-use super::footprint::{
-    fit_residue, same_shape, LaunchModel, PhaseModel, ProbeSample, ResidueShape,
-};
+use super::footprint::{fit_residue, same_shape, LaunchModel, PhaseModel, ProbeLog, ResidueShape};
 use crate::device::DeviceSpec;
 use crate::kernel::{Kernel, Lane};
 use crate::memory::DeviceMemory;
@@ -67,7 +65,9 @@ pub(crate) fn build_model(
     } else {
         local
     };
-    let mut best = build_model_with_q(kernel, range, mem, base_q);
+    // One probe log serves every phase of every refinement.
+    let mut log = ProbeLog::default();
+    let mut best = build_model_with_q(kernel, range, mem, base_q, &mut log);
     if residual_slots(&best) == 0 {
         return best;
     }
@@ -80,7 +80,7 @@ pub(crate) fn build_model(
         if q == base_q || q > local || !local.is_multiple_of(q) {
             continue;
         }
-        let refined = build_model_with_q(kernel, range, mem, q);
+        let refined = build_model_with_q(kernel, range, mem, q, &mut log);
         if residual_slots(&refined) < residual_slots(&best) {
             best = refined;
         }
@@ -112,6 +112,7 @@ fn build_model_with_q(
     range: &NdRange,
     mem: &DeviceMemory,
     q_len: u32,
+    log: &mut ProbeLog,
 ) -> LaunchModel {
     let local = range.local;
     let num_groups = range.num_groups();
@@ -131,19 +132,18 @@ fn build_model_with_q(
     let mut local_mem = LocalMem::new(resources.local_mem_bytes_per_group);
     let num_phases = kernel.num_phases().max(1);
 
+    let points = probed_groups.len() * probed_blocks.len();
     let mut probes = 0usize;
     let mut phases = Vec::with_capacity(num_phases);
     for phase in 0..num_phases {
-        // samples[q] = one ProbeSample per probed (group, block).
-        let mut samples: Vec<Vec<ProbeSample>> = (0..q_len).map(|_| Vec::new()).collect();
-        for &grp in &probed_groups {
-            for &blk in &probed_blocks {
-                for q in 0..q_len {
+        // Residue by residue, one sample per probed (group, block).
+        log.clear(q_len as usize, points);
+        for q in 0..q_len {
+            for &grp in &probed_groups {
+                for &blk in &probed_blocks {
                     let lid = blk as u32 * q_len + q;
                     let gid = grp * local as u64 + lid as u64;
-                    let mut events = Vec::new();
-                    let mut u32_values = Vec::new();
-                    {
+                    log.record(grp, blk, |events, u32_values| {
                         let mut lane = Lane::new_probe(
                             gid,
                             lid,
@@ -151,23 +151,17 @@ fn build_model_with_q(
                             local,
                             mem,
                             &mut local_mem,
-                            &mut events,
-                            &mut u32_values,
+                            events,
+                            u32_values,
                         );
                         kernel.run_phase(phase, &mut lane);
-                    }
-                    probes += 1;
-                    samples[q as usize].push(ProbeSample {
-                        group: grp,
-                        block: blk,
-                        events,
-                        u32_values,
                     });
+                    probes += 1;
                 }
             }
         }
 
-        phases.push(fit_phase(&samples, mem, phase));
+        phases.push(fit_phase(log, mem, phase));
     }
 
     LaunchModel {
@@ -183,13 +177,16 @@ fn build_model_with_q(
     }
 }
 
-fn fit_phase(samples: &[Vec<ProbeSample>], mem: &DeviceMemory, phase: usize) -> PhaseModel {
-    let mut shapes: Vec<ResidueShape> = Vec::with_capacity(samples.len());
-    for (q, residue_samples) in samples.iter().enumerate() {
+fn fit_phase(log: &ProbeLog, mem: &DeviceMemory, phase: usize) -> PhaseModel {
+    let mut shapes: Vec<ResidueShape> = Vec::with_capacity(log.residues());
+    let mut obs = Vec::new();
+    for q in 0..log.residues() {
+        let residue_samples = log.residue(q);
         let rep = &residue_samples[0];
+        let rep_events = log.events(rep);
         if let Some(bad) = residue_samples
             .iter()
-            .find(|s| !same_shape(&rep.events, &s.events))
+            .find(|s| !same_shape(rep_events, log.events(s)))
         {
             return PhaseModel::Irregular(format!(
                 "phase {phase}: residue {q} stream shape differs between probes \
@@ -198,7 +195,7 @@ fn fit_phase(samples: &[Vec<ProbeSample>], mem: &DeviceMemory, phase: usize) -> 
                 rep.group, rep.block, bad.group, bad.block
             ));
         }
-        shapes.push(fit_residue(residue_samples, mem));
+        shapes.push(fit_residue(log, residue_samples, mem, &mut obs));
     }
     PhaseModel::Uniform(shapes)
 }

@@ -20,7 +20,7 @@ use super::footprint::{AddrForm, LaunchModel, MemSlot, PhaseModel, ResidueShape,
 use super::StaticCheckConfig;
 use crate::memory::{DeviceMemory, BASE_ADDR};
 use crate::sanitizer::{Finding, FindingKind};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Hard cap on enumerated write instances — the proof degrades to a
 /// note instead of stalling the autotuner on a pathological candidate.
@@ -28,7 +28,10 @@ const MAX_INSTANCES: u64 = 1 << 24;
 
 pub(crate) struct ProofSink {
     pub findings: Vec<Finding>,
+    /// Distinct notes in first-seen order.
     pub notes: Vec<String>,
+    /// The same notes as a set, for O(1) dedup.
+    seen_notes: HashSet<String>,
     max_findings: usize,
 }
 
@@ -37,6 +40,7 @@ impl ProofSink {
         Self {
             findings: Vec::new(),
             notes: Vec::new(),
+            seen_notes: HashSet::new(),
             max_findings,
         }
     }
@@ -57,7 +61,8 @@ impl ProofSink {
     }
 
     pub fn note(&mut self, n: String) {
-        if !self.notes.contains(&n) {
+        if !self.seen_notes.contains(&n) {
+            self.seen_notes.insert(n.clone());
             self.notes.push(n);
         }
     }

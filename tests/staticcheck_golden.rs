@@ -6,6 +6,13 @@
 //! degrading from affine to residual, or a new false positive all fail
 //! here before they reach the `staticcheck` gate.
 //!
+//! `tests/snapshots/staticcheck_candidates_L4.txt` widens the net to
+//! every candidate the static tuner gates at L = 4 (each configuration
+//! × its candidate local sizes × its tunable layouts): one line per
+//! candidate with the probe counts, footprint-row count, finding and
+//! note counts and an FNV-1a hash of the full rendered report, under
+//! both the tuner preset and the default proof set.
+//!
 //! **Updating the snapshot** (after an *intentional* analyzer or kernel
 //! change):
 //!
@@ -13,24 +20,55 @@
 //! STATICCHECK_GOLDEN_UPDATE=1 cargo test --test staticcheck_golden
 //! ```
 //!
-//! then review the diff of `tests/snapshots/staticcheck_golden.txt` —
-//! every changed line is a statement the analyzer proves about a
-//! shipped kernel.
+//! then review the diff of both snapshots — every changed line is a
+//! statement the analyzer proves about a shipped kernel.
 
-use gpu_sim::StaticCheckConfig;
+use gpu_sim::{StaticCheckConfig, StaticReport};
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex;
+use milc_dslash::tune::candidate_local_sizes;
 use milc_dslash::{run_config_staticcheck, DslashProblem, KernelConfig};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 const L: usize = 8;
 const SEED: u64 = 2024;
 
-fn snapshot_path() -> PathBuf {
+fn snapshot_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("snapshots")
-        .join("staticcheck_golden.txt")
+        .join(name)
+}
+
+/// Compare `rendered` with the named snapshot, or rewrite the snapshot
+/// under `STATICCHECK_GOLDEN_UPDATE`.
+fn check_snapshot(name: &str, rendered: &str) {
+    let path = snapshot_path(name);
+
+    if std::env::var_os("STATICCHECK_GOLDEN_UPDATE").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, rendered).unwrap();
+        eprintln!("staticcheck_golden: snapshot updated at {}", path.display());
+        return;
+    }
+
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden snapshot {} ({e}); generate it with \
+             STATICCHECK_GOLDEN_UPDATE=1 cargo test --test staticcheck_golden",
+            path.display()
+        )
+    });
+    assert_eq!(
+        rendered,
+        golden,
+        "static verdicts drifted from the golden snapshot ({}); if the \
+         analyzer/kernel change is intentional, regenerate with \
+         STATICCHECK_GOLDEN_UPDATE=1 cargo test --test staticcheck_golden \
+         and review the diff",
+        path.display()
+    );
 }
 
 /// Analyze the twelve Table I configurations (proof set, no full
@@ -59,32 +97,65 @@ fn rendered_reports() -> String {
 
 #[test]
 fn table1_static_verdicts_match_the_golden_snapshot() {
-    let rendered = rendered_reports();
-    let path = snapshot_path();
+    check_snapshot("staticcheck_golden.txt", &rendered_reports());
+}
 
-    if std::env::var_os("STATICCHECK_GOLDEN_UPDATE").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("staticcheck_golden: snapshot updated at {}", path.display());
-        return;
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `findings= notes= fnv=` of one report.
+fn verdict_digest(r: &StaticReport) -> String {
+    format!(
+        "findings={} notes={} fnv={:016x}",
+        r.findings.len(),
+        r.notes.len(),
+        fnv1a(r.render_text().as_bytes())
+    )
+}
+
+/// One line per static-tuner candidate at L = 4 (the `tune-static`
+/// workload's candidate set), analyzed under the tuner preset and the
+/// default proof set.
+fn candidate_lines() -> String {
+    const CANDIDATE_L: usize = 4;
+    let exp = Experiment::new(CANDIDATE_L, SEED);
+    let problem = DslashProblem::<DoubleComplex>::random(CANDIDATE_L, exp.seed);
+    let hv = problem.lattice().half_volume() as u64;
+    let mut out = String::new();
+    for col in paper::TABLE1.iter() {
+        let cfg = KernelConfig::new(col.strategy, col.order);
+        for ls in candidate_local_sizes(cfg, hv) {
+            for layout in cfg.tunable_layouts() {
+                let lcfg = cfg.with_layout(layout);
+                let analyze = |scfg: &StaticCheckConfig| {
+                    run_config_staticcheck(&problem, lcfg, ls, &exp.device, scfg)
+                        .expect("tuner candidates are legal local sizes")
+                };
+                let tuner = analyze(&StaticCheckConfig::tuner());
+                let default = analyze(&StaticCheckConfig::default());
+                let _ = writeln!(
+                    out,
+                    "{} ls={ls} residues={} probes={} rows={} tuner[{}] default[{}]",
+                    lcfg.label(),
+                    tuner.residues,
+                    tuner.probes,
+                    tuner.footprints.len(),
+                    verdict_digest(&tuner),
+                    verdict_digest(&default)
+                );
+            }
+        }
     }
+    out
+}
 
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             STATICCHECK_GOLDEN_UPDATE=1 cargo test --test staticcheck_golden",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        golden,
-        "static verdicts drifted from the golden snapshot ({}); if the \
-         analyzer/kernel change is intentional, regenerate with \
-         STATICCHECK_GOLDEN_UPDATE=1 cargo test --test staticcheck_golden \
-         and review the diff",
-        path.display()
-    );
+#[test]
+fn every_tuner_candidate_matches_the_coverage_snapshot() {
+    check_snapshot("staticcheck_candidates_L4.txt", &candidate_lines());
 }
 
 #[test]
