@@ -6,12 +6,8 @@
 //! (default L = 16, volume-matched device; `fig6 32` is the full paper
 //! scale).  Writes `results/fig6.csv` and prints the series summary.
 
-use milc_bench::{
-    best_of, best_of_order, extension_compressed_3lp1, fig6_strategies, fig6_variants, quda_recons,
-    rows_to_csv, Experiment,
-};
-use milc_complex::{Cplx, DoubleComplex};
-use milc_dslash::{DslashProblem, IndexOrder};
+use milc_bench::{best_of, best_of_order, fig6_rows, quda_recons, rows_to_csv, Experiment};
+use milc_dslash::IndexOrder;
 
 fn main() {
     let l: usize = std::env::args()
@@ -26,32 +22,16 @@ fn main() {
         exp.device.l2_bytes as f64 / 1e6
     );
 
-    eprintln!("packing problem (double_complex) ...");
-    let mut problem = DslashProblem::<DoubleComplex>::random(l, exp.seed);
-    eprintln!("packing problem (SyclCPLX) ...");
-    let mut problem_cplx = DslashProblem::<Cplx>::random(l, exp.seed);
-
-    eprintln!("running strategy sweep ...");
-    let mut rows = fig6_strategies(&exp, &mut problem);
-    eprintln!("running 3LP-1 variants ...");
-    rows.extend(fig6_variants(&exp, &mut problem, &mut problem_cplx));
-
-    eprintln!("running compressed-gauge extension ...");
-    rows.extend(extension_compressed_3lp1(&exp));
+    eprintln!(
+        "running the strategy sweep, the 3LP-1 variants and the compressed-gauge extension ..."
+    );
+    let rows = fig6_rows(&exp);
 
     eprintln!("running QUDA baseline ...");
     let quda = quda_recons(&exp);
 
-    // CSV output.
     std::fs::create_dir_all("results").expect("create results dir");
-    let mut csv = rows_to_csv(&rows);
-    for (recon, gflops, ls) in &quda {
-        csv.push_str(&format!(
-            "QUDA {},-,{ls},{gflops:.1},,,true,\n",
-            recon.label()
-        ));
-    }
-    std::fs::write("results/fig6.csv", &csv).expect("write results/fig6.csv");
+    std::fs::write("results/fig6.csv", rows_to_csv(&rows, &quda)).expect("write results/fig6.csv");
 
     // Console summary: best point per series (the figure's envelope).
     println!("\n=== Fig. 6 summary (A100-equivalent GFLOP/s, best local size per series) ===");

@@ -1,397 +1,374 @@
-//! The perf-regression gate: re-simulate the Table I configurations
-//! (and optionally the full Fig. 6 sweep) and compare modelled
-//! durations against the committed baselines in `results/`.  Exits 1
-//! when any config regresses by more than 10% or loses coverage.
+//! The perf-regression gate.  The modelled clock is deterministic, so
+//! `perfdiff` regenerates each committed `results/*.csv` through the
+//! code and row formatter that wrote it and diffs it cell by cell
+//! against the committed file ([`milc_bench::snapshot`]).  Any moved
+//! value fails the gate and is reported with its file, row, column,
+//! committed and fresh value: a duration, a counter, or a tuner's
+//! winning local size or layout.  `#` provenance lines are not compared.
+//! Cost-model drift is the one tolerance gate, because measured vs
+//! predicted is model error, not nondeterminism.
 //!
 //! Usage: `cargo run -p milc-bench --release --bin perfdiff -- [L]
-//! [--fig6] [--scaling] [--ranked] [--selftest] [--baseline PATH]`
+//! [--fig6] [--scaling] [--ranked] [--static-tune] [--profile]
+//! [--selftest]`
 //!
-//! - default L = 16 matches the committed `results/table1.csv`
-//!   baseline (the simulator is deterministic, so an unchanged tree
-//!   diffs at ~0%);
-//! - `--fig6` additionally gates every row of `results/fig6.csv`
-//!   (the full sweep, several minutes);
-//! - `--scaling` additionally gates every row of `results/scaling.csv`
-//!   (the strong-scaling study: sharded wall clocks at N = 1..8 under
-//!   both exchange schedules, tuned sizes from the committed
-//!   `results/tunecache.json`);
-//! - `--ranked` additionally gates every row of
-//!   `results/tune_ranked.csv` (the winners the statically pruned
-//!   sweep mode selected; each is re-measured warm at its recorded
-//!   local size);
-//! - `--static-tune` additionally gates every row of
-//!   `results/tune_static.csv` (the winners the *measurement-free*
-//!   sweep mode selected): each is re-measured warm at its recorded
-//!   point against the committed measured duration, and the
-//!   cold-regime calibrated prediction is drift-gated (±25%) against a
-//!   genuinely cold launch;
-//! - `--profile` additionally gates prediction drift: every Table I
-//!   launch is compared against its static [`CostEstimate`] along the
-//!   duration and traffic paths, and any path outside its tolerance
-//!   fails the run;
-//! - `--selftest` then re-diffs with fresh durations inflated 1.2x and
-//!   verifies the gate trips — and, with `--profile`, re-checks drift
-//!   with measured durations inflated 2x and verifies the drift gate
-//!   trips too — proof the FAIL paths work, without a second
-//!   simulation;
-//! - `PERFDIFF_INFLATE=<factor>` multiplies fresh durations before the
-//!   main comparison (for demonstrating a seeded slowdown end to end).
+//! - always: `results/table1.csv`, every column of the twelve Table I
+//!   launches (the committed file is L = 16, the default; L must be a
+//!   power of two ≥ 8 for the paper's local sizes to launch);
+//! - `--fig6`: `results/fig6.csv`, the full sweep plus the QUDA points
+//!   (several minutes);
+//! - `--scaling`: `results/scaling.csv`, N = 1, 2, 4, 8 under both
+//!   exchange schedules, per-rank sizes from the committed
+//!   `results/tunecache.json` (never written back);
+//! - `--ranked`: `results/tune_ranked.csv`, by replaying
+//!   `SweepMode::Ranked` per configuration: winner and duration;
+//! - `--static-tune`: `results/tune_static.csv`, by replaying
+//!   `SweepMode::Static` plus a warm launch of each winner.
+//!   `regret_pct` is not compared: it needs the exhaustive sweep, and
+//!   the `tune` bin gates it at ≤ 5%.  Each winner's cold launch is
+//!   also drift-gated against its cold-regime prediction;
+//! - `--profile`: drift of every Table I launch against its static
+//!   estimate;
+//! - `--selftest`: proves the FAIL paths without a second simulation.
+//!   In each regenerated table one gated cell gets its last digit
+//!   bumped, and the diff must name exactly that cell.  Every drift row
+//!   with its measured duration doubled must break its tolerance.
+//!
+//! Exit status: 0 on pass; 1 when a gate or the selftest fails; 2, with
+//! a one-line message, for a bad argument or a missing or unparsable
+//! results CSV.
 
 use gpu_sim::{QueueMode, Regime};
-use milc_bench::perfdiff::{
-    diff, parse_fig6_baseline, parse_ranked_baseline, parse_scaling_baseline,
-    parse_static_tune_baseline, parse_table1_baseline, BaselineEntry, REGRESSION_THRESHOLD,
-};
+use milc_bench::snapshot::{self, Table};
 use milc_bench::{
-    extension_compressed_3lp1, fig6_strategies, fig6_variants, paper, scaling_config_key,
-    strong_scaling, table1_outcomes, Experiment,
+    fig6_rows, paper, quda_recons, ranked_rows_to_csv, rows_to_csv, scaling_rows_to_csv,
+    static_rows_to_csv, strong_scaling, table1_csv, table1_drift, table1_outcomes, table1_profiles,
+    Experiment, StaticRow, RANKED_TOP_K,
 };
-use milc_complex::{Cplx, DoubleComplex};
+use milc_complex::DoubleComplex;
 use milc_dslash::obs::prof::{DriftReport, DriftRow};
+use milc_dslash::tune::{sweep, SweepMode};
 use milc_dslash::{
     estimate_config, run_config, run_config_warm, DslashProblem, IndexOrder, KernelConfig,
     Strategy, TuneCache,
 };
+use std::fmt::Display;
 use std::path::Path;
+use std::process::exit;
+
+/// One gated artifact.
+struct Gate {
+    /// The committed file, relative to the working directory.
+    path: &'static str,
+    /// How many leading columns key a row.
+    key_columns: usize,
+    /// Columns left out of the comparison.
+    ignore: &'static [&'static str],
+    /// The column whose first cell the selftest perturbs.
+    probe: &'static str,
+}
+
+const fn gate(
+    path: &'static str,
+    key_columns: usize,
+    ignore: &'static [&'static str],
+    probe: &'static str,
+) -> Gate {
+    Gate {
+        path,
+        key_columns,
+        ignore,
+        probe,
+    }
+}
+
+const TABLE1: Gate = gate("results/table1.csv", 1, &[], "sim_duration_us");
+const FIG6: Gate = gate("results/fig6.csv", 3, &[], "duration_us");
+const SCALING: Gate = gate("results/scaling.csv", 2, &[], "wall_us");
+const RANKED: Gate = gate("results/tune_ranked.csv", 1, &[], "duration_us");
+const STATIC_TUNE: Gate = gate("results/tune_static.csv", 1, &["regret_pct"], "measured_us");
+
+/// Report a bad argument or an unusable input in one line and exit 2.
+fn input_error(msg: impl Display) -> ! {
+    eprintln!("perfdiff: {msg}");
+    exit(2)
+}
+
+fn load(gate: &Gate) -> Table {
+    let text = std::fs::read_to_string(gate.path)
+        .unwrap_or_else(|e| input_error(format!("cannot read {}: {e}", gate.path)));
+    Table::parse(&text).unwrap_or_else(|e| input_error(format!("cannot parse {}: {e}", gate.path)))
+}
+
+/// The cell with its last digit bumped (mod 10): the smallest change
+/// the CSV can show.
+fn bump_last_digit(cell: &str) -> String {
+    let mut s = cell.to_string();
+    match s.char_indices().rev().find(|(_, c)| c.is_ascii_digit()) {
+        Some((i, c)) => {
+            let next = (c as u8 - b'0' + 1) % 10;
+            s.replace_range(i..=i, &next.to_string());
+        }
+        None => s.push('1'),
+    }
+    s
+}
+
+/// Replay one configuration's static sweep: its `tune_static.csv` row
+/// (measured by a warm launch of the winner; regret unknown) and the
+/// drift of a cold launch of the same point.
+fn replay_static(
+    problem: &mut DslashProblem<DoubleComplex>,
+    exp: &Experiment,
+    cfg: KernelConfig,
+) -> Result<(StaticRow, DriftRow), String> {
+    let label = cfg.label();
+    let stat = sweep(
+        problem,
+        cfg,
+        &cfg.tunable_layouts(),
+        &exp.device,
+        QueueMode::OutOfOrder,
+        SweepMode::Static,
+    )
+    .map_err(|e| format!("{label}: static sweep: {e}"))?;
+    let (tuned, ls) = (cfg.with_layout(stat.winner.layout), stat.winner.local_size);
+    let launch_err = |e| format!("{label}: winner launch: {e}");
+    let warm = run_config_warm(problem, tuned, ls, &exp.device, QueueMode::OutOfOrder)
+        .map_err(launch_err)?;
+    let cold =
+        run_config(problem, tuned, ls, &exp.device, QueueMode::OutOfOrder).map_err(launch_err)?;
+    let estimate = estimate_config(problem, tuned, ls, &exp.device)
+        .map_err(|e| format!("{label}: no static estimate: {e}"))?;
+    let drift = DriftRow::new(
+        &format!("static:{label}"),
+        ls,
+        cold.report.duration_us,
+        &cold.report.counters,
+        &estimate,
+        Regime::Cold,
+    );
+    Ok((
+        (label, stat.winner, warm.report.duration_us, f64::NAN),
+        drift,
+    ))
+}
 
 fn main() {
     let mut l: usize = 16;
-    let mut with_fig6 = false;
-    let mut with_scaling = false;
-    let mut with_ranked = false;
-    let mut with_static_tune = false;
-    let mut with_profile = false;
-    let mut selftest = false;
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let (mut fig6, mut scaling, mut ranked, mut static_tune) = (false, false, false, false);
+    let (mut profile, mut selftest) = (false, false);
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--fig6" => with_fig6 = true,
-            "--scaling" => with_scaling = true,
-            "--ranked" => with_ranked = true,
-            "--static-tune" => with_static_tune = true,
-            "--profile" => with_profile = true,
+            "--fig6" => fig6 = true,
+            "--scaling" => scaling = true,
+            "--ranked" => ranked = true,
+            "--static-tune" => static_tune = true,
+            "--profile" => profile = true,
             "--selftest" => selftest = true,
-            "--baseline" => {
-                baseline_path = Some(args.next().expect("--baseline needs a path"));
+            other => {
+                l = other
+                    .parse()
+                    .ok()
+                    .filter(|l: &usize| *l >= 8 && l.is_power_of_two())
+                    .unwrap_or_else(|| {
+                        input_error(format!(
+                            "unknown argument {other:?} (expected a lattice size, a power \
+                             of two >= 8, or --fig6/--scaling/--ranked/--static-tune/\
+                             --profile/--selftest)"
+                        ))
+                    })
             }
-            other => l = other.parse().expect("lattice size must be an integer"),
         }
     }
-    let inflate: f64 = std::env::var("PERFDIFF_INFLATE")
-        .ok()
-        .map(|v| v.parse().expect("PERFDIFF_INFLATE must be a number"))
-        .unwrap_or(1.0);
+
+    // Read every committed file before simulating: a missing or
+    // unparsable one is an input error, found in milliseconds.  `fresh`
+    // below is pushed in this same order.
+    let gates: Vec<Gate> = [
+        (true, TABLE1),
+        (fig6, FIG6),
+        (scaling, SCALING),
+        (ranked, RANKED),
+        (static_tune, STATIC_TUNE),
+    ]
+    .into_iter()
+    .filter_map(|(on, g)| on.then_some(g))
+    .collect();
+    let committed: Vec<Table> = gates.iter().map(load).collect();
 
     let exp = Experiment::new(l, 2024);
     eprintln!(
-        "perfdiff: L = {l} on {} ({} SMs), threshold +{:.0}%",
+        "perfdiff: L = {l} on {} ({} SMs), exact diff of {} committed CSVs",
         exp.device.name,
         exp.device.num_sms,
-        REGRESSION_THRESHOLD * 100.0
+        gates.len()
     );
-    if (inflate - 1.0).abs() > 1e-12 {
-        eprintln!("perfdiff: PERFDIFF_INFLATE = {inflate} applied to fresh durations");
-    }
-
-    // Baseline: the committed CSVs (or an explicit override).
-    let table1_path = baseline_path
-        .clone()
-        .unwrap_or_else(|| "results/table1.csv".to_string());
-    let table1_csv = std::fs::read_to_string(&table1_path)
-        .unwrap_or_else(|e| panic!("read baseline {table1_path}: {e}"));
-    let mut baseline = parse_table1_baseline(&table1_csv)
-        .unwrap_or_else(|e| panic!("parse baseline {table1_path}: {e}"));
-
-    // Fresh run: the same twelve Table I configurations.
-    eprintln!("packing problem ...");
     let mut problem = DslashProblem::<DoubleComplex>::random(l, exp.seed);
+    let mut fresh: Vec<String> = Vec::new();
+    let mut drift = DriftReport::default();
+    let mut failures: Vec<String> = Vec::new();
+
     eprintln!("re-simulating 12 Table I configurations ...");
     let outcomes = table1_outcomes(&exp, &mut problem);
-    let mut fresh: Vec<BaselineEntry> = outcomes
-        .iter()
-        .map(|(config, out)| BaselineEntry {
-            config: config.clone(),
-            duration_us: out.report.duration_us * inflate,
-        })
-        .collect();
-
-    // Drift gate: the same measured launches against the static cost
-    // model, along the duration and replay-exact traffic paths.  The
-    // estimates are kept so the selftest can rebuild the rows with
-    // inflated measurements.
-    let mut drift = DriftReport::default();
-    let mut estimates = Vec::new();
-    if with_profile {
-        eprintln!("comparing against the static cost model ...");
-        for ((label, out), col) in outcomes.iter().zip(paper::TABLE1.iter()) {
-            let cfg = KernelConfig::new(col.strategy, col.order);
-            let ls = paper::table1_local_size(col.strategy);
-            let est = estimate_config(&problem, cfg, ls, &exp.device)
-                .unwrap_or_else(|e| panic!("{label}: no static estimate: {e}"));
-            drift.rows.push(DriftRow::from_parts(
-                label,
-                ls,
-                out.report.duration_us * inflate,
-                &out.report.counters,
-                &est,
-            ));
-            estimates.push(est);
-        }
-        if let Some((row, p)) = drift.worst() {
-            eprintln!(
-                "drift: worst path {} {} at {:+.3}% (tolerance ±{:.0}%)",
-                row.kernel, p.path, p.drift_pct, p.tolerance_pct
-            );
+    fresh.push(table1_csv(&exp, &table1_profiles(&exp, &outcomes)));
+    if profile {
+        match table1_drift(&exp, &problem, &outcomes) {
+            Ok(report) => drift = report,
+            Err(e) => failures.push(e),
         }
     }
 
-    if with_fig6 {
-        let fig6_path = "results/fig6.csv";
-        let fig6_csv = std::fs::read_to_string(fig6_path)
-            .unwrap_or_else(|e| panic!("read baseline {fig6_path}: {e}"));
-        baseline.extend(
-            parse_fig6_baseline(&fig6_csv)
-                .unwrap_or_else(|e| panic!("parse baseline {fig6_path}: {e}")),
-        );
+    if fig6 {
         eprintln!("re-simulating the Fig. 6 sweep (this takes a while) ...");
-        let mut problem_cplx = DslashProblem::<Cplx>::random(l, exp.seed);
-        let mut rows = fig6_strategies(&exp, &mut problem);
-        rows.extend(fig6_variants(&exp, &mut problem, &mut problem_cplx));
-        rows.extend(extension_compressed_3lp1(&exp));
-        fresh.extend(rows.into_iter().map(|r| BaselineEntry {
-            config: format!(
-                "{} [{}] @ {}",
-                r.series,
-                r.order.map_or("-", |o| o.name()),
-                r.local_size
-            ),
-            duration_us: r.duration_us * inflate,
-        }));
+        fresh.push(rows_to_csv(&fig6_rows(&exp), &quda_recons(&exp)));
     }
 
-    if with_ranked {
-        let ranked_path = "results/tune_ranked.csv";
-        let ranked_csv = std::fs::read_to_string(ranked_path)
-            .unwrap_or_else(|e| panic!("read baseline {ranked_path}: {e}"));
-        let rows = parse_ranked_baseline(&ranked_csv)
-            .unwrap_or_else(|e| panic!("parse baseline {ranked_path}: {e}"));
-        eprintln!("re-measuring {} ranked-sweep winners warm ...", rows.len());
-        for row in rows {
-            let cfg = paper::TABLE1
-                .iter()
-                .map(|col| KernelConfig::new(col.strategy, col.order))
-                .find(|c| c.label() == row.kernel)
-                .unwrap_or_else(|| panic!("{ranked_path}: unknown kernel {:?}", row.kernel))
-                .with_layout(
-                    milc_dslash::SharedLayout::from_tag(&row.layout)
-                        .unwrap_or_else(|| panic!("{ranked_path}: bad layout {:?}", row.layout)),
-                );
-            baseline.push(BaselineEntry {
-                config: format!("ranked:{}", row.kernel),
-                duration_us: row.duration_us,
-            });
-            let out = run_config_warm(
-                &mut problem,
-                cfg,
-                row.local_size,
-                &exp.device,
-                QueueMode::OutOfOrder,
-            )
-            .unwrap_or_else(|e| panic!("{}: ranked winner failed to run: {e}", row.kernel));
-            fresh.push(BaselineEntry {
-                config: format!("ranked:{}", row.kernel),
-                duration_us: out.report.duration_us * inflate,
-            });
-        }
-    }
-
-    // The static-tune rows feed two gates: the shared diff (warm
-    // re-measurement vs the committed measured duration) and the
-    // cold-regime drift gate.  Cold rows are kept for the selftest.
-    let mut static_cold = Vec::new();
-    if with_static_tune {
-        let static_path = "results/tune_static.csv";
-        let static_csv = std::fs::read_to_string(static_path)
-            .unwrap_or_else(|e| panic!("read baseline {static_path}: {e}"));
-        let rows = parse_static_tune_baseline(&static_csv)
-            .unwrap_or_else(|e| panic!("parse baseline {static_path}: {e}"));
-        eprintln!(
-            "re-measuring {} static-sweep winners (warm diff + cold drift) ...",
-            rows.len()
-        );
-        for row in rows {
-            let cfg = paper::TABLE1
-                .iter()
-                .map(|col| KernelConfig::new(col.strategy, col.order))
-                .find(|c| c.label() == row.kernel)
-                .unwrap_or_else(|| panic!("{static_path}: unknown kernel {:?}", row.kernel))
-                .with_layout(
-                    milc_dslash::SharedLayout::from_tag(&row.layout)
-                        .unwrap_or_else(|| panic!("{static_path}: bad layout {:?}", row.layout)),
-                );
-            baseline.push(BaselineEntry {
-                config: format!("static:{}", row.kernel),
-                duration_us: row.measured_us,
-            });
-            let warm = run_config_warm(
-                &mut problem,
-                cfg,
-                row.local_size,
-                &exp.device,
-                QueueMode::OutOfOrder,
-            )
-            .unwrap_or_else(|e| panic!("{}: static winner failed to run: {e}", row.kernel));
-            fresh.push(BaselineEntry {
-                config: format!("static:{}", row.kernel),
-                duration_us: warm.report.duration_us * inflate,
-            });
-
-            // Cold drift: a fresh-state launch against the cold-regime
-            // calibrated estimate of the same point.
-            let est = estimate_config(&problem, cfg, row.local_size, &exp.device)
-                .unwrap_or_else(|e| panic!("{}: no static estimate: {e}", row.kernel));
-            let cold = run_config(
-                &mut problem,
-                cfg,
-                row.local_size,
-                &exp.device,
-                QueueMode::OutOfOrder,
-            )
-            .unwrap_or_else(|e| panic!("{}: cold run failed: {e}", row.kernel));
-            drift.rows.push(DriftRow::from_parts_in(
-                &format!("static:{}", row.kernel),
-                row.local_size,
-                cold.report.duration_us * inflate,
-                &cold.report.counters,
-                &est,
-                Regime::Cold,
-            ));
-            static_cold.push((row.kernel.clone(), cold, est));
-        }
-        if let Some((r, p)) = drift.worst() {
-            eprintln!(
-                "static-tune drift: worst path {} {} at {:+.3}% (tolerance ±{:.0}%)",
-                r.kernel, p.path, p.drift_pct, p.tolerance_pct
-            );
-        }
-    }
-
-    if with_scaling {
-        let scaling_path = "results/scaling.csv";
-        let scaling_csv = std::fs::read_to_string(scaling_path)
-            .unwrap_or_else(|e| panic!("read baseline {scaling_path}: {e}"));
-        baseline.extend(
-            parse_scaling_baseline(&scaling_csv)
-                .unwrap_or_else(|e| panic!("parse baseline {scaling_path}: {e}")),
-        );
+    if scaling {
         eprintln!("re-simulating the strong-scaling study ...");
-        // The committed tune cache makes this sweep-free; perfdiff never
-        // writes the cache back (it gates, it does not retune).
         let (mut cache, _) = TuneCache::load(Path::new("results/tunecache.json"));
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let points = strong_scaling(&exp, cfg, &[1, 2, 4, 8], &mut cache);
-        fresh.extend(points.into_iter().map(|p| BaselineEntry {
-            config: scaling_config_key(p.row.ranks, &p.row.mode),
-            duration_us: p.row.wall_us * inflate,
-        }));
+        let rows: Vec<_> = strong_scaling(&exp, cfg, &[1, 2, 4, 8], &mut cache)
+            .into_iter()
+            .map(|p| p.row)
+            .collect();
+        fresh.push(scaling_rows_to_csv(&rows));
     }
 
-    let report = diff(&baseline, &fresh, REGRESSION_THRESHOLD);
-    println!("{}", report.render());
+    let configs: Vec<KernelConfig> = paper::TABLE1
+        .iter()
+        .map(|col| KernelConfig::new(col.strategy, col.order))
+        .collect();
+    if ranked {
+        eprintln!("replaying 12 ranked sweeps (top-{RANKED_TOP_K} timed) ...");
+        let mut rows = Vec::new();
+        for &cfg in &configs {
+            match sweep(
+                &mut problem,
+                cfg,
+                &cfg.tunable_layouts(),
+                &exp.device,
+                QueueMode::OutOfOrder,
+                SweepMode::Ranked {
+                    time_top_k: RANKED_TOP_K,
+                },
+            ) {
+                Ok(s) => rows.push((cfg.label(), s.winner)),
+                Err(e) => failures.push(format!("{}: ranked sweep: {e}", cfg.label())),
+            }
+        }
+        fresh.push(ranked_rows_to_csv(&rows));
+    }
+
+    if static_tune {
+        eprintln!("replaying 12 static sweeps (warm launch + cold drift per winner) ...");
+        let mut rows = Vec::new();
+        for &cfg in &configs {
+            match replay_static(&mut problem, &exp, cfg) {
+                Ok((row, cold)) => {
+                    rows.push(row);
+                    drift.rows.push(cold);
+                }
+                Err(e) => failures.push(e),
+            }
+        }
+        fresh.push(static_rows_to_csv(&rows));
+    }
+
+    // The exact gate.  Tables that pass it are kept for the selftest.
+    let mut clean: Vec<(&Gate, &Table, Table)> = Vec::new();
+    for ((gate, want), text) in gates.iter().zip(&committed).zip(&fresh) {
+        let got = match Table::parse(text) {
+            Ok(t) => t,
+            Err(e) => {
+                failures.push(format!("{}: regenerated table unusable: {e}", gate.path));
+                continue;
+            }
+        };
+        let d = snapshot::diff(gate.path, want, &got, gate.key_columns, gate.ignore);
+        println!(
+            "{:24} {:3} rows: {} diffs",
+            gate.path,
+            want.rows().len(),
+            d.len()
+        );
+        for x in &d {
+            println!("  {x}");
+        }
+        if d.is_empty() {
+            clean.push((gate, want, got));
+        } else {
+            failures.push(format!("{}: {} cell diffs", gate.path, d.len()));
+        }
+    }
+
+    if let Some((row, p)) = drift.worst() {
+        println!(
+            "drift: {} rows, worst path {} {} at {:+.3}% (tolerance ±{:.0}%)",
+            drift.rows.len(),
+            row.kernel,
+            p.path,
+            p.drift_pct,
+            p.tolerance_pct
+        );
+    }
+    if drift.failed() {
+        print!("{}", drift.render_md());
+        failures.push("cost-model drift outside tolerance".into());
+    }
 
     if selftest {
-        let slowed: Vec<BaselineEntry> = fresh
-            .iter()
-            .map(|f| BaselineEntry {
-                config: f.config.clone(),
-                duration_us: f.duration_us * 1.2,
-            })
-            .collect();
-        let tripped = diff(&baseline, &slowed, REGRESSION_THRESHOLD);
-        assert!(
-            tripped.regressed(),
-            "selftest: a 1.2x slowdown must trip the gate"
-        );
-        println!(
-            "selftest: 1.2x inflation regresses {}/{} configs — gate verified",
-            tripped.rows.iter().filter(|r| r.regressed).count(),
-            tripped.rows.len()
-        );
-        if with_profile {
-            // A doubled duration sits far outside the ±25% duration
-            // tolerance (measured/predicted holds a ±10% band around 1
-            // after scale correction), so the drift gate must trip.
-            let mut slowed_drift = DriftReport::default();
-            for ((label, out), est) in outcomes.iter().zip(estimates.iter()) {
-                slowed_drift.rows.push(DriftRow::from_parts(
-                    label,
-                    est.local_size,
-                    out.report.duration_us * inflate * 2.0,
-                    &out.report.counters,
-                    est,
+        for (gate, want, got) in &clean {
+            let key = got.key(0, gate.key_columns);
+            let mut perturbed = got.clone();
+            // A clean table has the committed header, which names the probe.
+            let cell = perturbed
+                .cell_mut(0, gate.probe)
+                .expect("every gate's probe column is in its header");
+            let (before, after) = (cell.clone(), bump_last_digit(cell));
+            cell.clone_from(&after);
+            let d = snapshot::diff(gate.path, want, &perturbed, gate.key_columns, gate.ignore);
+            let exact = d.len() == 1
+                && (d[0].key.as_str(), d[0].column.as_str()) == (key.as_str(), gate.probe)
+                && (d[0].want.as_str(), d[0].got.as_str()) == (before.as_str(), after.as_str());
+            println!(
+                "selftest {} [{key}] {}: {before} -> {after}, gate reported {} diff(s) -> {}",
+                gate.path,
+                gate.probe,
+                d.len(),
+                if exact { "exactly that cell" } else { "FAIL" }
+            );
+            if !exact {
+                failures.push(format!(
+                    "selftest {}: perturbed cell not reported exactly",
+                    gate.path
                 ));
             }
-            assert!(
-                slowed_drift.failed(),
-                "selftest: a 2x duration inflation must trip the drift gate"
-            );
-            let broken = slowed_drift
-                .rows
-                .iter()
-                .filter(|r| !r.within_tolerance())
-                .count();
-            println!(
-                "selftest: 2x duration inflation breaks drift on {}/{} configs — drift gate verified",
-                broken,
-                slowed_drift.rows.len()
-            );
         }
-        if with_static_tune {
-            // Same proof for the cold-regime gate: doubled cold
-            // measurements must blow the ±25% duration tolerance.
-            let mut slowed_cold = DriftReport::default();
-            for (kernel, cold, est) in &static_cold {
-                slowed_cold.rows.push(DriftRow::from_parts_in(
-                    &format!("static:{kernel}"),
-                    est.local_size,
-                    cold.report.duration_us * inflate * 2.0,
-                    &cold.report.counters,
-                    est,
-                    Regime::Cold,
-                ));
-            }
-            assert!(
-                slowed_cold.failed(),
-                "selftest: a 2x cold-duration inflation must trip the cold drift gate"
-            );
-            let broken = slowed_cold
+        if !drift.rows.is_empty() {
+            let broken = drift
                 .rows
                 .iter()
-                .filter(|r| !r.within_tolerance())
+                .filter(|r| !r.with_duration_scaled(2.0).within_tolerance())
                 .count();
+            let all = broken == drift.rows.len();
             println!(
-                "selftest: 2x cold inflation breaks drift on {}/{} static winners — \
-                 cold gate verified",
-                broken,
-                slowed_cold.rows.len()
+                "selftest drift: 2x measured duration breaks {broken}/{} rows -> {}",
+                drift.rows.len(),
+                if all { "ok" } else { "FAIL" }
             );
+            if !all {
+                failures
+                    .push("selftest: a 2x duration inflation must break every drift row".into());
+            }
         }
     }
 
-    let drift_failed = drift.failed();
-    if drift_failed {
-        let (row, p) = drift.worst().expect("non-empty");
-        eprintln!(
-            "perfdiff: FAIL — cost-model drift: {} {} at {:+.2}% (tolerance ±{:.0}%)",
-            row.kernel, p.path, p.drift_pct, p.tolerance_pct
-        );
-    }
-    if report.regressed() {
-        eprintln!("perfdiff: FAIL — modelled-time regression beyond threshold");
-    }
-    if report.regressed() || drift_failed {
-        std::process::exit(1);
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("perfdiff: FAIL — {f}");
+        }
+        exit(1);
     }
     eprintln!("perfdiff: PASS");
 }

@@ -19,11 +19,11 @@
 //! - overlap efficiency strictly higher under the overlapped schedule
 //!   than in-order at every N.
 
-use milc_bench::{paper, provenance, strong_scaling, table1_outcomes, Experiment};
+use milc_bench::{paper, provenance, strong_scaling, table1_drift, table1_outcomes, Experiment};
 use milc_complex::DoubleComplex;
-use milc_dslash::obs::prof::{CriticalPath, DriftReport, DriftRow, RooflineRow};
+use milc_dslash::obs::prof::{CriticalPath, DriftReport, RooflineRow};
 use milc_dslash::shard::modelled_trace;
-use milc_dslash::{estimate_config, obs, DslashProblem, KernelConfig, TuneCache};
+use milc_dslash::{obs, DslashProblem, KernelConfig, TuneCache};
 use std::path::{Path, PathBuf};
 
 const SCALING_RANKS: [usize; 3] = [2, 4, 8];
@@ -71,17 +71,17 @@ fn main() {
     eprintln!("running 12 Table I configurations ...");
     let outcomes = table1_outcomes(&exp, &mut problem);
 
-    let mut roofline_rows = Vec::new();
-    let mut drift = DriftReport::default();
-    for ((label, out), col) in outcomes.iter().zip(paper::TABLE1.iter()) {
-        roofline_rows.push(RooflineRow::new(label, &out.report, &exp.device));
-        let cfg = KernelConfig::new(col.strategy, col.order);
-        let ls = paper::table1_local_size(col.strategy);
-        match estimate_config(&problem, cfg, ls, &exp.device) {
-            Ok(est) => drift.rows.push(DriftRow::new(label, &out.report, &est)),
-            Err(why) => failures.push(format!("{label}: no static estimate: {why}")),
+    let roofline_rows: Vec<RooflineRow> = outcomes
+        .iter()
+        .map(|(label, out)| RooflineRow::new(label, &out.report, &exp.device))
+        .collect();
+    let drift = match table1_drift(&exp, &problem, &outcomes) {
+        Ok(report) => report,
+        Err(why) => {
+            failures.push(why);
+            DriftReport::default()
         }
-    }
+    };
     drift.record_metrics();
 
     println!("\n=== roofline, Table I at L = {l} ===\n");

@@ -129,7 +129,8 @@ fn main() {
          wall clock must sit below the in-order row at every N)"
     );
 
-    // Provenance-stamped CSV (the perfdiff --scaling baseline format).
+    // Provenance-stamped CSV; `perfdiff --scaling` regenerates the rows
+    // through the same writer and diffs them.
     let csv = format!(
         "{}{}",
         provenance::header_comment(&exp.device),

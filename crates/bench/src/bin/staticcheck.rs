@@ -27,8 +27,8 @@ use milc_complex::DoubleComplex;
 use milc_dslash::tune::{sweep, SweepMode};
 use milc_dslash::{
     estimate_config, rank_candidates, run_config, run_config_staticcheck, staticcheck_kernel,
-    BrokenBarrierThreeLp1, DslashProblem, KernelConfig, OobGaugeIndex, PlainStoreThreeLp3,
-    UninitCRead,
+    BrokenBarrierThreeLp1, DriftRow, DslashProblem, KernelConfig, OobGaugeIndex,
+    PlainStoreThreeLp3, UninitCRead,
 };
 
 /// Tolerance of the static-vs-dynamic traffic cross-validation.
@@ -352,11 +352,13 @@ fn main() {
 
     // -- Part 3b: the cold-regime side of the cost model.  Per
     //    configuration the compulsory-miss path must price a cold
-    //    launch at or above the warm one, and the calibrated cold
-    //    prediction must land within ±25% of a genuinely cold measured
-    //    launch (`run_config`: fresh device state).  The per-run fitted
-    //    scale is reported next to the committed calibration table so a
-    //    drifting fit is visible before it trips the gate.
+    //    launch at or above the warm one, and a genuinely cold measured
+    //    launch (`run_config`: fresh device state) must hold every
+    //    cold-regime `DriftRow` path inside its tolerance: duration
+    //    within ±25% of the calibrated prediction, traffic within ±1%.
+    //    The per-run fitted scale is reported next to the committed
+    //    calibration table so a drifting fit is visible before it trips
+    //    the gate.
     md.push_str(&format!(
         "\n## Cold-regime predictions (compulsory-miss path, calibrated ×{})\n\n\
          | config | warm model (µs) | cold model (µs) | cold calibrated (µs) \
@@ -383,13 +385,21 @@ fn main() {
             }
         };
         let ordered = est.cold_duration_us >= est.duration_us;
-        let predicted = cal.calibrated_us(&est, Regime::Cold);
         let out = run_config(&mut problem, cfg, ls, &exp.device, QueueMode::OutOfOrder)
             .expect("table 1 configuration must launch");
-        let measured = out.report.duration_us;
+        let row = DriftRow::new(
+            &cfg.label(),
+            ls,
+            out.report.duration_us,
+            &out.report.counters,
+            &est,
+            Regime::Cold,
+        );
+        let duration = &row.paths[0];
+        let (measured, predicted, drift) =
+            (duration.measured, duration.predicted, duration.drift_pct);
         cold_pairs.push((measured, est.cold_duration_us));
-        let drift = (predicted - measured) / measured * 100.0;
-        let ok = ordered && drift.abs() <= milc_dslash::obs::prof::DURATION_TOLERANCE_PCT;
+        let ok = ordered && row.within_tolerance();
         failed |= !ok;
         eprintln!(
             "  {:16} @ {ls:3}: cold {predicted:9.1} µs vs measured {measured:9.1} µs \

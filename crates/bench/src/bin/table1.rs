@@ -9,8 +9,9 @@
 //! Perfetto-loadable Chrome trace of the run at PATH plus a Prometheus
 //! metrics snapshot at `results/metrics.txt`.
 
-use gpu_sim::ProfileReport;
-use milc_bench::{aggregate_counters, paper, provenance, table1_outcomes, Experiment};
+use milc_bench::{
+    aggregate_counters, paper, provenance, table1_csv, table1_outcomes, table1_profiles, Experiment,
+};
 use milc_complex::DoubleComplex;
 use milc_dslash::obs;
 use milc_dslash::DslashProblem;
@@ -51,10 +52,7 @@ fn main() {
 
     eprintln!("profiling 12 configurations ...");
     let outcomes = table1_outcomes(&exp, &mut problem);
-    let profiles: Vec<ProfileReport> = outcomes
-        .iter()
-        .map(|(label, out)| ProfileReport::from_launch(label.clone(), &out.report, &exp.device))
-        .collect();
+    let profiles = table1_profiles(&exp, &outcomes);
 
     if let Some((tracer_scope, metrics_scope, root)) = scopes {
         let totals = aggregate_counters(outcomes.iter().map(|(_, out)| &out.report));
@@ -141,30 +139,8 @@ fn main() {
         );
     }
 
-    // CSV.
     std::fs::create_dir_all("results").expect("create results dir");
-    let mut csv = String::from(
-        "config,paper_duration_us,sim_duration_us,paper_occ_pct,sim_occ_pct,paper_l1_miss,sim_l1_miss,paper_l2_miss,sim_l2_miss,paper_tags,sim_tags_equiv,sim_shared_wavefronts_equiv,sim_excessive_equiv,sim_divergent\n",
-    );
-    for (col, prof) in paper::TABLE1.iter().zip(&profiles) {
-        csv.push_str(&format!(
-            "{},{},{:.1},{},{:.1},{},{:.1},{},{:.1},{:.0},{:.0},{:.0},{:.0},{:.0}\n",
-            prof.label,
-            col.duration_us,
-            prof.duration_us,
-            col.occupancy_pct,
-            prof.occupancy_pct,
-            col.l1_miss_pct,
-            prof.l1_miss_pct,
-            col.l2_miss_pct,
-            prof.l2_miss_pct,
-            col.l1_tag_requests,
-            prof.l1_tag_requests as f64 * count_scale,
-            prof.shared_wavefronts as f64 * count_scale,
-            prof.excessive_wavefronts as f64 * count_scale,
-            prof.avg_divergent_branches,
-        ));
-    }
-    std::fs::write("results/table1.csv", csv).expect("write results/table1.csv");
+    std::fs::write("results/table1.csv", table1_csv(&exp, &profiles))
+        .expect("write results/table1.csv");
     println!("\nwritten to results/table1.csv");
 }

@@ -7,15 +7,17 @@
 //! twelve configurations it must avoid ≥ 60% of the exhaustive sweep
 //! launches.  At L = 16 the 3LP-1 k-major winner must additionally
 //! match the best point of `results/fig6.csv` within 1%, and the
-//! ranked winners are written to `results/tune_ranked.csv` — the
-//! baseline `perfdiff --ranked` gates against.
+//! ranked winners are written to `results/tune_ranked.csv`, which
+//! `perfdiff --ranked` regenerates by replaying the ranked sweeps and
+//! diffs exactly.
 //!
 //! The same phase also gates **measurement-free tuning**: per
 //! configuration a `SweepMode::Static` sweep must spend *zero* launches
 //! and its winner's measured duration (read off the exhaustive sweep)
 //! must be within 5% of the exhaustive winner's.  At L = 16 the static
-//! winners land in `results/tune_static.csv` — the baseline `perfdiff
-//! --static-tune` gates against.
+//! winners land in `results/tune_static.csv`, which `perfdiff
+//! --static-tune` regenerates by replaying the static sweeps and diffs
+//! exactly (all but `regret_pct`, gated here).
 //!
 //! Usage: `cargo run -p milc-bench --bin tune --release [L] [cache]
 //! [--static]` (default L = 16, cache = `results/tunecache.json`).
@@ -31,14 +33,12 @@
 //! cache file; the next run re-sweeps everything.
 
 use gpu_sim::{QueueMode, StaticCheckConfig};
-use milc_bench::{paper, Experiment};
+use milc_bench::snapshot::Table;
+use milc_bench::{paper, ranked_rows_to_csv, static_rows_to_csv, Experiment, RANKED_TOP_K};
 use milc_complex::DoubleComplex;
 use milc_dslash::tune::{sweep, LoadOutcome, SweepMode, Tuner};
 use milc_dslash::{run_config_staticcheck, DslashProblem, KernelConfig};
 use std::path::{Path, PathBuf};
-
-/// How many ranked candidates a pruned sweep times.
-const RANKED_TOP_K: usize = 3;
 
 /// Ranked and exhaustive winners must agree to this relative duration
 /// (the sweeps' flat middles are noise-tied; a genuinely worse
@@ -55,18 +55,19 @@ const RANKED_MIN_AVOIDED: f64 = 0.6;
 const STATIC_MAX_REGRET: f64 = 0.05;
 
 /// Best (minimum-duration) fig6.csv row of a series/order, if the file
-/// and such rows exist: `(local_size, duration_us)`.
+/// parses and has such rows: `(local_size, duration_us)`.
 fn fig6_best(path: &Path, series: &str, order: &str) -> Option<(u32, f64)> {
-    let text = std::fs::read_to_string(path).ok()?;
+    let table = Table::parse(&std::fs::read_to_string(path).ok()?).ok()?;
     let mut best: Option<(u32, f64)> = None;
-    for line in text.lines().skip(1) {
-        let f: Vec<&str> = line.split(',').collect();
-        if f.len() < 5 || f[0] != series || f[1] != order {
+    for i in 0..table.rows().len() {
+        if table.cell(i, "series")? != series || table.cell(i, "order")? != order {
             continue;
         }
-        let (ls, us): (u32, f64) = match (f[2].parse(), f[4].parse()) {
-            (Ok(ls), Ok(us)) => (ls, us),
-            _ => continue,
+        let (Ok(ls), Ok(us)) = (
+            table.cell(i, "local_size")?.parse::<u32>(),
+            table.cell(i, "duration_us")?.parse::<f64>(),
+        ) else {
+            continue;
         };
         if best.is_none_or(|(_, b)| us < b) {
             best = Some((ls, us));
@@ -357,42 +358,32 @@ fn main() {
     eprintln!("phase 3 (ranked sweeps): exhaustive vs statically pruned ...");
     let mut full_launches = 0u64;
     let mut ranked_launches = 0u64;
-    let mut ranked_rows: Vec<(String, u32, String, f64)> = Vec::new();
-    // (kernel, local_size, layout, predicted_us, measured_us, regret)
-    let mut static_rows: Vec<(String, u32, String, f64, f64, f64)> = Vec::new();
+    let mut ranked_rows = Vec::new();
+    let mut static_rows = Vec::new();
     for &cfg in &configs {
-        let full = match sweep(
-            &mut problem,
-            cfg,
-            &cfg.tunable_layouts(),
-            &exp.device,
-            QueueMode::OutOfOrder,
-            SweepMode::Exhaustive,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("  {:16} exhaustive sweep FAILED: {e}", cfg.label());
-                md.push_str(&format!(
-                    "| {} | — | — | — | — | — | — | — | FAILED: {e} |\n",
-                    cfg.label()
-                ));
-                failed = true;
-                continue;
-            }
+        let mut run = |mode| {
+            sweep(
+                &mut problem,
+                cfg,
+                &cfg.tunable_layouts(),
+                &exp.device,
+                QueueMode::OutOfOrder,
+                mode,
+            )
         };
-        let ranked = match sweep(
-            &mut problem,
-            cfg,
-            &cfg.tunable_layouts(),
-            &exp.device,
-            QueueMode::OutOfOrder,
-            SweepMode::Ranked {
-                time_top_k: RANKED_TOP_K,
-            },
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("  {:16} ranked sweep FAILED: {e}", cfg.label());
+        let swept = run(SweepMode::Exhaustive)
+            .map_err(|e| ("exhaustive", e))
+            .and_then(|full| {
+                run(SweepMode::Ranked {
+                    time_top_k: RANKED_TOP_K,
+                })
+                .map(|ranked| (full, ranked))
+                .map_err(|e| ("ranked", e))
+            });
+        let (full, ranked) = match swept {
+            Ok(pair) => pair,
+            Err((mode, e)) => {
+                eprintln!("  {:16} {mode} sweep FAILED: {e}", cfg.label());
                 md.push_str(&format!(
                     "| {} | — | — | — | — | — | — | — | FAILED: {e} |\n",
                     cfg.label()
@@ -404,14 +395,7 @@ fn main() {
         // Measurement-free gate: the static sweep must decide without
         // launching, and its winner — measured by the exhaustive sweep
         // above — must be within STATIC_MAX_REGRET of the true winner.
-        match sweep(
-            &mut problem,
-            cfg,
-            &cfg.tunable_layouts(),
-            &exp.device,
-            QueueMode::OutOfOrder,
-            SweepMode::Static,
-        ) {
+        match run(SweepMode::Static) {
             Ok(stat) => {
                 let measured = full
                     .timed()
@@ -438,14 +422,7 @@ fn main() {
                     stat.sweep_launches,
                     if ok { "ok" } else { "FAIL" }
                 );
-                static_rows.push((
-                    cfg.label(),
-                    stat.winner.local_size,
-                    stat.winner.layout.tag(),
-                    stat.winner.duration_us,
-                    measured_us,
-                    regret,
-                ));
+                static_rows.push((cfg.label(), stat.winner, measured_us, regret));
             }
             Err(e) => {
                 eprintln!("  {:16} static sweep FAILED: {e}", cfg.label());
@@ -459,12 +436,7 @@ fn main() {
         failed |= !ok;
         full_launches += full.sweep_launches;
         ranked_launches += ranked.sweep_launches;
-        ranked_rows.push((
-            cfg.label(),
-            ranked.winner.local_size,
-            ranked.winner.layout.tag(),
-            ranked.winner.duration_us,
-        ));
+        ranked_rows.push((cfg.label(), ranked.winner.clone()));
         eprintln!(
             "  {:16} launches {:3} -> {:2} ({:4.1}% avoided), winner {:4} {} vs {:4} {} \
              (|Δ| = {:.4}%) -> {}",
@@ -522,20 +494,20 @@ fn main() {
          |---|---:|---|---:|---:|---:|\n",
         STATIC_MAX_REGRET * 100.0
     ));
-    for (kernel, ls, layout, predicted, measured, regret) in &static_rows {
+    for (kernel, w, measured, regret) in &static_rows {
         md.push_str(&format!(
-            "| {kernel} | {ls} | {layout} | {predicted:.1} | {measured:.1} | {:+.2}% |\n",
+            "| {kernel} | {} | {} | {:.1} | {measured:.1} | {:+.2}% |\n",
+            w.local_size,
+            w.layout.tag(),
+            w.duration_us,
             regret * 100.0
         ));
     }
-    // The L = 16 run is the committed baseline for `perfdiff --ranked`
-    // and `perfdiff --static-tune`.
+    // The L = 16 run writes the files `perfdiff --ranked` and `perfdiff
+    // --static-tune` regenerate and diff.
     if l == 16 && !ranked_rows.is_empty() {
         let mut csv = milc_bench::provenance::header_comment(&exp.device);
-        csv.push_str("kernel,local_size,layout,duration_us\n");
-        for (kernel, ls, layout, us) in &ranked_rows {
-            csv.push_str(&format!("{kernel},{ls},{layout},{us:.3}\n"));
-        }
+        csv.push_str(&ranked_rows_to_csv(&ranked_rows));
         std::fs::create_dir_all("results").expect("create results dir");
         std::fs::write("results/tune_ranked.csv", &csv).expect("write results/tune_ranked.csv");
         eprintln!(
@@ -545,13 +517,7 @@ fn main() {
     }
     if l == 16 && !static_rows.is_empty() {
         let mut csv = milc_bench::provenance::header_comment(&exp.device);
-        csv.push_str("kernel,local_size,layout,predicted_us,measured_us,regret_pct\n");
-        for (kernel, ls, layout, predicted, measured, regret) in &static_rows {
-            csv.push_str(&format!(
-                "{kernel},{ls},{layout},{predicted:.3},{measured:.3},{:.2}\n",
-                regret * 100.0
-            ));
-        }
+        csv.push_str(&static_rows_to_csv(&static_rows));
         std::fs::create_dir_all("results").expect("create results dir");
         std::fs::write("results/tune_static.csv", &csv).expect("write results/tune_static.csv");
         eprintln!(

@@ -1,16 +1,21 @@
 //! Shared experiment machinery: the Fig. 6 sweep, the Table I profile
-//! run, the QUDA recon sweep and the timing-model calibration.
+//! run, the QUDA recon sweep, the timing-model calibration, the Table I
+//! cost-model drift, and the CSV writers of every committed
+//! `results/*.csv` (the `perfdiff` gate regenerates each file through
+//! the same writer).
 
 use crate::paper;
 use gpu_sim::timing::CalibrationSample;
 use gpu_sim::{
-    Counters, DeviceGroup, DeviceSpec, Interconnect, LaunchReport, ProfileReport, QueueMode,
+    Counters, DeviceGroup, DeviceSpec, Interconnect, LaunchReport, ProfileReport, QueueMode, Regime,
 };
 use milc_complex::{ComplexField, Cplx, DoubleComplex};
+use milc_dslash::obs::prof::{DriftReport, DriftRow};
 use milc_dslash::shard::{tune_rank_local_sizes, HaloFault, ShardMode, ShardOutcome};
+use milc_dslash::tune::CandidatePoint;
 use milc_dslash::{
-    run_config_warm, shard, DslashProblem, IndexOrder, KernelConfig, RunOutcome, Strategy,
-    TuneCache,
+    estimate_config, run_config_warm, shard, DslashProblem, IndexOrder, KernelConfig, RunOutcome,
+    Strategy, TuneCache,
 };
 use quda_ref::{Recon, StaggeredDslashTest};
 
@@ -115,7 +120,7 @@ impl SweepRow {
 /// Run every strategy x index order x legal local size (the main body
 /// of Fig. 6), with the hand-written kernels' default out-of-order
 /// queue.
-pub fn fig6_strategies<C: ComplexField>(
+fn fig6_strategies<C: ComplexField>(
     exp: &Experiment,
     problem: &mut DslashProblem<C>,
 ) -> Vec<SweepRow> {
@@ -141,7 +146,7 @@ pub fn fig6_strategies<C: ComplexField>(
 
 /// The five additional 3LP-1 implementations of Section IV-C (the gray
 /// shaded area of Fig. 6), swept over the k-major local sizes.
-pub fn fig6_variants(
+fn fig6_variants(
     exp: &Experiment,
     problem_dc: &mut DslashProblem<DoubleComplex>,
     problem_cplx: &mut DslashProblem<Cplx>,
@@ -234,7 +239,7 @@ pub fn fig6_variants(
 /// with QUDA-style gauge compression — "not a current feature of our
 /// SYCL implementation" (Section IV-D3) — swept over the k-major local
 /// sizes.  Not part of Fig. 6; reported as an extension row.
-pub fn extension_compressed_3lp1(exp: &Experiment) -> Vec<SweepRow> {
+fn extension_compressed_3lp1(exp: &Experiment) -> Vec<SweepRow> {
     use milc_lattice::recon::Recon;
     let base = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
     let mut rows = Vec::new();
@@ -260,6 +265,18 @@ pub fn extension_compressed_3lp1(exp: &Experiment) -> Vec<SweepRow> {
             rows.push(row);
         }
     }
+    rows
+}
+
+/// The whole Fig. 6 sweep as `results/fig6.csv` records it: every
+/// strategy, the five 3LP-1 variants and the compressed-gauge
+/// extension series.
+pub fn fig6_rows(exp: &Experiment) -> Vec<SweepRow> {
+    let mut problem = DslashProblem::<DoubleComplex>::random(exp.l, exp.seed);
+    let mut problem_cplx = DslashProblem::<Cplx>::random(exp.l, exp.seed);
+    let mut rows = fig6_strategies(exp, &mut problem);
+    rows.extend(fig6_variants(exp, &mut problem, &mut problem_cplx));
+    rows.extend(extension_compressed_3lp1(exp));
     rows
 }
 
@@ -311,16 +328,73 @@ pub fn table1_outcomes(
         .collect()
 }
 
-/// Run the twelve Table I configurations and produce profile reports in
-/// the paper's column order.
-pub fn table1_profiles(
-    exp: &Experiment,
-    problem: &mut DslashProblem<DoubleComplex>,
-) -> Vec<ProfileReport> {
-    table1_outcomes(exp, problem)
-        .into_iter()
-        .map(|(label, out)| ProfileReport::from_launch(label, &out.report, &exp.device))
+/// Profile reports of the Table I outcomes, in the paper's column
+/// order.
+pub fn table1_profiles(exp: &Experiment, outcomes: &[(String, RunOutcome)]) -> Vec<ProfileReport> {
+    outcomes
+        .iter()
+        .map(|(label, out)| ProfileReport::from_launch(label.clone(), &out.report, &exp.device))
         .collect()
+}
+
+/// Format the Table I profiles as `results/table1.csv`: the paper's
+/// value next to the simulated one, counters scaled to A100
+/// equivalents (counter magnitudes scale with the simulated volume).
+pub fn table1_csv(exp: &Experiment, profiles: &[ProfileReport]) -> String {
+    let count_scale = 1.0 / exp.volume_ratio;
+    let mut csv = String::from(
+        "config,paper_duration_us,sim_duration_us,paper_occ_pct,sim_occ_pct,paper_l1_miss,sim_l1_miss,paper_l2_miss,sim_l2_miss,paper_tags,sim_tags_equiv,sim_shared_wavefronts_equiv,sim_excessive_equiv,sim_divergent\n",
+    );
+    for (col, prof) in paper::TABLE1.iter().zip(profiles) {
+        csv.push_str(&format!(
+            "{},{},{:.1},{},{:.1},{},{:.1},{},{:.1},{:.0},{:.0},{:.0},{:.0},{:.0}\n",
+            prof.label,
+            col.duration_us,
+            prof.duration_us,
+            col.occupancy_pct,
+            prof.occupancy_pct,
+            col.l1_miss_pct,
+            prof.l1_miss_pct,
+            col.l2_miss_pct,
+            prof.l2_miss_pct,
+            col.l1_tag_requests,
+            prof.l1_tag_requests as f64 * count_scale,
+            prof.shared_wavefronts as f64 * count_scale,
+            prof.excessive_wavefronts as f64 * count_scale,
+            prof.avg_divergent_branches,
+        ));
+    }
+    csv
+}
+
+/// Drift of the warm Table I launches: each outcome of
+/// [`table1_outcomes`] against the static estimate of its
+/// configuration.  `Err` names the first configuration the cost model
+/// cannot estimate.
+pub fn table1_drift(
+    exp: &Experiment,
+    problem: &DslashProblem<DoubleComplex>,
+    outcomes: &[(String, RunOutcome)],
+) -> Result<DriftReport, String> {
+    let rows = outcomes
+        .iter()
+        .zip(paper::TABLE1.iter())
+        .map(|((label, out), col)| {
+            let cfg = KernelConfig::new(col.strategy, col.order);
+            let ls = paper::table1_local_size(col.strategy);
+            let est = estimate_config(problem, cfg, ls, &exp.device)
+                .map_err(|e| format!("{label}: no static estimate: {e}"))?;
+            Ok(DriftRow::new(
+                label,
+                ls,
+                out.report.duration_us,
+                &out.report.counters,
+                &est,
+                Regime::Warm,
+            ))
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(DriftReport { rows })
 }
 
 /// Aggregate the counters of a multi-launch run into one saturating
@@ -430,12 +504,6 @@ pub struct ScalingPoint {
     pub outcome: ShardOutcome,
 }
 
-/// The baseline key of a scaling row, as gated by `perfdiff`
-/// (`N=<ranks> <mode>`).
-pub fn scaling_config_key(ranks: usize, mode: &str) -> String {
-    format!("N={ranks} {mode}")
-}
-
 /// Run the strong-scaling study: the same global lattice decomposed
 /// across each rank count of `rank_counts` (NVLink-class interconnect,
 /// one volume-matched device per rank), under both exchange schedules,
@@ -524,8 +592,10 @@ pub fn scaling_rows_to_csv(rows: &[ScalingRow]) -> String {
     s
 }
 
-/// Format sweep rows as CSV (`series,order,local_size,gflops,...`).
-pub fn rows_to_csv(rows: &[SweepRow]) -> String {
+/// Format the Fig. 6 sweep rows plus the QUDA reference points (from
+/// [`quda_recons`]; GFLOP/s only, no modelled duration) as
+/// `results/fig6.csv` (`series,order,local_size,gflops,...`).
+pub fn rows_to_csv(rows: &[SweepRow], quda: &[(Recon, f64, u32)]) -> String {
     let mut s = String::from(
         "series,order,local_size,gflops_a100_equiv,duration_us,occupancy_pct,validated,max_rel_error\n",
     );
@@ -540,6 +610,53 @@ pub fn rows_to_csv(rows: &[SweepRow]) -> String {
             r.occupancy_pct,
             r.validated,
             r.max_rel_error
+        ));
+    }
+    for (recon, gflops, ls) in quda {
+        s.push_str(&format!(
+            "QUDA {},-,{ls},{gflops:.1},,,true,\n",
+            recon.label()
+        ));
+    }
+    s
+}
+
+/// How many statically ranked candidates the ranked sweeps behind
+/// `results/tune_ranked.csv` time.
+pub const RANKED_TOP_K: usize = 3;
+
+/// Format ranked-sweep winners as `results/tune_ranked.csv`
+/// (`kernel,local_size,layout,duration_us`), one `(kernel label,
+/// winner)` per configuration.
+pub fn ranked_rows_to_csv(rows: &[(String, CandidatePoint)]) -> String {
+    let mut s = String::from("kernel,local_size,layout,duration_us\n");
+    for (kernel, w) in rows {
+        s.push_str(&format!(
+            "{kernel},{},{},{:.3}\n",
+            w.local_size,
+            w.layout.tag(),
+            w.duration_us
+        ));
+    }
+    s
+}
+
+/// One static-sweep winner: kernel label, the predicted winning point,
+/// its measured duration (µs) and its regret against the measured
+/// winner (fraction).
+pub type StaticRow = (String, CandidatePoint, f64, f64);
+
+/// Format static-sweep winners as `results/tune_static.csv`
+/// (`kernel,local_size,layout,predicted_us,measured_us,regret_pct`).
+pub fn static_rows_to_csv(rows: &[StaticRow]) -> String {
+    let mut s = String::from("kernel,local_size,layout,predicted_us,measured_us,regret_pct\n");
+    for (kernel, w, measured, regret) in rows {
+        s.push_str(&format!(
+            "{kernel},{},{},{:.3},{measured:.3},{:.2}\n",
+            w.local_size,
+            w.layout.tag(),
+            w.duration_us,
+            regret * 100.0
         ));
     }
     s

@@ -16,12 +16,12 @@
 
 pub mod harness;
 pub mod paper;
-pub mod perfdiff;
 pub mod provenance;
+pub mod snapshot;
 
 pub use harness::{
-    aggregate_counters, best_of, best_of_order, calibration_samples, extension_compressed_3lp1,
-    fig6_strategies, fig6_variants, quda_recons, rows_to_csv, scaling_config_key,
-    scaling_rows_to_csv, strong_scaling, table1_outcomes, table1_profiles, Experiment,
-    ScalingPoint, ScalingRow, SweepRow,
+    aggregate_counters, best_of, best_of_order, calibration_samples, fig6_rows, quda_recons,
+    ranked_rows_to_csv, rows_to_csv, scaling_rows_to_csv, static_rows_to_csv, strong_scaling,
+    table1_csv, table1_drift, table1_outcomes, table1_profiles, Experiment, ScalingPoint,
+    ScalingRow, StaticRow, SweepRow, RANKED_TOP_K,
 };

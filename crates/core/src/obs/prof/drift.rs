@@ -8,8 +8,13 @@
 //! against its [`CostEstimate`] along named *paths* (duration, L1 tag
 //! requests, L1 sector requests), exports the signed relative error as
 //! `costmodel_drift_pct{kernel,path}` gauges, and renders a gateable
-//! report: `perfdiff --profile` fails when any path exceeds its
-//! tolerance.
+//! report.  One [`DriftRow::new`] serves every consumer: `profile` and
+//! `perfdiff --profile` (warm Table I launches), `perfdiff
+//! --static-tune` (cold launches of the static winners) and
+//! `staticcheck` (cold Table I launches).  Each fails when any path
+//! exceeds its tolerance.  Drift is model error, so it keeps a
+//! tolerance; the modelled numbers themselves are gated exactly
+//! (`milc_bench::snapshot`).
 //!
 //! Tolerances differ by path on purpose.  The replay-based traffic
 //! predictions are statically exact (cross-validated at 0.000%), so
@@ -25,7 +30,7 @@
 //! trips it.
 
 use gpu_sim::staticcheck::CostEstimate;
-use gpu_sim::{Counters, LaunchReport, Regime, RegimeCalibration};
+use gpu_sim::{Counters, Regime, RegimeCalibration};
 
 /// Calibrated ratio of measured duration to the analytic estimate for
 /// one regime — read from the *shared*
@@ -98,43 +103,13 @@ pub struct DriftRow {
 }
 
 impl DriftRow {
-    /// Compare a measured launch against its static estimate.
-    pub fn new(kernel: &str, report: &LaunchReport, estimate: &CostEstimate) -> Self {
-        Self::from_parts(
-            kernel,
-            report.range.local,
-            report.duration_us,
-            &report.counters,
-            estimate,
-        )
-    }
-
-    /// Compare from raw measured parts — lets callers inject an
-    /// inflated duration to prove the FAIL path.  Warm regime; use
-    /// [`Self::from_parts_in`] for cold launches.
-    pub fn from_parts(
-        kernel: &str,
-        local_size: u32,
-        measured_duration_us: f64,
-        measured: &Counters,
-        estimate: &CostEstimate,
-    ) -> Self {
-        Self::from_parts_in(
-            kernel,
-            local_size,
-            measured_duration_us,
-            measured,
-            estimate,
-            Regime::Warm,
-        )
-    }
-
-    /// [`Self::from_parts`] against an explicit cache [`Regime`]: the
-    /// duration path compares against the regime's analytic duration
-    /// scaled by the regime's entry in the shared calibration table.
-    /// The traffic paths are regime-independent (requests don't depend
-    /// on cache state) and compare as usual.
-    pub fn from_parts_in(
+    /// Compare a measured launch (its duration and counters) against
+    /// its static estimate in the given cache [`Regime`]: the duration
+    /// path compares against the regime's analytic duration scaled by
+    /// the regime's entry in the shared calibration table; the traffic
+    /// paths are regime-independent (requests don't depend on cache
+    /// state).
+    pub fn new(
         kernel: &str,
         local_size: u32,
         measured_duration_us: f64,
@@ -172,6 +147,27 @@ impl DriftRow {
     /// Whether every path is inside tolerance.
     pub fn within_tolerance(&self) -> bool {
         self.paths.iter().all(DriftPath::within_tolerance)
+    }
+
+    /// The row with its measured duration multiplied by `factor` and
+    /// the traffic paths unchanged: the injected slowdown a gate
+    /// self-test must catch.
+    pub fn with_duration_scaled(&self, factor: f64) -> Self {
+        let paths = self
+            .paths
+            .iter()
+            .map(|p| match p.path {
+                "duration" => {
+                    DriftPath::new(p.path, p.measured * factor, p.predicted, p.tolerance_pct)
+                }
+                _ => p.clone(),
+            })
+            .collect();
+        Self {
+            kernel: self.kernel.clone(),
+            local_size: self.local_size,
+            paths,
+        }
     }
 }
 
@@ -291,6 +287,22 @@ mod tests {
         let md = report.render_md();
         assert!(md.contains("FAIL"), "{md}");
         assert!(md.contains("| ok |") || md.contains(" ok "), "{md}");
+    }
+
+    #[test]
+    fn scaled_duration_moves_only_the_duration_path() {
+        let row = DriftRow {
+            kernel: "a".into(),
+            local_size: 32,
+            paths: vec![
+                path(110.0, 100.0, 25.0),
+                DriftPath::new("l1_tag_requests", 50.0, 50.0, 1.0),
+            ],
+        };
+        let slowed = row.with_duration_scaled(2.0);
+        assert!((slowed.paths[0].drift_pct - 120.0).abs() < 1e-9);
+        assert_eq!(slowed.paths[1].drift_pct, 0.0);
+        assert!(row.within_tolerance() && !slowed.within_tolerance());
     }
 
     #[test]

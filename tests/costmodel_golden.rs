@@ -14,7 +14,7 @@
 //! **Updating the snapshot** (after an *intentional* model change):
 //!
 //! ```text
-//! COSTMODEL_GOLDEN_UPDATE=1 cargo test --test costmodel_golden
+//! GOLDEN_UPDATE=1 cargo test --test costmodel_golden
 //! ```
 //!
 //! then review the diff like any other code change — every moved
@@ -22,23 +22,16 @@
 //! differential suite (`cargo test --test costmodel_diff`) to confirm
 //! the predictions still track measurement.
 
+use milc_bench::snapshot::check_golden;
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex;
 use milc_dslash::{rank_candidates, DslashProblem, KernelConfig};
-use std::path::PathBuf;
 
 /// Same lattice, seed and (volume-matched) device as `tune_golden`, so
 /// the static predictions here and the measured selections there can be
 /// compared eyeball-to-eyeball.
 const L: usize = 4;
 const SEED: u64 = 2024;
-
-fn snapshot_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("snapshots")
-        .join("costmodel_golden.csv")
-}
 
 /// One CSV line per `(config, legal local size)`, in predicted-rank
 /// order within each config.  Durations to 3 decimals, occupancy to 4 —
@@ -83,44 +76,12 @@ fn static_predictions_match_the_golden_snapshot() {
         "kernel,local_size,rank,occupancy,limiter,waves,duration_us\n{}\n",
         rows.join("\n")
     );
-    let path = snapshot_path();
-
-    if std::env::var_os("COSTMODEL_GOLDEN_UPDATE").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("costmodel_golden: snapshot updated at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             COSTMODEL_GOLDEN_UPDATE=1 cargo test --test costmodel_golden",
-            path.display()
-        )
-    });
-    let golden_rows: Vec<&str> = golden.lines().skip(1).filter(|l| !l.is_empty()).collect();
-    assert_eq!(
-        golden_rows.len(),
-        rows.len(),
-        "snapshot has {} rows, the model produced {} — regenerate with \
-         COSTMODEL_GOLDEN_UPDATE=1 if the candidate sets changed",
-        golden_rows.len(),
-        rows.len()
-    );
-    let mut drifted = Vec::new();
-    for (got, want) in rows.iter().zip(&golden_rows) {
-        if got != want {
-            drifted.push(format!("  got  `{got}`\n  want `{want}`"));
-        }
-    }
-    assert!(
-        drifted.is_empty(),
-        "static predictions drifted from the golden snapshot \
-         ({}); if the model change is intentional, regenerate with \
-         COSTMODEL_GOLDEN_UPDATE=1 cargo test --test costmodel_golden and review the diff:\n{}",
-        path.display(),
-        drifted.join("\n")
+    check_golden(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/snapshots/costmodel_golden.csv"
+        ),
+        &rendered,
     );
 }
 

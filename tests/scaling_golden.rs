@@ -14,26 +14,19 @@
 //! **Updating the snapshot** (after an *intentional* model change):
 //!
 //! ```text
-//! SCALING_GOLDEN_UPDATE=1 cargo test --test scaling_golden
+//! GOLDEN_UPDATE=1 cargo test --test scaling_golden
 //! ```
 //!
 //! then review the diff like any other code change and regenerate the
 //! committed artifact (`cargo run -p milc-bench --bin scaling
 //! --release`).
 
+use milc_bench::snapshot::check_golden;
 use milc_bench::{strong_scaling, Experiment};
 use milc_dslash::{IndexOrder, KernelConfig, Strategy, TuneCache};
-use std::path::PathBuf;
 
 const L: usize = 8;
 const SEED: u64 = 2024;
-
-fn snapshot_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("snapshots")
-        .join("scaling_golden.csv")
-}
 
 /// Run the study; one CSV line per (rank count, schedule).  Wall and
 /// comm times printed to 3 decimals — coarser than f64, fine enough
@@ -71,44 +64,12 @@ fn scaling_study_matches_the_golden_snapshot() {
         "ranks,mode,wall_us,comm_us,halo_bytes,local_sizes\n{}\n",
         rows.join("\n")
     );
-    let path = snapshot_path();
-
-    if std::env::var_os("SCALING_GOLDEN_UPDATE").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("scaling_golden: snapshot updated at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             SCALING_GOLDEN_UPDATE=1 cargo test --test scaling_golden",
-            path.display()
-        )
-    });
-    let golden_rows: Vec<&str> = golden.lines().skip(1).filter(|l| !l.is_empty()).collect();
-    assert_eq!(
-        golden_rows.len(),
-        rows.len(),
-        "snapshot has {} rows, the study produced {} — regenerate with \
-         SCALING_GOLDEN_UPDATE=1 if the rank-count set changed",
-        golden_rows.len(),
-        rows.len()
-    );
-    let mut drifted = Vec::new();
-    for (got, want) in rows.iter().zip(&golden_rows) {
-        if got != want {
-            drifted.push(format!("  got  `{got}`\n  want `{want}`"));
-        }
-    }
-    assert!(
-        drifted.is_empty(),
-        "the strong-scaling study drifted from the golden snapshot \
-         ({}); if the model change is intentional, regenerate with \
-         SCALING_GOLDEN_UPDATE=1 cargo test --test scaling_golden and review the diff:\n{}",
-        path.display(),
-        drifted.join("\n")
+    check_golden(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/snapshots/scaling_golden.csv"
+        ),
+        &rendered,
     );
 }
 

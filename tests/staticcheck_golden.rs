@@ -17,59 +17,22 @@
 //! change):
 //!
 //! ```text
-//! STATICCHECK_GOLDEN_UPDATE=1 cargo test --test staticcheck_golden
+//! GOLDEN_UPDATE=1 cargo test --test staticcheck_golden
 //! ```
 //!
 //! then review the diff of both snapshots — every changed line is a
 //! statement the analyzer proves about a shipped kernel.
 
 use gpu_sim::{StaticCheckConfig, StaticReport};
+use milc_bench::snapshot::check_golden;
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex;
 use milc_dslash::tune::candidate_local_sizes;
 use milc_dslash::{run_config_staticcheck, DslashProblem, KernelConfig};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const L: usize = 8;
 const SEED: u64 = 2024;
-
-fn snapshot_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("snapshots")
-        .join(name)
-}
-
-/// Compare `rendered` with the named snapshot, or rewrite the snapshot
-/// under `STATICCHECK_GOLDEN_UPDATE`.
-fn check_snapshot(name: &str, rendered: &str) {
-    let path = snapshot_path(name);
-
-    if std::env::var_os("STATICCHECK_GOLDEN_UPDATE").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, rendered).unwrap();
-        eprintln!("staticcheck_golden: snapshot updated at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             STATICCHECK_GOLDEN_UPDATE=1 cargo test --test staticcheck_golden",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        golden,
-        "static verdicts drifted from the golden snapshot ({}); if the \
-         analyzer/kernel change is intentional, regenerate with \
-         STATICCHECK_GOLDEN_UPDATE=1 cargo test --test staticcheck_golden \
-         and review the diff",
-        path.display()
-    );
-}
 
 /// Analyze the twelve Table I configurations (proof set, no full
 /// traffic enumeration — the `staticcheck` bin owns that) and render
@@ -97,7 +60,13 @@ fn rendered_reports() -> String {
 
 #[test]
 fn table1_static_verdicts_match_the_golden_snapshot() {
-    check_snapshot("staticcheck_golden.txt", &rendered_reports());
+    check_golden(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/snapshots/staticcheck_golden.txt"
+        ),
+        &rendered_reports(),
+    );
 }
 
 /// 64-bit FNV-1a.
@@ -155,7 +124,13 @@ fn candidate_lines() -> String {
 
 #[test]
 fn every_tuner_candidate_matches_the_coverage_snapshot() {
-    check_snapshot("staticcheck_candidates_L4.txt", &candidate_lines());
+    check_golden(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/snapshots/staticcheck_candidates_L4.txt"
+        ),
+        &candidate_lines(),
+    );
 }
 
 #[test]

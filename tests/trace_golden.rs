@@ -11,28 +11,21 @@
 //! change):
 //!
 //! ```text
-//! TRACE_GOLDEN_UPDATE=1 cargo test --test trace_golden
+//! GOLDEN_UPDATE=1 cargo test --test trace_golden
 //! ```
 //!
 //! then review the diff of `tests/snapshots/trace_golden.txt` — every
 //! added/removed line is a span appearing in/disappearing from every
 //! timeline users load into Perfetto.
 
+use milc_bench::snapshot::check_golden;
 use milc_bench::{table1_outcomes, Experiment};
 use milc_complex::DoubleComplex;
 use milc_dslash::obs;
 use milc_dslash::DslashProblem;
-use std::path::PathBuf;
 
 const L: usize = 8;
 const SEED: u64 = 2024;
-
-fn snapshot_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("snapshots")
-        .join("trace_golden.txt")
-}
 
 /// Run the twelve Table I configurations under a tracer, as
 /// `table1 --trace` does, and return the recorded trace.
@@ -53,32 +46,12 @@ fn traced_table1() -> obs::Trace {
 
 #[test]
 fn table1_trace_shape_matches_the_golden_snapshot() {
-    let trace = traced_table1();
-    let rendered = trace.shape();
-    let path = snapshot_path();
-
-    if std::env::var_os("TRACE_GOLDEN_UPDATE").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("trace_golden: snapshot updated at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             TRACE_GOLDEN_UPDATE=1 cargo test --test trace_golden",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        golden,
-        "trace shape drifted from the golden snapshot ({}); if the \
-         instrumentation change is intentional, regenerate with \
-         TRACE_GOLDEN_UPDATE=1 cargo test --test trace_golden and review \
-         the diff",
-        path.display()
+    check_golden(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/snapshots/trace_golden.txt"
+        ),
+        &traced_table1().shape(),
     );
 }
 

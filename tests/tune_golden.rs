@@ -11,7 +11,7 @@
 //! **Updating the snapshot** (after an *intentional* model change):
 //!
 //! ```text
-//! TUNE_GOLDEN_UPDATE=1 cargo test --test tune_golden
+//! GOLDEN_UPDATE=1 cargo test --test tune_golden
 //! ```
 //!
 //! then review the diff of `tests/snapshots/tune_golden.csv` like any
@@ -21,24 +21,17 @@
 //! Fig. 6 cross-check still holds.
 
 use gpu_sim::QueueMode;
+use milc_bench::snapshot::check_golden;
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex;
 use milc_dslash::tune::Tuner;
 use milc_dslash::{DslashProblem, KernelConfig};
-use std::path::PathBuf;
 
 /// Same lattice, seed and (volume-matched) device as the CI smoke run
 /// `cargo run -p milc-bench --bin tune -- 4`, so this snapshot and the
 /// bin's report can be compared eyeball-to-eyeball.
 const L: usize = 4;
 const SEED: u64 = 2024;
-
-fn snapshot_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("snapshots")
-        .join("tune_golden.csv")
-}
 
 /// Tune all twelve Table I configurations; one CSV line per config.
 /// Durations are printed to 3 decimals — far coarser than f64 but fine
@@ -74,44 +67,12 @@ fn tuner_selections_match_the_golden_snapshot() {
         "kernel,local_size,layout,duration_us\n{}\n",
         rows.join("\n")
     );
-    let path = snapshot_path();
-
-    if std::env::var_os("TUNE_GOLDEN_UPDATE").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("tune_golden: snapshot updated at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             TUNE_GOLDEN_UPDATE=1 cargo test --test tune_golden",
-            path.display()
-        )
-    });
-    let golden_rows: Vec<&str> = golden.lines().skip(1).filter(|l| !l.is_empty()).collect();
-    assert_eq!(
-        golden_rows.len(),
-        rows.len(),
-        "snapshot has {} rows, tuner produced {} — regenerate with \
-         TUNE_GOLDEN_UPDATE=1 if the Table I configuration set changed",
-        golden_rows.len(),
-        rows.len()
-    );
-    let mut drifted = Vec::new();
-    for (got, want) in rows.iter().zip(&golden_rows) {
-        if got != want {
-            drifted.push(format!("  got  `{got}`\n  want `{want}`"));
-        }
-    }
-    assert!(
-        drifted.is_empty(),
-        "tuner selections drifted from the golden snapshot \
-         ({}); if the perf-model change is intentional, regenerate with \
-         TUNE_GOLDEN_UPDATE=1 cargo test --test tune_golden and review the diff:\n{}",
-        path.display(),
-        drifted.join("\n")
+    check_golden(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/snapshots/tune_golden.csv"
+        ),
+        &rendered,
     );
 }
 
