@@ -13,6 +13,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --offline -q --workspace
 
+echo "== device CG examples (end-to-end smoke of warm launches; traced_solve fails without steady-state memo hits) =="
+for example in cg_solver tuned_solver traced_solve; do
+  cargo run --offline --release -q --example "$example"
+done
+
 echo "== hostbench unit tests (the benchmark still builds against the workspace API) =="
 cargo test --release --offline -q --manifest-path hostbench/Cargo.toml
 

@@ -16,7 +16,8 @@
 //!   launches (the committed file is L = 16, the default; L must be a
 //!   power of two ≥ 8 for the paper's local sizes to launch);
 //! - `--fig6`: `results/fig6.csv`, the full sweep plus the QUDA points
-//!   (several minutes);
+//!   (several minutes), and `results/quda_recon.csv` from the same
+//!   QUDA runs;
 //! - `--scaling`: `results/scaling.csv`, N = 1, 2, 4, 8 under both
 //!   exchange schedules, per-rank sizes from the committed
 //!   `results/tunecache.json` (never written back);
@@ -41,9 +42,9 @@
 use gpu_sim::{QueueMode, Regime};
 use milc_bench::snapshot::{self, Table};
 use milc_bench::{
-    fig6_rows, paper, quda_recons, ranked_rows_to_csv, rows_to_csv, scaling_rows_to_csv,
-    static_rows_to_csv, strong_scaling, table1_csv, table1_drift, table1_outcomes, table1_profiles,
-    Experiment, StaticRow, RANKED_TOP_K,
+    fig6_rows, paper, quda_recon_csv, quda_recons, ranked_rows_to_csv, rows_to_csv,
+    scaling_rows_to_csv, static_rows_to_csv, strong_scaling, table1_csv, table1_drift,
+    table1_outcomes, table1_profiles, Experiment, StaticRow, RANKED_TOP_K,
 };
 use milc_complex::DoubleComplex;
 use milc_dslash::obs::prof::{DriftReport, DriftRow};
@@ -84,6 +85,7 @@ const fn gate(
 
 const TABLE1: Gate = gate("results/table1.csv", 1, &[], "sim_duration_us");
 const FIG6: Gate = gate("results/fig6.csv", 3, &[], "duration_us");
+const QUDA_RECON: Gate = gate("results/quda_recon.csv", 1, &[], "sim_gflops");
 const SCALING: Gate = gate("results/scaling.csv", 2, &[], "wall_us");
 const RANKED: Gate = gate("results/tune_ranked.csv", 1, &[], "duration_us");
 const STATIC_TUNE: Gate = gate("results/tune_static.csv", 1, &["regret_pct"], "measured_us");
@@ -188,6 +190,7 @@ fn main() {
     let gates: Vec<Gate> = [
         (true, TABLE1),
         (fig6, FIG6),
+        (fig6, QUDA_RECON),
         (scaling, SCALING),
         (ranked, RANKED),
         (static_tune, STATIC_TUNE),
@@ -221,7 +224,9 @@ fn main() {
 
     if fig6 {
         eprintln!("re-simulating the Fig. 6 sweep (this takes a while) ...");
-        fresh.push(rows_to_csv(&fig6_rows(&exp), &quda_recons(&exp)));
+        let quda = quda_recons(&exp);
+        fresh.push(rows_to_csv(&fig6_rows(&exp), &quda));
+        fresh.push(quda_recon_csv(&quda));
     }
 
     if scaling {

@@ -3,8 +3,7 @@
 //!
 //! Usage: `cargo run -p milc-bench --bin quda_recon --release [L]`
 
-use milc_bench::{paper, quda_recons, Experiment};
-use quda_ref::Recon;
+use milc_bench::{quda_paper_gflops, quda_recon_csv, quda_recons, Experiment};
 
 fn main() {
     let l: usize = std::env::args()
@@ -20,31 +19,18 @@ fn main() {
         "{:10} {:>12} {:>14} {:>14}",
         "recon", "tuned block", "paper GF/s", "sim GF/s"
     );
-    for (recon, gflops, ls) in &results {
-        let paper_val = match recon {
-            Recon::R18 => paper::QUDA_RECON18_GFLOPS,
-            Recon::R12 => paper::QUDA_RECON12_GFLOPS,
-            Recon::R9 => paper::QUDA_RECON9_GFLOPS,
-        };
+    for &(recon, gflops, ls) in &results {
         println!(
             "{:10} {:>12} {:>14.1} {:>14.1}",
             recon.label(),
             ls,
-            paper_val,
+            quda_paper_gflops(recon),
             gflops
         );
     }
 
     std::fs::create_dir_all("results").expect("create results dir");
-    let mut csv = String::from("recon,tuned_block,paper_gflops,sim_gflops\n");
-    for (recon, gflops, ls) in &results {
-        let paper_val = match recon {
-            Recon::R18 => paper::QUDA_RECON18_GFLOPS,
-            Recon::R12 => paper::QUDA_RECON12_GFLOPS,
-            Recon::R9 => paper::QUDA_RECON9_GFLOPS,
-        };
-        csv.push_str(&format!("{},{ls},{paper_val},{gflops:.1}\n", recon.label()));
-    }
-    std::fs::write("results/quda_recon.csv", csv).expect("write results/quda_recon.csv");
+    std::fs::write("results/quda_recon.csv", quda_recon_csv(&results))
+        .expect("write results/quda_recon.csv");
     println!("\nwritten to results/quda_recon.csv");
 }

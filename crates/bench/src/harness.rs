@@ -298,6 +298,29 @@ pub fn quda_recons(exp: &Experiment) -> Vec<(Recon, f64, u32)> {
         .collect()
 }
 
+/// The paper's Section IV-D3 GFLOP/s for a QUDA gauge reconstruction.
+pub fn quda_paper_gflops(recon: Recon) -> f64 {
+    match recon {
+        Recon::R18 => paper::QUDA_RECON18_GFLOPS,
+        Recon::R12 => paper::QUDA_RECON12_GFLOPS,
+        Recon::R9 => paper::QUDA_RECON9_GFLOPS,
+    }
+}
+
+/// Format [`quda_recons`] as `results/quda_recon.csv`
+/// (`recon,tuned_block,paper_gflops,sim_gflops`).
+pub fn quda_recon_csv(recons: &[(Recon, f64, u32)]) -> String {
+    let mut csv = String::from("recon,tuned_block,paper_gflops,sim_gflops\n");
+    for &(recon, gflops, ls) in recons {
+        csv.push_str(&format!(
+            "{},{ls},{},{gflops:.1}\n",
+            recon.label(),
+            quda_paper_gflops(recon)
+        ));
+    }
+    csv
+}
+
 /// Run the twelve Table I configurations, returning each column's
 /// short label (`3LP-1 k` …) with the full run outcome — the trace
 /// and perf-regression tooling need the raw reports, not just the
@@ -448,22 +471,19 @@ pub fn calibration_samples(
 /// same bytes-per-instruction ratio; QUDA's vectorized, compressed loads
 /// do not).
 pub fn quda_calibration_samples(exp: &Experiment) -> Vec<CalibrationSample> {
-    [
-        (Recon::R18, paper::QUDA_RECON18_GFLOPS),
-        (Recon::R12, paper::QUDA_RECON12_GFLOPS),
-        (Recon::R9, paper::QUDA_RECON9_GFLOPS),
-    ]
-    .into_iter()
-    .map(|(recon, gflops)| {
-        let t = StaggeredDslashTest::random(exp.l, exp.seed, recon);
-        let out = t.run(&exp.device).expect("quda calibration run");
-        CalibrationSample {
-            counters: out.report.counters,
-            occupancy: out.report.occupancy,
-            target_us: paper::PAPER_FLOPS / gflops / 1e3,
-        }
-    })
-    .collect()
+    [Recon::R18, Recon::R12, Recon::R9]
+        .into_iter()
+        .map(|recon| {
+            let gflops = quda_paper_gflops(recon);
+            let t = StaggeredDslashTest::random(exp.l, exp.seed, recon);
+            let out = t.run(&exp.device).expect("quda calibration run");
+            CalibrationSample {
+                counters: out.report.counters,
+                occupancy: out.report.occupancy,
+                target_us: paper::PAPER_FLOPS / gflops / 1e3,
+            }
+        })
+        .collect()
 }
 
 /// One point of the strong-scaling study: one rank count under one

@@ -602,6 +602,53 @@ mod tests {
     }
 
     #[test]
+    fn steady_state_launches_skip_replay() {
+        let lattice = Lattice::hypercubic(4);
+        let gauge = GaugeField::<Z>::random(&lattice, 23);
+        let b = random_even_vector(&lattice, 31);
+        let device = DeviceSpec::test_small();
+        let mut tuner = Tuner::in_memory();
+        let tracer = obs::Tracer::new();
+        let (sol, op) = {
+            let _t = obs::set_tracer(&tracer);
+            let mut op = DeviceNormalOperator::new_tuned(
+                &gauge,
+                1.0,
+                recommended_config(),
+                &device,
+                &mut tuner,
+            )
+            .unwrap();
+            (solve_with(&mut op, &b, 1e-8, 200), op)
+        };
+        assert!(sol.converged);
+        let trace = tracer.snapshot();
+        let launches: Vec<_> = trace.spans.iter().filter(|s| s.name == "dslash").collect();
+        assert_eq!(launches.len() as u64, op.applications());
+        let replay = |s: &obs::SpanRecord| match s.attr("replay") {
+            Some(obs::AttrValue::Str(r)) => r.clone(),
+            other => panic!("launch span without a replay attr: {other:?}"),
+        };
+        // Per parity state: the first launch records the shape, the
+        // second finds the fixed point, and every later one hits.
+        assert!(launches[..4].iter().all(|s| replay(s) == "full"));
+        let hits = launches.iter().filter(|s| replay(s) == "memo").count() as u64;
+        assert_eq!(hits, op.applications() - 4);
+        // The memo reproduces the replayed duration exactly: every warm
+        // launch of a parity (launches alternate D_oe, D_eo) reports the
+        // same modelled time.
+        let duration = |s: &obs::SpanRecord| {
+            s.attr("duration_us")
+                .and_then(obs::AttrValue::as_num)
+                .unwrap()
+                .to_bits()
+        };
+        for (i, s) in launches.iter().enumerate().skip(2) {
+            assert_eq!(duration(s), duration(launches[2 + i % 2]), "launch {i}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "mass must be positive")]
     fn zero_mass_rejected() {
         let lattice = Lattice::hypercubic(2);

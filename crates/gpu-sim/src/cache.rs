@@ -29,6 +29,27 @@ impl CacheConfig {
     pub fn sets(&self) -> u64 {
         (self.capacity / self.line_bytes as u64 / self.ways as u64).max(1)
     }
+
+    /// The first field in which `other` differs from `self`, as
+    /// `(name, self's value, other's value)`.
+    pub fn first_difference(&self, other: &CacheConfig) -> Option<(&'static str, u64, u64)> {
+        [
+            ("capacity", self.capacity, other.capacity),
+            (
+                "line_bytes",
+                self.line_bytes as u64,
+                other.line_bytes as u64,
+            ),
+            (
+                "sector_bytes",
+                self.sector_bytes as u64,
+                other.sector_bytes as u64,
+            ),
+            ("ways", self.ways as u64, other.ways as u64),
+        ]
+        .into_iter()
+        .find(|&(_, a, b)| a != b)
+    }
 }
 
 /// Per-access outcome at one cache level.
@@ -145,6 +166,13 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// Count `delta` into the statistics without touching the lines:
+    /// a launch whose accesses are known to leave the contents as they
+    /// were still adds its requests and misses.
+    pub(crate) fn add_stats(&mut self, delta: &CacheStats) {
+        self.stats.merge(delta);
+    }
+
     #[inline]
     fn set_of(&self, line_addr: u64) -> u64 {
         let line = line_addr >> self.line_shift;
@@ -223,6 +251,57 @@ impl Cache {
             missed_mask: sector_mask,
             tag_hit: false,
         }
+    }
+}
+
+/// The contents of one or more caches in LRU-canonical form: set by set,
+/// each set's valid lines (tag, resident sectors, dirty sectors) from
+/// least to most recently used.
+///
+/// Every hit, miss, fill and victim choice depends only on this: an
+/// access finds its line by tag, and a tag miss evicts the least
+/// recently used valid line (or takes an invalid slot first, and all
+/// invalid slots are alike).  Absolute stamps, the clock and which slot
+/// holds which line do not matter.  So two caches with equal snapshots
+/// give the same outcome for any access sequence, and their snapshots
+/// stay equal afterwards.
+#[derive(Default)]
+pub(crate) struct LruSnapshot {
+    /// Valid lines, sets in index order; within a set, ascending stamp.
+    /// The set of a line follows from its tag, so no set boundaries are
+    /// stored.
+    lines: Vec<LineState>,
+    /// Where each pushed cache's lines end in `lines`.
+    ends: Vec<usize>,
+}
+
+impl LruSnapshot {
+    /// Empty the snapshot, keeping its buffer.
+    pub(crate) fn clear(&mut self) {
+        self.lines.clear();
+        self.ends.clear();
+    }
+
+    /// Append `cache`'s contents.
+    pub(crate) fn push(&mut self, cache: &Cache) {
+        let ways = cache.cfg.ways as usize;
+        for set in cache.lines.chunks_exact(ways) {
+            let start = self.lines.len();
+            self.lines
+                .extend(set.iter().filter(|l| l.stamp > cache.epoch).copied());
+            self.lines[start..].sort_unstable_by_key(|l| l.stamp);
+        }
+        self.ends.push(self.lines.len());
+    }
+
+    /// Whether both snapshots hold the same lines in the same LRU order.
+    pub(crate) fn equivalent(&self, other: &LruSnapshot) -> bool {
+        self.ends == other.ends
+            && self
+                .lines
+                .iter()
+                .zip(&other.lines)
+                .all(|(a, b)| a.tag == b.tag && a.sectors == b.sectors && a.dirty == b.dirty)
     }
 }
 
@@ -364,6 +443,46 @@ mod tests {
         c.access(512, 1);
         c.access(1024, 1);
         assert_eq!(c.stats().writeback_sectors, 1);
+    }
+
+    #[test]
+    fn lru_snapshots_see_order_and_dirt_but_not_slots_or_stamps() {
+        let snap = |ops: &[(u64, bool)]| {
+            let mut c = small();
+            for &(line, write) in ops {
+                if write {
+                    c.access_write(line, 1);
+                } else {
+                    c.access(line, 1);
+                }
+            }
+            let mut s = LruSnapshot::default();
+            s.push(&c);
+            s
+        };
+        // Lines 0 and 512 share set 0.  `b` holds them in swapped slots,
+        // with other stamps, but in the same LRU order.
+        let a = snap(&[(0, false), (512, false)]);
+        let b = snap(&[(512, false), (0, false), (512, false)]);
+        assert!(a.equivalent(&b));
+        // Another order, another dirty mask, another line.
+        assert!(!a.equivalent(&snap(&[(512, false), (0, false)])));
+        assert!(!a.equivalent(&snap(&[(0, false), (512, true)])));
+        assert!(!a.equivalent(&snap(&[(0, false), (1024, false)])));
+        // The same lines split differently between two caches.
+        let mut one = LruSnapshot::default();
+        let (mut full, empty) = (small(), small());
+        full.access(0, 1);
+        full.access(128, 1);
+        one.push(&full);
+        one.push(&empty);
+        let mut two = LruSnapshot::default();
+        let (mut first, mut second) = (small(), small());
+        first.access(0, 1);
+        second.access(128, 1);
+        two.push(&first);
+        two.push(&second);
+        assert!(!one.equivalent(&two));
     }
 
     proptest! {

@@ -81,6 +81,21 @@ pub enum SimError {
         /// SMs of the device being launched on.
         device_sms: u32,
     },
+    /// A launch was handed a [`DeviceState`](crate::DeviceState) whose
+    /// L1 or L2 geometry differs from the device's, e.g. a state built
+    /// for another lattice's volume-matched device with the same SM
+    /// count: its caches would model the wrong capacity.
+    DeviceStateCacheMismatch {
+        /// `"L1"` or `"L2"`.
+        level: &'static str,
+        /// The first differing [`CacheConfig`](crate::cache::CacheConfig)
+        /// field.
+        field: &'static str,
+        /// The state's value of that field.
+        state: u64,
+        /// The device's value of that field.
+        device: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -135,6 +150,15 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "device state was built for {state_sms} SMs but the device has {device_sms}"
+            ),
+            SimError::DeviceStateCacheMismatch {
+                level,
+                field,
+                state,
+                device,
+            } => write!(
+                f,
+                "device state's {level} {field} is {state} but the device's is {device}"
             ),
         }
     }

@@ -23,7 +23,10 @@
 //! * **occupancy** — a CUDA-style occupancy calculator from registers,
 //!   local memory and group size (row 4);
 //! * **in-order / out-of-order queues** — submission overhead semantics
-//!   (Section IV-D6).
+//!   (Section IV-D6);
+//! * **steady-state launches** — a warm launch that repeats its state's
+//!   last launch on caches at a fixed point reuses that launch's
+//!   counters instead of replaying its warps (`memo.rs`).
 //!
 //! A calibrated analytic timing model ([`timing`]) converts the measured
 //! counters into a kernel duration; see `DESIGN.md` for what is measured
@@ -84,6 +87,7 @@ pub mod error;
 pub mod event;
 pub mod group;
 pub mod kernel;
+mod memo;
 pub mod memory;
 pub mod ndrange;
 pub mod occupancy;

@@ -78,6 +78,19 @@ fn main() {
     );
 
     let trace = tracer.snapshot();
+    // Warm launches at the cache fixed point reuse the steady-state memo
+    // instead of replaying their warps.
+    let launches: Vec<_> = trace.spans.iter().filter(|s| s.name == "dslash").collect();
+    let hits = launches
+        .iter()
+        .filter(|s| s.attr("replay") == Some(&obs::AttrValue::from("memo")))
+        .count();
+    println!(
+        "memo hits: {hits} of {} Dslash launches skipped warp replay",
+        launches.len()
+    );
+    assert!(hits > 0, "no warm launch reused the steady-state memo");
+
     let path = "target/traced_solve.trace.json";
     std::fs::create_dir_all("target").expect("create target dir");
     std::fs::write(path, obs::write_chrome(&trace)).expect("write trace");
