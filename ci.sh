@@ -40,7 +40,7 @@ cargo run --offline --release -p milc-bench --bin tune -- 4 "$TUNE_SMOKE_CACHE"
 test -s "$TUNE_SMOKE_CACHE" || { echo "tune smoke did not write the cache"; exit 1; }
 rm -rf "$(dirname "$TUNE_SMOKE_CACHE")"
 
-echo "== tune --static (measurement-free smoke: zero launches end to end) =="
+echo "== tune --static (measurement-free smoke: zero launches end to end; per config proofs == proof rejects + 1, i.e. only the winner's proof came back clean) =="
 cargo run --offline --release -p milc-bench --bin tune -- 4 --static
 
 echo "== table1 --trace (timeline + metrics artifacts) =="

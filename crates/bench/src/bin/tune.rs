@@ -26,7 +26,8 @@
 //! its gates, or the Fig. 6 cross-check fails.  With `--static` the
 //! bin runs the measurement-free smoke instead: static sweeps only,
 //! zero launches end to end, failing if any configuration cannot be
-//! decided statically.
+//! decided statically or a sweep proves more than the lazy walk needs
+//! (`proofs` must equal the proof-rejected candidates plus the winner).
 //!
 //! To reset the tuner (e.g. after changing the timing model — though a
 //! `TUNECACHE_VERSION` bump handles that automatically), delete the
@@ -36,7 +37,7 @@ use gpu_sim::{QueueMode, StaticCheckConfig};
 use milc_bench::snapshot::Table;
 use milc_bench::{paper, ranked_rows_to_csv, static_rows_to_csv, Experiment, RANKED_TOP_K};
 use milc_complex::DoubleComplex;
-use milc_dslash::tune::{sweep, LoadOutcome, SweepMode, Tuner};
+use milc_dslash::tune::{sweep, CandidateOutcome, LoadOutcome, Reject, SweepMode, Tuner};
 use milc_dslash::{run_config_staticcheck, DslashProblem, KernelConfig};
 use std::path::{Path, PathBuf};
 
@@ -110,16 +111,37 @@ fn static_smoke(l: usize) -> ! {
         ) {
             Ok(s) => {
                 launches += s.sweep_launches;
-                let ok = s.sweep_launches == 0 && s.timed().count() == 0;
-                failed |= !ok;
+                // The lazy walk proves down the ranking until one proof is
+                // clean, so every proof but the winner's found a defect.
+                let defects = s
+                    .candidates
+                    .iter()
+                    .filter(|c| {
+                        matches!(
+                            c,
+                            CandidateOutcome::Rejected {
+                                reason: Reject::Static(_),
+                                ..
+                            }
+                        )
+                    })
+                    .count() as u64;
+                let verdict = if s.sweep_launches > 0 || s.timed().count() > 0 {
+                    "FAIL: launched"
+                } else if s.proofs != defects + 1 {
+                    "FAIL: proofs != proof rejects + 1"
+                } else {
+                    "ok"
+                };
+                failed |= verdict != "ok";
                 eprintln!(
-                    "  {:16} -> {:4} {:5} ({:9.1} µs predicted, {} launches) -> {}",
+                    "  {:16} -> {:4} {:5} ({:9.1} µs predicted, {} launches, {} proofs) -> {verdict}",
                     cfg.label(),
                     s.winner.local_size,
                     s.winner.layout.tag(),
                     s.winner.duration_us,
                     s.sweep_launches,
-                    if ok { "ok" } else { "FAIL: launched" }
+                    s.proofs,
                 );
             }
             Err(e) => {

@@ -4,13 +4,14 @@
 //! Candidates are exactly [`KernelConfig::legal_local_sizes`] — the
 //! paper's Fig. 6 sweep.  Each candidate is first checked against the
 //! static launch linter ([`gpu_sim::lint_launch`]); the tuner must never
-//! time, let alone select, a configuration `sancheck` would flag.
-//! Surviving candidates run warm (the conditions of
-//! [`run_config_warm`](crate::runner::run_config_warm) that produced
-//! `results/fig6.csv`), are validated against the CPU reference, and the
-//! minimum modelled duration wins (ties break toward the smaller local
-//! size, which wastes fewer tail resources).  [`sweep`] is the one entry
-//! point for every [`SweepMode`].
+//! time, let alone select, a configuration `sancheck` would flag or the
+//! access analyzer has not proven race- and bounds-free (lazily, in rank
+//! order, in the pruning modes).  Timed candidates run warm (the
+//! conditions of [`run_config_warm`](crate::runner::run_config_warm)
+//! that produced `results/fig6.csv`), are validated against the CPU
+//! reference, and the minimum modelled duration wins (ties break toward
+//! the smaller local size, which wastes fewer tail resources).
+//! [`sweep`] is the one entry point for every [`SweepMode`].
 //!
 //! Unlike the minimal `quda_ref::autotune`, nothing is silently
 //! dropped: every rejected candidate is recorded with its reason, and a
@@ -29,6 +30,8 @@ use gpu_sim::{
     SimError, StaticCheckConfig,
 };
 use milc_complex::ComplexField;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// How a sweep spends its timed launches.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -36,23 +39,24 @@ pub enum SweepMode {
     /// Time every candidate that passes the static gates (the Fig. 6
     /// sweep; the default).
     Exhaustive,
-    /// Statically rank the surviving candidates by the cost model's
-    /// predicted duration and time only the top `time_top_k`; the
-    /// pruned tail is recorded as [`Reject::StaticRank`].  Candidates
-    /// the cost model cannot estimate are always timed — a ranked sweep
-    /// must never prune what it cannot rank.
+    /// Statically rank the lint survivors by the cost model's predicted
+    /// duration and prove and time only the top `time_top_k` clean
+    /// ones; the unproven tail is recorded as [`Reject::StaticRank`].
+    /// Candidates the cost model cannot estimate are always proven and
+    /// timed — a ranked sweep must never prune what it cannot rank.
     Ranked {
         /// How many top-ranked candidates to time (at least 1).
         time_top_k: usize,
     },
-    /// Measurement-free: pick the winner from the static ranking alone
-    /// — *zero* timed launches (`sweep_launches == 0`).  The winner is
-    /// recorded as [`CandidateOutcome::Predicted`] with its
-    /// warm-calibrated duration (the serving regime the tuner's timed
-    /// modes also report); every other candidate is rejected with
-    /// [`Reject::StaticRank`] or, when the cost model cannot estimate
-    /// it, [`Reject::Inestimable`] — a mode that never launches cannot
-    /// fall back to timing what it cannot rank.
+    /// Measurement-free: pick the first proven-clean candidate of the
+    /// static ranking — *zero* timed launches (`sweep_launches == 0`).
+    /// The winner is recorded as [`CandidateOutcome::Predicted`] with
+    /// its warm-calibrated duration (the serving regime the tuner's
+    /// timed modes also report).  Candidates ranked above it failed
+    /// their proofs ([`Reject::Static`]); the unproven rest is rejected
+    /// with [`Reject::StaticRank`] or, when the cost model cannot
+    /// estimate it, [`Reject::Inestimable`] — a mode that never
+    /// launches cannot fall back to timing what it cannot rank.
     Static,
 }
 
@@ -65,9 +69,9 @@ pub enum Reject {
     /// over the whole ND-range (messages recorded).
     Static(Vec<String>),
     /// A ranked sweep pruned the candidate: the cost model predicted it
-    /// too slow to be worth timing.
+    /// too slow to be worth timing (or proving).
     StaticRank {
-        /// 1-based predicted rank among the sweep's candidates.
+        /// 1-based predicted rank, skipping candidates whose proof failed.
         rank: usize,
         /// The cost model's predicted duration, µs.
         predicted_us: f64,
@@ -176,6 +180,9 @@ pub struct SweepOutcome {
     /// launches are both avoided; a [`SweepMode::Static`] sweep spends
     /// exactly zero.
     pub sweep_launches: u64,
+    /// Candidates whose footprint proof ran: every lint survivor in
+    /// [`SweepMode::Exhaustive`], else only what the rank walk needed.
+    pub proofs: u64,
 }
 
 impl SweepOutcome {
@@ -264,20 +271,21 @@ pub fn candidate_local_sizes(cfg: KernelConfig, half_volume: u64) -> Vec<u32> {
 }
 
 /// The static decision order over `(layout, local size, predicted µs)`
-/// triples: ascending predicted duration, ties toward the smaller local
-/// size, then toward the layout using less local memory, then by layout
-/// tag.  Because no two distinct candidates share all four keys this is
-/// a strict total order — the sorted sequence (and hence the
-/// [`SweepMode::Static`] winner) is invariant under the enumeration
-/// order of the input.
+/// triples: ascending predicted duration ([`f64::total_cmp`], so even a
+/// NaN has one place), ties toward the smaller local size, then toward
+/// the layout using less local memory, then by layout tag.  Because no
+/// two distinct candidates share all four keys this is a strict total
+/// order — the sorted sequence (and hence the [`SweepMode::Static`]
+/// winner) is invariant under the enumeration order of the input.
 pub fn static_rank_order(cands: &mut [(SharedLayout, u32, f64)]) {
-    cands.sort_by(|a, b| {
-        a.2.partial_cmp(&b.2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.cmp(&b.1))
-            .then(a.0.required_bytes(a.1).cmp(&b.0.required_bytes(b.1)))
-            .then(a.0.tag().cmp(&b.0.tag()))
-    });
+    cands.sort_by(rank_cmp);
+}
+
+fn rank_cmp(a: &(SharedLayout, u32, f64), b: &(SharedLayout, u32, f64)) -> Ordering {
+    a.2.total_cmp(&b.2)
+        .then(a.1.cmp(&b.1))
+        .then(a.0.required_bytes(a.1).cmp(&b.0.required_bytes(b.1)))
+        .then(a.0.tag().cmp(&b.0.tag()))
 }
 
 /// Lint one candidate the way `sancheck` would; empty = clean.
@@ -336,7 +344,7 @@ enum Fate {
     Reject(Reject),
     /// Selected from the static ranking alone ([`SweepMode::Static`]).
     Predict(CandidatePoint),
-    /// To be timed.
+    /// To be timed (between the lints and the proofs: to be proven).
     Time,
 }
 
@@ -352,17 +360,16 @@ enum Fate {
 ///
 /// Every [`SweepMode`] runs the same steps:
 ///
-/// 1. the static gates — never launch what the linter flags, never time
-///    what the access analyzer proves racy or out of bounds over the
-///    full ND-range;
-/// 2. when the mode prunes ([`SweepMode::Ranked`], [`SweepMode::Static`]),
-///    one static ranking of the survivors of *all* layouts by the cost
-///    model's predicted duration;
-/// 3. one fate per candidate: rejected by a gate, pruned by its rank
-///    ([`Reject::StaticRank`]), inestimable without a timing fallback
-///    ([`Reject::Inestimable`], Static only), predicted (Static's rank
-///    #1, carrying its warm-calibrated duration from the shared
-///    [`RegimeCalibration`] table) or timed;
+/// 1. the lints — never launch what the linter flags;
+/// 2. the proofs, in rank order, only what the mode needs — never time
+///    or select what the access analyzer has not proven race- and
+///    bounds-free.  Exhaustive proves every lint survivor; the pruning
+///    modes rank the survivors of *all* layouts once by predicted
+///    duration and prove down that order ([`walk_rank_order`]);
+/// 3. one fate per candidate: rejected by a gate or a proof, pruned
+///    unproven by its rank ([`Reject::StaticRank`]), inestimable
+///    ([`Reject::Inestimable`], Static only), predicted (Static's first
+///    clean candidate, warm-calibrated by [`RegimeCalibration`]) or timed;
 /// 4. timing under the Fig. 6 measurement conditions — warm caches and
 ///    the requested queue semantics.  Exhaustive warms a fresh device
 ///    state for every candidate; Ranked times back-to-back on one state
@@ -375,6 +382,27 @@ pub fn sweep<C: ComplexField>(
     device: &DeviceSpec,
     queue_mode: QueueMode,
     mode: SweepMode,
+) -> Result<SweepOutcome, SweepError> {
+    sweep_with(
+        problem,
+        cfg,
+        layouts,
+        device,
+        queue_mode,
+        mode,
+        static_candidate,
+    )
+}
+
+/// [`sweep`] with the footprint proof passed in, so tests can fail it.
+fn sweep_with<C: ComplexField>(
+    problem: &mut DslashProblem<C>,
+    cfg: KernelConfig,
+    layouts: &[SharedLayout],
+    device: &DeviceSpec,
+    queue_mode: QueueMode,
+    mode: SweepMode,
+    mut prove: impl FnMut(&DslashProblem<C>, KernelConfig, u32, &DeviceSpec) -> Vec<String>,
 ) -> Result<SweepOutcome, SweepError> {
     let hv = problem.lattice().half_volume() as u64;
     let sizes = candidate_local_sizes(cfg, hv);
@@ -389,7 +417,7 @@ pub fn sweep<C: ComplexField>(
     span.attr("candidates", (sizes.len() * layouts.len()) as u64);
     span.attr("layouts", layouts.len() as u64);
 
-    // 1. Gates.  Candidates are ordered by (local size, layout local-mem
+    // 1. Lints.  Candidates are ordered by (local size, layout local-mem
     // bytes), so the winner fold's strict "<" breaks duration ties
     // toward the smaller size and then toward the cheaper layout.
     let mut fates: Vec<(SharedLayout, u32, Fate)> = Vec::with_capacity(sizes.len() * layouts.len());
@@ -397,47 +425,37 @@ pub fn sweep<C: ComplexField>(
         let mut by_bytes = layouts.to_vec();
         by_bytes.sort_by_key(|l| l.required_bytes(ls));
         for layout in by_bytes {
-            let lcfg = cfg.with_layout(layout);
-            let lints = lint_candidate(problem, lcfg, ls, device);
-            let fate = if !lints.is_empty() {
-                Fate::Reject(Reject::Lint(lints))
+            let lints = lint_candidate(problem, cfg.with_layout(layout), ls, device);
+            let fate = if lints.is_empty() {
+                Fate::Time
             } else {
-                let proofs = static_candidate(problem, lcfg, ls, device);
-                if proofs.is_empty() {
-                    Fate::Time
-                } else {
-                    Fate::Reject(Reject::Static(proofs))
-                }
+                Fate::Reject(Reject::Lint(lints))
             };
             fates.push((layout, ls, fate));
         }
     }
 
-    // 2–3. Static ranking, then each survivor's fate by mode.
-    if mode != SweepMode::Exhaustive {
-        let flops = theoretical_flops(problem.lattice()) as f64;
-        let ranks = rank_survivors(problem, cfg, layouts, device, &fates, &span);
-        for ((layout, ls, fate), rank) in fates.iter_mut().zip(ranks) {
-            let Some(rank) = rank else {
-                continue; // already rejected by a gate
-            };
-            *fate = match (mode, rank) {
-                (SweepMode::Static, Ok((1, est))) => {
-                    Fate::Predict(predicted_point(*layout, *ls, &est, flops))
-                }
-                (SweepMode::Static, Err(why)) => Fate::Reject(Reject::Inestimable(why)),
-                (SweepMode::Ranked { time_top_k }, Ok((rank, _))) if rank <= time_top_k.max(1) => {
-                    Fate::Time
-                }
-                (_, Ok((rank, est))) => Fate::Reject(Reject::StaticRank {
-                    rank,
-                    predicted_us: est.duration_us,
-                }),
-                // A ranked sweep must never prune what it cannot rank.
-                (_, Err(_)) => Fate::Time,
-            };
+    // 2–3. Proofs; the pruning modes walk the static ranking.
+    let mut proofs = 0u64;
+    let mut prove_one = |layout: SharedLayout, ls: u32| {
+        proofs += 1;
+        let findings = prove(problem, cfg.with_layout(layout), ls, device);
+        if findings.is_empty() {
+            Fate::Time
+        } else {
+            Fate::Reject(Reject::Static(findings))
         }
+    };
+    if mode == SweepMode::Exhaustive {
+        for (layout, ls, fate) in fates.iter_mut().filter(|f| matches!(f.2, Fate::Time)) {
+            *fate = prove_one(*layout, *ls);
+        }
+    } else {
+        let ranking = rank_survivors(problem, cfg, layouts, device, &fates, &span);
+        let flops = theoretical_flops(problem.lattice()) as f64;
+        walk_rank_order(mode, ranking, &mut fates, flops, prove_one);
     }
+    span.attr("proofs", proofs);
 
     // 4. Timing.
     let tol = problem.validation_tolerance();
@@ -515,6 +533,7 @@ pub fn sweep<C: ComplexField>(
         winner,
         candidates: outcomes,
         sweep_launches,
+        proofs,
     })
 }
 
@@ -535,19 +554,14 @@ fn fastest(candidates: &[CandidateOutcome]) -> Option<CandidatePoint> {
         .cloned()
 }
 
-/// One gate survivor's place in the static ranking: its 1-based rank
-/// among the survivors with its estimate, or why the cost model could
-/// not estimate it.
-type StaticRankOf = Result<(usize, CostEstimate), String>;
-
 /// The static ranking shared by [`SweepMode::Ranked`] and
 /// [`SweepMode::Static`]: [`rank_candidates`] once per layout, all
 /// layouts ordered jointly by [`static_rank_order`] (a layout enters
 /// through its predicted shared-memory wavefronts and its local-mem
-/// occupancy cost).  Returns one entry per candidate in `fates` order,
-/// `None` for a gate reject.  Ranks count only gate survivors: a
-/// linted-out candidate must not displace the rank numbering of the
-/// ones still in play.
+/// occupancy cost).  Returns the lint survivors (indices into `fates`)
+/// with their estimates in rank order, then the inestimable ones (an
+/// error or a non-finite duration), so a linted-out candidate never
+/// displaces the rank numbering of the ones still in play.
 fn rank_survivors<C: ComplexField>(
     problem: &DslashProblem<C>,
     cfg: KernelConfig,
@@ -555,55 +569,73 @@ fn rank_survivors<C: ComplexField>(
     device: &DeviceSpec,
     fates: &[(SharedLayout, u32, Fate)],
     span: &obs::MaybeSpan,
-) -> Vec<Option<StaticRankOf>> {
-    let mut estimates: Vec<(SharedLayout, u32, CostEstimate)> = Vec::new();
-    let mut errors: Vec<(SharedLayout, u32, String)> = Vec::new();
+) -> Vec<(usize, Result<CostEstimate, String>)> {
+    let mut estimates = HashMap::new();
     for &layout in layouts {
         for r in rank_candidates(problem, cfg.with_layout(layout), device) {
-            match r.estimate {
-                Ok(est) => estimates.push((layout, r.local_size, est)),
-                Err(why) => errors.push((layout, r.local_size, why)),
-            }
+            estimates.insert((layout, r.local_size), r.estimate);
         }
     }
-    let mut order: Vec<(SharedLayout, u32, f64)> = estimates
-        .iter()
-        .map(|(l, ls, est)| (*l, *ls, est.duration_us))
-        .collect();
-    static_rank_order(&mut order);
-    let survives = |l: SharedLayout, ls: u32| {
-        fates
-            .iter()
-            .any(|(fl, fls, f)| *fl == l && *fls == ls && matches!(f, Fate::Time))
+    let mut ranking = Vec::new();
+    for (i, (layout, ls, fate)) in fates.iter().enumerate() {
+        if !matches!(fate, Fate::Time) {
+            continue;
+        }
+        let est = match estimates.remove(&(*layout, *ls)) {
+            Some(Ok(e)) if !e.duration_us.is_finite() => Err(format!("{} µs", e.duration_us)),
+            Some(est) => est,
+            None => Err("cost model produced no estimate".into()),
+        };
+        ranking.push((i, est));
+    }
+    // A NaN key sorts after every finite duration under `total_cmp`.
+    let key = |(i, est): &(usize, Result<CostEstimate, String>)| {
+        let us = est.as_ref().map_or(f64::NAN, |e| e.duration_us);
+        (fates[*i].0, fates[*i].1, us)
     };
-    let ranked: Vec<(SharedLayout, u32)> = order
-        .into_iter()
-        .filter(|&(l, ls, _)| survives(l, ls))
-        .map(|(l, ls, _)| (l, ls))
-        .collect();
-    span.attr("ranked_candidates", ranked.len() as u64);
-    span.attr("ranked_inestimable", errors.len() as u64);
+    ranking.sort_by(|a, b| rank_cmp(&key(a), &key(b)));
+    let inestimable = ranking.iter().filter(|(_, est)| est.is_err()).count();
+    span.attr("ranked_candidates", (ranking.len() - inestimable) as u64);
+    span.attr("ranked_inestimable", inestimable as u64);
+    ranking
+}
 
-    fates
-        .iter()
-        .map(|(layout, ls, fate)| {
-            if !matches!(fate, Fate::Time) {
-                return None;
-            }
-            let key = (*layout, *ls);
-            let estimate = estimates
-                .iter()
-                .find(|(l, c, _)| (*l, *c) == key)
-                .map(|(_, _, est)| est.clone());
-            Some(match (ranked.iter().position(|k| *k == key), estimate) {
-                (Some(i), Some(est)) => Ok((i + 1, est)),
-                _ => Err(errors.iter().find(|(l, c, _)| (*l, *c) == key).map_or_else(
-                    || "cost model produced no estimate".to_string(),
-                    |(_, _, why)| why.clone(),
-                )),
-            })
-        })
-        .collect()
+/// Give every lint survivor its fate, proving in rank order only while
+/// the mode still needs clean candidates (Static: one, `Ranked{k}`: k).
+/// A failed proof takes no rank number.  [`static_rank_order`] is a
+/// strict total order, so the first clean candidate of the walk is
+/// exactly rank #1 among proven-clean ones: proving lazily picks what
+/// proving everything would.
+fn walk_rank_order(
+    mode: SweepMode,
+    ranking: Vec<(usize, Result<CostEstimate, String>)>,
+    fates: &mut [(SharedLayout, u32, Fate)],
+    flops: f64,
+    mut prove: impl FnMut(SharedLayout, u32) -> Fate,
+) {
+    let wanted = match mode {
+        SweepMode::Ranked { time_top_k } => time_top_k.max(1),
+        _ => 1,
+    };
+    let mut rank = 0;
+    for (i, est) in ranking {
+        let (layout, ls, fate) = &mut fates[i];
+        *fate = match (est, mode) {
+            (Err(why), SweepMode::Static) => Fate::Reject(Reject::Inestimable(why)),
+            (Ok(est), _) if rank >= wanted => Fate::Reject(Reject::StaticRank {
+                rank: rank + 1,
+                predicted_us: est.duration_us,
+            }),
+            (Ok(est), SweepMode::Static) => match prove(*layout, *ls) {
+                Fate::Time => Fate::Predict(predicted_point(*layout, *ls, &est, flops)),
+                rejected => rejected,
+            },
+            // A ranked sweep must never prune what it cannot rank.
+            _ => prove(*layout, *ls),
+        };
+        // Inestimable candidates come last, so their count is moot.
+        rank += usize::from(!matches!(fate, Fate::Reject(Reject::Static(_))));
+    }
 }
 
 /// Static's winner: the rank-#1 candidate as a point carrying its
@@ -838,7 +870,7 @@ mod tests {
 
     /// Each candidate's fate in sweep order: `T` timed, `P` predicted,
     /// or the reject kind (static-rank rejects carry their rank).
-    fn fates(out: &SweepOutcome) -> String {
+    fn fates(candidates: &[CandidateOutcome]) -> String {
         let fate = |c: &CandidateOutcome| {
             let what = match c {
                 CandidateOutcome::Timed(_) => "T".to_string(),
@@ -854,11 +886,7 @@ mod tests {
             };
             format!("{} {} {what}", c.local_size(), c.layout().tag())
         };
-        out.candidates
-            .iter()
-            .map(fate)
-            .collect::<Vec<_>>()
-            .join(", ")
+        candidates.iter().map(fate).collect::<Vec<_>>().join(", ")
     }
 
     /// Pins every mode of the joint (size × layout) sweep on 3LP-1
@@ -876,11 +904,12 @@ mod tests {
 
         let full = sweep_small(&mut p, cfg, &layouts, SweepMode::Exhaustive).unwrap();
         assert_eq!(
-            fates(&full),
+            fates(&full.candidates),
             "96 flat T, 96 xor2 T, 96 pad5 T, 192 flat T, 192 xor2 T, 192 pad5 T, \
              384 flat T, 384 xor2 T, 384 pad5 T, 768 flat T, 768 xor2 T, 768 pad5 T"
         );
         assert_eq!(full.sweep_launches, 24);
+        assert_eq!(full.proofs, 12, "Exhaustive proves every lint survivor");
         for pt in full.timed() {
             let lcfg = cfg.with_layout(pt.layout);
             let warm = run_config_warm(&mut p, lcfg, pt.local_size, &device, QueueMode::InOrder);
@@ -896,12 +925,13 @@ mod tests {
         let ranked =
             sweep_small(&mut p, cfg, &layouts, SweepMode::Ranked { time_top_k: 3 }).unwrap();
         assert_eq!(
-            fates(&ranked),
+            fates(&ranked.candidates),
             "96 flat rank9, 96 xor2 T, 96 pad5 T, 192 flat rank10, 192 xor2 T, 192 pad5 rank4, \
              384 flat rank11, 384 xor2 rank5, 384 pad5 rank6, 768 flat rank12, 768 xor2 rank7, \
              768 pad5 rank8"
         );
         assert_eq!(ranked.sweep_launches, 4);
+        assert_eq!(ranked.proofs, 3, "Ranked proves only its top 3");
         // Hand-driven replay: one state, one warmup, then every timed
         // candidate back-to-back in sweep order.
         let launcher = gpu_sim::Launcher::new(&device);
@@ -927,11 +957,278 @@ mod tests {
 
         let stat = sweep_small(&mut p, cfg, &layouts, SweepMode::Static).unwrap();
         assert_eq!(
-            fates(&stat),
+            fates(&stat.candidates),
             "96 flat rank9, 96 xor2 P, 96 pad5 rank2, 192 flat rank10, 192 xor2 rank3, \
              192 pad5 rank4, 384 flat rank11, 384 xor2 rank5, 384 pad5 rank6, 768 flat rank12, \
              768 xor2 rank7, 768 pad5 rank8"
         );
         assert_eq!(stat.sweep_launches, 0);
+        assert_eq!(stat.proofs, 1, "Static proves only its winner");
+    }
+
+    /// The shipped 3LP-1 k-major joint sweep at L = 4, its rank order
+    /// (as pinned above): 96 xor2, 96 pad5, 192 xor2, 192 pad5, ...,
+    /// 768 pad5, then the flat layout from 96 to 768.
+    fn cfg_3lp1() -> (DslashProblem<Z>, KernelConfig, Vec<SharedLayout>) {
+        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
+        (DslashProblem::random(4, 2024), cfg, cfg.tunable_layouts())
+    }
+
+    /// A candidate as "local size, layout tag", e.g. `96 xor2`.
+    fn point(layout: SharedLayout, ls: u32) -> String {
+        format!("{ls} {}", layout.tag())
+    }
+
+    /// A proof that fails on the `failing` points and logs every point
+    /// it was asked to prove.
+    fn injected<'a>(
+        failing: &'a [String],
+        log: &'a mut Vec<String>,
+    ) -> impl FnMut(&DslashProblem<Z>, KernelConfig, u32, &DeviceSpec) -> Vec<String> + 'a {
+        move |_, lcfg, ls, _| {
+            let at = point(lcfg.shared_layout, ls);
+            log.push(at.clone());
+            if failing.contains(&at) {
+                vec![format!("injected race at {at}")]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    #[test]
+    fn static_walk_rejects_a_failed_rank_1_and_predicts_rank_2() {
+        let (mut p, cfg, layouts) = cfg_3lp1();
+        let device = DeviceSpec::test_small();
+        let mut log = Vec::new();
+        let out = sweep_with(
+            &mut p,
+            cfg,
+            &layouts,
+            &device,
+            QueueMode::InOrder,
+            SweepMode::Static,
+            injected(&["96 xor2".to_string()], &mut log),
+        )
+        .unwrap();
+        // Rank #1 is rejected with its findings, rank #2 is proven and
+        // wins, and the unproven tail is renumbered around the reject.
+        assert_eq!(
+            fates(&out.candidates),
+            "96 flat rank8, 96 xor2 static, 96 pad5 P, 192 flat rank9, 192 xor2 rank2, \
+             192 pad5 rank3, 384 flat rank10, 384 xor2 rank4, 384 pad5 rank5, 768 flat rank11, \
+             768 xor2 rank6, 768 pad5 rank7"
+        );
+        assert_eq!(log, ["96 xor2", "96 pad5"]);
+        assert_eq!(out.proofs, 2);
+        let findings = out.candidates.iter().find_map(|c| match c {
+            CandidateOutcome::Rejected {
+                reason: Reject::Static(msgs),
+                ..
+            } => Some(msgs.clone()),
+            _ => None,
+        });
+        assert_eq!(findings.unwrap(), ["injected race at 96 xor2"]);
+        assert_eq!(point(out.winner.layout, out.winner.local_size), "96 pad5");
+        // The winner is the one proving everything first would pick:
+        // the best clean candidate, here the best pad5 one.
+        let pad5 = [SharedLayout::TUNABLE[1]];
+        let clean = sweep_small(&mut p, cfg, &pad5, SweepMode::Static).unwrap();
+        assert_eq!(clean.winner.local_size, 96);
+        assert_eq!(
+            clean.winner.duration_us.to_bits(),
+            out.winner.duration_us.to_bits()
+        );
+    }
+
+    #[test]
+    fn ranked_walk_times_ranks_2_and_3_past_a_failed_rank_1() {
+        let (mut p, cfg, layouts) = cfg_3lp1();
+        let device = DeviceSpec::test_small();
+        let mut log = Vec::new();
+        let out = sweep_with(
+            &mut p,
+            cfg,
+            &layouts,
+            &device,
+            QueueMode::InOrder,
+            SweepMode::Ranked { time_top_k: 2 },
+            injected(&["96 xor2".to_string()], &mut log),
+        )
+        .unwrap();
+        assert_eq!(
+            fates(&out.candidates),
+            "96 flat rank8, 96 xor2 static, 96 pad5 T, 192 flat rank9, 192 xor2 T, \
+             192 pad5 rank3, 384 flat rank10, 384 xor2 rank4, 384 pad5 rank5, 768 flat rank11, \
+             768 xor2 rank6, 768 pad5 rank7"
+        );
+        assert_eq!(log, ["96 xor2", "96 pad5", "192 xor2"]);
+        assert_eq!(out.proofs, 3);
+        assert_eq!(out.sweep_launches, 3, "one warmup, two timed");
+    }
+
+    #[test]
+    fn a_failure_in_every_proof_is_all_rejected_in_every_mode() {
+        let (mut p, cfg, layouts) = cfg_3lp1();
+        let device = DeviceSpec::test_small();
+        let every: Vec<String> = [96, 192, 384, 768]
+            .into_iter()
+            .flat_map(|ls| layouts.iter().map(move |&l| point(l, ls)))
+            .collect();
+        for mode in [
+            SweepMode::Exhaustive,
+            SweepMode::Ranked { time_top_k: 3 },
+            SweepMode::Static,
+        ] {
+            let mut log = Vec::new();
+            let err = sweep_with(
+                &mut p,
+                cfg,
+                &layouts,
+                &device,
+                QueueMode::InOrder,
+                mode,
+                injected(&every, &mut log),
+            );
+            let Err(SweepError::AllRejected { candidates, .. }) = err else {
+                panic!("{mode:?}: expected AllRejected, got {err:?}");
+            };
+            assert_eq!(
+                log.len(),
+                12,
+                "{mode:?}: a walk with no clean candidate proves all"
+            );
+            assert!(
+                candidates.iter().all(|c| matches!(
+                    c,
+                    CandidateOutcome::Rejected {
+                        reason: Reject::Static(_),
+                        ..
+                    }
+                )),
+                "{mode:?}: {}",
+                fates(&candidates)
+            );
+        }
+    }
+
+    /// Ranked proves an inestimable candidate before timing it and
+    /// rejects it when the proof fails; Static rejects it unproven.
+    /// Inestimability cannot be provoked on a shipped kernel, so the
+    /// walk runs on the real ranking with ranks #1 and #3 (96 and 192
+    /// xor2) turned inestimable, and 96 xor2's proof failing.
+    #[test]
+    fn inestimable_candidates_are_proven_before_timing_and_never_in_static() {
+        let (p, cfg, layouts) = cfg_3lp1();
+        let device = DeviceSpec::test_small();
+        let inestimable = ["96 xor2".to_string(), "192 xor2".to_string()];
+        for (mode, want_log, want) in [
+            (
+                SweepMode::Ranked { time_top_k: 2 },
+                &["96 pad5", "192 pad5", "96 xor2", "192 xor2"][..],
+                "96 flat rank7, 96 xor2 static, 96 pad5 T, 192 flat rank8, 192 xor2 T, \
+                 192 pad5 T, 384 flat rank9, 384 xor2 rank3, 384 pad5 rank4, 768 flat rank10, \
+                 768 xor2 rank5, 768 pad5 rank6",
+            ),
+            (
+                SweepMode::Static,
+                &["96 pad5"][..],
+                "96 flat rank7, 96 xor2 inestimable, 96 pad5 P, 192 flat rank8, \
+                 192 xor2 inestimable, 192 pad5 rank2, 384 flat rank9, 384 xor2 rank3, \
+                 384 pad5 rank4, 768 flat rank10, 768 xor2 rank5, 768 pad5 rank6",
+            ),
+        ] {
+            // The lint survivors in sweep order: every candidate here.
+            let sizes = candidate_local_sizes(cfg, p.lattice().half_volume() as u64);
+            let mut cands: Vec<(SharedLayout, u32, Fate)> = sizes
+                .into_iter()
+                .flat_map(|ls| layouts.iter().map(move |&l| (l, ls, Fate::Time)))
+                .collect();
+            cands.sort_by_key(|(l, ls, _)| (*ls, l.required_bytes(*ls)));
+            let span = obs::span_on("tune", "test");
+            let (mut ranking, unranked): (Vec<_>, Vec<_>) =
+                rank_survivors(&p, cfg, &layouts, &device, &cands, &span)
+                    .into_iter()
+                    .partition(|&(i, _)| !inestimable.contains(&point(cands[i].0, cands[i].1)));
+            ranking.extend(
+                unranked
+                    .into_iter()
+                    .map(|(i, _)| (i, Err("injected".into()))),
+            );
+
+            let mut log = Vec::new();
+            walk_rank_order(mode, ranking, &mut cands, 1.0, |l, ls| {
+                log.push(point(l, ls));
+                if point(l, ls) == "96 xor2" {
+                    Fate::Reject(Reject::Static(vec!["injected".into()]))
+                } else {
+                    Fate::Time
+                }
+            });
+            assert_eq!(log, want_log, "{mode:?}: proofs in walk order");
+            let outcomes: Vec<CandidateOutcome> = cands
+                .into_iter()
+                .map(|(layout, local_size, fate)| match fate {
+                    Fate::Reject(reason) => CandidateOutcome::Rejected {
+                        local_size,
+                        layout,
+                        reason,
+                    },
+                    Fate::Predict(p) => CandidateOutcome::Predicted(p),
+                    Fate::Time => CandidateOutcome::Timed(CandidatePoint {
+                        local_size,
+                        layout,
+                        duration_us: 0.0,
+                        gflops: 0.0,
+                        occupancy: 0.0,
+                        waves: 0.0,
+                        tail_fraction: 0.0,
+                    }),
+                })
+                .collect();
+            assert_eq!(fates(&outcomes), want, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn static_rank_order_is_one_sequence_under_every_input_permutation() {
+        let [flat, pad5, xor2] = SharedLayout::TUNABLE;
+        let items = [
+            (flat, 192, f64::NAN),
+            (xor2, 96, 0.0),
+            (flat, 96, -0.0),
+            (pad5, 96, 0.0),
+            (flat, 384, 1.5),
+        ];
+        let bits = |v: &[(SharedLayout, u32, f64)]| -> Vec<(SharedLayout, u32, u64)> {
+            v.iter().map(|&(l, ls, us)| (l, ls, us.to_bits())).collect()
+        };
+        let mut want = items;
+        static_rank_order(&mut want);
+        // -0 before +0 (then by size and layout bytes), the NaN last.
+        assert_eq!(
+            bits(&want),
+            bits(&[
+                (flat, 96, -0.0),
+                (xor2, 96, 0.0),
+                (pad5, 96, 0.0),
+                (flat, 384, 1.5),
+                (flat, 192, f64::NAN),
+            ])
+        );
+        // Every permutation of the input: the base-n codes whose digits
+        // are all distinct.
+        let n = items.len();
+        let mut seen = 0;
+        for code in 0..n.pow(n as u32) {
+            let idx: Vec<usize> = (0..n).map(|d| code / n.pow(d as u32) % n).collect();
+            if (0..n).all(|i| idx.contains(&i)) {
+                let mut perm: Vec<_> = idx.iter().map(|&i| items[i]).collect();
+                static_rank_order(&mut perm);
+                assert_eq!(bits(&perm), bits(&want), "input order {idx:?}");
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, 120);
     }
 }

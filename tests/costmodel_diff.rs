@@ -13,7 +13,8 @@
 //!    Spearman rank correlation ≥ 0.8 per configuration;
 //! 4. a **ranked sweep** (`SweepMode::Ranked { time_top_k: 3 }`) must
 //!    select the same winner as the exhaustive sweep while spending
-//!    far fewer sweep launches — the pruning is free, not lossy.
+//!    far fewer sweep launches — the pruning is free, not lossy — and
+//!    exactly 3 footprint proofs, one per candidate it times.
 //!
 //! **Winner identity is duration equivalence, not local-size equality.**
 //! Several configurations have a flat middle: mid-range local sizes
@@ -176,6 +177,13 @@ fn static_ranking_matches_measurement_on_all_table1_configs() {
                 rsweep.winner.duration_us,
                 rel * 100.0,
                 full.winner.local_size,
+            ));
+        }
+        // ... and proves only the candidates it times.
+        if rsweep.proofs != TOP_K as u64 {
+            failures.push(format!(
+                "{label}: ranked sweep ran {} proofs, not {TOP_K}",
+                rsweep.proofs
             ));
         }
         exhaustive_launches += full.sweep_launches;

@@ -8,9 +8,9 @@
 //!
 //! 1. **Static sweeps choose well.**  For every Table I configuration,
 //!    a [`SweepMode::Static`] layout sweep spends *zero* launches
-//!    (`sweep_launches == 0`, no timed candidates) and its winner's
-//!    *measured* warm duration is within [`MAX_REGRET`] of the
-//!    exhaustive sweep's winner.
+//!    (`sweep_launches == 0`, no timed candidates), proves only its
+//!    winner (`proofs == 1`), and its winner's *measured* warm duration
+//!    is within [`MAX_REGRET`] of the exhaustive sweep's winner.
 //! 2. **Cold predictions land.**  The cold-regime calibrated estimate
 //!    (compulsory-miss L2 path × the committed cold scale) is within
 //!    [`MAX_COLD_DRIFT_PCT`] of a genuinely cold measured launch
@@ -103,6 +103,10 @@ fn static_sweep_winner_has_bounded_regret_on_all_table1_configs() {
             stat.predicted().count(),
             1,
             "{label}: exactly the winner is predicted"
+        );
+        assert_eq!(
+            stat.proofs, 1,
+            "{label}: a static sweep proves only its winner"
         );
 
         let full = sweep(

@@ -58,6 +58,10 @@ fn static_rows() -> String {
             )
             .unwrap_or_else(|e| panic!("{label}: static sweep failed: {e}"));
             assert_eq!(stat.sweep_launches, 0, "{label}: static sweep launched");
+            assert_eq!(
+                stat.proofs, 1,
+                "{label}: static sweep proved more than its winner"
+            );
             let full = sweep(
                 &mut problem,
                 cfg,
