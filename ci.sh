@@ -18,8 +18,8 @@ for example in cg_solver tuned_solver traced_solve; do
   cargo run --offline --release -q --example "$example"
 done
 
-echo "== hostbench unit tests (the benchmark still builds against the workspace API) =="
-cargo test --release --offline -q --manifest-path hostbench/Cargo.toml
+echo "== hostbench unit tests (the benchmark still builds against the workspace API; --locked fails if its lock file would change) =="
+cargo test --release --offline --locked -q --manifest-path hostbench/Cargo.toml
 
 # perfdiff diffs the committed results/*.csv against fresh replays, so it
 # runs before any step that rewrites one of them (table1 --trace rewrites
@@ -39,9 +39,6 @@ TUNE_SMOKE_CACHE="$(mktemp -d)/tunecache.json"
 cargo run --offline --release -p milc-bench --bin tune -- 4 "$TUNE_SMOKE_CACHE"
 test -s "$TUNE_SMOKE_CACHE" || { echo "tune smoke did not write the cache"; exit 1; }
 rm -rf "$(dirname "$TUNE_SMOKE_CACHE")"
-
-echo "== tune --static (measurement-free smoke: zero launches end to end; per config proofs == proof rejects + 1, i.e. only the winner's proof came back clean) =="
-cargo run --offline --release -p milc-bench --bin tune -- 4 --static
 
 echo "== table1 --trace (timeline + metrics artifacts) =="
 cargo run --offline --release -p milc-bench --bin table1 -- 16 --trace results/table1.trace.json

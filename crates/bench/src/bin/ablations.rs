@@ -20,10 +20,7 @@ use milc_complex::DoubleComplex;
 use milc_dslash::{run_config_warm, DslashProblem, IndexOrder, KernelConfig, Strategy};
 
 fn main() {
-    let l: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("lattice size"))
-        .unwrap_or(8);
+    let l = milc_bench::lattice_arg(8, "ablations [L]");
     let exp = Experiment::new(l, 77);
     let mut problem = DslashProblem::<DoubleComplex>::random(l, exp.seed);
     let base = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);

@@ -13,10 +13,7 @@ use milc_complex::DoubleComplex;
 use milc_dslash::DslashProblem;
 
 fn main() {
-    let l: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("lattice size must be an integer"))
-        .unwrap_or(16);
+    let l = milc_bench::lattice_arg(16, "calibrate [L]");
     let exp = Experiment::new(l, 2024);
     eprintln!("calibration run: L = {l} on {}", exp.device.name);
     let mut problem = DslashProblem::<DoubleComplex>::random(l, exp.seed);

@@ -6,10 +6,7 @@
 use milc_bench::{quda_paper_gflops, quda_recon_csv, quda_recons, Experiment};
 
 fn main() {
-    let l: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("lattice size must be an integer"))
-        .unwrap_or(16);
+    let l = milc_bench::lattice_arg(16, "quda_recon [L]");
     let exp = Experiment::new(l, 2024);
     eprintln!("QUDA recon sweep: L = {l} on {}", exp.device.name);
 

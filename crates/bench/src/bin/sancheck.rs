@@ -39,10 +39,7 @@ fn render_findings(report: &SanitizerReport) -> String {
 }
 
 fn main() {
-    let l: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("lattice size must be an integer"))
-        .unwrap_or(8);
+    let l = milc_bench::lattice_arg(8, "sancheck [L]");
     let exp = Experiment::new(l, 2024);
     let hv = (l.pow(4) / 2) as u64;
     eprintln!(

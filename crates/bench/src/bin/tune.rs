@@ -19,15 +19,11 @@
 //! --static-tune` regenerates by replaying the static sweeps and diffs
 //! exactly (all but `regret_pct`, gated here).
 //!
-//! Usage: `cargo run -p milc-bench --bin tune --release [L] [cache]
-//! [--static]` (default L = 16, cache = `results/tunecache.json`).
-//! Writes `results/tune.md`; exits non-zero if the cold sweep fails,
-//! the warm rerun misses the cache, a ranked or static sweep misses
-//! its gates, or the Fig. 6 cross-check fails.  With `--static` the
-//! bin runs the measurement-free smoke instead: static sweeps only,
-//! zero launches end to end, failing if any configuration cannot be
-//! decided statically or a sweep proves more than the lazy walk needs
-//! (`proofs` must equal the proof-rejected candidates plus the winner).
+//! Usage: `cargo run -p milc-bench --bin tune --release [L] [cache]`
+//! (default L = 16, cache = `results/tunecache.json`).
+//! Writes `results/tune.md`; exits 1 if the cold sweep fails, the warm
+//! rerun misses the cache, a ranked or static sweep misses its gates,
+//! or the Fig. 6 cross-check fails, and 2 on a malformed argument.
 //!
 //! To reset the tuner (e.g. after changing the timing model — though a
 //! `TUNECACHE_VERSION` bump handles that automatically), delete the
@@ -37,7 +33,7 @@ use gpu_sim::{QueueMode, StaticCheckConfig};
 use milc_bench::snapshot::Table;
 use milc_bench::{paper, ranked_rows_to_csv, static_rows_to_csv, Experiment, RANKED_TOP_K};
 use milc_complex::DoubleComplex;
-use milc_dslash::tune::{sweep, CandidateOutcome, LoadOutcome, Reject, SweepMode, Tuner};
+use milc_dslash::tune::{sweep, LoadOutcome, SweepMode, Tuner};
 use milc_dslash::{run_config_staticcheck, DslashProblem, KernelConfig};
 use std::path::{Path, PathBuf};
 
@@ -88,95 +84,14 @@ fn describe_load(outcome: &LoadOutcome) -> String {
     }
 }
 
-/// The measurement-free smoke (`--static`): a static layout sweep per
-/// Table I configuration, zero launches end to end.  Exits the process.
-fn static_smoke(l: usize) -> ! {
-    let exp = Experiment::new(l, 2024);
-    eprintln!(
-        "tune --static: L = {l} on {} ({} SMs), measurement-free",
-        exp.device.name, exp.device.num_sms
-    );
-    let mut problem = DslashProblem::<DoubleComplex>::random(l, exp.seed);
-    let mut failed = false;
-    let mut launches = 0u64;
-    for col in paper::TABLE1 {
-        let cfg = KernelConfig::new(col.strategy, col.order);
-        match sweep(
-            &mut problem,
-            cfg,
-            &cfg.tunable_layouts(),
-            &exp.device,
-            QueueMode::OutOfOrder,
-            SweepMode::Static,
-        ) {
-            Ok(s) => {
-                launches += s.sweep_launches;
-                // The lazy walk proves down the ranking until one proof is
-                // clean, so every proof but the winner's found a defect.
-                let defects = s
-                    .candidates
-                    .iter()
-                    .filter(|c| {
-                        matches!(
-                            c,
-                            CandidateOutcome::Rejected {
-                                reason: Reject::Static(_),
-                                ..
-                            }
-                        )
-                    })
-                    .count() as u64;
-                let verdict = if s.sweep_launches > 0 || s.timed().count() > 0 {
-                    "FAIL: launched"
-                } else if s.proofs != defects + 1 {
-                    "FAIL: proofs != proof rejects + 1"
-                } else {
-                    "ok"
-                };
-                failed |= verdict != "ok";
-                eprintln!(
-                    "  {:16} -> {:4} {:5} ({:9.1} µs predicted, {} launches, {} proofs) -> {verdict}",
-                    cfg.label(),
-                    s.winner.local_size,
-                    s.winner.layout.tag(),
-                    s.winner.duration_us,
-                    s.sweep_launches,
-                    s.proofs,
-                );
-            }
-            Err(e) => {
-                eprintln!("  {:16} -> STATIC SWEEP FAILED: {e}", cfg.label());
-                failed = true;
-            }
-        }
-    }
-    eprintln!(
-        "tune --static: {launches} launches spent -> {}",
-        if failed || launches > 0 {
-            "FAIL"
-        } else {
-            "PASS (measurement-free)"
-        }
-    );
-    std::process::exit(if failed || launches > 0 { 1 } else { 0 });
-}
-
 fn main() {
-    let (flags, positional): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| a.starts_with("--"));
-    for f in &flags {
-        assert_eq!(f, "--static", "unknown flag {f} (expected --static)");
+    const USAGE: &str = "tune [L] [cache]";
+    if let Some(flag) = std::env::args().skip(1).find(|a| a.starts_with("--")) {
+        milc_bench::usage_error(&format!("unknown flag {flag}"), USAGE);
     }
-    let mut args = positional.into_iter();
-    let l: usize = args
-        .next()
-        .map(|a| a.parse().expect("lattice size must be an integer"))
-        .unwrap_or(16);
-    if !flags.is_empty() {
-        static_smoke(l);
-    }
-    let cache_path: PathBuf = args
-        .next()
+    let l = milc_bench::lattice_arg(16, USAGE);
+    let cache_path: PathBuf = std::env::args()
+        .nth(2)
         .map(PathBuf::from)
         .unwrap_or_else(|| Tuner::default_path().to_path_buf());
 

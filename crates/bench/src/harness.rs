@@ -54,17 +54,6 @@ impl Experiment {
         }
     }
 
-    /// The default reduced-size experiment (L = 16, 1/16 of the paper's
-    /// volume — minutes instead of hours on a laptop-class host).
-    pub fn default_small(seed: u64) -> Self {
-        Self::new(16, seed)
-    }
-
-    /// The full paper-scale experiment (L = 32, unscaled A100).
-    pub fn full(seed: u64) -> Self {
-        Self::new(32, seed)
-    }
-
     /// Factor converting measured GFLOP/s to A100-equivalent GFLOP/s.
     ///
     /// Durations on the volume-matched device equal full-scale durations
@@ -544,7 +533,8 @@ pub fn strong_scaling(
         let mut problem = shard::ShardedProblem::<DoubleComplex>::random(exp.l, exp.seed, n);
         let group = DeviceGroup::homogeneous(exp.device.clone(), n, Interconnect::nvlink());
         let sizes = tune_rank_local_sizes(&problem, cfg, &group, cache)
-            .expect("per-rank tuning must find a legal size");
+            .expect("per-rank tuning must find a legal size")
+            .sizes;
         for mode in [ShardMode::InOrder, ShardMode::Overlapped] {
             let outcome =
                 shard::run_sharded_with(&mut problem, cfg, &group, mode, &sizes, HaloFault::None)

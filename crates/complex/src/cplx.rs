@@ -46,28 +46,10 @@ impl Cplx {
         self.im
     }
 
-    /// Set the real part.
-    #[inline]
-    pub fn set_real(&mut self, re: f64) {
-        self.re = re;
-    }
-
-    /// Set the imaginary part.
-    #[inline]
-    pub fn set_imag(&mut self, im: f64) {
-        self.im = im;
-    }
-
     /// Complex conjugate.
     #[inline]
     pub const fn conj(self) -> Self {
         Self::new(self.re, -self.im)
-    }
-
-    /// Construct from polar coordinates, like `std::polar`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Self::new(r * theta.cos(), r * theta.sin())
     }
 
     /// Argument (phase angle) in `(-pi, pi]`.
@@ -303,8 +285,8 @@ mod tests {
     }
 
     #[test]
-    fn polar_roundtrip() {
-        let z = Cplx::from_polar(2.0, core::f64::consts::FRAC_PI_3);
+    fn abs_and_arg_are_polar_coordinates() {
+        let z = Cplx::new(1.0, 3f64.sqrt());
         assert!((ComplexField::abs(z) - 2.0).abs() < 1e-12);
         assert!((z.arg() - core::f64::consts::FRAC_PI_3).abs() < 1e-12);
     }

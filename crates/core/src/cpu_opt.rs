@@ -15,15 +15,15 @@
 //!
 //! Results differ from the reference only by FMA rounding (the fused
 //! product is not rounded before the add), so validation is
-//! tolerance-based.  The `cpu_dslash` Criterion bench compares the three
-//! host paths (sequential reference, rayon reference, this).
+//! tolerance-based.  `hostbench`'s `cpu.*` layers time the three host
+//! paths (sequential reference, rayon reference, this).
 
 use milc_complex::DoubleComplex;
 use milc_lattice::{ColorVector, GaugeField, NeighborTable, Parity, QuarkField};
 use rayon::prelude::*;
 
 /// Sites per rayon work unit: large enough to amortize scheduling,
-/// small enough to balance the tail (tuned on the benches).
+/// small enough to balance the tail.
 const CHUNK: usize = 256;
 
 #[derive(Copy, Clone)]
@@ -99,24 +99,23 @@ pub fn dslash_opt_into(
         });
 }
 
-/// Allocating convenience wrapper around [`dslash_opt_into`].
-pub fn dslash_opt(
-    gauge: &GaugeField<DoubleComplex>,
-    b: &QuarkField<DoubleComplex>,
-    nt: &NeighborTable,
-    parity: Parity,
-) -> Vec<ColorVector<DoubleComplex>> {
-    let mut out = vec![ColorVector::zero(); gauge.lattice().half_volume()];
-    dslash_opt_into(gauge, b, nt, parity, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
     use crate::validate::compare_to_reference;
     use milc_lattice::Lattice;
+
+    fn dslash_opt(
+        gauge: &GaugeField<DoubleComplex>,
+        b: &QuarkField<DoubleComplex>,
+        nt: &NeighborTable,
+        parity: Parity,
+    ) -> Vec<ColorVector<DoubleComplex>> {
+        let mut out = vec![ColorVector::zero(); gauge.lattice().half_volume()];
+        dslash_opt_into(gauge, b, nt, parity, &mut out);
+        out
+    }
 
     #[test]
     fn matches_reference_within_fma_rounding() {

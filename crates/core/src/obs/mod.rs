@@ -94,11 +94,6 @@ pub fn set_metrics(metrics: &Metrics) -> MetricsScope {
     MetricsScope { prev }
 }
 
-/// Whether a tracer is currently installed on this thread.
-pub fn tracing_enabled() -> bool {
-    CURRENT_TRACER.with(|c| c.borrow().is_some())
-}
-
 /// A span that may be inert: real when a tracer is installed, a
 /// no-op otherwise.  Instrumented code treats both identically.
 pub struct MaybeSpan(Option<SpanGuard>);
@@ -274,7 +269,6 @@ mod tests {
         let s = span("nothing");
         assert!(!s.is_enabled());
         s.attr("k", 1u64); // no-op, must not panic
-        assert!(!tracing_enabled());
     }
 
     #[test]
@@ -283,14 +277,13 @@ mod tests {
         let inner = Tracer::new();
         {
             let _a = set_tracer(&outer);
-            assert!(tracing_enabled());
             {
                 let _b = set_tracer(&inner);
                 let _s = span("in-inner");
             }
             let _s = span("in-outer");
         }
-        assert!(!tracing_enabled());
+        assert!(!span("after").is_enabled());
         assert_eq!(inner.snapshot().spans.len(), 1);
         assert_eq!(outer.snapshot().spans.len(), 1);
         assert_eq!(inner.snapshot().spans[0].name, "in-inner");

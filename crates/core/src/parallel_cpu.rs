@@ -11,25 +11,8 @@ use milc_lattice::{ColorVector, GaugeField, NeighborTable, Parity, QuarkField};
 use rayon::prelude::*;
 
 /// Parallel staggered Dslash over all sites of `parity`, with a
-/// caller-provided neighbor table (build it once, apply many times).
-pub fn dslash_par<C: ComplexField>(
-    gauge: &GaugeField<C>,
-    b: &QuarkField<C>,
-    nt: &NeighborTable,
-    parity: Parity,
-) -> Vec<ColorVector<C>> {
-    let lattice = gauge.lattice();
-    (0..lattice.half_volume())
-        .into_par_iter()
-        .map(|cb| {
-            let s = lattice.site_of_checkerboard(cb, parity);
-            dslash_site(gauge, b, nt, s)
-        })
-        .collect()
-}
-
-/// Parallel Dslash writing into a preallocated output (the allocation-
-/// free steady-state form the performance guide recommends).
+/// caller-provided neighbor table (build it once, apply many times),
+/// writing into a preallocated output.
 pub fn dslash_par_into<C: ComplexField>(
     gauge: &GaugeField<C>,
     b: &QuarkField<C>,
@@ -58,21 +41,12 @@ mod tests {
         let g = GaugeField::<Z>::random(&lat, 31);
         let b = QuarkField::<Z>::random(&lat, 32);
         let nt = NeighborTable::build(&lat);
-        let seq = dslash(&g, &b, Parity::Even);
-        let par = dslash_par(&g, &b, &nt, Parity::Even);
-        assert_eq!(seq, par); // same per-site association order -> bitwise
-    }
-
-    #[test]
-    fn into_variant_matches() {
-        let lat = Lattice::hypercubic(4);
-        let g = GaugeField::<Z>::random(&lat, 41);
-        let b = QuarkField::<Z>::random(&lat, 42);
-        let nt = NeighborTable::build(&lat);
-        let par = dslash_par(&g, &b, &nt, Parity::Odd);
-        let mut out = vec![ColorVector::<Z>::zero(); lat.half_volume()];
-        dslash_par_into(&g, &b, &nt, Parity::Odd, &mut out);
-        assert_eq!(par, out);
+        for parity in [Parity::Even, Parity::Odd] {
+            let mut par = vec![ColorVector::<Z>::zero(); lat.half_volume()];
+            dslash_par_into(&g, &b, &nt, parity, &mut par);
+            // Same per-site association order -> bitwise.
+            assert_eq!(dslash(&g, &b, parity), par);
+        }
     }
 
     #[test]

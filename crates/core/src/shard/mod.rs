@@ -35,6 +35,4 @@ pub use runner::{
     modelled_trace, run_rank_sanitized, run_sharded, run_sharded_with, RankRun, ShardMode,
     ShardOutcome,
 };
-pub use tune::{
-    rank_tune_key, tune_rank_local_sizes, tune_rank_local_sizes_report, ShardTuneReport,
-};
+pub use tune::{rank_tune_key, tune_rank_local_sizes, ShardTuneReport};

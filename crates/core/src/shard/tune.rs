@@ -73,7 +73,7 @@ fn candidates(
     sizes
 }
 
-/// How a [`tune_rank_local_sizes_report`] call decided its ranks.
+/// How a [`tune_rank_local_sizes`] call decided its ranks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardTuneReport {
     /// One tuned local size per rank.
@@ -147,22 +147,12 @@ fn static_rank_scores<C: ComplexField>(
 /// launches — with a cold measuring sweep as fallback for ranks the
 /// cost model cannot estimate.  Winners are inserted into `cache`;
 /// cache hits skip the decision entirely.  Returns one local size per
-/// rank; use [`tune_rank_local_sizes_report`] for launch accounting.
+/// rank (`sizes`) with full accounting of how each rank was decided and
+/// how many launches the decision spent.
 ///
 /// # Errors
 /// Propagates launch failures from the measuring fallback.
 pub fn tune_rank_local_sizes<C: ComplexField>(
-    problem: &ShardedProblem<C>,
-    cfg: KernelConfig,
-    group: &DeviceGroup,
-    cache: &mut TuneCache,
-) -> Result<Vec<u32>, SimError> {
-    tune_rank_local_sizes_report(problem, cfg, group, cache).map(|rep| rep.sizes)
-}
-
-/// [`tune_rank_local_sizes`] with full accounting of how each rank was
-/// decided and how many launches the decision spent.
-pub fn tune_rank_local_sizes_report<C: ComplexField>(
     problem: &ShardedProblem<C>,
     cfg: KernelConfig,
     group: &DeviceGroup,
@@ -273,7 +263,9 @@ mod tests {
         let g = DeviceGroup::homogeneous(DeviceSpec::test_small(), 2, Interconnect::nvlink());
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
         let mut cache = TuneCache::new();
-        let sizes = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
+        let sizes = tune_rank_local_sizes(&p, cfg, &g, &mut cache)
+            .unwrap()
+            .sizes;
         assert_eq!(sizes.len(), 2);
         // Identical slabs on identical devices share one entry.
         assert_eq!(cache.len(), 1);
@@ -286,7 +278,7 @@ mod tests {
 
         // Second call is a pure cache hit (sweep counters unchanged).
         let again = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
-        assert_eq!(again, sizes);
+        assert_eq!(again.sizes, sizes);
         assert_eq!(cache.len(), 1);
     }
 
@@ -296,7 +288,7 @@ mod tests {
         let g = DeviceGroup::homogeneous(DeviceSpec::test_small(), 2, Interconnect::nvlink());
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
         let mut cache = TuneCache::new();
-        let report = tune_rank_local_sizes_report(&p, cfg, &g, &mut cache).unwrap();
+        let report = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
         assert_eq!(report.sweep_launches, 0, "static ranking must not launch");
         assert_eq!(report.measured_ranks, 0);
         assert!(report.static_ranks >= 1);
@@ -305,7 +297,7 @@ mod tests {
         assert!(entry.duration_us > 0.0);
 
         // Rerun: pure cache hits, still zero launches.
-        let again = tune_rank_local_sizes_report(&p, cfg, &g, &mut cache).unwrap();
+        let again = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
         assert_eq!(again.cache_hits, 2);
         assert_eq!(again.sweep_launches, 0);
         assert_eq!(again.sizes, report.sizes);
@@ -317,7 +309,9 @@ mod tests {
         let g = DeviceGroup::homogeneous(DeviceSpec::test_small(), 4, Interconnect::nvlink());
         let cfg = KernelConfig::new(Strategy::OneLp, IndexOrder::KMajor);
         let mut cache = TuneCache::new();
-        let sizes = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
+        let sizes = tune_rank_local_sizes(&p, cfg, &g, &mut cache)
+            .unwrap()
+            .sizes;
         for (r, &ls) in sizes.iter().enumerate() {
             let rank = p.rank(r);
             for phase in [Phase::Full, Phase::Interior, Phase::Boundary] {

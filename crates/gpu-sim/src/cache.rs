@@ -83,15 +83,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Sector miss rate in percent (0 when idle).
-    pub fn miss_rate_pct(&self) -> f64 {
-        if self.sector_requests == 0 {
-            0.0
-        } else {
-            100.0 * self.sector_misses as f64 / self.sector_requests as f64
-        }
-    }
-
     /// Merge another instance's counts (used when combining per-SM L1s).
     pub fn merge(&mut self, other: &CacheStats) {
         self.tag_requests += other.tag_requests;
@@ -371,7 +362,6 @@ mod tests {
         assert_eq!(s.tag_requests, 2);
         assert_eq!(s.sector_requests, 8);
         assert_eq!(s.sector_misses, 4);
-        assert!((s.miss_rate_pct() - 50.0).abs() < 1e-12);
     }
 
     #[test]
@@ -495,7 +485,6 @@ mod tests {
             }
             let s = c.stats();
             prop_assert!(s.sector_misses <= s.sector_requests);
-            prop_assert!(s.miss_rate_pct() <= 100.0);
         }
 
         /// A reset cache replays any access sequence exactly like a

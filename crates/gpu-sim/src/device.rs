@@ -144,12 +144,6 @@ impl DeviceSpec {
     pub fn clock_hz(&self) -> f64 {
         self.clock_ghz * 1e9
     }
-
-    /// DRAM bytes transferred per core cycle.
-    #[inline]
-    pub fn dram_bytes_per_cycle(&self) -> f64 {
-        self.dram_bw_gbps * 1e9 / self.clock_hz()
-    }
 }
 
 impl Default for DeviceSpec {
@@ -193,7 +187,5 @@ mod tests {
     fn derived_rates() {
         let d = DeviceSpec::a100();
         assert!((d.clock_hz() - 1.41e9).abs() < 1.0);
-        // 1555 GB/s at 1.41 GHz is ~1103 bytes per cycle.
-        assert!((d.dram_bytes_per_cycle() - 1102.8).abs() < 1.0);
     }
 }

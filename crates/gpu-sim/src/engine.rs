@@ -192,16 +192,14 @@ impl LaunchReport {
 /// Configurable kernel launcher.
 pub struct Launcher<'d> {
     device: &'d DeviceSpec,
-    timing: TimingModel,
     sanitizer: Option<SanitizerConfig>,
 }
 
 impl<'d> Launcher<'d> {
-    /// A launcher with the default calibrated timing model.
+    /// A launcher pricing launches with the calibrated timing model.
     pub fn new(device: &'d DeviceSpec) -> Self {
         Self {
             device,
-            timing: TimingModel::calibrated(),
             sanitizer: None,
         }
     }
@@ -213,17 +211,6 @@ impl<'d> Launcher<'d> {
     pub fn with_sanitizer(mut self, cfg: SanitizerConfig) -> Self {
         self.sanitizer = Some(cfg);
         self
-    }
-
-    /// Override the timing model.
-    pub fn with_timing(mut self, timing: TimingModel) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// The timing model in use.
-    pub fn timing(&self) -> &TimingModel {
-        &self.timing
     }
 
     /// Launch a kernel and simulate it to completion with cold caches.
@@ -274,7 +261,7 @@ impl<'d> Launcher<'d> {
             counters,
             l1_stats,
             l2_stats,
-            duration_us: self.timing.duration_us(&counters, &occ, self.device),
+            duration_us: TimingModel::calibrated().duration_us(&counters, &occ, self.device),
             host_wall_us: host_start.elapsed().as_secs_f64() * 1e6,
             sanitizer,
             memo_hit,
@@ -314,8 +301,8 @@ impl<'d> Launcher<'d> {
             }
         }
 
-        // Shadow state snapshots the allocation table and init bitmap
-        // now, before any kernel event; the linter runs up front.
+        // Shadow state snapshots the init bitmap now, before any kernel
+        // event; the linter runs up front.
         let mut san = self.sanitizer.as_ref().map(|cfg| {
             let mut s =
                 Sanitizer::new(cfg.clone(), mem, res.local_mem_bytes_per_group, range.local);
@@ -454,7 +441,7 @@ impl<'a> GroupExecutor<'a> {
         group: u64,
         mut caches: Option<(&mut Cache, &mut Cache)>,
         counters: &mut Counters,
-        mut sanitizer: Option<&mut Sanitizer>,
+        mut sanitizer: Option<&mut Sanitizer<'_>>,
         mut undo: Option<&mut Vec<(u64, u64)>>,
     ) -> Result<(), SimError> {
         let local_size = self.range.local;

@@ -61,20 +61,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// Whether this event is a memory instruction that occupies an issue
-    /// slot during replay (as opposed to bookkeeping like `SetPath`).
-    #[inline]
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Event::GlobalLoad { .. }
-                | Event::GlobalStore { .. }
-                | Event::AtomicRmw { .. }
-                | Event::LocalLoad { .. }
-                | Event::LocalStore { .. }
-        )
-    }
-
     /// Human-readable event kind, used by the replayer's lockstep
     /// diagnostics ([`SimError::LaneDivergenceMismatch`]
     /// (crate::SimError::LaneDivergenceMismatch)).
@@ -112,19 +98,6 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memory_classification() {
-        assert!(Event::GlobalLoad { addr: 0, bytes: 8 }.is_memory());
-        assert!(Event::LocalStore {
-            offset: 0,
-            bytes: 8
-        }
-        .is_memory());
-        assert!(Event::AtomicRmw { addr: 0, bytes: 8 }.is_memory());
-        assert!(!Event::Flops(3).is_memory());
-        assert!(!Event::SetPath(1).is_memory());
-    }
 
     #[test]
     fn kind_ids_are_distinct() {

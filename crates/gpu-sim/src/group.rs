@@ -47,14 +47,6 @@ impl Interconnect {
         }
     }
 
-    /// PCIe 4.0 x16 class link: ~16 GB/s, higher per-message cost.
-    pub fn pcie() -> Self {
-        Self {
-            bandwidth_gbps: 16.0,
-            latency_us: 5.0,
-        }
-    }
-
     /// Time to move one message of `bytes`, µs (latency + streaming).
     pub fn transfer_us(&self, bytes: u64) -> f64 {
         // bytes / (GB/s) = bytes / (bw * 1e9) s = bytes / (bw * 1e3) µs.
@@ -168,7 +160,7 @@ mod tests {
 
     #[test]
     fn single_message_pipelined_equals_serialized() {
-        let link = Interconnect::pcie();
+        let link = Interconnect::nvlink();
         let one = [123_456u64];
         assert!((link.serialized_us(one) - link.pipelined_us(one)).abs() < 1e-12);
         assert_eq!(link.pipelined_us(std::iter::empty()), 0.0);

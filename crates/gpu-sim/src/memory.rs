@@ -115,11 +115,6 @@ impl DeviceMemory {
         Buffer { base, len }
     }
 
-    /// Total allocated bytes (including alignment padding).
-    pub fn allocated_bytes(&self) -> u64 {
-        self.next - BASE_ADDR
-    }
-
     /// The allocation log: `(base, len, label)` per allocation.
     pub fn allocations(&self) -> impl Iterator<Item = (u64, u64, &str)> {
         self.allocs.iter().map(|(b, l, s)| (*b, *l, s.as_str()))
@@ -271,20 +266,6 @@ impl DeviceMemory {
         }
     }
 
-    /// Bulk-read `n` `f64`s starting at `buf[offset_bytes]`.
-    pub fn read_f64_slice(&self, buf: &Buffer, offset_bytes: u64, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| self.read_f64(buf.addr(offset_bytes + 8 * i as u64)))
-            .collect()
-    }
-
-    /// Bulk-write a slice of `u32`s starting at `buf[offset_bytes]`.
-    pub fn write_u32_slice(&self, buf: &Buffer, offset_bytes: u64, vals: &[u32]) {
-        for (i, &v) in vals.iter().enumerate() {
-            self.write_u32(buf.addr(offset_bytes + 4 * i as u64), v);
-        }
-    }
-
     /// Zero-fill a buffer.
     pub fn zero(&self, buf: &Buffer) {
         let mut addr = buf.base & !7;
@@ -356,7 +337,9 @@ mod tests {
         let b = m.alloc(80, "v");
         let vals: Vec<f64> = (0..10).map(|i| i as f64 * 0.5).collect();
         m.write_f64_slice(&b, 0, &vals);
-        assert_eq!(m.read_f64_slice(&b, 0, 10), vals);
+        for (i, &v) in vals.iter().enumerate() {
+            assert_eq!(m.read_f64(b.addr(8 * i as u64)), v);
+        }
     }
 
     #[test]
@@ -365,7 +348,7 @@ mod tests {
         let b = m.alloc(64, "z");
         m.write_f64_slice(&b, 0, &[1.0; 8]);
         m.zero(&b);
-        assert_eq!(m.read_f64_slice(&b, 0, 8), vec![0.0; 8]);
+        assert!((0..8).all(|i| m.read_f64(b.addr(8 * i)) == 0.0));
     }
 
     #[test]

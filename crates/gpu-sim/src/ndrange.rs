@@ -49,19 +49,6 @@ impl NdRange {
     pub fn num_groups(&self) -> u64 {
         self.global / self.local as u64
     }
-
-    /// Number of warps per work-group (rounded up; a trailing partial
-    /// warp still occupies a scheduler slot).
-    #[inline]
-    pub fn warps_per_group(&self, device: &DeviceSpec) -> u32 {
-        self.local.div_ceil(device.warp_size)
-    }
-
-    /// Total warps in the launch.
-    #[inline]
-    pub fn total_warps(&self, device: &DeviceSpec) -> u64 {
-        self.num_groups() * self.warps_per_group(device) as u64
-    }
 }
 
 #[cfg(test)]
@@ -113,14 +100,7 @@ mod tests {
     }
 
     #[test]
-    fn warp_accounting() {
-        let d = DeviceSpec::a100();
-        let r = NdRange::linear(768 * 10, 768);
-        assert_eq!(r.num_groups(), 10);
-        assert_eq!(r.warps_per_group(&d), 24);
-        assert_eq!(r.total_warps(&d), 240);
-        // Partial warps round up: 48-item groups hold 2 warp slots.
-        let r = NdRange::linear(480, 48);
-        assert_eq!(r.warps_per_group(&d), 2);
+    fn group_accounting() {
+        assert_eq!(NdRange::linear(768 * 10, 768).num_groups(), 10);
     }
 }

@@ -1,7 +1,7 @@
 //! Bounds, alignment, and initialization checking.
 //!
-//! Global accesses are validated against the allocation table the
-//! launch started with (the simulator's `malloc_device` log), not just
+//! Global accesses are validated against the launch's allocation table
+//! (the simulator's `malloc_device` log), not just
 //! the arena range: an access that lands in the 256-byte alignment
 //! padding between two buffers, or that starts inside a buffer and runs
 //! past its end, is as out-of-bounds as one past the arena — exactly the
@@ -19,12 +19,10 @@
 use super::FindingKind;
 use crate::memory::{DeviceMemory, BASE_ADDR};
 
-pub(super) struct MemChecker {
-    /// Allocation table at launch start: `(base, len, label)`, sorted by
-    /// base (allocation is monotonic).
-    allocs: Vec<(u64, u64, String)>,
-    /// One past the last allocated address.
-    arena_end: u64,
+pub(super) struct MemChecker<'m> {
+    /// The launch's memory.  Its allocation table cannot change while the
+    /// launch runs: allocating needs `&mut DeviceMemory`.
+    mem: &'m DeviceMemory,
     /// Global init bitmap: bit per 4-byte granule (snapshot + events).
     init: Vec<u64>,
     /// Local init bitmap for the current group.
@@ -33,14 +31,10 @@ pub(super) struct MemChecker {
     local_len: u32,
 }
 
-impl MemChecker {
-    pub(super) fn new(mem: &DeviceMemory, local_mem_bytes: u32) -> Self {
+impl<'m> MemChecker<'m> {
+    pub(super) fn new(mem: &'m DeviceMemory, local_mem_bytes: u32) -> Self {
         Self {
-            allocs: mem
-                .allocations()
-                .map(|(b, l, s)| (b, l, s.to_string()))
-                .collect(),
-            arena_end: mem.arena_end(),
+            mem,
             init: mem.init_snapshot(),
             local_init: vec![0; ((local_mem_bytes as usize).div_ceil(4)).div_ceil(64)],
             local_len: local_mem_bytes,
@@ -51,22 +45,15 @@ impl MemChecker {
         self.local_init.fill(0);
     }
 
-    /// The allocation containing `addr`, by binary search.
-    fn find(&self, addr: u64) -> Option<&(u64, u64, String)> {
-        let i = self.allocs.partition_point(|(b, _, _)| *b <= addr);
-        let a = self.allocs.get(i.checked_sub(1)?)?;
-        (addr < a.0 + a.1).then_some(a)
-    }
-
     /// Label of the allocation containing `addr`, if any.
-    pub(super) fn label_of(&self, addr: u64) -> Option<&str> {
-        self.find(addr).map(|(_, _, s)| s.as_str())
+    pub(super) fn label_of(&self, addr: u64) -> Option<&'m str> {
+        self.mem.find_allocation(addr).map(|(_, _, s)| s)
     }
 
     /// Whether `[addr, addr + bytes)` lies inside the arena (the cheap
     /// gate the race/init checks need even when memcheck is disabled).
     pub(super) fn global_in_bounds(&self, addr: u64, bytes: u8) -> bool {
-        addr >= BASE_ADDR && addr + bytes as u64 <= self.arena_end
+        addr >= BASE_ADDR && addr + bytes as u64 <= self.mem.arena_end()
     }
 
     /// Full bounds + alignment check of one global access; returns
@@ -77,16 +64,16 @@ impl MemChecker {
         bytes: u8,
         out: &mut Vec<(FindingKind, String)>,
     ) -> bool {
-        match self.find(addr) {
+        match self.mem.find_allocation(addr) {
             None => {
                 // Outside every allocation: past the arena, before it,
                 // or inside inter-allocation alignment padding.
                 let label = self
-                    .allocs
-                    .iter()
-                    .rev()
-                    .find(|(b, _, _)| *b <= addr)
-                    .map(|(_, _, s)| s.clone());
+                    .mem
+                    .allocations()
+                    .take_while(|&(b, _, _)| b <= addr)
+                    .last()
+                    .map(|(_, _, s)| s.to_string());
                 out.push((
                     FindingKind::GlobalOutOfBounds { label },
                     format!("{bytes}-byte access at {addr:#x} hits no allocation"),
@@ -96,7 +83,7 @@ impl MemChecker {
             Some((base, len, label)) if addr + bytes as u64 > base + len => {
                 out.push((
                     FindingKind::GlobalOutOfBounds {
-                        label: Some(label.clone()),
+                        label: Some(label.to_string()),
                     },
                     format!(
                         "{bytes}-byte access at {addr:#x} overruns `{label}` \
@@ -110,7 +97,7 @@ impl MemChecker {
                 if !addr.is_multiple_of(bytes as u64) {
                     out.push((
                         FindingKind::GlobalMisaligned {
-                            label: label.clone(),
+                            label: label.to_string(),
                         },
                         format!("{bytes}-byte access at {addr:#x} is not naturally aligned"),
                     ));
@@ -224,12 +211,17 @@ impl MemChecker {
 mod tests {
     use super::*;
 
-    fn checker() -> (MemChecker, crate::memory::Buffer, crate::memory::Buffer) {
+    fn checker() -> (
+        MemChecker<'static>,
+        crate::memory::Buffer,
+        crate::memory::Buffer,
+    ) {
         let mut mem = DeviceMemory::new();
         let a = mem.alloc(100, "a");
         let b = mem.alloc(64, "b");
         mem.write_f64(a.addr(0), 1.0);
-        (MemChecker::new(&mem, 32), a, b)
+        // The checker borrows the memory it checks; a test leaks it.
+        (MemChecker::new(Box::leak(Box::new(mem)), 32), a, b)
     }
 
     #[test]

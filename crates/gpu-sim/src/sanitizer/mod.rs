@@ -249,10 +249,10 @@ impl SanitizerReport {
 
 /// Live checking state of one sanitized launch (engine-internal; public
 /// because the engine's group executor drives it).
-pub struct Sanitizer {
+pub struct Sanitizer<'m> {
     cfg: SanitizerConfig,
     race: RaceChecker,
-    mem: MemChecker,
+    mem: MemChecker<'m>,
     local_size: u32,
     findings: Vec<Finding>,
     index: HashMap<FindingKind, usize>,
@@ -261,13 +261,13 @@ pub struct Sanitizer {
     scratch: Vec<(FindingKind, String)>,
 }
 
-impl Sanitizer {
-    /// Build the shadow state for one launch: allocation table and
-    /// initialization bitmap are snapshotted from `mem` now, before any
-    /// kernel event is processed.
+impl<'m> Sanitizer<'m> {
+    /// Build the shadow state for one launch: the initialization bitmap
+    /// is snapshotted from `mem` now, before any kernel event is
+    /// processed; the allocation table is read from `mem` as borrowed.
     pub fn new(
         cfg: SanitizerConfig,
-        mem: &DeviceMemory,
+        mem: &'m DeviceMemory,
         local_mem_bytes: u32,
         local_size: u32,
     ) -> Self {

@@ -48,12 +48,6 @@ impl LinkType {
             LinkType::FatBwd | LinkType::LongBwd => -1.0,
         }
     }
-
-    /// The link type of index `l`.
-    #[inline]
-    pub fn from_index(l: usize) -> Self {
-        Self::ALL[l]
-    }
 }
 
 /// Gauge field: four flat arrays of 3x3 matrices indexed `[s * 4 + k]`.
@@ -226,12 +220,6 @@ impl<C: ComplexField> QuarkField<C> {
     #[inline]
     pub fn as_slice(&self) -> &[ColorVector<C>] {
         &self.v
-    }
-
-    /// Mutable raw storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [ColorVector<C>] {
-        &mut self.v
     }
 
     /// Convert the element type.

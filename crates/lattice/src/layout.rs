@@ -69,12 +69,6 @@ impl DeviceLayout {
         self.volume * 4 * Self::MAT_ELEMS
     }
 
-    /// Size in bytes of one link-type array.
-    #[inline]
-    pub fn u_array_bytes(&self) -> usize {
-        self.u_array_elems() * Self::COMPLEX_BYTES
-    }
-
     /// Complex-element index of source-vector component `B[s][j]`
     /// (full-lattice indexed: the sources live on the opposite parity of
     /// every target site, and indexing by lexicographic site keeps the
@@ -141,13 +135,6 @@ impl DeviceLayout {
     pub fn nbr_bytes(&self) -> usize {
         self.volume * 4 * 4
     }
-
-    /// Total device footprint in bytes of the benchmark's working set
-    /// (4 link arrays + source + output + 4 neighbor tables) — what the
-    /// paper's L2-capacity discussion is about.
-    pub fn total_bytes(&self) -> usize {
-        4 * self.u_array_bytes() + self.b_bytes() + self.c_bytes() + 4 * self.nbr_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +161,6 @@ mod tests {
         let lay = DeviceLayout::new(&lat);
         let v = 256;
         assert_eq!(lay.u_array_elems(), v * 36);
-        assert_eq!(lay.u_array_bytes(), v * 576);
         assert_eq!(lay.b_bytes(), v * 48);
         assert_eq!(lay.c_bytes(), v / 2 * 48);
         assert_eq!(lay.nbr_bytes(), v * 16);
@@ -187,7 +173,8 @@ mod tests {
         // which is why the kernel is memory-bound (Section IV-D1).
         let lat = Lattice::hypercubic(32);
         let lay = DeviceLayout::new(&lat);
-        let gb = lay.total_bytes() as f64 / (1 << 30) as f64;
+        let bytes = 4 * lay.u_array_elems() * DeviceLayout::COMPLEX_BYTES;
+        let gb = bytes as f64 / (1 << 30) as f64;
         assert!(gb > 2.0 && gb < 3.0, "working set {gb} GB");
     }
 

@@ -23,7 +23,6 @@
 pub mod color;
 pub mod fields;
 pub mod geometry;
-pub mod io;
 pub mod layout;
 pub mod neighbors;
 pub mod phases;

@@ -1,7 +1,6 @@
 //! SU(3) matrices — "square complex matrices of order three — that
 //! parametrize the gluon field" (Section II of the paper).
 
-use crate::color::ColorVector;
 use core::ops::{Index, IndexMut, Mul};
 use milc_complex::ComplexField;
 use rand::Rng;
@@ -55,32 +54,6 @@ impl<C: ComplexField> Su3<C> {
             }
         }
         m
-    }
-
-    /// Matrix-vector product `self * v`: 9 complex multiplies,
-    /// 6 complex adds (the paper's per-matrix work unit).
-    #[inline]
-    pub fn mul_vec(&self, v: &ColorVector<C>) -> ColorVector<C> {
-        let mut out = ColorVector::zero();
-        for i in 0..3 {
-            let mut acc = C::zero();
-            for j in 0..3 {
-                acc = self.e[i][j].mul_add(v.c[j], acc);
-            }
-            out.c[i] = acc;
-        }
-        out
-    }
-
-    /// A single row-times-vector product, the work unit of the 2LP/3LP/4LP
-    /// strategies (one row of `U` per work-item).
-    #[inline]
-    pub fn row_dot(&self, row: usize, v: &ColorVector<C>) -> C {
-        let mut acc = C::zero();
-        for j in 0..3 {
-            acc = self.e[row][j].mul_add(v.c[j], acc);
-        }
-        acc
     }
 
     /// Matrix-matrix product.
@@ -271,39 +244,6 @@ mod tests {
                 assert!((p.e[i][j] - target).norm_sqr() < 1e-24);
             }
         }
-    }
-
-    #[test]
-    fn mul_vec_matches_row_dot() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let m = Su3::<Z>::random(&mut rng);
-        let v = ColorVector::new(Z::new(1.0, -2.0), Z::new(0.5, 0.0), Z::new(-1.0, 1.0));
-        let full = m.mul_vec(&v);
-        for i in 0..3 {
-            assert_eq!(full.c[i], m.row_dot(i, &v));
-        }
-    }
-
-    #[test]
-    fn mul_vec_is_linear() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let m = Su3::<Z>::random(&mut rng);
-        let a = ColorVector::new(Z::new(1.0, 2.0), Z::new(3.0, 4.0), Z::new(5.0, 6.0));
-        let b = ColorVector::new(Z::new(-1.0, 0.5), Z::new(0.0, -2.0), Z::new(2.0, 2.0));
-        let lhs = m.mul_vec(&(a + b));
-        let rhs = m.mul_vec(&a) + m.mul_vec(&b);
-        for i in 0..3 {
-            assert!((lhs.c[i] - rhs.c[i]).norm_sqr() < 1e-24);
-        }
-    }
-
-    #[test]
-    fn unitary_preserves_norm() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let m = Su3::<Z>::random(&mut rng);
-        let v = ColorVector::new(Z::new(0.3, -0.1), Z::new(1.5, 2.0), Z::new(-0.7, 0.2));
-        let w = m.mul_vec(&v);
-        assert!((w.norm_sqr() - v.norm_sqr()).abs() < 1e-12);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    [`MAX_COLD_DRIFT_PCT`] of a genuinely cold measured launch
 //!    (`run_config`: fresh device state) at the paper's local size.
 //! 3. **Sharded ranks tune launch-free.**  For N ∈ {2, 4, 8} slabs,
-//!    `tune_rank_local_sizes_report` decides every rank statically
+//!    `tune_rank_local_sizes` decides every rank statically
 //!    (zero launches) and the chosen size's measured cold phase-sum is
 //!    within [`MAX_REGRET`] of the best candidate's.
 //! 4. **Solver streams compose.**  `estimate_solve_stream` (one cold +
@@ -32,7 +32,7 @@ use gpu_sim::{Launcher, QueueMode, Regime, RegimeCalibration};
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex as Z;
 use milc_dslash::obs;
-use milc_dslash::shard::{tune_rank_local_sizes_report, Phase, ShardedProblem};
+use milc_dslash::shard::{tune_rank_local_sizes, Phase, ShardedProblem};
 use milc_dslash::tune::{sweep, SweepMode, TuneCache, Tuner};
 use milc_dslash::{
     estimate_config, estimate_solve_stream, recommended_config, run_config, solve_with,
@@ -226,7 +226,7 @@ fn sharded_static_tuning_spends_no_launches_and_bounds_regret() {
             gpu_sim::Interconnect::nvlink(),
         );
         let mut cache = TuneCache::new();
-        let report = tune_rank_local_sizes_report(&problem, cfg, &group, &mut cache)
+        let report = tune_rank_local_sizes(&problem, cfg, &group, &mut cache)
             .unwrap_or_else(|e| panic!("N={n}: shard tuning failed: {e}"));
         assert_eq!(
             report.sweep_launches, 0,
