@@ -4,11 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo fmt --check =="
+echo "== cargo fmt --check (workspace and hostbench) =="
 cargo fmt --all -- --check
+cargo fmt --manifest-path hostbench/Cargo.toml -- --check
 
-echo "== cargo clippy (deny warnings) =="
+echo "== cargo clippy (deny warnings; workspace and hostbench, whose --locked fails if its lock file would change) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+cargo clippy --offline --locked --manifest-path hostbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== cargo test =="
 cargo test --offline -q --workspace

@@ -42,7 +42,7 @@
 use gpu_sim::{QueueMode, Regime};
 use milc_bench::snapshot::{self, Table};
 use milc_bench::{
-    fig6_rows, paper, quda_recon_csv, quda_recons, ranked_rows_to_csv, rows_to_csv,
+    fig6_rows, paper, paper_lattice, quda_recon_csv, quda_recons, ranked_rows_to_csv, rows_to_csv,
     scaling_rows_to_csv, static_rows_to_csv, strong_scaling, table1_csv, table1_drift,
     table1_outcomes, table1_profiles, Experiment, StaticRow, RANKED_TOP_K,
 };
@@ -169,17 +169,13 @@ fn main() {
             "--profile" => profile = true,
             "--selftest" => selftest = true,
             other => {
-                l = other
-                    .parse()
-                    .ok()
-                    .filter(|l: &usize| *l >= 8 && l.is_power_of_two())
-                    .unwrap_or_else(|| {
-                        input_error(format!(
-                            "unknown argument {other:?} (expected a lattice size, a power \
+                l = paper_lattice(other).unwrap_or_else(|_| {
+                    input_error(format!(
+                        "unknown argument {other:?} (expected a lattice size, a power \
                              of two >= 8, or --fig6/--scaling/--ranked/--static-tune/\
                              --profile/--selftest)"
-                        ))
-                    })
+                    ))
+                })
             }
         }
     }

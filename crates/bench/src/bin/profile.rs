@@ -6,7 +6,8 @@
 //! Usage: `cargo run -p milc-bench --release --bin profile -- \
 //!   [L] [--out PATH] [--roofline PATH] [--cache PATH]`
 //! (default L = 16, out `results/profile.md`, roofline
-//! `results/roofline.csv`, cache `results/tunecache.json`).
+//! `results/roofline.csv`, cache `results/tunecache.json`).  L must be
+//! a power of two >= 8; a bad L or flag exits 2.
 //!
 //! The gates are unconditional — the bin exits 1 when any of its own
 //! invariants break:
@@ -19,12 +20,17 @@
 //! - overlap efficiency strictly higher under the overlapped schedule
 //!   than in-order at every N.
 
-use milc_bench::{paper, provenance, strong_scaling, table1_drift, table1_outcomes, Experiment};
+use milc_bench::{
+    flag_value, paper, paper_lattice, provenance, strong_scaling, table1_drift, table1_outcomes,
+    usage_error, Experiment,
+};
 use milc_complex::DoubleComplex;
 use milc_dslash::obs::prof::{CriticalPath, DriftReport, RooflineRow};
 use milc_dslash::shard::modelled_trace;
 use milc_dslash::{obs, DslashProblem, KernelConfig, TuneCache};
 use std::path::{Path, PathBuf};
+
+const USAGE: &str = "profile [L] [--out PATH] [--roofline PATH] [--cache PATH]";
 
 const SCALING_RANKS: [usize; 3] = [2, 4, 8];
 const CP_TOLERANCE: f64 = 0.01;
@@ -47,12 +53,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => out_path = PathBuf::from(args.next().expect("--out needs a path")),
-            "--roofline" => {
-                roofline_path = PathBuf::from(args.next().expect("--roofline needs a path"))
-            }
-            "--cache" => cache_path = PathBuf::from(args.next().expect("--cache needs a path")),
-            other => l = other.parse().expect("lattice size must be an integer"),
+            "--out" => out_path = flag_value(&mut args, "--out", USAGE).into(),
+            "--roofline" => roofline_path = flag_value(&mut args, "--roofline", USAGE).into(),
+            "--cache" => cache_path = flag_value(&mut args, "--cache", USAGE).into(),
+            other => l = paper_lattice(other).unwrap_or_else(|e| usage_error(&e, USAGE)),
         }
     }
 

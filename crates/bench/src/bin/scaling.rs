@@ -13,14 +13,19 @@
 //! Usage: `cargo run -p milc-bench --bin scaling --release -- \
 //!   [L] [--out PATH] [--trace PATH] [--cache PATH] [--check]`
 //! (default L = 16, out `results/scaling.csv`, trace
-//! `results/scaling.trace.json`, cache `results/tunecache.json`).
+//! `results/scaling.trace.json`, cache `results/tunecache.json`).  L
+//! must be an even integer >= 8, so each of the 8 ranks owns a t-plane;
+//! a bad L or flag exits 2.
 //! The CSV is provenance-stamped and gated by `perfdiff --scaling`; the
 //! trace is the modelled two-rank overlapped timeline, Perfetto-loadable,
 //! with separate comm / compute tracks per rank so the overlap is
 //! visible as concurrent spans.
 
 use gpu_sim::StaticCheckConfig;
-use milc_bench::{provenance, scaling_rows_to_csv, strong_scaling, Experiment, ScalingRow};
+use milc_bench::{
+    flag_value, provenance, scaling_lattice, scaling_rows_to_csv, strong_scaling, usage_error,
+    Experiment, ScalingRow,
+};
 use milc_complex::DoubleComplex;
 use milc_dslash::shard::{modelled_trace, Phase, ShardMode, ShardedProblem};
 use milc_dslash::staticcheck::staticcheck_kernel;
@@ -30,18 +35,7 @@ use std::path::{Path, PathBuf};
 
 const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Largest legal local size for `n` targets not above the requested
-/// one — the same fit the shard runner applies before launching.
-fn fit_local_size(cfg: KernelConfig, requested: u32, n: u64) -> u32 {
-    if cfg.local_size_legal(requested, n) {
-        return requested;
-    }
-    cfg.legal_local_sizes(n)
-        .into_iter()
-        .filter(|&ls| ls <= requested)
-        .max()
-        .unwrap_or_else(|| cfg.strategy.local_size_multiple(cfg.order))
-}
+const USAGE: &str = "scaling [L] [--out PATH] [--trace PATH] [--cache PATH] [--check]";
 
 fn write_creating_dir(path: &Path, text: &str) {
     if let Some(dir) = path.parent() {
@@ -62,11 +56,11 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => out_path = PathBuf::from(args.next().expect("--out needs a path")),
-            "--trace" => trace_path = PathBuf::from(args.next().expect("--trace needs a path")),
-            "--cache" => cache_path = PathBuf::from(args.next().expect("--cache needs a path")),
+            "--out" => out_path = flag_value(&mut args, "--out", USAGE).into(),
+            "--trace" => trace_path = flag_value(&mut args, "--trace", USAGE).into(),
+            "--cache" => cache_path = flag_value(&mut args, "--cache", USAGE).into(),
             "--check" => check = true,
-            other => l = other.parse().expect("lattice size must be an integer"),
+            other => l = scaling_lattice(other).unwrap_or_else(|e| usage_error(&e, USAGE)),
         }
     }
 
@@ -194,7 +188,7 @@ fn main() {
         // analyzed once.
         eprintln!("staticcheck: proving the study's own launches ...");
         let mut problems: BTreeMap<usize, ShardedProblem<DoubleComplex>> = BTreeMap::new();
-        let mut seen: BTreeSet<(usize, usize, &'static str, u32)> = BTreeSet::new();
+        let mut seen: BTreeSet<(usize, usize, String, u32)> = BTreeSet::new();
         let mut analyzed = 0usize;
         for p in &points {
             let sharded = problems
@@ -208,23 +202,14 @@ fn main() {
                 let rank = sharded.rank(r);
                 let requested = p.outcome.per_rank[r].local_size;
                 for &phase in phases {
-                    let n = rank.phase_targets(phase);
-                    if n == 0 {
+                    let Some((range, kernel)) = rank.launch(cfg, phase, requested) else {
                         continue;
-                    }
-                    let ls = fit_local_size(cfg, requested, n);
-                    let phase_name = match phase {
-                        Phase::Full => "full",
-                        Phase::Interior => "interior",
-                        Phase::Boundary => "boundary",
                     };
-                    if !seen.insert((p.row.ranks, r, phase_name, ls)) {
+                    let ls = range.local;
+                    let phase_name = format!("{phase:?}").to_lowercase();
+                    if !seen.insert((p.row.ranks, r, phase_name.clone(), ls)) {
                         continue;
                     }
-                    let range = rank.launch_range(cfg, phase, ls);
-                    let kernel = rank
-                        .make_kernel(cfg, phase, range.num_groups())
-                        .expect("non-empty phase has a kernel");
                     let label = format!("N={} rank{r} {phase_name} @ {ls}", p.row.ranks);
                     let report = staticcheck_kernel(
                         kernel.as_ref(),

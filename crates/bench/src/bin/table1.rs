@@ -4,17 +4,22 @@
 //!
 //! Usage: `cargo run -p milc-bench --bin table1 --release [L] [--trace PATH]`
 //! (default L = 16 on the volume-matched device; `table1 32` runs the
-//! full paper scale on the unscaled A100 model).
+//! full paper scale on the unscaled A100 model).  L must be a power of
+//! two >= 8 for the paper's local sizes to launch; a bad L or flag
+//! exits 2.
 //! Writes `results/table1.csv`; with `--trace` also a
 //! Perfetto-loadable Chrome trace of the run at PATH plus a Prometheus
 //! metrics snapshot at `results/metrics.txt`.
 
 use milc_bench::{
-    aggregate_counters, paper, provenance, table1_csv, table1_outcomes, table1_profiles, Experiment,
+    aggregate_counters, flag_value, paper, paper_lattice, provenance, table1_csv, table1_outcomes,
+    table1_profiles, usage_error, Experiment,
 };
 use milc_complex::DoubleComplex;
 use milc_dslash::obs;
 use milc_dslash::DslashProblem;
+
+const USAGE: &str = "table1 [L] [--trace PATH]";
 
 fn main() {
     let mut l: usize = 16;
@@ -22,8 +27,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
-            other => l = other.parse().expect("lattice size must be an integer"),
+            "--trace" => trace_path = Some(flag_value(&mut args, "--trace", USAGE)),
+            other => l = paper_lattice(other).unwrap_or_else(|e| usage_error(&e, USAGE)),
         }
     }
     let exp = Experiment::new(l, 2024);

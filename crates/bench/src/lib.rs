@@ -29,15 +29,38 @@ pub use harness::{
 /// `default`; anything but a positive even integer (the checkerboard
 /// needs an even extent) is an error naming the argument.
 fn parse_lattice_arg(arg: Option<&str>, default: usize) -> Result<usize, String> {
-    let Some(arg) = arg else {
-        return Ok(default);
-    };
-    match arg.parse::<usize>() {
-        Ok(l) if l > 0 && l % 2 == 0 => Ok(l),
-        _ => Err(format!(
-            "lattice size must be a positive even integer, got {arg:?}"
-        )),
-    }
+    arg.map_or(Ok(default), |arg| {
+        parse_lattice(arg, |l| l > 0 && l % 2 == 0, "a positive even integer")
+    })
+}
+
+fn parse_lattice(arg: &str, ok: impl Fn(usize) -> bool, rule: &str) -> Result<usize, String> {
+    arg.parse::<usize>()
+        .ok()
+        .filter(|&l| ok(l))
+        .ok_or_else(|| format!("lattice size must be {rule}, got {arg:?}"))
+}
+
+/// A lattice size the paper's fixed local sizes (256, 768) launch on:
+/// a power of two >= 8 (`table1`, `profile`, `perfdiff`).
+pub fn paper_lattice(arg: &str) -> Result<usize, String> {
+    parse_lattice(
+        arg,
+        |l| l >= 8 && l.is_power_of_two(),
+        "a power of two >= 8",
+    )
+}
+
+/// A lattice size the strong-scaling study can split across up to 8
+/// ranks, one t-plane each at least: an even integer >= 8.
+pub fn scaling_lattice(arg: &str) -> Result<usize, String> {
+    parse_lattice(arg, |l| l >= 8 && l % 2 == 0, "an even integer >= 8")
+}
+
+/// The value after `flag`, or exit 2 with `usage` when it is missing.
+pub fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str, usage: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a value"), usage))
 }
 
 /// Prints `msg` and the bin's `usage` line, then exits 2 (a usage error,
@@ -57,7 +80,7 @@ pub fn lattice_arg(default: usize, usage: &str) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_lattice_arg;
+    use super::{paper_lattice, parse_lattice_arg, scaling_lattice};
 
     #[test]
     fn lattice_arg_accepts_positive_even_integers_only() {
@@ -67,5 +90,16 @@ mod tests {
             let err = parse_lattice_arg(Some(bad), 16).unwrap_err();
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
+    }
+
+    #[test]
+    fn flag_bin_lattices_follow_their_launch_rules() {
+        let args = ["4", "6", "12", "8", "16"];
+        let paper = args.map(|a| paper_lattice(a).ok());
+        assert_eq!(paper, [None, None, None, Some(8), Some(16)]);
+        let scaling = args.map(|a| scaling_lattice(a).ok());
+        assert_eq!(scaling, [None, None, Some(12), Some(8), Some(16)]);
+        let err = paper_lattice("--trace").unwrap_err();
+        assert!(err.contains("\"--trace\""), "{err}");
     }
 }

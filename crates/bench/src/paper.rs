@@ -256,29 +256,6 @@ pub const QUDA_RECON9_GFLOPS: f64 = 825.0;
 /// The paper's theoretical FLOP count at L = 32.
 pub const PAPER_FLOPS: f64 = 600.8e6;
 
-/// Headline claim bands (Section IV-D / V).
-pub mod claims {
-    /// 3LP-1 speedup over 1LP ("2x speedup over 1LP").
-    pub const SPEEDUP_3LP1_OVER_1LP: f64 = 2.0;
-    /// Best 3LP-1 variant over QUDA recon-18 ("maximum improvement of
-    /// 10.2%").
-    pub const BEST_OVER_QUDA_PCT: f64 = 10.2;
-    /// 3LP-2 atomics penalty bound ("up to 8.4%").
-    pub const MAX_3LP2_PENALTY_PCT: f64 = 8.4;
-    /// 3LP-3 atomics penalty bound ("7.4%").
-    pub const MAX_3LP3_PENALTY_PCT: f64 = 7.4;
-    /// 4LP-1 slowdown versus 3LP-1 ("13.2–29.0%").
-    pub const FOURLP1_SLOWDOWN_PCT: (f64, f64) = (13.2, 29.0);
-    /// 4LP-2 l-major advantage over i-major ("8.2–11.0%").
-    pub const FOURLP2_LMAJOR_ADV_PCT: (f64, f64) = (8.2, 11.0);
-    /// In-order queue advantage ("1.5% to 6.7%").
-    pub const IN_ORDER_ADV_PCT: (f64, f64) = (1.5, 6.7);
-    /// Composed-indexing penalty ("10.0–12.2%").
-    pub const COMPOSED_INDEX_PENALTY_PCT: (f64, f64) = (10.0, 12.2);
-    /// CUDA `-maxrregcount 64` gain ("up to 3.6%").
-    pub const MAXRREG_GAIN_PCT: f64 = 3.6;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,7 @@ pub use kernels::defects::{
 pub use obs::prof::{Bottleneck, CriticalPath, DriftReport, DriftRow, RooflineRow};
 pub use obs::{Metrics, Trace, Tracer};
 pub use operator::{recommended_config, SimulatedDslash};
-pub use problem::DslashProblem;
+pub use problem::{random_fields, DslashProblem};
 pub use runner::{run_config, run_config_sanitized, run_config_warm, RunOutcome};
 pub use shard::{
     modelled_trace, run_sharded, run_sharded_with, tune_rank_local_sizes, HaloFault, Partition,
@@ -53,8 +53,7 @@ pub use solver::{
     estimate_solve_stream, solve_with, CgSolution, DeviceNormalOperator, NormalOp, NormalOperator,
 };
 pub use staticcheck::{
-    estimate_config, occupancy_report, rank_candidates, run_config_staticcheck, staticcheck_kernel,
-    RankedCandidate,
+    estimate_config, rank_candidates, run_config_staticcheck, staticcheck_kernel, RankedCandidate,
 };
 pub use strategy::{IndexOrder, IndexStyle, KernelConfig, Strategy};
 pub use tune::{TuneCache, TuneDecision, TuneEntry, TuneError, TuneKey, TuneRegime, Tuner};

@@ -70,12 +70,7 @@ impl<'d, C: ComplexField> SimulatedDslash<'d, C> {
         let hv = problem.lattice().half_volume() as u64;
         let local_size = match local_size {
             Some(ls) => {
-                if !cfg.local_size_legal(ls, hv) {
-                    return Err(SimError::InvalidLocalSize {
-                        local: ls,
-                        max: device.max_group_size,
-                    });
-                }
+                problem.check_local_size(cfg, ls, device)?;
                 ls
             }
             None => *cfg

@@ -5,7 +5,8 @@ use crate::kernels::build_kernel;
 use crate::kernels::common::DevTables;
 use crate::reference;
 use crate::strategy::KernelConfig;
-use gpu_sim::{Buffer, DeviceMemory, Kernel, NdRange};
+use core::ops::Range;
+use gpu_sim::{Buffer, DeviceMemory, DeviceSpec, Kernel, NdRange, SimError};
 use milc_complex::ComplexField;
 use milc_lattice::recon::{self, Recon};
 use milc_lattice::{
@@ -24,83 +25,112 @@ pub const MAX_SPILLS: u32 = 4;
 /// default volume-matched device.
 const SPILL_SLOT_CAP: u64 = 8192;
 
-/// A packed benchmark instance.
-pub struct DslashProblem<C: ComplexField> {
-    lattice: Lattice,
-    gauge: GaugeField<C>,
-    b: QuarkField<C>,
-    parity: Parity,
-    recon: Recon,
-    mem: DeviceMemory,
-    tables: DevTables,
-    c_buf: Buffer,
+/// Bytes of one color vector in `B` or `C`.
+const VEC_BYTES: usize = DeviceLayout::VEC_ELEMS * DeviceLayout::COMPLEX_BYTES;
+
+/// The host side of one Dslash — fields, target parity and the lazily
+/// computed CPU reference — shared by single-device and sharded problems.
+pub(crate) struct HostFields<C: ComplexField> {
+    pub(crate) gauge: GaugeField<C>,
+    pub(crate) b: QuarkField<C>,
+    pub(crate) parity: Parity,
     reference: Option<Vec<ColorVector<C>>>,
 }
 
-impl<C: ComplexField> DslashProblem<C> {
-    /// Build a random problem on an `l^4` lattice from a seed
-    /// (deterministic) and pack it into device memory.
-    pub fn random(l: usize, seed: u64) -> Self {
-        Self::random_with_recon(l, seed, Recon::R18)
+impl<C: ComplexField> HostFields<C> {
+    /// Random fields on an `l^4` lattice from one seed (even parity).
+    pub(crate) fn random(l: usize, seed: u64) -> Self {
+        let (gauge, b) = random_fields(l, seed);
+        Self::new(gauge, b, Parity::Even)
     }
 
-    /// Build a random problem with a compressed gauge layout — the
-    /// extension Section IV-D3 notes the paper's SYCL implementation
-    /// lacked ("does not include QUDA's gauge compression options as
-    /// that is not a current feature of our SYCL implementation").
-    /// Every strategy kernel transparently reconstructs in registers.
-    pub fn random_with_recon(l: usize, seed: u64, recon: Recon) -> Self {
-        let lattice = Lattice::hypercubic(l);
-        let gauge = GaugeField::random(&lattice, seed);
-        let b = QuarkField::random(&lattice, seed ^ 0x9E37_79B9_7F4A_7C15);
-        Self::from_fields_with_recon(gauge, b, Parity::Even, recon)
+    /// # Panics
+    /// Panics if the fields live on different lattices.
+    pub(crate) fn new(gauge: GaugeField<C>, b: QuarkField<C>, parity: Parity) -> Self {
+        let msg = "gauge and source fields live on different lattices";
+        assert_eq!(b.lattice(), gauge.lattice(), "{msg}");
+        Self {
+            gauge,
+            b,
+            parity,
+            reference: None,
+        }
     }
 
-    /// Build from explicit fields and pack into device memory
-    /// (uncompressed gauge layout, as in the paper).
-    pub fn from_fields(gauge: GaugeField<C>, b: QuarkField<C>, parity: Parity) -> Self {
-        Self::from_fields_with_recon(gauge, b, parity, Recon::R18)
+    pub(crate) fn lattice(&self) -> &Lattice {
+        self.gauge.lattice()
     }
 
-    /// Build from explicit fields with a gauge storage scheme.
+    /// The CPU reference output (computed on first use, cached).
+    pub(crate) fn reference(&mut self) -> &[ColorVector<C>] {
+        let (gauge, b, parity) = (&self.gauge, &self.b, self.parity);
+        self.reference
+            .get_or_insert_with(|| reference::dslash(gauge, b, parity))
+    }
+}
+
+/// The benchmark's random gauge and source fields on an `l^4` lattice
+/// from one seed — every problem built from the same seed holds the
+/// same fields.
+pub fn random_fields<C: ComplexField>(l: usize, seed: u64) -> (GaugeField<C>, QuarkField<C>) {
+    let lattice = Lattice::hypercubic(l);
+    let b = QuarkField::random(&lattice, seed ^ 0x9E37_79B9_7F4A_7C15);
+    (GaugeField::random(&lattice, seed), b)
+}
+
+/// One device's packed share of a Dslash.  A device owns a contiguous
+/// range of lattice sites — all of them on a single device, a t-slab on
+/// a rank of a sharded problem — and indexes gauge links, neighbor
+/// tables and the source vector `B` by *local* site (`site - first
+/// owned`).  Buffer offsets go through the full lattice's
+/// [`DeviceLayout`], so a single device packs exactly the paper's
+/// layout.  [`Packed::new`] lays out U, the neighbor tables and B; the
+/// caller then lays out C ([`output`](Self::output)) and the target
+/// table ([`targets`](Self::targets)) in its own order, and the spill
+/// scratch ([`spill`](Self::spill)) last.
+pub(crate) struct Packed {
+    pub(crate) mem: DeviceMemory,
+    pub(crate) layout: DeviceLayout,
+    pub(crate) tables: DevTables,
+    c: Buffer,
+}
+
+impl Packed {
+    /// Pack the gauge links and neighbor tables of the `owned` sites and
+    /// their source values.  `slot` maps a stencil source site to its
+    /// index in the local `B` vector of `b_slots` entries (owned sites
+    /// sit at their local index; anything else is the caller's ghost
+    /// region, left zero).
     ///
     /// # Panics
     /// Panics if a compressed scheme is requested for links it cannot
-    /// represent (recon 9 requires generic SU(3) links; see
-    /// [`milc_lattice::recon`]).
-    pub fn from_fields_with_recon(
-        gauge: GaugeField<C>,
-        b: QuarkField<C>,
-        parity: Parity,
+    /// represent (see [`milc_lattice::recon`]).
+    pub(crate) fn new<C: ComplexField>(
+        fields: &HostFields<C>,
+        nt: &NeighborTable,
+        owned: Range<usize>,
+        slot: impl Fn(usize) -> usize,
+        b_slots: usize,
         recon_scheme: Recon,
     ) -> Self {
-        let lattice = gauge.lattice().clone();
-        assert_eq!(
-            b.lattice(),
-            &lattice,
-            "gauge and source fields live on different lattices"
-        );
-        let layout = DeviceLayout::new(&lattice);
-        let nt = NeighborTable::build(&lattice);
+        let layout = DeviceLayout::new(fields.lattice());
+        let n_owned = owned.len();
         let mut mem = DeviceMemory::new();
 
         // Gauge arrays, one buffer per link type (Section IV-D7 layout
         // for R18; `reals()`-wide encoded records for the compressed
         // extension schemes).
         let reals = recon_scheme.reals();
-        let mut u_bufs = [Buffer::default(); 4];
+        let mut u = [0; 4];
         for (l, link) in LinkType::ALL.iter().enumerate() {
-            let buf = mem.alloc(
-                (lattice.volume() * 4 * reals * 8) as u64,
-                &format!("U[{l}]"),
-            );
-            for s in 0..lattice.volume() {
+            let buf = mem.alloc((n_owned * 4 * reals * 8) as u64, &format!("U[{l}]"));
+            for (ls, s) in owned.clone().enumerate() {
                 for k in 0..4 {
-                    let m = gauge.link(*link, s, k);
+                    let m = fields.gauge.link(*link, s, k);
                     if recon_scheme == Recon::R18 {
                         for i in 0..3 {
                             for j in 0..3 {
-                                let addr = buf.base() + layout.u_byte(s, k, i, j) as u64;
+                                let addr = buf.base() + layout.u_byte(ls, k, i, j) as u64;
                                 mem.write_f64(addr, m.e[i][j].re());
                                 mem.write_f64(addr + 8, m.e[i][j].im());
                             }
@@ -118,120 +148,184 @@ impl<C: ComplexField> DslashProblem<C> {
                             }
                         }
                         let enc = recon::encode(&dm, recon_scheme);
-                        mem.write_f64_slice(&buf, ((s * 4 + k) * reals * 8) as u64, &enc);
+                        mem.write_f64_slice(&buf, ((ls * 4 + k) * reals * 8) as u64, &enc);
                     }
                 }
             }
-            u_bufs[l] = buf;
+            u[l] = buf.base();
         }
 
-        // Neighbor tables, one per link type.
-        let mut nbr_bufs = [Buffer::default(); 4];
+        // Neighbor tables, one per link type, pointing into local B.
+        let mut nbr = [0; 4];
         #[allow(clippy::needless_range_loop)] // l indexes table lookups and buffers in lockstep
         for l in 0..4 {
-            let buf = mem.alloc(layout.nbr_bytes() as u64, &format!("nbr[{l}]"));
-            for s in 0..lattice.volume() {
+            let buf = mem.alloc((n_owned * 4 * 4) as u64, &format!("nbr[{l}]"));
+            for (ls, s) in owned.clone().enumerate() {
                 for k in 0..4 {
                     mem.write_u32(
-                        buf.base() + layout.nbr_byte(s, k) as u64,
-                        nt.source_site(l, s, k) as u32,
+                        buf.base() + layout.nbr_byte(ls, k) as u64,
+                        slot(nt.source_site(l, s, k)) as u32,
                     );
                 }
             }
-            nbr_bufs[l] = buf;
+            nbr[l] = buf.base();
         }
 
-        // Source vector B over the full lattice.
-        let b_buf = mem.alloc(layout.b_bytes() as u64, "B");
-        for s in 0..lattice.volume() {
-            for j in 0..3 {
-                let addr = b_buf.base() + layout.b_byte(s, j) as u64;
-                mem.write_f64(addr, b.site(s).c[j].re());
-                mem.write_f64(addr + 8, b.site(s).c[j].im());
-            }
-        }
-
-        // Output C over one parity.
-        let c_buf = mem.alloc(layout.c_bytes() as u64, "C");
-
-        // Target-site gather table.
-        let target_buf = mem.alloc((lattice.half_volume() * 4) as u64, "target");
-        for cb in 0..lattice.half_volume() {
-            mem.write_u32(
-                target_buf.base() + (cb * 4) as u64,
-                lattice.site_of_checkerboard(cb, parity) as u32,
-            );
-        }
-
-        // Spill scratch (thread-local memory model).
-        let max_items = lattice.half_volume() as u64 * 48;
-        let spill_slots = max_items.clamp(1, SPILL_SLOT_CAP);
-        let spill_buf = mem.alloc(spill_slots * MAX_SPILLS as u64 * 16, "spill");
-
+        let b = mem.alloc((b_slots * VEC_BYTES) as u64, "B");
+        // C, target and spill are filled in by the caller's layout steps.
         let tables = DevTables {
-            u: [
-                u_bufs[0].base(),
-                u_bufs[1].base(),
-                u_bufs[2].base(),
-                u_bufs[3].base(),
-            ],
-            nbr: [
-                nbr_bufs[0].base(),
-                nbr_bufs[1].base(),
-                nbr_bufs[2].base(),
-                nbr_bufs[3].base(),
-            ],
-            b: b_buf.base(),
-            c: c_buf.base(),
-            target: target_buf.base(),
-            spill: spill_buf.base(),
-            spill_slots,
-            half_volume: lattice.half_volume() as u64,
+            u,
+            nbr,
+            b: b.base(),
+            c: 0,
+            target: 0,
+            spill: 0,
+            spill_slots: 0,
+            half_volume: 0,
             recon: recon_scheme,
         };
-
-        Self {
-            lattice,
-            gauge,
-            b,
-            parity,
-            recon: recon_scheme,
+        let c = Buffer::default();
+        let packed = Self {
             mem,
+            layout,
             tables,
-            c_buf,
-            reference: None,
+            c,
+        };
+        packed.write_source(&fields.b, owned);
+        packed
+    }
+
+    /// Lay out the output vector C over `n_targets` target sites.
+    pub(crate) fn output(&mut self, n_targets: u64) {
+        self.c = self.mem.alloc(n_targets * VEC_BYTES as u64, "C");
+        self.tables.c = self.c.base();
+        self.tables.half_volume = n_targets;
+    }
+
+    /// Lay out the target gather table: entry `i` is the local site of
+    /// target `i`.
+    pub(crate) fn targets(&mut self, sites: impl ExactSizeIterator<Item = usize>) {
+        let buf = self.mem.alloc(sites.len() as u64 * 4, "target");
+        for (i, s) in sites.enumerate() {
+            self.mem.write_u32(buf.base() + (i * 4) as u64, s as u32);
         }
+        self.tables.target = buf.base();
+    }
+
+    /// Lay out the spill scratch (thread-local memory model), sized by
+    /// the target count [`output`](Self::output) set.
+    pub(crate) fn spill(&mut self) {
+        let slots = (self.tables.half_volume * 48).clamp(1, SPILL_SLOT_CAP);
+        let spill = self.mem.alloc(slots * MAX_SPILLS as u64 * 16, "spill");
+        self.tables.spill = spill.base();
+        self.tables.spill_slots = slots;
+    }
+
+    /// Zero the output buffer.
+    pub(crate) fn zero_output(&self) {
+        self.mem.zero(&self.c);
+    }
+
+    /// Write the source values of the `owned` sites at their local index.
+    fn write_source<C: ComplexField>(&self, b: &QuarkField<C>, owned: Range<usize>) {
+        for (ls, s) in owned.enumerate() {
+            for j in 0..3 {
+                let addr = self.tables.b + self.layout.b_byte(ls, j) as u64;
+                self.mem.write_f64(addr, b.site(s).c[j].re());
+                self.mem.write_f64(addr + 8, b.site(s).c[j].im());
+            }
+        }
+    }
+
+    /// Read the output vector back, target order.
+    pub(crate) fn read_output<C: ComplexField>(&self) -> Vec<ColorVector<C>> {
+        (0..self.tables.half_volume as usize)
+            .map(|idx| {
+                let mut v = ColorVector::<C>::zero();
+                for i in 0..3 {
+                    let addr = self.c.base() + self.layout.c_byte(idx, i) as u64;
+                    v.c[i] = C::new(self.mem.read_f64(addr), self.mem.read_f64(addr + 8));
+                }
+                v
+            })
+            .collect()
+    }
+}
+
+/// A packed benchmark instance.
+pub struct DslashProblem<C: ComplexField> {
+    fields: HostFields<C>,
+    packed: Packed,
+}
+
+impl<C: ComplexField> DslashProblem<C> {
+    /// Build a random problem on an `l^4` lattice from a seed
+    /// (deterministic) and pack it into device memory.
+    pub fn random(l: usize, seed: u64) -> Self {
+        Self::random_with_recon(l, seed, Recon::R18)
+    }
+
+    /// Build a random problem with a compressed gauge layout — the
+    /// extension Section IV-D3 notes the paper's SYCL implementation
+    /// lacked ("does not include QUDA's gauge compression options as
+    /// that is not a current feature of our SYCL implementation").
+    /// Every strategy kernel transparently reconstructs in registers.
+    pub fn random_with_recon(l: usize, seed: u64, recon: Recon) -> Self {
+        Self::pack(HostFields::random(l, seed), recon)
+    }
+
+    /// Build from explicit fields and pack into device memory
+    /// (uncompressed gauge layout, as in the paper).
+    ///
+    /// # Panics
+    /// Panics if the fields live on different lattices.
+    pub fn from_fields(gauge: GaugeField<C>, b: QuarkField<C>, parity: Parity) -> Self {
+        Self::pack(HostFields::new(gauge, b, parity), Recon::R18)
+    }
+
+    /// One device owns every site: allocation order U, nbr, B, C,
+    /// target, spill.
+    fn pack(fields: HostFields<C>, recon: Recon) -> Self {
+        let lattice = fields.lattice();
+        let nt = NeighborTable::build(lattice);
+        let hv = lattice.half_volume();
+        let volume = lattice.volume();
+        let mut packed = Packed::new(&fields, &nt, 0..volume, |s| s, volume, recon);
+        packed.output(hv as u64);
+        packed.targets((0..hv).map(|cb| lattice.site_of_checkerboard(cb, fields.parity)));
+        packed.spill();
+        Self { fields, packed }
     }
 
     /// The gauge storage scheme this problem was packed with.
     pub fn recon(&self) -> Recon {
-        self.recon
+        self.packed.tables.recon
     }
 
     /// The output tolerance appropriate to the gauge storage scheme
     /// (compressed layouts reconstruct with scheme-dependent accuracy).
     pub fn validation_tolerance(&self) -> f64 {
-        self.recon.tolerance().max(1e-10)
+        self.recon().tolerance().max(1e-10)
     }
 
     /// The lattice.
     pub fn lattice(&self) -> &Lattice {
-        &self.lattice
+        self.fields.lattice()
     }
 
     /// The gauge field.
     pub fn gauge(&self) -> &GaugeField<C> {
-        &self.gauge
+        &self.fields.gauge
     }
 
     /// The source field.
     pub fn source(&self) -> &QuarkField<C> {
-        &self.b
+        &self.fields.b
     }
 
     /// The target parity.
     pub fn parity(&self) -> Parity {
-        self.parity
+        self.fields.parity
     }
 
     /// Replace the source field `B`: repack it into device memory and
@@ -243,65 +337,42 @@ impl<C: ComplexField> DslashProblem<C> {
     /// # Panics
     /// Panics if `b` lives on a different lattice than the problem.
     pub fn set_source(&mut self, b: &QuarkField<C>) {
-        assert_eq!(
-            b.lattice(),
-            &self.lattice,
-            "replacement source lives on a different lattice"
-        );
-        let layout = DeviceLayout::new(&self.lattice);
-        for s in 0..self.lattice.volume() {
-            for j in 0..3 {
-                let addr = self.tables.b + layout.b_byte(s, j) as u64;
-                self.mem.write_f64(addr, b.site(s).c[j].re());
-                self.mem.write_f64(addr + 8, b.site(s).c[j].im());
-            }
-        }
-        self.b = b.clone();
-        self.reference = None;
+        let msg = "replacement source lives on a different lattice";
+        assert_eq!(b.lattice(), self.lattice(), "{msg}");
+        self.packed.write_source(b, 0..self.lattice().volume());
+        self.fields.b = b.clone();
+        self.fields.reference = None;
     }
 
     /// Device memory (pass to the launcher).
     pub fn memory(&self) -> &DeviceMemory {
-        &self.mem
+        &self.packed.mem
     }
 
     /// Device buffer addresses.
     pub fn tables(&self) -> DevTables {
-        self.tables
+        self.packed.tables
     }
 
     /// Zero the output buffer (between kernel runs).
     pub fn zero_output(&self) {
-        self.mem.zero(&self.c_buf);
+        self.packed.zero_output();
     }
 
     /// Read the output vector back from the device.
     pub fn read_output(&self) -> Vec<ColorVector<C>> {
-        let layout = DeviceLayout::new(&self.lattice);
-        (0..self.lattice.half_volume())
-            .map(|cb| {
-                let mut v = ColorVector::<C>::zero();
-                for i in 0..3 {
-                    let addr = self.c_buf.base() + layout.c_byte(cb, i) as u64;
-                    v.c[i] = C::new(self.mem.read_f64(addr), self.mem.read_f64(addr + 8));
-                }
-                v
-            })
-            .collect()
+        self.packed.read_output()
     }
 
     /// The CPU reference output (computed on first use, cached).
     pub fn reference(&mut self) -> &[ColorVector<C>] {
-        if self.reference.is_none() {
-            self.reference = Some(reference::dslash(&self.gauge, &self.b, self.parity));
-        }
-        self.reference.as_deref().expect("just computed")
+        self.fields.reference()
     }
 
     /// The launch geometry of a configuration at a local size.
     pub fn launch_range(&self, cfg: KernelConfig, local_size: u32) -> NdRange {
         NdRange::linear(
-            cfg.global_size(self.lattice.half_volume() as u64),
+            cfg.global_size(self.lattice().half_volume() as u64),
             local_size,
         )
     }
@@ -309,7 +380,47 @@ impl<C: ComplexField> DslashProblem<C> {
     /// Build the kernel object for a configuration; `num_groups` must be
     /// `launch_range(cfg, local_size).num_groups()`.
     pub fn make_kernel(&self, cfg: KernelConfig, num_groups: u64) -> Box<dyn Kernel> {
-        build_kernel::<C>(cfg, self.tables, num_groups)
+        build_kernel::<C>(cfg, self.packed.tables, num_groups)
+    }
+
+    /// Enforce the paper's local-size constraints (Section III-C/D): a
+    /// size that divides the global size but is not a multiple of the
+    /// strategy's site block would make the local-memory reduction read
+    /// across the work-group boundary — undefined behaviour on a real
+    /// device, an out-of-bounds panic in the simulator.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidLocalSize`] for an illegal size.
+    pub(crate) fn check_local_size(
+        &self,
+        cfg: KernelConfig,
+        local_size: u32,
+        device: &DeviceSpec,
+    ) -> Result<(), SimError> {
+        if cfg.local_size_legal(local_size, self.lattice().half_volume() as u64) {
+            Ok(())
+        } else {
+            Err(SimError::InvalidLocalSize {
+                local: local_size,
+                max: device.max_group_size,
+            })
+        }
+    }
+
+    /// The checked launch of a configuration at a local size: its
+    /// geometry and kernel, after [`Self::check_local_size`].
+    ///
+    /// # Errors
+    /// [`SimError::InvalidLocalSize`] for an illegal size.
+    pub(crate) fn launch(
+        &self,
+        cfg: KernelConfig,
+        local_size: u32,
+        device: &DeviceSpec,
+    ) -> Result<(NdRange, Box<dyn Kernel>), SimError> {
+        self.check_local_size(cfg, local_size, device)?;
+        let range = self.launch_range(cfg, local_size);
+        Ok((range, self.make_kernel(cfg, range.num_groups())))
     }
 }
 
@@ -368,7 +479,7 @@ mod tests {
         let out = p.read_output();
         assert!(out.iter().all(|v| v.norm_sqr() == 0.0));
         // Dirty one element, re-zero, verify.
-        p.memory().write_f64(p.c_buf.base(), 5.0);
+        p.memory().write_f64(p.tables().c, 5.0);
         p.zero_output();
         assert!(p.read_output().iter().all(|v| v.norm_sqr() == 0.0));
     }

@@ -10,8 +10,7 @@ use crate::problem::DslashProblem;
 use crate::strategy::KernelConfig;
 use crate::validate::{compare_to_reference, MaxError};
 use gpu_sim::{
-    DeviceSpec, DeviceState, Kernel, LaunchReport, Launcher, NdRange, Queue, QueueMode,
-    SanitizerConfig, SimError,
+    DeviceSpec, DeviceState, LaunchReport, Launcher, Queue, QueueMode, SanitizerConfig, SimError,
 };
 use milc_complex::ComplexField;
 
@@ -72,29 +71,20 @@ pub fn run_config_warm<C: ComplexField>(
     )
 }
 
-/// The prelude every run shares: enforce the paper's local-size
-/// constraints (Section III-C/D) before launching, then zero the output
-/// and build the kernel.  A size that divides the global size but is
-/// not a multiple of the strategy's site-block would make the
-/// local-memory reduction read across the work-group boundary —
-/// undefined behaviour on a real device, an out-of-bounds panic in the
-/// simulator.
-fn prepare<C: ComplexField>(
-    problem: &mut DslashProblem<C>,
-    cfg: KernelConfig,
-    local_size: u32,
+/// Run one launch inside a `name` span on `track` and record its report
+/// and queue overhead (µs) on the span and the ambient metrics — the
+/// traced launch both the single-device and the sharded runners use.
+pub(crate) fn traced_launch(
+    track: &str,
+    name: &str,
+    label: &str,
     device: &DeviceSpec,
-) -> Result<(NdRange, Box<dyn Kernel>), SimError> {
-    if !cfg.local_size_legal(local_size, problem.lattice().half_volume() as u64) {
-        return Err(SimError::InvalidLocalSize {
-            local: local_size,
-            max: device.max_group_size,
-        });
-    }
-    problem.zero_output();
-    let range = problem.launch_range(cfg, local_size);
-    let kernel = problem.make_kernel(cfg, range.num_groups());
-    Ok((range, kernel))
+    launch: impl FnOnce() -> Result<(LaunchReport, f64), SimError>,
+) -> Result<(LaunchReport, f64), SimError> {
+    let span = obs::span_on(track, name);
+    let (report, overhead) = launch()?;
+    obs::record_launch(&span, label, &report, device, overhead);
+    Ok((report, overhead))
 }
 
 /// The one run body: launch on a caller-owned device state, after an
@@ -114,32 +104,31 @@ pub(crate) fn run_config_warm_on_state<C: ComplexField>(
     state: &mut DeviceState,
     warmup: bool,
 ) -> Result<RunOutcome, SimError> {
-    let (range, kernel) = prepare(problem, cfg, local_size, device)?;
+    let (range, kernel) = problem.launch(cfg, local_size, device)?;
+    problem.zero_output();
     let label = cfg.label();
     // Warmup launch: executes fully (results overwritten below), fills
     // the caches, is not timed.
     if warmup {
-        let warmup_span = obs::span_on(&label, "warmup");
-        let warmup_report = Launcher::new(device).launch_with_state(
-            kernel.as_ref(),
-            range,
-            problem.memory(),
-            state,
-        )?;
-        obs::record_launch(&warmup_span, &label, &warmup_report, device, 0.0);
+        traced_launch(&label, "warmup", &label, device, || {
+            let report = Launcher::new(device).launch_with_state(
+                kernel.as_ref(),
+                range,
+                problem.memory(),
+                state,
+            )?;
+            Ok((report, 0.0))
+        })?;
         problem.zero_output();
     }
     // The timed launch hits warm caches iff the state has run anything.
     let warm = state.launches() > 0;
 
-    let span = obs::span_on(&label, "launch");
     let mut queue = Queue::on_device(device, queue_mode);
-    let (report, overhead) = {
+    let (report, overhead) = traced_launch(&label, "launch", &label, device, || {
         let sub = queue.submit_with_state(kernel.as_ref(), range, problem.memory(), state)?;
-        (sub.report.clone(), sub.overhead_us)
-    };
-    obs::record_launch(&span, &label, &report, device, overhead);
-    drop(span);
+        Ok((sub.report.clone(), sub.overhead_us))
+    })?;
 
     let device_out = problem.read_output();
     let error = compare_to_reference(&device_out, problem.reference());
@@ -171,15 +160,17 @@ pub fn run_config_sanitized<C: ComplexField>(
     device: &DeviceSpec,
     san: SanitizerConfig,
 ) -> Result<LaunchReport, SimError> {
-    let (range, kernel) = prepare(problem, cfg, local_size, device)?;
+    let (range, kernel) = problem.launch(cfg, local_size, device)?;
+    problem.zero_output();
     let label = cfg.label();
-    let span = obs::span_on(&label, "sanitize.launch");
-    let report = Launcher::new(device).with_sanitizer(san).launch(
-        kernel.as_ref(),
-        range,
-        problem.memory(),
-    )?;
-    obs::record_launch(&span, &label, &report, device, 0.0);
+    // A sanitized launch charges no queue overhead.
+    let (report, _) = traced_launch(&label, "sanitize.launch", &label, device, || {
+        let launcher = Launcher::new(device).with_sanitizer(san);
+        Ok((
+            launcher.launch(kernel.as_ref(), range, problem.memory())?,
+            0.0,
+        ))
+    })?;
     Ok(report)
 }
 

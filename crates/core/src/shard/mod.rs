@@ -8,14 +8,15 @@
 //!
 //! * [`partition`] — t-slab decomposition, ghost slices and the
 //!   per-message halo plan;
-//! * [`problem`] — per-rank device packing with a ghost region, the
-//!   interior/boundary target split, and the (fault-injectable) halo
-//!   exchange;
+//! * [`problem`] — per-rank packing through the single-device packer
+//!   (slab-local indices plus a ghost region), the interior/boundary
+//!   target split, and the (fault-injectable) halo exchange;
 //! * [`runner`] — execution on a [`gpu_sim::DeviceGroup`] under the
 //!   in-order (blocking exchange) and overlapped (pipelined exchange)
 //!   schedules, plus a modelled Perfetto timeline;
-//! * [`tune`] — per-rank local-size autotuning into the shared
-//!   [`TuneCache`](crate::TuneCache).
+//! * [`tune`] — per-rank local-size tuning through the single-device
+//!   static ranker (measuring only ranks it cannot estimate), into the
+//!   shared [`TuneCache`](crate::TuneCache).
 //!
 //! Every schedule produces *bitwise-identical* output to the
 //! single-device [`DslashProblem`](crate::DslashProblem): kernels only

@@ -219,7 +219,7 @@ impl Partition {
     }
 
     /// Global site indices of rank `r`'s slab, in local order.
-    pub fn slab_sites(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
+    pub fn slab_sites(&self, r: usize) -> core::ops::Range<usize> {
         let first = self.t_start(r) * self.slice_volume();
         first..first + self.slab_volume(r)
     }

@@ -1,9 +1,9 @@
 //! Per-rank packing of a domain-decomposed Dslash, plus the host-side
 //! halo exchange that fills the ghost regions.
 //!
-//! Each rank of a [`Partition`] owns a t-slab and packs exactly the
-//! buffers the single-device [`DslashProblem`](crate::DslashProblem)
-//! packs, but in a *local* index space:
+//! Each rank of a [`Partition`] owns a t-slab and packs it with the
+//! single-device [`DslashProblem`](crate::DslashProblem)'s packer, in a
+//! *local* index space:
 //!
 //! * gauge arrays and neighbor tables cover only the slab's own sites
 //!   (the kernels index both at the target site, which is always owned);
@@ -26,17 +26,13 @@ use super::partition::{HaloMsg, Partition};
 use crate::kernels::build_kernel;
 use crate::kernels::common::DevTables;
 use crate::obs;
-use crate::problem::MAX_SPILLS;
-use crate::reference;
+use crate::problem::{HostFields, Packed};
 use crate::strategy::KernelConfig;
 use core::marker::PhantomData;
-use gpu_sim::{Buffer, DeviceMemory, Kernel, NdRange, SimError};
+use gpu_sim::{DeviceMemory, Kernel, NdRange, SimError};
 use milc_complex::ComplexField;
 use milc_lattice::recon::Recon;
-use milc_lattice::{ColorVector, GaugeField, Lattice, LinkType, NeighborTable, Parity, QuarkField};
-
-/// Spill-slot cap, mirroring the single-device packing.
-const SPILL_SLOT_CAP: u64 = 8192;
+use milc_lattice::{ColorVector, GaugeField, Lattice, NeighborTable, Parity, QuarkField};
 
 /// Which slice of a rank's target sites a launch covers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -83,10 +79,7 @@ pub enum HaloFault {
 /// bookkeeping needed to launch, split and reassemble.
 pub struct RankProblem<C: ComplexField> {
     rank: usize,
-    mem: DeviceMemory,
-    tables: DevTables,
-    c_buf: Buffer,
-    b_buf: Buffer,
+    packed: Packed,
     slab_volume: u64,
     num_ghosts: u64,
     n_interior: u64,
@@ -98,80 +91,40 @@ pub struct RankProblem<C: ComplexField> {
 }
 
 impl<C: ComplexField> RankProblem<C> {
-    fn build(
-        part: &Partition,
-        nt: &NeighborTable,
-        r: usize,
-        gauge: &GaugeField<C>,
-        b: &QuarkField<C>,
-        parity: Parity,
-    ) -> Self {
+    /// Pack rank `r`'s slab with the single-device [`Packed`]: the slab
+    /// is the owned site range, and the neighbor tables point into the
+    /// local B index space — owned sources at their slab offset,
+    /// external ones in the ghost region after it.  Allocation order
+    /// U, nbr, B, target, C, spill.
+    fn build(part: &Partition, nt: &NeighborTable, r: usize, fields: &HostFields<C>) -> Self {
         let lat = part.lattice();
         let slab_vol = part.slab_volume(r);
         let num_ghosts = part.num_ghosts(r);
-        let mut mem = DeviceMemory::new();
-
-        // Gauge arrays over the slab only: kernels index U at the target
-        // site, which a rank always owns.
-        let mut u_bufs = [Buffer::default(); 4];
-        for (l, link) in LinkType::ALL.iter().enumerate() {
-            let buf = mem.alloc((slab_vol * 4 * 18 * 8) as u64, &format!("U[{l}]"));
-            for (ls, s) in part.slab_sites(r).enumerate() {
-                for k in 0..4 {
-                    let m = gauge.link(*link, s, k);
-                    for i in 0..3 {
-                        for j in 0..3 {
-                            let addr = buf.base() + (((ls * 4 + k) * 9 + i * 3 + j) * 16) as u64;
-                            mem.write_f64(addr, m.e[i][j].re());
-                            mem.write_f64(addr + 8, m.e[i][j].im());
-                        }
-                    }
-                }
+        let slot = |src: usize| {
+            if part.owner_of_site(src) == r {
+                part.local_index(r, src)
+            } else {
+                slab_vol
+                    + part
+                        .ghost_index(r, src)
+                        .expect("external stencil source must be a planned ghost")
             }
-            u_bufs[l] = buf;
-        }
-
-        // Neighbor tables over the slab, pointing into the local B index
-        // space: owned sources at their slab offset, external ones in
-        // the ghost region after it.
-        let mut nbr_bufs = [Buffer::default(); 4];
-        #[allow(clippy::needless_range_loop)] // l indexes tables and buffers in lockstep
-        for l in 0..4 {
-            let buf = mem.alloc((slab_vol * 4 * 4) as u64, &format!("nbr[{l}]"));
-            for (ls, s) in part.slab_sites(r).enumerate() {
-                for k in 0..4 {
-                    let src = nt.source_site(l, s, k);
-                    let local_src = if part.owner_of_site(src) == r {
-                        part.local_index(r, src)
-                    } else {
-                        slab_vol
-                            + part
-                                .ghost_index(r, src)
-                                .expect("external stencil source must be a planned ghost")
-                    };
-                    mem.write_u32(buf.base() + ((ls * 4 + k) * 4) as u64, local_src as u32);
-                }
-            }
-            nbr_bufs[l] = buf;
-        }
-
-        // Source vector: slab sites then ghost slots.  Ghosts stay zero
-        // until the exchange fills them.
-        let b_buf = mem.alloc(((slab_vol + num_ghosts) * 3 * 16) as u64, "B");
-        for (ls, s) in part.slab_sites(r).enumerate() {
-            for j in 0..3 {
-                let addr = b_buf.base() + ((ls * 3 + j) * 16) as u64;
-                mem.write_f64(addr, b.site(s).c[j].re());
-                mem.write_f64(addr + 8, b.site(s).c[j].im());
-            }
-        }
+        };
+        let mut packed = Packed::new(
+            fields,
+            nt,
+            part.slab_sites(r),
+            slot,
+            slab_vol + num_ghosts,
+            Recon::R18,
+        );
 
         // Target gather table, interior first.  A target is boundary if
         // any of its 16 stencil sources lives off-slab.
         let mut interior: Vec<(usize, usize)> = Vec::new(); // (local site, global cb)
         let mut boundary: Vec<(usize, usize)> = Vec::new();
         for cb in 0..lat.half_volume() {
-            let s = lat.site_of_checkerboard(cb, parity);
+            let s = lat.site_of_checkerboard(cb, fields.parity);
             if part.owner_of_site(s) != r {
                 continue;
             }
@@ -188,53 +141,18 @@ impl<C: ComplexField> RankProblem<C> {
         let n_boundary = boundary.len() as u64;
         let n_targets = n_interior + n_boundary;
         let targets: Vec<(usize, usize)> = interior.into_iter().chain(boundary).collect();
-
-        let target_buf = mem.alloc(n_targets * 4, "target");
-        for (idx, &(ls, _)) in targets.iter().enumerate() {
-            mem.write_u32(target_buf.base() + (idx * 4) as u64, ls as u32);
-        }
-        let targets_global_cb: Vec<usize> = targets.iter().map(|&(_, cb)| cb).collect();
-
-        // Output over the rank's targets.
-        let c_buf = mem.alloc(n_targets * 3 * 16, "C");
-
-        // Spill scratch, sized like the single-device problem.
-        let spill_slots = (n_targets * 48).clamp(1, SPILL_SLOT_CAP);
-        let spill_buf = mem.alloc(spill_slots * MAX_SPILLS as u64 * 16, "spill");
-
-        let tables = DevTables {
-            u: [
-                u_bufs[0].base(),
-                u_bufs[1].base(),
-                u_bufs[2].base(),
-                u_bufs[3].base(),
-            ],
-            nbr: [
-                nbr_bufs[0].base(),
-                nbr_bufs[1].base(),
-                nbr_bufs[2].base(),
-                nbr_bufs[3].base(),
-            ],
-            b: b_buf.base(),
-            c: c_buf.base(),
-            target: target_buf.base(),
-            spill: spill_buf.base(),
-            spill_slots,
-            half_volume: n_targets,
-            recon: Recon::R18,
-        };
+        packed.targets(targets.iter().map(|&(ls, _)| ls));
+        packed.output(n_targets);
+        packed.spill();
 
         Self {
             rank: r,
-            mem,
-            tables,
-            c_buf,
-            b_buf,
+            packed,
             slab_volume: slab_vol as u64,
             num_ghosts: num_ghosts as u64,
             n_interior,
             n_boundary,
-            targets_global_cb,
+            targets_global_cb: targets.iter().map(|&(_, cb)| cb).collect(),
             _c: PhantomData,
         }
     }
@@ -275,7 +193,7 @@ impl<C: ComplexField> RankProblem<C> {
 
     /// Device memory (pass to the launcher).
     pub fn memory(&self) -> &DeviceMemory {
-        &self.mem
+        &self.packed.mem
     }
 
     /// Device tables for a phase, or `None` if the phase is empty.
@@ -286,7 +204,7 @@ impl<C: ComplexField> RankProblem<C> {
         if n == 0 {
             return None;
         }
-        let mut t = self.tables;
+        let mut t = self.packed.tables;
         if phase == Phase::Boundary {
             t.target += self.n_interior * 4;
             t.c += self.n_interior * 3 * 16;
@@ -295,45 +213,63 @@ impl<C: ComplexField> RankProblem<C> {
         Some(t)
     }
 
-    /// Launch geometry of a configuration over one phase.
-    pub fn launch_range(&self, cfg: KernelConfig, phase: Phase, local_size: u32) -> NdRange {
-        NdRange::linear(cfg.global_size(self.phase_targets(phase)), local_size)
-    }
-
-    /// Build the kernel for a phase; `None` if the phase has no targets.
-    pub fn make_kernel(
+    /// The launch of one phase — its geometry and kernel — at the
+    /// requested local size if it is legal for the phase's targets,
+    /// otherwise the largest legal size below it, otherwise the
+    /// strategy's site block (always legal — every phase's global size
+    /// is a multiple of it); the range carries the size chosen.  `None`
+    /// if the phase has no targets.
+    pub fn launch(
         &self,
         cfg: KernelConfig,
         phase: Phase,
-        num_groups: u64,
-    ) -> Option<Box<dyn Kernel>> {
-        self.tables_for(phase)
-            .map(|t| build_kernel::<C>(cfg, t, num_groups))
+        requested: u32,
+    ) -> Option<(NdRange, Box<dyn Kernel>)> {
+        let tables = self.tables_for(phase)?;
+        let n = tables.half_volume;
+        let ls = if cfg.local_size_legal(requested, n) {
+            requested
+        } else {
+            cfg.legal_local_sizes(n)
+                .into_iter()
+                .filter(|&ls| ls <= requested)
+                .max()
+                .unwrap_or_else(|| cfg.strategy.local_size_multiple(cfg.order))
+        };
+        let range = NdRange::linear(cfg.global_size(n), ls);
+        Some((range, build_kernel::<C>(cfg, tables, range.num_groups())))
+    }
+
+    /// Local sizes legal for every non-empty phase of this rank, so one
+    /// size serves both exchange schedules without refitting; the
+    /// strategy's site block if no size is.
+    pub fn tunable_local_sizes(&self, cfg: KernelConfig) -> Vec<u32> {
+        let mut sizes = cfg.legal_local_sizes(self.n_targets());
+        for n in [self.n_interior, self.n_boundary] {
+            if n > 0 {
+                sizes.retain(|&ls| cfg.local_size_legal(ls, n));
+            }
+        }
+        if sizes.is_empty() {
+            sizes.push(cfg.strategy.local_size_multiple(cfg.order));
+        }
+        sizes
     }
 
     /// Zero the output buffer (between runs).
     pub fn zero_output(&self) {
-        self.mem.zero(&self.c_buf);
+        self.packed.zero_output();
     }
 
     /// Read this rank's output, local target order.
     pub fn read_output(&self) -> Vec<ColorVector<C>> {
-        (0..self.n_targets())
-            .map(|idx| {
-                let mut v = ColorVector::<C>::zero();
-                for i in 0..3u64 {
-                    let addr = self.c_buf.base() + (idx * 3 + i) * 16;
-                    v.c[i as usize] = C::new(self.mem.read_f64(addr), self.mem.read_f64(addr + 8));
-                }
-                v
-            })
-            .collect()
+        self.packed.read_output()
     }
 
     /// Byte address of `B[idx][j]` in the local source vector (slab
     /// sites then ghosts) — the exchange's copy endpoints.
     fn b_addr(&self, idx: u64, j: u64) -> u64 {
-        self.b_buf.base() + (idx * 3 + j) * 16
+        self.packed.tables.b + self.packed.layout.b_byte(idx as usize, j as usize) as u64
     }
 
     /// Zero the ghost region of the source vector.
@@ -341,8 +277,8 @@ impl<C: ComplexField> RankProblem<C> {
         for idx in self.slab_volume..self.slab_volume + self.num_ghosts {
             for j in 0..3 {
                 let addr = self.b_addr(idx, j);
-                self.mem.write_f64(addr, 0.0);
-                self.mem.write_f64(addr + 8, 0.0);
+                self.packed.mem.write_f64(addr, 0.0);
+                self.packed.mem.write_f64(addr + 8, 0.0);
             }
         }
     }
@@ -353,11 +289,8 @@ impl<C: ComplexField> RankProblem<C> {
 /// machinery between them.
 pub struct ShardedProblem<C: ComplexField> {
     partition: Partition,
-    gauge: GaugeField<C>,
-    b: QuarkField<C>,
-    parity: Parity,
+    fields: HostFields<C>,
     ranks: Vec<RankProblem<C>>,
-    reference: Option<Vec<ColorVector<C>>>,
 }
 
 impl<C: ComplexField> ShardedProblem<C> {
@@ -366,10 +299,7 @@ impl<C: ComplexField> ShardedProblem<C> {
     /// [`DslashProblem::random`](crate::DslashProblem::random), so a
     /// single-device problem with the same seed holds identical fields.
     pub fn random(l: usize, seed: u64, ranks: usize) -> Self {
-        let lattice = Lattice::hypercubic(l);
-        let gauge = GaugeField::random(&lattice, seed);
-        let b = QuarkField::random(&lattice, seed ^ 0x9E37_79B9_7F4A_7C15);
-        Self::from_fields(gauge, b, Parity::Even, ranks)
+        Self::decompose(HostFields::random(l, seed), ranks)
     }
 
     /// Decompose explicit fields across `ranks` t-slabs.
@@ -383,24 +313,19 @@ impl<C: ComplexField> ShardedProblem<C> {
         parity: Parity,
         ranks: usize,
     ) -> Self {
-        let lattice = gauge.lattice().clone();
-        assert_eq!(
-            b.lattice(),
-            &lattice,
-            "gauge and source fields live on different lattices"
-        );
-        let partition = Partition::new(&lattice, ranks);
-        let nt = NeighborTable::build(&lattice);
-        let rank_problems = (0..ranks)
-            .map(|r| RankProblem::build(&partition, &nt, r, &gauge, &b, parity))
+        Self::decompose(HostFields::new(gauge, b, parity), ranks)
+    }
+
+    fn decompose(fields: HostFields<C>, ranks: usize) -> Self {
+        let partition = Partition::new(fields.lattice(), ranks);
+        let nt = NeighborTable::build(fields.lattice());
+        let ranks = (0..ranks)
+            .map(|r| RankProblem::build(&partition, &nt, r, &fields))
             .collect();
         Self {
             partition,
-            gauge,
-            b,
-            parity,
-            ranks: rank_problems,
-            reference: None,
+            fields,
+            ranks,
         }
     }
 
@@ -416,7 +341,7 @@ impl<C: ComplexField> ShardedProblem<C> {
 
     /// The target parity.
     pub fn parity(&self) -> Parity {
-        self.parity
+        self.fields.parity
     }
 
     /// Number of ranks.
@@ -509,8 +434,9 @@ impl<C: ComplexField> ShardedProblem<C> {
                 }
                 let src = from.b_addr(src_idx, j);
                 let dst = to.b_addr(dst_idx, j);
-                to.mem.write_f64(dst, from.mem.read_f64(src));
-                to.mem.write_f64(dst + 8, from.mem.read_f64(src + 8));
+                let (from_mem, to_mem) = (from.memory(), to.memory());
+                to_mem.write_f64(dst, from_mem.read_f64(src));
+                to_mem.write_f64(dst + 8, from_mem.read_f64(src + 8));
                 left -= 1;
             }
         }
@@ -540,16 +466,14 @@ impl<C: ComplexField> ShardedProblem<C> {
 
     /// The CPU reference output (computed on first use, cached).
     pub fn reference(&mut self) -> &[ColorVector<C>] {
-        if self.reference.is_none() {
-            self.reference = Some(reference::dslash(&self.gauge, &self.b, self.parity));
-        }
-        self.reference.as_deref().expect("just computed")
+        self.fields.reference()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{IndexOrder, Strategy};
     use milc_complex::DoubleComplex as Z;
 
     #[test]
@@ -595,6 +519,19 @@ mod tests {
     }
 
     #[test]
+    fn launch_fits_the_requested_size_to_each_phase() {
+        // L=4 over 4 ranks: 32 targets, 384 3LP-1 items, all boundary.
+        let p = ShardedProblem::<Z>::random(4, 18, 4);
+        let rank = p.rank(0);
+        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
+        let (range, _) = rank.launch(cfg, Phase::Full, 768).unwrap();
+        assert!(range.local < 768 && cfg.local_size_legal(range.local, 32));
+        assert_eq!(range.global, 384);
+        assert_eq!(rank.launch(cfg, Phase::Boundary, 96).unwrap().0.local, 96);
+        assert!(rank.launch(cfg, Phase::Interior, 96).is_none());
+    }
+
+    #[test]
     fn exchange_fills_ghosts_with_sender_values() {
         let p = ShardedProblem::<Z>::random(4, 14, 2);
         let moved = p.exchange_halos(HaloFault::None).unwrap();
@@ -605,8 +542,8 @@ mod tests {
             for (gi, &s) in part.ghost_sites(r).iter().enumerate() {
                 for j in 0..3u64 {
                     let addr = rp.b_addr(rp.slab_volume + gi as u64, j);
-                    let got = (rp.mem.read_f64(addr), rp.mem.read_f64(addr + 8));
-                    let want = p.b.site(s).c[j as usize];
+                    let got = (rp.memory().read_f64(addr), rp.memory().read_f64(addr + 8));
+                    let want = p.fields.b.site(s).c[j as usize];
                     assert_eq!(got, (want.re(), want.im()));
                 }
             }
@@ -660,6 +597,6 @@ mod tests {
         let msg = &p.partition().messages()[0];
         let rp = p.rank(msg.to);
         let gi = p.partition().ghost_index(msg.to, msg.sites[0]).unwrap() as u64;
-        assert_eq!(rp.mem.read_f64(rp.b_addr(rp.slab_volume + gi, 0)), 0.0);
+        assert_eq!(rp.memory().read_f64(rp.b_addr(rp.slab_volume + gi, 0)), 0.0);
     }
 }

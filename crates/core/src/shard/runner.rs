@@ -19,10 +19,11 @@
 //! transfer behind interior compute.  [`modelled_trace`] renders the
 //! schedule as concurrent comm/compute spans for Perfetto.
 
-use super::problem::{HaloFault, Phase, RankProblem, ShardedProblem};
+use super::problem::{HaloFault, Phase, ShardedProblem};
 use crate::flops::theoretical_flops;
 use crate::obs;
 use crate::obs::trace::{SpanRecord, Trace};
+use crate::runner::traced_launch;
 use crate::strategy::KernelConfig;
 use crate::validate::{compare_to_reference, MaxError};
 use gpu_sim::{
@@ -105,54 +106,6 @@ pub struct ShardOutcome {
     pub error: MaxError,
 }
 
-/// A local size legal for `n` targets under `cfg`: the requested one if
-/// it divides, otherwise the largest legal candidate not above it,
-/// otherwise the strategy's site block (always legal — every phase's
-/// global size is a multiple of it).
-fn fit_local_size(cfg: KernelConfig, requested: u32, n: u64) -> u32 {
-    if cfg.local_size_legal(requested, n) {
-        return requested;
-    }
-    cfg.legal_local_sizes(n)
-        .into_iter()
-        .filter(|&ls| ls <= requested)
-        .max()
-        .unwrap_or_else(|| cfg.strategy.local_size_multiple(cfg.order))
-}
-
-/// Launch one phase of a rank's slab on a queue, against persistent
-/// device state, and return `(kernel_us + overhead_us, local size)`.
-/// Empty phases cost nothing.
-#[allow(clippy::too_many_arguments)]
-fn launch_phase<C: ComplexField>(
-    rank: &RankProblem<C>,
-    cfg: KernelConfig,
-    phase: Phase,
-    requested_ls: u32,
-    queue: &mut Queue<'_>,
-    state: &mut DeviceState,
-    device: &DeviceSpec,
-    span_track: &str,
-    span_name: &str,
-) -> Result<(f64, u32), SimError> {
-    let n = rank.phase_targets(phase);
-    if n == 0 {
-        return Ok((0.0, requested_ls));
-    }
-    let ls = fit_local_size(cfg, requested_ls, n);
-    let range = rank.launch_range(cfg, phase, ls);
-    let kernel = rank
-        .make_kernel(cfg, phase, range.num_groups())
-        .expect("non-empty phase has a kernel");
-    let span = obs::span_on(span_track, span_name);
-    let (report, overhead) = {
-        let sub = queue.submit_with_state(kernel.as_ref(), range, rank.memory(), state)?;
-        (sub.report.clone(), sub.overhead_us)
-    };
-    obs::record_launch(&span, &cfg.label(), &report, device, overhead);
-    Ok((report.duration_us + overhead, ls))
-}
-
 /// Run one configuration sharded across a device group, with the local
 /// size chosen per rank (`local_sizes`, e.g. from
 /// [`tune_rank_local_sizes`](super::tune::tune_rank_local_sizes)) or a
@@ -205,72 +158,44 @@ pub fn run_sharded_with<C: ComplexField>(
 
         let mut state = DeviceState::new(device);
         let mut queue = Queue::on_device(device, QueueMode::InOrder);
+        // One phase on this rank's queue and state: `(kernel_us +
+        // overhead_us, local size)`; empty phases cost nothing.
+        let mut launch = |phase: Phase, name: &str| -> Result<(f64, u32), SimError> {
+            let Some((range, kernel)) = rank.launch(cfg, phase, requested_ls) else {
+                return Ok((0.0, requested_ls));
+            };
+            let (report, overhead) = traced_launch(&track, name, &cfg.label(), device, || {
+                let sub =
+                    queue.submit_with_state(kernel.as_ref(), range, rank.memory(), &mut state)?;
+                Ok((sub.report.clone(), sub.overhead_us))
+            })?;
+            Ok((report.duration_us + overhead, range.local))
+        };
 
         let comm_serialized_us = group.link.serialized_us(halo_in.iter().copied());
-        let run = match mode {
+        let (comm_us, interior_us, boundary_us, local_size) = match mode {
             ShardMode::InOrder => {
-                let comm_us = comm_serialized_us;
-                let (full_us, ls) = launch_phase(
-                    rank,
-                    cfg,
-                    Phase::Full,
-                    requested_ls,
-                    &mut queue,
-                    &mut state,
-                    device,
-                    &track,
-                    "dslash.full",
-                )?;
-                RankRun {
-                    rank: r,
-                    local_size: ls,
-                    comm_us,
-                    comm_serialized_us,
-                    halo_msgs: halo_in.len(),
-                    interior_us: 0.0,
-                    boundary_us: full_us,
-                    wall_us: comm_us + full_us,
-                    halo_bytes_in,
-                }
+                let (full_us, ls) = launch(Phase::Full, "dslash.full")?;
+                (comm_serialized_us, 0.0, full_us, ls)
             }
             ShardMode::Overlapped => {
+                let (interior_us, ls) = launch(Phase::Interior, "dslash.interior")?;
+                let (boundary_us, _) = launch(Phase::Boundary, "dslash.boundary")?;
                 let comm_us = group.link.pipelined_us(halo_in.iter().copied());
-                let (interior_us, ls) = launch_phase(
-                    rank,
-                    cfg,
-                    Phase::Interior,
-                    requested_ls,
-                    &mut queue,
-                    &mut state,
-                    device,
-                    &track,
-                    "dslash.interior",
-                )?;
-                let (boundary_us, _) = launch_phase(
-                    rank,
-                    cfg,
-                    Phase::Boundary,
-                    requested_ls,
-                    &mut queue,
-                    &mut state,
-                    device,
-                    &track,
-                    "dslash.boundary",
-                )?;
-                RankRun {
-                    rank: r,
-                    local_size: ls,
-                    comm_us,
-                    comm_serialized_us,
-                    halo_msgs: halo_in.len(),
-                    interior_us,
-                    boundary_us,
-                    wall_us: comm_us.max(interior_us) + boundary_us,
-                    halo_bytes_in,
-                }
+                (comm_us, interior_us, boundary_us, ls)
             }
         };
-        per_rank.push(run);
+        per_rank.push(RankRun {
+            rank: r,
+            local_size,
+            comm_us,
+            comm_serialized_us,
+            halo_msgs: halo_in.len(),
+            interior_us,
+            boundary_us,
+            wall_us: comm_us.max(interior_us) + boundary_us,
+            halo_bytes_in,
+        });
     }
 
     let wall_us = per_rank.iter().map(|r| r.wall_us).fold(0.0f64, f64::max);
@@ -321,20 +246,16 @@ pub fn run_rank_sanitized<C: ComplexField>(
 ) -> Result<LaunchReport, SimError> {
     problem.exchange_halos(HaloFault::None)?;
     let rank = problem.rank(r);
-    let n = rank.phase_targets(Phase::Boundary);
-    assert!(n > 0, "rank {r} has no boundary targets to racecheck");
+    let (range, kernel) = rank
+        .launch(cfg, Phase::Boundary, local_size)
+        .unwrap_or_else(|| panic!("rank {r} has no boundary targets to racecheck"));
     rank.zero_output();
-    let ls = fit_local_size(cfg, local_size, n);
-    let range = rank.launch_range(cfg, Phase::Boundary, ls);
-    let kernel = rank
-        .make_kernel(cfg, Phase::Boundary, range.num_groups())
-        .expect("boundary is non-empty");
-    let span = obs::span_on(&format!("rank{r}"), "sanitize.boundary");
-    let report =
-        Launcher::new(device)
-            .with_sanitizer(san)
-            .launch(kernel.as_ref(), range, rank.memory())?;
-    obs::record_launch(&span, &cfg.label(), &report, device, 0.0);
+    let track = format!("rank{r}");
+    // A sanitized launch charges no queue overhead.
+    let (report, _) = traced_launch(&track, "sanitize.boundary", &cfg.label(), device, || {
+        let launcher = Launcher::new(device).with_sanitizer(san);
+        Ok((launcher.launch(kernel.as_ref(), range, rank.memory())?, 0.0))
+    })?;
     Ok(report)
 }
 
@@ -560,14 +481,5 @@ mod tests {
         assert_eq!(boundary.start_us, 40.0);
         let json = obs::export::write_chrome(&trace);
         assert!(json.contains("dslash interior"));
-    }
-
-    #[test]
-    fn fit_local_size_falls_back_to_a_legal_size() {
-        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        // 100 targets -> 1200 items; 768 does not divide it.
-        let ls = fit_local_size(cfg, 768, 100);
-        assert!(cfg.local_size_legal(ls, 100));
-        assert!(ls <= 768);
     }
 }

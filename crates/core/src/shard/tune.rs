@@ -10,25 +10,31 @@
 //! distinct slab shape, not once per rank.
 //!
 //! Candidates are restricted to sizes legal for *every* non-empty phase
-//! of the rank (full, interior, boundary), so the tuned size is usable
-//! by both exchange schedules without refitting.  The ranking metric is
-//! the summed **cold** predicted duration over the rank's present
-//! phases: a sharded step interleaves interior, boundary and exchange
-//! work whose launches keep evicting each other, so first-touch cost is
-//! the honest regime (and the one the previous measuring sweep timed).
-//! Entries carry [`TuneRegime::Cold`] in their key accordingly.  Ranks
-//! the cost model cannot estimate fall back to the old cold measuring
-//! sweep; [`ShardTuneReport::sweep_launches`] says whether any launch
-//! was spent.
+//! of the rank ([`RankProblem::tunable_local_sizes`]), so the tuned
+//! size is usable by both exchange schedules without refitting.  Each
+//! phase is estimated by the single-device tuner's base-and-derive
+//! estimator ([`derive_estimates`]), and the ranking metric is the
+//! summed **cold** predicted duration over the rank's present phases: a
+//! sharded step interleaves interior, boundary and exchange work whose
+//! launches keep evicting each other, so first-touch cost is the honest
+//! regime.  Entries carry [`TuneRegime::Cold`] in their key
+//! accordingly.  The cost model's residue fitting needs a warp-multiple
+//! local size, so a rank whose only legal size is the strategy's site
+//! block (such as the two-rank slabs of L = 10 and 14) has no estimable
+//! candidate; such a rank falls back to a cold measuring sweep over its
+//! full phase, and [`ShardTuneReport::sweep_launches`] says whether any
+//! launch was spent.  A rank the sweep cannot launch either is a
+//! [`SweepError`].
 
-use super::problem::{Phase, ShardedProblem};
+use super::problem::{Phase, RankProblem, ShardedProblem};
 use crate::flops::FLOPS_PER_SITE;
+use crate::staticcheck::derive_estimates;
 use crate::strategy::KernelConfig;
-use crate::tune::{device_spec_hash, TuneCache, TuneEntry, TuneKey, TuneRegime};
-use gpu_sim::occupancy::occupancy;
-use gpu_sim::{
-    estimate_launch, DeviceGroup, Launcher, Regime, RegimeCalibration, SimError, TimingModel,
+use crate::tune::{
+    device_spec_hash, CandidateOutcome, Reject, SweepError, TuneCache, TuneEntry, TuneKey,
+    TuneRegime,
 };
+use gpu_sim::{DeviceGroup, DeviceSpec, Launcher, Regime, RegimeCalibration};
 use milc_complex::ComplexField;
 
 /// The cache key of one rank's slab: the global device/key conventions,
@@ -52,27 +58,6 @@ pub fn rank_tune_key(
     }
 }
 
-/// Local sizes legal for every non-empty phase of rank `r`.
-fn candidates(
-    problem: &ShardedProblem<impl ComplexField>,
-    cfg: KernelConfig,
-    r: usize,
-) -> Vec<u32> {
-    let rank = problem.rank(r);
-    let mut sizes = cfg.legal_local_sizes(rank.phase_targets(Phase::Full));
-    for phase in [Phase::Interior, Phase::Boundary] {
-        let n = rank.phase_targets(phase);
-        if n > 0 {
-            sizes.retain(|&ls| cfg.local_size_legal(ls, n));
-        }
-    }
-    if sizes.is_empty() {
-        // The site block always divides every phase's global size.
-        sizes.push(cfg.strategy.local_size_multiple(cfg.order));
-    }
-    sizes
-}
-
 /// How a [`tune_rank_local_sizes`] call decided its ranks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardTuneReport {
@@ -81,7 +66,7 @@ pub struct ShardTuneReport {
     /// Kernel launches spent deciding — 0 whenever every cache miss was
     /// answered by the static ranking.
     pub sweep_launches: u64,
-    /// Cache misses decided statically (zero launches).
+    /// Cache misses decided by the static ranking (zero launches).
     pub static_ranks: u32,
     /// Cache misses that fell back to the cold measuring sweep.
     pub measured_ranks: u32,
@@ -89,57 +74,90 @@ pub struct ShardTuneReport {
     pub cache_hits: u32,
 }
 
-/// Statically score every candidate of rank `r`: per candidate, the sum
-/// of *cold* predicted durations over the rank's non-empty phases, plus
-/// the cold full-phase estimate (model-µs) the cache entry's duration
-/// derives from.  Per phase the traffic is estimated once at the
-/// largest candidate and siblings are derived via
-/// [`gpu_sim::CostEstimate::with_occupancy`], so probe sampling error
-/// cancels across candidates.  `None` when any phase's base estimate
-/// fails — the caller falls back to measuring.
-#[allow(clippy::type_complexity)]
+/// Statically score every candidate of one rank: per candidate, the
+/// sum of *cold* predicted durations over the rank's non-empty phases,
+/// plus the cold full-phase estimate (model-µs) the cache entry's
+/// duration derives from.  Each phase goes through the single-device
+/// base-and-derive estimator ([`derive_estimates`]).  A candidate some
+/// phase cannot estimate (occupancy-infeasible, or a failed base
+/// estimate) is rejected as [`Reject::Inestimable`].
 fn static_rank_scores<C: ComplexField>(
-    problem: &ShardedProblem<C>,
+    rank: &RankProblem<C>,
     cfg: KernelConfig,
-    group: &DeviceGroup,
-    r: usize,
+    device: &DeviceSpec,
     sizes: &[u32],
-) -> Option<(Vec<(u32, f64, f64)>, u32)> {
-    let rank = problem.rank(r);
-    let device = group.device(r);
-    let timing = TimingModel::calibrated();
-    let &base_ls = sizes.last()?;
-    // (ls, summed cold score, cold full-phase model-µs), plus dropped.
+) -> (Vec<(u32, f64, f64)>, Vec<CandidateOutcome>) {
+    // (ls, summed cold score, cold full-phase model-µs).
     let mut scores: Vec<(u32, f64, f64)> = sizes.iter().map(|&ls| (ls, 0.0, 0.0)).collect();
+    let mut rejected = Vec::new();
     for phase in [Phase::Full, Phase::Interior, Phase::Boundary] {
         if rank.phase_targets(phase) == 0 {
             continue;
         }
-        let range = rank.launch_range(cfg, phase, base_ls);
-        let kernel = rank.make_kernel(cfg, phase, range.num_groups())?;
-        let base = estimate_launch(kernel.as_ref(), &range, device, rank.memory(), &timing).ok()?;
+        let launch = |ls| rank.launch(cfg, phase, ls).expect("phase is non-empty");
+        // Every size, so the shared base stays at the largest candidate;
+        // `scores` is an ordered subsequence of `sizes`.
+        let mut estimates = derive_estimates(sizes, device, rank.memory(), launch).into_iter();
         scores.retain_mut(|(ls, score, full_us)| {
-            let range = rank.launch_range(cfg, phase, *ls);
-            let kernel = rank
-                .make_kernel(cfg, phase, range.num_groups())
-                .expect("non-empty phase builds a kernel");
-            match occupancy(device, *ls, &kernel.resources(*ls), range.num_groups()) {
-                Ok(occ) => {
-                    let est = base.with_occupancy(*ls, range.num_groups(), occ, &timing, device);
+            let (_, est) = estimates
+                .find(|(size, _)| size == ls)
+                .expect("one estimate per size");
+            match est {
+                Ok(est) => {
                     *score += est.cold_duration_us;
                     if phase == Phase::Full {
                         *full_us = est.cold_duration_us;
                     }
                     true
                 }
-                // Occupancy-infeasible at this size: drop the candidate,
-                // exactly as the measuring sweep's reject arm would.
-                Err(_) => false,
+                Err(why) => {
+                    rejected.push(CandidateOutcome::Rejected {
+                        local_size: *ls,
+                        layout: cfg.shared_layout,
+                        reason: Reject::Inestimable(why),
+                    });
+                    false
+                }
             }
         });
     }
-    let dropped = (sizes.len() - scores.len()) as u32;
-    (!scores.is_empty()).then_some((scores, dropped))
+    (scores, rejected)
+}
+
+/// The measuring fallback for a rank no candidate of which the cost
+/// model can estimate: time each candidate's cold full-phase launch.
+/// Returns the fastest `(local size, µs)` — strict "<" keeps the
+/// smaller size on ties — and the candidates that failed to launch;
+/// `launches` counts the launches that ran.
+fn measure_rank<C: ComplexField>(
+    rank: &RankProblem<C>,
+    cfg: KernelConfig,
+    device: &DeviceSpec,
+    sizes: &[u32],
+    launches: &mut u64,
+) -> (Option<(u32, f64)>, Vec<CandidateOutcome>) {
+    let launcher = Launcher::new(device);
+    let mut best: Option<(u32, f64)> = None;
+    let mut rejected = Vec::new();
+    for &ls in sizes {
+        let (range, kernel) = rank
+            .launch(cfg, Phase::Full, ls)
+            .expect("full phase is never empty");
+        match launcher.launch(kernel.as_ref(), range, rank.memory()) {
+            Ok(run) => {
+                *launches += 1;
+                if best.is_none_or(|(_, d)| run.duration_us < d) {
+                    best = Some((ls, run.duration_us));
+                }
+            }
+            Err(e) => rejected.push(CandidateOutcome::Rejected {
+                local_size: ls,
+                layout: cfg.shared_layout,
+                reason: Reject::Launch(e),
+            }),
+        }
+    }
+    (best, rejected)
 }
 
 /// Tune (or look up) the local size of every rank of a sharded problem.
@@ -147,17 +165,19 @@ fn static_rank_scores<C: ComplexField>(
 /// launches — with a cold measuring sweep as fallback for ranks the
 /// cost model cannot estimate.  Winners are inserted into `cache`;
 /// cache hits skip the decision entirely.  Returns one local size per
-/// rank (`sizes`) with full accounting of how each rank was decided and
-/// how many launches the decision spent.
+/// rank (`sizes`) with how each rank was decided and how many launches
+/// the decision spent.
 ///
 /// # Errors
-/// Propagates launch failures from the measuring fallback.
+/// [`SweepError::AllRejected`] when no candidate of a rank can be
+/// estimated or launched (every candidate's launch failure recorded);
+/// nothing is inserted for that rank.
 pub fn tune_rank_local_sizes<C: ComplexField>(
     problem: &ShardedProblem<C>,
     cfg: KernelConfig,
     group: &DeviceGroup,
     cache: &mut TuneCache,
-) -> Result<ShardTuneReport, SimError> {
+) -> Result<ShardTuneReport, SweepError> {
     assert_eq!(group.len(), problem.num_ranks(), "one device per rank");
     let cal = RegimeCalibration::committed();
     let mut report = ShardTuneReport {
@@ -175,75 +195,41 @@ pub fn tune_rank_local_sizes<C: ComplexField>(
             continue;
         }
         let rank = problem.rank(r);
-        let sizes = candidates(problem, cfg, r);
-        let flops = rank.n_targets() as f64 * FLOPS_PER_SITE as f64;
-
-        if let Some((scores, dropped)) = static_rank_scores(problem, cfg, group, r, &sizes) {
-            // Strict "<" keeps the smaller local size on score ties
-            // (candidates are enumerated ascending).
-            let &(local_size, _, full_cold_us) = scores
-                .iter()
-                .fold(None::<&(u32, f64, f64)>, |best, s| match best {
-                    Some(b) if b.1 <= s.1 => Some(b),
-                    _ => Some(s),
-                })
-                .expect("static_rank_scores returns a non-empty ranking");
-            // The entry's duration is the *cold* full-phase prediction
-            // in measured-comparable µs, per the shared calibration
-            // table — the same quantity the measuring fallback records.
-            let duration_us = full_cold_us * cal.scale(Regime::Cold);
-            cache.insert(TuneEntry {
-                key,
-                local_size,
-                // The shard tuner ranks sizes only; the layout rides
-                // along from the caller's configuration.
-                layout: cfg.shared_layout.tag(),
-                duration_us,
-                gflops: flops / duration_us / 1e3,
-                candidates_ok: scores.len() as u32,
-                candidates_rejected: dropped,
-            });
-            report.static_ranks += 1;
-            report.sizes.push(local_size);
-            continue;
-        }
-
-        // Measuring fallback: cold full-phase launches, as before.
-        report.measured_ranks += 1;
+        let sizes = rank.tunable_local_sizes(cfg);
         let device = group.device(r);
-        let launcher = Launcher::new(device);
-        let mut best: Option<(u32, f64)> = None;
-        let mut ok = 0u32;
-        let mut rejected = 0u32;
-        for ls in sizes {
-            let range = rank.launch_range(cfg, Phase::Full, ls);
-            let kernel = rank
-                .make_kernel(cfg, Phase::Full, range.num_groups())
-                .expect("full phase is never empty");
-            match launcher.launch(kernel.as_ref(), range, rank.memory()) {
-                Ok(launch) => {
-                    report.sweep_launches += 1;
-                    ok += 1;
-                    if best.is_none_or(|(_, d)| launch.duration_us < d) {
-                        best = Some((ls, launch.duration_us));
-                    }
-                }
-                Err(SimError::InvalidLocalSize { .. })
-                | Err(SimError::IndivisibleGlobalSize { .. })
-                | Err(SimError::LocalMemTooLarge { .. })
-                | Err(SimError::RegistersExhausted { .. }) => rejected += 1,
-                Err(e) => return Err(e),
-            }
+        let (scores, mut rejected) = static_rank_scores(rank, cfg, device, &sizes);
+        // `min_by` keeps the first of equal scores: the smaller local
+        // size (candidates are enumerated ascending).  The entry's
+        // duration is the *cold* full-phase prediction in
+        // measured-comparable µs, per the shared calibration table —
+        // the same quantity the measuring fallback records.
+        let mut best = scores
+            .iter()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|&(ls, _, full_cold_us)| (ls, full_cold_us * cal.scale(Regime::Cold)));
+        if best.is_some() {
+            report.static_ranks += 1;
+        } else {
+            report.measured_ranks += 1;
+            (best, rejected) = measure_rank(rank, cfg, device, &sizes, &mut report.sweep_launches);
         }
-        let (local_size, duration_us) = best.expect("at least the site block is sweepable");
+        let Some((local_size, duration_us)) = best else {
+            return Err(SweepError::AllRejected {
+                kernel: format!("{} rank{r}", cfg.label()),
+                candidates: rejected,
+            });
+        };
+        let flops = rank.n_targets() as f64 * FLOPS_PER_SITE as f64;
         cache.insert(TuneEntry {
             key,
             local_size,
+            // The shard tuner ranks sizes only; the layout rides along
+            // from the caller's configuration.
             layout: cfg.shared_layout.tag(),
             duration_us,
             gflops: flops / duration_us / 1e3,
-            candidates_ok: ok,
-            candidates_rejected: rejected,
+            candidates_ok: (sizes.len() - rejected.len()) as u32,
+            candidates_rejected: rejected.len() as u32,
         });
         report.sizes.push(local_size);
     }
@@ -254,36 +240,11 @@ pub fn tune_rank_local_sizes<C: ComplexField>(
 mod tests {
     use super::*;
     use crate::strategy::{IndexOrder, Strategy};
-    use gpu_sim::{DeviceSpec, Interconnect};
+    use gpu_sim::{DeviceSpec, Interconnect, SimError};
     use milc_complex::DoubleComplex as Z;
 
     #[test]
-    fn tuning_fills_the_cache_and_hits_on_reuse() {
-        let p = ShardedProblem::<Z>::random(4, 31, 2);
-        let g = DeviceGroup::homogeneous(DeviceSpec::test_small(), 2, Interconnect::nvlink());
-        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let mut cache = TuneCache::new();
-        let sizes = tune_rank_local_sizes(&p, cfg, &g, &mut cache)
-            .unwrap()
-            .sizes;
-        assert_eq!(sizes.len(), 2);
-        // Identical slabs on identical devices share one entry.
-        assert_eq!(cache.len(), 1);
-        assert_eq!(sizes[0], sizes[1]);
-        let key = rank_tune_key(&p, cfg, &g, 0);
-        let entry = cache.lookup(&key).unwrap();
-        assert_eq!(entry.local_size, sizes[0]);
-        assert!(entry.key.kernel.starts_with("shard/"));
-        assert_eq!(entry.key.dims, [4, 4, 4, 2]);
-
-        // Second call is a pure cache hit (sweep counters unchanged).
-        let again = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
-        assert_eq!(again.sizes, sizes);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn static_ranking_spends_zero_launches_and_keys_cold() {
+    fn static_tuning_fills_the_cache_cold_and_hits_on_reuse() {
         let p = ShardedProblem::<Z>::random(4, 31, 2);
         let g = DeviceGroup::homogeneous(DeviceSpec::test_small(), 2, Interconnect::nvlink());
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
@@ -291,8 +252,15 @@ mod tests {
         let report = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
         assert_eq!(report.sweep_launches, 0, "static ranking must not launch");
         assert_eq!(report.measured_ranks, 0);
-        assert!(report.static_ranks >= 1);
+        // Identical slabs on identical devices share one entry.
+        assert_eq!((report.static_ranks, report.cache_hits), (1, 1));
+        assert_eq!(report.sizes.len(), 2);
+        assert_eq!(report.sizes[0], report.sizes[1]);
+        assert_eq!(cache.len(), 1);
         let entry = cache.lookup(&rank_tune_key(&p, cfg, &g, 0)).unwrap();
+        assert_eq!(entry.local_size, report.sizes[0]);
+        assert!(entry.key.kernel.starts_with("shard/"));
+        assert_eq!(entry.key.dims, [4, 4, 4, 2]);
         assert_eq!(entry.key.regime, crate::tune::TuneRegime::Cold);
         assert!(entry.duration_us > 0.0);
 
@@ -301,6 +269,7 @@ mod tests {
         assert_eq!(again.cache_hits, 2);
         assert_eq!(again.sweep_launches, 0);
         assert_eq!(again.sizes, report.sizes);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -321,5 +290,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_rank_only_the_site_block_fits_is_measured() {
+        // L=6 over 2 ranks: 324 targets per slab, so no warp multiple
+        // divides 3LP-1's 3,888 items and the 12-item site block is the
+        // only candidate — a size the cost model cannot estimate.
+        let p = ShardedProblem::<Z>::random(6, 34, 2);
+        let g = DeviceGroup::homogeneous(DeviceSpec::test_small(), 2, Interconnect::nvlink());
+        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
+        assert_eq!(p.rank(0).tunable_local_sizes(cfg), [12]);
+        let mut cache = TuneCache::new();
+        let report = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
+        assert_eq!(report.sizes, [12, 12]);
+        assert_eq!((report.static_ranks, report.measured_ranks), (0, 1));
+        assert_eq!((report.sweep_launches, report.cache_hits), (1, 1));
+        let entry = cache.lookup(&rank_tune_key(&p, cfg, &g, 0)).unwrap();
+        assert_eq!((entry.candidates_ok, entry.candidates_rejected), (1, 0));
+        assert!(entry.duration_us > 0.0);
+    }
+
+    #[test]
+    fn a_rank_with_no_launchable_candidate_is_a_typed_error() {
+        let p = ShardedProblem::<Z>::random(4, 33, 2);
+        // A register file too small for one work-item of the kernel:
+        // occupancy admits no candidate, estimated or launched.
+        let device = DeviceSpec {
+            registers_per_sm: 16,
+            ..DeviceSpec::test_small()
+        };
+        let g = DeviceGroup::homogeneous(device, 2, Interconnect::nvlink());
+        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
+        let mut cache = TuneCache::new();
+        match tune_rank_local_sizes(&p, cfg, &g, &mut cache) {
+            Err(SweepError::AllRejected { kernel, candidates }) => {
+                assert_eq!(kernel, format!("{} rank0", cfg.label()));
+                assert_eq!(candidates.len(), p.rank(0).tunable_local_sizes(cfg).len());
+                for c in &candidates {
+                    assert!(
+                        matches!(
+                            c,
+                            CandidateOutcome::Rejected {
+                                reason: Reject::Launch(SimError::RegistersExhausted { .. }),
+                                ..
+                            }
+                        ),
+                        "{c:?}"
+                    );
+                }
+            }
+            other => panic!("expected AllRejected, got {other:?}"),
+        }
+        assert!(cache.is_empty(), "a failed rank inserts nothing");
     }
 }

@@ -13,7 +13,7 @@ use crate::strategy::KernelConfig;
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::{
     estimate_launch, rank_estimates, CostEstimate, DeviceMemory, DeviceSpec, Kernel, NdRange,
-    Occupancy, SimError, StaticCheckConfig, StaticReport, TimingModel,
+    SimError, StaticCheckConfig, StaticReport, TimingModel,
 };
 use milc_complex::ComplexField;
 
@@ -56,14 +56,7 @@ pub fn run_config_staticcheck<C: ComplexField>(
     device: &DeviceSpec,
     scfg: &StaticCheckConfig,
 ) -> Result<StaticReport, SimError> {
-    if !cfg.local_size_legal(local_size, problem.lattice().half_volume() as u64) {
-        return Err(SimError::InvalidLocalSize {
-            local: local_size,
-            max: device.max_group_size,
-        });
-    }
-    let range = problem.launch_range(cfg, local_size);
-    let kernel = problem.make_kernel(cfg, range.num_groups());
+    let (range, kernel) = problem.launch(cfg, local_size, device)?;
     Ok(staticcheck_kernel(
         kernel.as_ref(),
         &range,
@@ -72,31 +65,6 @@ pub fn run_config_staticcheck<C: ComplexField>(
         scfg,
         &cfg.label(),
     ))
-}
-
-/// The static occupancy picture of one `(config, local size)`: the
-/// limiter/waves/achieved analysis the cost model feeds on, computed
-/// from [`gpu_sim::KernelResources`] alone — no probing, no launch.
-pub fn occupancy_report<C: ComplexField>(
-    problem: &DslashProblem<C>,
-    cfg: KernelConfig,
-    local_size: u32,
-    device: &DeviceSpec,
-) -> Result<Occupancy, SimError> {
-    if !cfg.local_size_legal(local_size, problem.lattice().half_volume() as u64) {
-        return Err(SimError::InvalidLocalSize {
-            local: local_size,
-            max: device.max_group_size,
-        });
-    }
-    let range = problem.launch_range(cfg, local_size);
-    let kernel = problem.make_kernel(cfg, range.num_groups());
-    occupancy(
-        device,
-        local_size,
-        &kernel.resources(local_size),
-        range.num_groups(),
-    )
 }
 
 /// Analytic cost estimate of one `(config, local size)` launch — the
@@ -109,14 +77,9 @@ pub fn estimate_config<C: ComplexField>(
     local_size: u32,
     device: &DeviceSpec,
 ) -> Result<CostEstimate, String> {
-    if !cfg.local_size_legal(local_size, problem.lattice().half_volume() as u64) {
-        return Err(format!(
-            "local size {local_size} illegal for {}",
-            cfg.label()
-        ));
-    }
-    let range = problem.launch_range(cfg, local_size);
-    let kernel = problem.make_kernel(cfg, range.num_groups());
+    let (range, kernel) = problem
+        .launch(cfg, local_size, device)
+        .map_err(|_| format!("local size {local_size} illegal for {}", cfg.label()))?;
     estimate_launch(
         kernel.as_ref(),
         &range,
@@ -137,50 +100,64 @@ pub struct RankedCandidate {
     pub estimate: Result<CostEstimate, String>,
 }
 
+/// The base-and-derive estimator behind every static ranking, one
+/// device or a rank of many.  The launch traffic is estimated **once**,
+/// at the largest of `sizes` (fewest groups, so the probe set covers
+/// the largest fraction of the launch), and every size is derived from
+/// that shared base via [`CostEstimate::with_occupancy`]: within one
+/// launch the traffic is grouping-invariant, so candidates differ only
+/// by occupancy/waves/tail, and probe sampling error — which *does*
+/// vary with the partitioning — cancels exactly instead of scrambling
+/// near-tied candidates.  `launch` builds the geometry and kernel at a
+/// size; the result pairs each size with its estimate or the reason
+/// none exists, in `sizes` order.
+pub(crate) fn derive_estimates(
+    sizes: &[u32],
+    device: &DeviceSpec,
+    mem: &DeviceMemory,
+    launch: impl Fn(u32) -> (NdRange, Box<dyn Kernel>),
+) -> Vec<(u32, Result<CostEstimate, String>)> {
+    let timing = TimingModel::calibrated();
+    let Some(&base_ls) = sizes.last() else {
+        return Vec::new();
+    };
+    let (range, kernel) = launch(base_ls);
+    let base = estimate_launch(kernel.as_ref(), &range, device, mem, &timing);
+    sizes
+        .iter()
+        .map(|&ls| {
+            let est = base.as_ref().map_err(String::clone).and_then(|b| {
+                let (range, kernel) = launch(ls);
+                occupancy(device, ls, &kernel.resources(ls), range.num_groups())
+                    .map_err(|e| format!("occupancy infeasible: {e}"))
+                    .map(|occ| b.with_occupancy(ls, range.num_groups(), occ, &timing, device))
+            });
+            (ls, est)
+        })
+        .collect()
+}
+
 /// Statically rank every legal local size of a configuration by
-/// predicted duration (ascending; ties toward the smaller local size).
-/// Estimable candidates come first in rank order; inestimable ones
-/// follow in local-size order with their reasons.  Traced as a
-/// `staticrank` span on the config's track.
-///
-/// The launch traffic is estimated **once per configuration**, at the
-/// largest legal local size (fewest groups, so the probe set covers
-/// the largest fraction of the launch), and every candidate is derived
-/// from that shared base via [`CostEstimate::with_occupancy`]: within
-/// one configuration the traffic is grouping-invariant, so candidates
-/// differ only by occupancy/waves/tail, and probe sampling error —
-/// which *does* vary with the partitioning — cancels exactly instead
-/// of scrambling near-tied candidates.
+/// predicted duration (ascending; ties toward the smaller local size)
+/// through [`derive_estimates`].  Estimable candidates come first in
+/// rank order; inestimable ones follow in local-size order with their
+/// reasons.  Traced as a `staticrank` span on the config's track.
 pub fn rank_candidates<C: ComplexField>(
     problem: &DslashProblem<C>,
     cfg: KernelConfig,
     device: &DeviceSpec,
 ) -> Vec<RankedCandidate> {
     let span = obs::span_on(&cfg.label(), "staticrank");
-    let timing = TimingModel::calibrated();
     let sizes = cfg.legal_local_sizes(problem.lattice().half_volume() as u64);
     span.attr("candidates", sizes.len() as u64);
-
-    // Shared traffic base from the canonical (largest legal) size.
-    let base: Result<CostEstimate, String> = match sizes.last() {
-        Some(&ls) => {
-            let range = problem.launch_range(cfg, ls);
-            let kernel = problem.make_kernel(cfg, range.num_groups());
-            estimate_launch(kernel.as_ref(), &range, device, problem.memory(), &timing)
-        }
-        None => Err("no legal local size".to_string()),
+    let launch = |ls| {
+        problem
+            .launch(cfg, ls, device)
+            .expect("legal local sizes launch")
     };
-
     let mut estimates = Vec::new();
     let mut failures = Vec::new();
-    for ls in sizes {
-        let est = base.as_ref().map_err(String::clone).and_then(|b| {
-            let range = problem.launch_range(cfg, ls);
-            let kernel = problem.make_kernel(cfg, range.num_groups());
-            occupancy(device, ls, &kernel.resources(ls), range.num_groups())
-                .map_err(|e| format!("occupancy infeasible: {e}"))
-                .map(|occ| b.with_occupancy(ls, range.num_groups(), occ, &timing, device))
-        });
+    for (ls, est) in derive_estimates(&sizes, device, problem.memory(), launch) {
         match est {
             Ok(e) => estimates.push(e),
             Err(why) => failures.push(RankedCandidate {
@@ -237,18 +214,6 @@ mod tests {
         assert!(
             run_config_staticcheck(&p, cfg, 1000, &device, &StaticCheckConfig::default()).is_err()
         );
-    }
-
-    #[test]
-    fn occupancy_report_matches_launch_occupancy() {
-        let mut p = DslashProblem::<Z>::random(4, 44);
-        let device = DeviceSpec::test_small();
-        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let occ = occupancy_report(&p, cfg, 96, &device).unwrap();
-        let run = crate::runner::run_config(&mut p, cfg, 96, &device, gpu_sim::QueueMode::InOrder)
-            .unwrap();
-        assert_eq!(occ, run.report.occupancy);
-        assert!(occupancy_report(&p, cfg, 1000, &device).is_err());
     }
 
     #[test]

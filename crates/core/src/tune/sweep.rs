@@ -295,8 +295,9 @@ fn lint_candidate<C: ComplexField>(
     local_size: u32,
     device: &DeviceSpec,
 ) -> Vec<String> {
-    let range = problem.launch_range(cfg, local_size);
-    let kernel = problem.make_kernel(cfg, range.num_groups());
+    let (range, kernel) = problem
+        .launch(cfg, local_size, device)
+        .expect("candidates are legal local sizes");
     lint_launch(
         device,
         &range,
@@ -318,8 +319,9 @@ fn static_candidate<C: ComplexField>(
     local_size: u32,
     device: &DeviceSpec,
 ) -> Vec<String> {
-    let range = problem.launch_range(cfg, local_size);
-    let kernel = problem.make_kernel(cfg, range.num_groups());
+    let (range, kernel) = problem
+        .launch(cfg, local_size, device)
+        .expect("candidates are legal local sizes");
     let scfg = StaticCheckConfig {
         lint: false,
         ..StaticCheckConfig::tuner()

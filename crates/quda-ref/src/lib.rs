@@ -62,11 +62,9 @@ pub struct QudaOutcome {
 
 impl StaggeredDslashTest {
     /// Build a random problem (same field content as
-    /// `DslashProblem::random` for the same seed family).
+    /// `DslashProblem::random` for the same seed).
     pub fn random(l: usize, seed: u64, recon: Recon) -> Self {
-        let lattice = Lattice::hypercubic(l);
-        let gauge = GaugeField::random(&lattice, seed);
-        let b = QuarkField::random(&lattice, seed ^ 0x9E37_79B9_7F4A_7C15);
+        let (gauge, b) = milc_dslash::random_fields(l, seed);
         Self::from_fields(gauge, b, Parity::Even, recon)
     }
 

@@ -29,21 +29,6 @@ use milc_dslash::KernelConfig;
 
 const SEED: u64 = 2024;
 
-/// Largest legal local size for `n` targets not above the paper's
-/// choice for the strategy — the same fit the shard runner applies to
-/// a requested size.
-fn fit_local_size(cfg: KernelConfig, n: u64) -> u32 {
-    let requested = paper::table1_local_size(cfg.strategy);
-    if cfg.local_size_legal(requested, n) {
-        return requested;
-    }
-    cfg.legal_local_sizes(n)
-        .into_iter()
-        .filter(|&ls| ls <= requested)
-        .max()
-        .unwrap_or_else(|| cfg.strategy.local_size_multiple(cfg.order))
-}
-
 /// Statically analyze one phase of one rank; panics on any finding.
 /// Returns `false` if the phase is empty (nothing to launch, nothing
 /// to analyze).
@@ -53,20 +38,14 @@ fn check_phase(
     phase: Phase,
     device: &DeviceSpec,
 ) -> bool {
-    let n = rank.phase_targets(phase);
-    if n == 0 {
-        assert!(
-            rank.make_kernel(cfg, phase, 1).is_none(),
-            "{}: empty phase {phase:?} must not build a kernel",
-            cfg.label()
-        );
+    // The same fit the shard runner applies to the paper's size.
+    let requested = paper::table1_local_size(cfg.strategy);
+    let launch = rank.launch(cfg, phase, requested);
+    let empty = rank.phase_targets(phase) == 0;
+    assert_eq!(launch.is_none(), empty, "{}: {phase:?}", cfg.label());
+    let Some((range, kernel)) = launch else {
         return false;
-    }
-    let ls = fit_local_size(cfg, n);
-    let range = rank.launch_range(cfg, phase, ls);
-    let kernel = rank
-        .make_kernel(cfg, phase, range.num_groups())
-        .expect("non-empty phase has a kernel");
+    };
     let label = format!("{} rank{} {:?}", cfg.label(), rank.rank(), phase);
     let report = staticcheck_kernel(
         kernel.as_ref(),

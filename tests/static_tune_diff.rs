@@ -245,44 +245,24 @@ fn sharded_static_tuning_spends_no_launches_and_bounds_regret() {
         let rank = problem.rank(0);
         let device = group.device(0);
         let launcher = Launcher::new(device);
-        let mut sizes = cfg.legal_local_sizes(rank.phase_targets(Phase::Full));
-        for phase in [Phase::Interior, Phase::Boundary] {
-            let t = rank.phase_targets(phase);
-            if t > 0 {
-                sizes.retain(|&ls| cfg.local_size_legal(ls, t));
-            }
-        }
-        let mut measured: Vec<(u32, f64)> = Vec::new();
-        for &ls in &sizes {
-            let mut sum = 0.0;
-            let mut ok = true;
-            for phase in [Phase::Full, Phase::Interior, Phase::Boundary] {
-                if rank.phase_targets(phase) == 0 {
-                    continue;
-                }
-                let range = rank.launch_range(cfg, phase, ls);
-                let kernel = rank
-                    .make_kernel(cfg, phase, range.num_groups())
-                    .expect("non-empty phase builds a kernel");
-                match launcher.launch(kernel.as_ref(), range, rank.memory()) {
-                    Ok(launch) => sum += launch.duration_us,
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                measured.push((ls, sum));
-            }
-        }
+        let phases = [Phase::Full, Phase::Interior, Phase::Boundary];
+        let phase_sum = |ls| -> Result<f64, _> {
+            phases
+                .into_iter()
+                .filter_map(|phase| rank.launch(cfg, phase, ls))
+                .map(|(range, kernel)| launcher.launch(kernel.as_ref(), range, rank.memory()))
+                .map(|launch| launch.map(|l| l.duration_us))
+                .sum()
+        };
+        let measured: Vec<(u32, f64)> = rank
+            .tunable_local_sizes(cfg)
+            .into_iter()
+            .filter_map(|ls| Some((ls, phase_sum(ls).ok()?)))
+            .collect();
         let (best_ls, best_us) = measured
             .iter()
             .copied()
-            .fold(None::<(u32, f64)>, |best, s| match best {
-                Some(b) if b.1 <= s.1 => Some(b),
-                _ => Some(s),
-            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("at least one measurable candidate");
         let chosen = report.sizes[0];
         let Some(&(_, chosen_us)) = measured.iter().find(|&&(ls, _)| ls == chosen) else {
