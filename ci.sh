@@ -56,6 +56,14 @@ test -s "$SCALING_SMOKE_DIR/scaling.csv" || { echo "scaling did not write the cs
 test -s "$SCALING_SMOKE_DIR/scaling.trace.json" || { echo "scaling did not write the trace"; exit 1; }
 rm -rf "$SCALING_SMOKE_DIR"
 
+echo "== scaling 10 (a lattice that is not a power of two: the two-rank slabs admit only the sub-warp site block, which the tuner must price statically) =="
+SCALING_SMOKE_DIR="$(mktemp -d)"
+cargo run --offline --release -p milc-bench --bin scaling -- 10 \
+  --out "$SCALING_SMOKE_DIR/scaling.csv" --trace "$SCALING_SMOKE_DIR/scaling.trace.json" \
+  --cache "$SCALING_SMOKE_DIR/tunecache.json" \
+  || { echo "scaling 10 failed: a rank could not be tuned statically"; exit 1; }
+rm -rf "$SCALING_SMOKE_DIR"
+
 echo "== profile (perf-explainability: roofline table, cost-model drift, critical-path/overlap study) =="
 cargo run --offline --release -p milc-bench --bin profile -- 16
 test -s results/profile.md || { echo "profile did not write the report"; exit 1; }

@@ -15,8 +15,8 @@
 //!   in-order (blocking exchange) and overlapped (pipelined exchange)
 //!   schedules, plus a modelled Perfetto timeline;
 //! * [`tune`] — per-rank local-size tuning through the single-device
-//!   static ranker (measuring only ranks it cannot estimate), into the
-//!   shared [`TuneCache`](crate::TuneCache).
+//!   static ranker, without launching, into the shared
+//!   [`TuneCache`](crate::TuneCache).
 //!
 //! Every schedule produces *bitwise-identical* output to the
 //! single-device [`DslashProblem`](crate::DslashProblem): kernels only

@@ -18,12 +18,10 @@
 //! sharded step interleaves interior, boundary and exchange work whose
 //! launches keep evicting each other, so first-touch cost is the honest
 //! regime.  Entries carry [`TuneRegime::Cold`] in their key
-//! accordingly.  The cost model's residue fitting needs a warp-multiple
-//! local size, so a rank whose only legal size is the strategy's site
-//! block (such as the two-rank slabs of L = 10 and 14) has no estimable
-//! candidate; such a rank falls back to a cold measuring sweep over its
-//! full phase, and [`ShardTuneReport::sweep_launches`] says whether any
-//! launch was spent.  A rank the sweep cannot launch either is a
+//! accordingly.  The strategy's site block, the only candidate of the
+//! two-rank slabs of L = 10 and 14, is narrower than a warp and is
+//! priced as one partial warp per group, so no rank is decided by
+//! launching; a rank no candidate of which can be estimated is a
 //! [`SweepError`].
 
 use super::problem::{Phase, RankProblem, ShardedProblem};
@@ -34,7 +32,7 @@ use crate::tune::{
     device_spec_hash, CandidateOutcome, Reject, SweepError, TuneCache, TuneEntry, TuneKey,
     TuneRegime,
 };
-use gpu_sim::{DeviceGroup, DeviceSpec, Launcher, Regime, RegimeCalibration};
+use gpu_sim::{DeviceGroup, DeviceSpec, Regime, RegimeCalibration};
 use milc_complex::ComplexField;
 
 /// The cache key of one rank's slab: the global device/key conventions,
@@ -63,13 +61,8 @@ pub fn rank_tune_key(
 pub struct ShardTuneReport {
     /// One tuned local size per rank.
     pub sizes: Vec<u32>,
-    /// Kernel launches spent deciding — 0 whenever every cache miss was
-    /// answered by the static ranking.
-    pub sweep_launches: u64,
-    /// Cache misses decided by the static ranking (zero launches).
+    /// Cache misses, each decided by the static ranking.
     pub static_ranks: u32,
-    /// Cache misses that fell back to the cold measuring sweep.
-    pub measured_ranks: u32,
     /// Ranks answered straight from the cache.
     pub cache_hits: u32,
 }
@@ -124,54 +117,16 @@ fn static_rank_scores<C: ComplexField>(
     (scores, rejected)
 }
 
-/// The measuring fallback for a rank no candidate of which the cost
-/// model can estimate: time each candidate's cold full-phase launch.
-/// Returns the fastest `(local size, µs)` — strict "<" keeps the
-/// smaller size on ties — and the candidates that failed to launch;
-/// `launches` counts the launches that ran.
-fn measure_rank<C: ComplexField>(
-    rank: &RankProblem<C>,
-    cfg: KernelConfig,
-    device: &DeviceSpec,
-    sizes: &[u32],
-    launches: &mut u64,
-) -> (Option<(u32, f64)>, Vec<CandidateOutcome>) {
-    let launcher = Launcher::new(device);
-    let mut best: Option<(u32, f64)> = None;
-    let mut rejected = Vec::new();
-    for &ls in sizes {
-        let (range, kernel) = rank
-            .launch(cfg, Phase::Full, ls)
-            .expect("full phase is never empty");
-        match launcher.launch(kernel.as_ref(), range, rank.memory()) {
-            Ok(run) => {
-                *launches += 1;
-                if best.is_none_or(|(_, d)| run.duration_us < d) {
-                    best = Some((ls, run.duration_us));
-                }
-            }
-            Err(e) => rejected.push(CandidateOutcome::Rejected {
-                local_size: ls,
-                layout: cfg.shared_layout,
-                reason: Reject::Launch(e),
-            }),
-        }
-    }
-    (best, rejected)
-}
-
 /// Tune (or look up) the local size of every rank of a sharded problem.
 /// Cache misses are decided by the static cold-regime ranking — zero
-/// launches — with a cold measuring sweep as fallback for ranks the
-/// cost model cannot estimate.  Winners are inserted into `cache`;
-/// cache hits skip the decision entirely.  Returns one local size per
-/// rank (`sizes`) with how each rank was decided and how many launches
-/// the decision spent.
+/// launches.  Winners are inserted into `cache`; cache hits skip the
+/// decision entirely.  Returns one local size per rank (`sizes`) with
+/// how many ranks were decided and how many hit the cache.
 ///
 /// # Errors
 /// [`SweepError::AllRejected`] when no candidate of a rank can be
-/// estimated or launched (every candidate's launch failure recorded);
-/// nothing is inserted for that rank.
+/// estimated (every candidate's reason recorded); nothing is inserted
+/// for that rank.
 pub fn tune_rank_local_sizes<C: ComplexField>(
     problem: &ShardedProblem<C>,
     cfg: KernelConfig,
@@ -182,9 +137,7 @@ pub fn tune_rank_local_sizes<C: ComplexField>(
     let cal = RegimeCalibration::committed();
     let mut report = ShardTuneReport {
         sizes: Vec::with_capacity(problem.num_ranks()),
-        sweep_launches: 0,
         static_ranks: 0,
-        measured_ranks: 0,
         cache_hits: 0,
     };
     for r in 0..problem.num_ranks() {
@@ -196,23 +149,15 @@ pub fn tune_rank_local_sizes<C: ComplexField>(
         }
         let rank = problem.rank(r);
         let sizes = rank.tunable_local_sizes(cfg);
-        let device = group.device(r);
-        let (scores, mut rejected) = static_rank_scores(rank, cfg, device, &sizes);
+        let (scores, rejected) = static_rank_scores(rank, cfg, group.device(r), &sizes);
         // `min_by` keeps the first of equal scores: the smaller local
         // size (candidates are enumerated ascending).  The entry's
         // duration is the *cold* full-phase prediction in
-        // measured-comparable µs, per the shared calibration table —
-        // the same quantity the measuring fallback records.
-        let mut best = scores
+        // measured-comparable µs, per the shared calibration table.
+        let best = scores
             .iter()
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|&(ls, _, full_cold_us)| (ls, full_cold_us * cal.scale(Regime::Cold)));
-        if best.is_some() {
-            report.static_ranks += 1;
-        } else {
-            report.measured_ranks += 1;
-            (best, rejected) = measure_rank(rank, cfg, device, &sizes, &mut report.sweep_launches);
-        }
         let Some((local_size, duration_us)) = best else {
             return Err(SweepError::AllRejected {
                 kernel: format!("{} rank{r}", cfg.label()),
@@ -231,6 +176,7 @@ pub fn tune_rank_local_sizes<C: ComplexField>(
             candidates_ok: (sizes.len() - rejected.len()) as u32,
             candidates_rejected: rejected.len() as u32,
         });
+        report.static_ranks += 1;
         report.sizes.push(local_size);
     }
     Ok(report)
@@ -240,7 +186,7 @@ pub fn tune_rank_local_sizes<C: ComplexField>(
 mod tests {
     use super::*;
     use crate::strategy::{IndexOrder, Strategy};
-    use gpu_sim::{DeviceSpec, Interconnect, SimError};
+    use gpu_sim::{DeviceSpec, Interconnect};
     use milc_complex::DoubleComplex as Z;
 
     #[test]
@@ -250,8 +196,6 @@ mod tests {
         let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
         let mut cache = TuneCache::new();
         let report = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
-        assert_eq!(report.sweep_launches, 0, "static ranking must not launch");
-        assert_eq!(report.measured_ranks, 0);
         // Identical slabs on identical devices share one entry.
         assert_eq!((report.static_ranks, report.cache_hits), (1, 1));
         assert_eq!(report.sizes.len(), 2);
@@ -264,10 +208,9 @@ mod tests {
         assert_eq!(entry.key.regime, crate::tune::TuneRegime::Cold);
         assert!(entry.duration_us > 0.0);
 
-        // Rerun: pure cache hits, still zero launches.
+        // Rerun: pure cache hits.
         let again = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
-        assert_eq!(again.cache_hits, 2);
-        assert_eq!(again.sweep_launches, 0);
+        assert_eq!((again.static_ranks, again.cache_hits), (0, 2));
         assert_eq!(again.sizes, report.sizes);
         assert_eq!(cache.len(), 1);
     }
@@ -293,29 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn a_rank_only_the_site_block_fits_is_measured() {
-        // L=6 over 2 ranks: 324 targets per slab, so no warp multiple
-        // divides 3LP-1's 3,888 items and the 12-item site block is the
-        // only candidate — a size the cost model cannot estimate.
-        let p = ShardedProblem::<Z>::random(6, 34, 2);
-        let g = DeviceGroup::homogeneous(DeviceSpec::test_small(), 2, Interconnect::nvlink());
-        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        assert_eq!(p.rank(0).tunable_local_sizes(cfg), [12]);
-        let mut cache = TuneCache::new();
-        let report = tune_rank_local_sizes(&p, cfg, &g, &mut cache).unwrap();
-        assert_eq!(report.sizes, [12, 12]);
-        assert_eq!((report.static_ranks, report.measured_ranks), (0, 1));
-        assert_eq!((report.sweep_launches, report.cache_hits), (1, 1));
-        let entry = cache.lookup(&rank_tune_key(&p, cfg, &g, 0)).unwrap();
-        assert_eq!((entry.candidates_ok, entry.candidates_rejected), (1, 0));
-        assert!(entry.duration_us > 0.0);
-    }
-
-    #[test]
-    fn a_rank_with_no_launchable_candidate_is_a_typed_error() {
+    fn a_rank_with_no_estimable_candidate_is_a_typed_error() {
         let p = ShardedProblem::<Z>::random(4, 33, 2);
         // A register file too small for one work-item of the kernel:
-        // occupancy admits no candidate, estimated or launched.
+        // occupancy admits no candidate.
         let device = DeviceSpec {
             registers_per_sm: 16,
             ..DeviceSpec::test_small()
@@ -332,9 +256,9 @@ mod tests {
                         matches!(
                             c,
                             CandidateOutcome::Rejected {
-                                reason: Reject::Launch(SimError::RegistersExhausted { .. }),
+                                reason: Reject::Inestimable(why),
                                 ..
-                            }
+                            } if why.starts_with("occupancy infeasible")
                         ),
                         "{c:?}"
                     );

@@ -29,11 +29,12 @@
 //! differently), the footprint intervals over-approximate sparse
 //! strides, and the capacity blend is a smooth heuristic, not a
 //! replacement-policy simulation.  Within one kernel configuration the
-//! global traffic is nearly invariant across local sizes (warps are the
-//! same 32-lane chunks of the global-id space however they are
-//! grouped), so *ranking* candidates — the tuner's question — leans on
-//! the occupancy/tail terms the model gets from the same limiter
-//! calculation the engine uses; the differential suite
+//! global traffic is nearly invariant across warp-multiple local sizes
+//! (their warps are the same 32-lane chunks of the global-id space
+//! however they are grouped; a group narrower than a warp issues
+//! partial warps instead), so *ranking* candidates — the tuner's
+//! question — leans on the occupancy/tail terms the model gets from the
+//! same limiter calculation the engine uses; the differential suite
 //! (`tests/costmodel_diff.rs`) holds the ranking to the measured order.
 
 use super::footprint::{AddrForm, LaunchModel, PhaseModel};
@@ -198,12 +199,13 @@ impl CostEstimate {
 
     /// The same launch traffic re-timed under another launch shape's
     /// occupancy.  Within one kernel configuration the global traffic
-    /// is grouping-invariant — warps are the same 32-lane chunks of the
-    /// global-id space however they are grouped — so sibling local
-    /// sizes differ only by their occupancy/waves/tail picture.  A
-    /// ranker estimates the counters *once* per configuration (probe
-    /// sampling error then cancels exactly across candidates) and
-    /// derives every candidate from that shared base.
+    /// is invariant across warp-multiple local sizes — their warps are
+    /// the same 32-lane chunks of the global-id space however they are
+    /// grouped — so such siblings differ only by their
+    /// occupancy/waves/tail picture.  A ranker estimates the counters
+    /// *once* per configuration (probe sampling error then cancels
+    /// exactly across candidates) and derives every candidate from that
+    /// shared base.
     pub fn with_occupancy(
         &self,
         local_size: u32,
@@ -279,7 +281,7 @@ pub fn estimate_stream(
 
 /// Estimate the duration of one launch statically.  `Err` carries a
 /// human-readable reason when no sound estimate exists (irregular
-/// phase, warp-misaligned residue period, occupancy-infeasible
+/// phase, a residue period that splits warps, occupancy-infeasible
 /// resources, unresolvable address slot).
 pub fn estimate_launch(
     kernel: &dyn Kernel,
@@ -333,11 +335,12 @@ fn estimate_from_model(
     // cold caches the replay's L2-minus-L1 difference isolates it).
     let atomic_l2 = scale(acc.l2_sector_requests - acc.l1_sector_misses);
     // The overflow bound on L1 misses must not depend on how lanes are
-    // grouped (warps are the same 32-lane chunks of the global-id space
-    // for every local size), or the within-config ranking would be
-    // driven by partitioning artifacts instead of occupancy: use the
-    // total sector *requests*, which are grouping-invariant, rather
-    // than per-block unique-sector sums, which are not.
+    // grouped (for every warp-multiple local size, warps are the same
+    // 32-lane chunks of the global-id space), or the within-config
+    // ranking would be driven by partitioning artifacts instead of
+    // occupancy: use the total sector *requests*, which are invariant
+    // across those groupings, rather than per-block unique-sector sums,
+    // which are not.
     let l1_req_scaled = scale(acc.l1_sector_requests);
 
     // Whole-launch unique global footprint from the fitted forms.
@@ -377,7 +380,7 @@ fn estimate_from_model(
         compulsory_l2 + ((l2_req_est - compulsory_l2) as f64 * excess).round() as u64
     };
 
-    let warps_total = blocks_total * (model.q_len / device.warp_size.max(1)) as u64;
+    let warps_total = blocks_total * model.q_len.div_ceil(device.warp_size.max(1)) as u64;
     let counters = Counters {
         global_load_instructions: scale(acc.global_load_instructions),
         global_store_instructions: scale(acc.global_store_instructions),

@@ -8,9 +8,11 @@
 //! fixed residue the instruction stream has a fixed *shape*, and each
 //! memory instruction's address is fitted to one of three forms:
 //!
-//! * **affine** — `addr = base + Δg·g + Δm·m`; extrapolates exactly to
-//!   every lane of the ND-range (the common case: `C`, `target`, local
-//!   accumulators);
+//! * **affine** — `addr = base + Δg·g + Δm·m`; checked on every probe
+//!   sample and extrapolated to every lane of the ND-range (the common
+//!   case: `C`, `target`, local accumulators) — an address pattern that
+//!   agrees on the probed groups but changes in an unprobed one is
+//!   mispredicted, not detected;
 //! * **gather** — `addr = base + scale·v` where `v` is the value an
 //!   earlier 4-byte load of the *same lane* observed (the `nbr`/`target`
 //!   table indirections; chains — `U` through `target`, `B` through
@@ -120,7 +122,9 @@ impl ProbeLog {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AddrForm {
     /// `addr = base + per_group·g + per_block·m`, validated on every
-    /// probe sample; exact over the whole ND-range.
+    /// probe sample (at most six groups × three residue blocks) and
+    /// assumed to hold on the rest of the ND-range, which is not
+    /// checked.
     Affine {
         /// Address at `g = 0, m = 0`.
         base: i128,
@@ -262,6 +266,26 @@ impl LaunchModel {
     /// Decompose a local id into `(residue, block)`.
     pub fn residue_of(&self, lid: u32) -> (u32, u64) {
         (lid % self.q_len, (lid / self.q_len) as u64)
+    }
+
+    /// The warps of every residue block, as residue ranges
+    /// `[w·W, min((w+1)·W, Q))` for a warp of `W` lanes.  They are the
+    /// engine's warps when each block holds whole warps (`Q` a multiple
+    /// of `W`) or when the block is the whole work-group (`Q` equals the
+    /// local size), whose last warp is then partial.  `Err` when neither
+    /// holds, because a block would then split a hardware warp.
+    pub fn block_warps(
+        &self,
+        warp: u32,
+    ) -> Result<impl Iterator<Item = std::ops::Range<u32>>, String> {
+        let q = self.q_len;
+        if warp == 0 || !(q.is_multiple_of(warp) || q == self.local_size) {
+            return Err(format!(
+                "residue period {q} splits the {warp}-lane warps of a {}-item group",
+                self.local_size
+            ));
+        }
+        Ok((0..q.div_ceil(warp)).map(move |w| w * warp..((w + 1) * warp).min(q)))
     }
 
     /// Resolve the address of `slot` for the lane `(group, block)`,

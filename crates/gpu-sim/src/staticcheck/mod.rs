@@ -32,7 +32,9 @@
 //!    padded and XOR-swizzled layouts included.
 //!
 //! Soundness limits (also surfaced as report notes): residual
-//! footprints are only checked on their probe samples; kernels whose
+//! footprints are only checked on their probe samples, and affine and
+//! gather forms are fitted on those samples too, then assumed to hold
+//! in every unprobed group; kernels whose
 //! *control flow* depends on more than the lane residue are reported
 //! as irregular and get no whole-range claims; gather extents are
 //! conservative (every value the source table holds), so gather

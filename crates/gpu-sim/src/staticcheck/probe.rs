@@ -8,7 +8,9 @@
 //! two) — a few thousand lane evaluations for launches of millions of
 //! items.  Fits are validated against *every* sample, so a pattern that
 //! merely looks affine on a corner (e.g. the spill arena's modular
-//! wrap) is demoted to residual rather than mis-extrapolated.
+//! wrap) is demoted to residual when some probed sample contradicts it;
+//! a pattern that holds on every probed point but changes in an
+//! unprobed group is extrapolated as if it held.
 
 use super::footprint::{fit_residue, same_shape, LaunchModel, PhaseModel, ProbeLog, ResidueShape};
 use crate::device::DeviceSpec;

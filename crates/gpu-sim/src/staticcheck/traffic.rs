@@ -2,13 +2,15 @@
 //! derived from the fitted footprint model, *without executing* the
 //! kernel's arithmetic.
 //!
-//! Every `(phase, group, warp)` of the ND-range gets its 32 lane event
+//! Every `(phase, group, warp)` of the ND-range gets its lane event
 //! streams reconstructed from the model (affine slots in closed form,
 //! gathers by reading the live index tables, residual slots by
 //! substituting a representative probed warp) and replayed through the
-//! *same* warp replayer the dynamic engine uses — so the predicted
-//! transaction counts agree with the dynamic counters by construction
-//! wherever the model is exact.
+//! *same* warp replayer the dynamic engine uses, warp by warp as the
+//! engine composes them ([`LaunchModel::block_warps`]: a group narrower
+//! than a warp, or not a multiple of one, ends in a partial warp) — so
+//! the predicted transaction counts agree with the dynamic counters by
+//! construction wherever the model is exact.
 //!
 //! Only cache-state-independent counters are predicted (tag and sector
 //! *requests*, shared wavefronts, instruction mixes, atomic passes):
@@ -115,40 +117,26 @@ pub struct PhaseRep {
 }
 
 /// Replay one representative block per uniform phase; phases whose
-/// streams cannot be reconstructed (irregular, unresolvable slot,
-/// warp-misaligned residue period) are simply absent from the result.
+/// streams cannot be reconstructed (irregular, unresolvable slot, or a
+/// residue period that splits warps) are simply absent from the result.
 pub(crate) fn rep_phase_metrics(
     model: &LaunchModel,
     mem: &DeviceMemory,
     device: &DeviceSpec,
 ) -> Vec<PhaseRep> {
-    let warp = device.warp_size;
-    if warp == 0 || !model.q_len.is_multiple_of(warp) {
-        return Vec::new();
-    }
     let (Some(&g), Some(&m)) = (model.probed_groups.first(), model.probed_blocks.first()) else {
         return Vec::new();
     };
     let mut out = Vec::new();
-    'phase: for (p, pm) in model.phases.iter().enumerate() {
+    for (p, pm) in model.phases.iter().enumerate() {
         let PhaseModel::Uniform(shapes) = pm else {
             continue;
         };
         let mut r = Replayer::new(device);
-        let warps = (model.q_len / warp) as u64;
-        for wb in 0..model.q_len / warp {
-            let mut streams = Vec::with_capacity(warp as usize);
-            for i in 0..warp {
-                let lid = m as u32 * model.q_len + wb * warp + i;
-                match lane_stream(model, mem, shapes, g, lid, (g, m)) {
-                    Ok(s) => streams.push(s),
-                    Err(_) => continue 'phase,
-                }
-            }
-            if r.replay(&streams).is_err() {
-                continue 'phase;
-            }
-        }
+        let streams = PhaseStreams { model, mem, shapes };
+        let Ok(warps) = streams.replay_block(&mut r, g, m, (g, m)) else {
+            continue;
+        };
         let c = &r.counters;
         out.push(PhaseRep {
             phase: p,
@@ -179,6 +167,7 @@ struct Replayer {
     l1: Cache,
     l2: Cache,
     counters: Counters,
+    warp_size: u32,
     line_bytes: u32,
     sector_bytes: u32,
     banks: u32,
@@ -199,6 +188,7 @@ impl Replayer {
             l1,
             l2,
             counters: Counters::default(),
+            warp_size: device.warp_size,
             line_bytes: device.line_bytes,
             sector_bytes: device.sector_bytes,
             banks: device.shared_banks,
@@ -230,20 +220,13 @@ impl Replayer {
 /// sector count (compulsory misses), and `l2_sector_requests -
 /// l1_sector_misses` is the sector traffic of its atomics (which bypass
 /// L1) — both pure functions of the address vectors, which is what the
-/// cost model needs.  `Err` when any phase is irregular,
-/// warp-misaligned or has an unresolvable slot.
+/// cost model needs.  `Err` when any phase is irregular or has an
+/// unresolvable slot, or the residue period splits warps.
 pub(crate) fn probed_block_counters(
     model: &LaunchModel,
     mem: &DeviceMemory,
     device: &DeviceSpec,
 ) -> Result<(Counters, u64), String> {
-    let warp = device.warp_size;
-    if warp == 0 || !model.q_len.is_multiple_of(warp) {
-        return Err(format!(
-            "residue period {} is not warp-aligned",
-            model.q_len
-        ));
-    }
     // A residue block is at most `max_group_size` lanes touching a few
     // KB each: 8 MB per level never evicts for any shipped kernel.  One
     // pair serves every block, reset (in constant time) in between:
@@ -258,7 +241,10 @@ pub(crate) fn probed_block_counters(
             r.l1.reset();
             r.l2.reset();
             r.counters = Counters::default();
-            replay_block(&mut r, model, mem, warp, g, m)?;
+            for (p, pm) in model.phases.iter().enumerate() {
+                let shapes = uniform_shapes(p, pm)?;
+                PhaseStreams { model, mem, shapes }.replay_block(&mut r, g, m, (g, m))?;
+            }
             sum.merge(&r.counters);
             blocks += 1;
         }
@@ -266,69 +252,130 @@ pub(crate) fn probed_block_counters(
     Ok((sum, blocks))
 }
 
-/// Replay every phase of one `(group, block)` into `r`.
-fn replay_block(
-    r: &mut Replayer,
-    model: &LaunchModel,
-    mem: &DeviceMemory,
-    warp: u32,
-    group: u64,
-    block: u64,
-) -> Result<(), String> {
-    for (p, pm) in model.phases.iter().enumerate() {
-        let shapes = match pm {
-            PhaseModel::Uniform(s) => s,
-            PhaseModel::Irregular(why) => {
-                return Err(format!("phase {p} has no uniform model: {why}"))
-            }
-        };
-        for wb in 0..model.q_len / warp {
-            let mut streams = Vec::with_capacity(warp as usize);
-            for i in 0..warp {
-                let lid = block as u32 * model.q_len + wb * warp + i;
-                streams.push(lane_stream(model, mem, shapes, group, lid, (group, block))?);
-            }
-            r.replay(&streams)?;
-        }
+/// A phase's residue shapes, or why the phase has none.
+fn uniform_shapes(p: usize, pm: &PhaseModel) -> Result<&[ResidueShape], String> {
+    match pm {
+        PhaseModel::Uniform(s) => Ok(s),
+        PhaseModel::Irregular(why) => Err(format!("phase {p} has no uniform model: {why}")),
     }
-    Ok(())
 }
 
-/// Rebuild one lane's stream, substituting the representative probed
-/// `(rep_g, rep_m)` sample for residual slots (the lane's own sample is
-/// used when it was probed).
-fn lane_stream(
-    model: &LaunchModel,
-    mem: &DeviceMemory,
-    shapes: &[ResidueShape],
-    group: u64,
-    local_id: u32,
-    rep: (u64, u64),
-) -> Result<Vec<Event>, String> {
-    let (q, m) = model.residue_of(local_id);
-    let shape = &shapes[q as usize];
-    let mut out = Vec::with_capacity(shape.events.len());
-    for (idx, ev) in shape.events.iter().enumerate() {
-        let rebuilt = if let Some(slot) = shape.slot_at(idx) {
-            let addr = match slot.form {
-                AddrForm::Residual => model
-                    .resolve_addr(mem, shape, slot, group, m)
-                    .or_else(|| model.resolve_addr(mem, shape, slot, rep.0, rep.1)),
-                _ => model.resolve_addr(mem, shape, slot, group, m),
-            }
-            .ok_or_else(|| {
-                format!(
-                    "phase slot at event {idx} (residue {q}) has no resolvable \
-                     address for lane (g{group},l{local_id})"
-                )
-            })?;
-            rebuild_event(ev, addr)?
-        } else {
-            *ev
-        };
-        out.push(rebuilt);
+/// One uniform phase of a launch model, with the memory its gathers
+/// read: rebuilds lane event streams from the fitted forms.
+struct PhaseStreams<'a> {
+    model: &'a LaunchModel,
+    mem: &'a DeviceMemory,
+    shapes: &'a [ResidueShape],
+}
+
+impl PhaseStreams<'_> {
+    /// Rebuild one lane's stream.  A residual slot takes the lane's own
+    /// probe sample when `own_samples` is set and the lane was probed,
+    /// and the representative probed `(rep_g, rep_m)` sample otherwise.
+    fn lane(
+        &self,
+        group: u64,
+        local_id: u32,
+        rep: (u64, u64),
+        own_samples: bool,
+    ) -> Result<Vec<Event>, String> {
+        let model = self.model;
+        let (q, m) = model.residue_of(local_id);
+        let shape = &self.shapes[q as usize];
+        let mut out = Vec::with_capacity(shape.events.len());
+        for (idx, ev) in shape.events.iter().enumerate() {
+            let rebuilt = if let Some(slot) = shape.slot_at(idx) {
+                let resolve = |(g, m)| model.resolve_addr(self.mem, shape, slot, g, m);
+                let addr = match slot.form {
+                    AddrForm::Residual if own_samples => {
+                        resolve((group, m)).or_else(|| resolve(rep))
+                    }
+                    AddrForm::Residual => resolve(rep),
+                    _ => resolve((group, m)),
+                }
+                .ok_or_else(|| {
+                    format!(
+                        "phase slot at event {idx} (residue {q}) has no resolvable \
+                         address for lane (g{group},l{local_id})"
+                    )
+                })?;
+                rebuild_event(ev, addr)?
+            } else {
+                *ev
+            };
+            out.push(rebuilt);
+        }
+        Ok(out)
     }
-    Ok(out)
+
+    /// The streams of one warp: residues `qs` of block `block` in
+    /// `group`.
+    fn warp(
+        &self,
+        group: u64,
+        block: u64,
+        qs: std::ops::Range<u32>,
+        rep: (u64, u64),
+        own_samples: bool,
+    ) -> Result<Vec<Vec<Event>>, String> {
+        qs.map(|q| {
+            let lid = block as u32 * self.model.q_len + q;
+            self.lane(group, lid, rep, own_samples)
+        })
+        .collect()
+    }
+
+    /// Replay every warp of one `(group, block)` into `r`, as the engine
+    /// replays them; returns the number of warps.
+    fn replay_block(
+        &self,
+        r: &mut Replayer,
+        group: u64,
+        block: u64,
+        rep: (u64, u64),
+    ) -> Result<u64, String> {
+        let mut warps = 0;
+        for qs in self.model.block_warps(r.warp_size)? {
+            r.replay(&self.warp(group, block, qs, rep, true)?)?;
+            warps += 1;
+        }
+        Ok(warps)
+    }
+
+    /// Verify that substituting the representative probed warp for
+    /// residual slots preserves every predicted counter: for each
+    /// *probed* `(g, m)` and each warp of that block, the lanes' own
+    /// sample addresses and the rep-substituted addresses must replay to
+    /// identical counts.
+    fn verify_residual_substitution(
+        &self,
+        device: &DeviceSpec,
+        rep: (u64, u64),
+    ) -> Result<(), String> {
+        let model = self.model;
+        for &g in &model.probed_groups {
+            for &m in &model.probed_blocks {
+                for (wb, qs) in model.block_warps(device.warp_size)?.enumerate() {
+                    let mut actual = Replayer::new(device);
+                    let mut subst = Replayer::new(device);
+                    // Every probed (g, m) has its own sample for each
+                    // residual slot.
+                    actual.replay(&self.warp(g, m, qs.clone(), (g, m), true)?)?;
+                    subst.replay(&self.warp(g, m, qs, rep, false)?)?;
+                    let a = TrafficPrediction::from_counters(&actual.counters, 1);
+                    let b = TrafficPrediction::from_counters(&subst.counters, 1);
+                    if a != b {
+                        return Err(format!(
+                            "residual footprint is not warp-uniform: probed warp \
+                             (g{g},m{m},w{wb}) replays {a:?} with its own samples \
+                             but {b:?} with the representative's"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 fn rebuild_event(ev: &Event, addr: u64) -> Result<Event, String> {
@@ -356,68 +403,6 @@ fn phase_has_residual(shapes: &[ResidueShape]) -> bool {
             .iter()
             .any(|slot| matches!(slot.form, AddrForm::Residual))
     })
-}
-
-/// Verify that substituting the representative probed warp for residual
-/// slots preserves every predicted counter: for each *probed* `(g, m)`
-/// and each warp of that block, the actual sample addresses and the
-/// rep-substituted addresses must replay to identical counts.
-fn verify_residual_substitution(
-    model: &LaunchModel,
-    mem: &DeviceMemory,
-    device: &DeviceSpec,
-    shapes: &[ResidueShape],
-    rep: (u64, u64),
-) -> Result<(), String> {
-    let warp = device.warp_size;
-    for &g in &model.probed_groups {
-        for &m in &model.probed_blocks {
-            for wb in 0..model.q_len / warp {
-                let mut actual = Replayer::new(device);
-                let mut subst = Replayer::new(device);
-                let mut actual_streams = Vec::with_capacity(warp as usize);
-                let mut subst_streams = Vec::with_capacity(warp as usize);
-                for i in 0..warp {
-                    let lid = m as u32 * model.q_len + wb * warp + i;
-                    // Actual: the lane's own probe samples (every probed
-                    // (g, m) has one for each residual slot).
-                    actual_streams.push(lane_stream(model, mem, shapes, g, lid, (g, m))?);
-                    // Substituted: force the representative sample.
-                    let (q, _) = model.residue_of(lid);
-                    let shape = &shapes[q as usize];
-                    let mut s = Vec::with_capacity(shape.events.len());
-                    for (idx, ev) in shape.events.iter().enumerate() {
-                        if let Some(slot) = shape.slot_at(idx) {
-                            let addr = if matches!(slot.form, AddrForm::Residual) {
-                                model.resolve_addr(mem, shape, slot, rep.0, rep.1)
-                            } else {
-                                model.resolve_addr(mem, shape, slot, g, m)
-                            }
-                            .ok_or_else(|| {
-                                format!("unresolvable slot at event {idx}, residue {q}")
-                            })?;
-                            s.push(rebuild_event(ev, addr)?);
-                        } else {
-                            s.push(*ev);
-                        }
-                    }
-                    subst_streams.push(s);
-                }
-                actual.replay(&actual_streams)?;
-                subst.replay(&subst_streams)?;
-                let a = TrafficPrediction::from_counters(&actual.counters, 1);
-                let b = TrafficPrediction::from_counters(&subst.counters, 1);
-                if a != b {
-                    return Err(format!(
-                        "residual footprint is not warp-uniform: probed warp \
-                         (g{g},m{m},w{wb}) replays {a:?} with its own samples \
-                         but {b:?} with the representative's"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// One concrete bank-conflict witness: two lanes of one warp-level
@@ -499,31 +484,20 @@ const MAX_WITNESSES: usize = 8;
 /// ND-range.  Addresses never need the live memory image: local slots
 /// are closed-form by construction or the proof refuses.
 ///
-/// `Err` carries the reason no proof exists (irregular phase,
-/// warp-unaligned residue period, a non-affine local slot, or word
+/// `Err` carries the reason no proof exists (irregular phase, a
+/// residue period that splits warps, a non-affine local slot, or word
 /// rotations that differ across the warp).
 pub fn prove_bank_conflicts(
     model: &LaunchModel,
     device: &DeviceSpec,
 ) -> Result<BankConflictProof, String> {
-    let warp = device.warp_size;
-    if warp == 0 || !model.q_len.is_multiple_of(warp) {
-        return Err(format!(
-            "residue period {} is not warp-aligned",
-            model.q_len
-        ));
-    }
     let occurrences = model.num_groups * model.blocks_per_group;
     let mut proof = BankConflictProof::default();
     for (p, pm) in model.phases.iter().enumerate() {
-        let shapes = match pm {
-            PhaseModel::Uniform(s) => s,
-            PhaseModel::Irregular(why) => {
-                return Err(format!("phase {p} has no uniform model: {why}"))
-            }
-        };
-        for wb in 0..model.q_len / warp {
-            let residues: Vec<u32> = (0..warp).map(|i| wb * warp + i).collect();
+        let shapes = uniform_shapes(p, pm)?;
+        for (wb, qs) in model.block_warps(device.warp_size)?.enumerate() {
+            let wb = wb as u32;
+            let residues: Vec<u32> = qs.collect();
             let instrs = aligned_local_instructions(shapes, &residues)
                 .map_err(|e| format!("phase {p} warp {wb}: {e}"))?;
             for (event_idx, members) in instrs {
@@ -669,57 +643,31 @@ fn conflict_witness(
 
 /// Predict the launch's traffic from the fitted model.  `Err` carries a
 /// human-readable reason when no sound prediction exists (irregular
-/// phase, warp-unaligned local size, unresolvable slot, or a residual
-/// footprint whose warp pattern is not uniform).
+/// phase, a residue period that splits warps, unresolvable slot, or a
+/// residual footprint whose warp pattern is not uniform).
 pub fn predict_traffic(
     model: &LaunchModel,
     mem: &DeviceMemory,
     device: &DeviceSpec,
 ) -> Result<TrafficPrediction, String> {
-    let warp = device.warp_size;
-    if warp == 0 || !model.local_size.is_multiple_of(warp) {
-        return Err(format!(
-            "local size {} is not a multiple of the warp size {warp} — \
-             warp composition would differ from the hardware's",
-            model.local_size
-        ));
-    }
-    if !model.q_len.is_multiple_of(warp) {
-        return Err(format!(
-            "residue period {} is not warp-aligned",
-            model.q_len
-        ));
-    }
     let rep = (
         *model.probed_groups.first().ok_or("no probed groups")?,
         *model.probed_blocks.first().ok_or("no probed blocks")?,
     );
-
     let mut r = Replayer::new(device);
     let mut warps = 0u64;
-    let warps_per_block = model.q_len / warp;
-    let mut streams: Vec<Vec<Event>> = Vec::with_capacity(warp as usize);
     for (p, pm) in model.phases.iter().enumerate() {
-        let shapes = match pm {
-            PhaseModel::Uniform(s) => s,
-            PhaseModel::Irregular(why) => {
-                return Err(format!("phase {p} has no uniform model: {why}"))
-            }
+        let streams = PhaseStreams {
+            model,
+            mem,
+            shapes: uniform_shapes(p, pm)?,
         };
-        if phase_has_residual(shapes) {
-            verify_residual_substitution(model, mem, device, shapes, rep)?;
+        if phase_has_residual(streams.shapes) {
+            streams.verify_residual_substitution(device, rep)?;
         }
         for g in 0..model.num_groups {
             for m in 0..model.blocks_per_group {
-                for wb in 0..warps_per_block {
-                    streams.clear();
-                    for i in 0..warp {
-                        let lid = m as u32 * model.q_len + wb * warp + i;
-                        streams.push(lane_stream(model, mem, shapes, g, lid, rep)?);
-                    }
-                    r.replay(&streams)?;
-                    warps += 1;
-                }
+                warps += streams.replay_block(&mut r, g, m, rep)?;
             }
         }
     }

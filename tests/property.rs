@@ -870,7 +870,7 @@ proptest! {
     fn static_bank_proof_matches_dynamic_wavefronts(
         seed in 0u64..100,
         layout_idx in 0usize..3,
-        cfg_idx in 0usize..3,
+        cfg_idx in 0usize..4,
     ) {
         use gpu_sim::StaticCheckConfig;
         use milc_dslash::{run_config_staticcheck, SharedLayout};
@@ -879,6 +879,8 @@ proptest! {
             (Strategy::ThreeLp1, IndexOrder::KMajor, 96),
             (Strategy::ThreeLp2, IndexOrder::IMajor, 96),
             (Strategy::FourLp2, IndexOrder::IMajor, 96),
+            // One partial warp per group.
+            (Strategy::ThreeLp1, IndexOrder::KMajor, 12),
         ][cfg_idx];
         let layout = SharedLayout::TUNABLE[layout_idx];
         let mut p = DslashProblem::<Z>::random(2, seed);
@@ -912,9 +914,6 @@ fn static_traffic_prediction_matches_dynamic_counters_exactly() {
 
     let dev = DeviceSpec::a100();
     for (s, o, ls) in STATIC_CONFIGS {
-        if ls % dev.warp_size != 0 {
-            continue; // sub-warp groups get no whole-launch prediction
-        }
         let mut p = DslashProblem::<Z>::random(2, 13);
         let cfg = KernelConfig::new(s, o);
         let srep = run_config_staticcheck(&p, cfg, ls, &dev, &StaticCheckConfig::full()).unwrap();
