@@ -10,7 +10,7 @@ use milc_bench::{best_of, best_of_order, fig6_rows, quda_recons, rows_to_csv, Ex
 use milc_dslash::IndexOrder;
 
 fn main() {
-    let l = milc_bench::lattice_arg(16, "fig6 [L]");
+    let l = milc_bench::lattice_arg(16, milc_bench::even_lattice, "fig6 [L]");
     let exp = Experiment::new(l, 2024);
     eprintln!(
         "Fig. 6 sweep: L = {l} on {} ({} SMs, {:.1} MB L2)",

@@ -6,7 +6,7 @@
 use milc_bench::{quda_paper_gflops, quda_recon_csv, quda_recons, Experiment};
 
 fn main() {
-    let l = milc_bench::lattice_arg(16, "quda_recon [L]");
+    let l = milc_bench::lattice_arg(16, milc_bench::even_lattice, "quda_recon [L]");
     let exp = Experiment::new(l, 2024);
     eprintln!("QUDA recon sweep: L = {l} on {}", exp.device.name);
 

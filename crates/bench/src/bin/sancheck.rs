@@ -6,8 +6,8 @@
 //! Usage: `cargo run -p milc-bench --bin sancheck --release [L]`
 //! (default L = 8; the lattice must keep the paper's fixed local sizes
 //! legal, which every power-of-two L ≥ 8 does — at L = 4 the 1LP global
-//! size is smaller than its 256-item work-group, and the launch is
-//! rejected up front).  Writes `results/sancheck.md`;
+//! size is smaller than its 256-item work-group — so any other L exits 2
+//! with a usage line).  Writes `results/sancheck.md`;
 //! exits non-zero if any clean configuration produces a finding or any
 //! defect kernel goes undetected.
 
@@ -39,7 +39,7 @@ fn render_findings(report: &SanitizerReport) -> String {
 }
 
 fn main() {
-    let l = milc_bench::lattice_arg(8, "sancheck [L]");
+    let l = milc_bench::lattice_arg(8, milc_bench::paper_lattice, "sancheck [L]");
     let exp = Experiment::new(l, 2024);
     let hv = (l.pow(4) / 2) as u64;
     eprintln!(

@@ -12,7 +12,8 @@
 //! right finding class.
 //!
 //! Usage: `cargo run -p milc-bench --bin staticcheck --release [L]`
-//! (default L = 8, matching `sancheck`).  Writes
+//! (default L = 8; like `sancheck`, a power of two ≥ 8, else exit 2
+//! with a usage line).  Writes
 //! `results/staticcheck.md`; exits non-zero if any clean configuration
 //! produces a static finding, any traffic prediction misses by more
 //! than 1%, any ranking misses the duration-ranking gates, or any
@@ -86,7 +87,7 @@ struct DefectCase {
 }
 
 fn main() {
-    let l = milc_bench::lattice_arg(8, "staticcheck [L]");
+    let l = milc_bench::lattice_arg(8, milc_bench::paper_lattice, "staticcheck [L]");
     let exp = Experiment::new(l, 2024);
     let hv = (l.pow(4) / 2) as u64;
     eprintln!(

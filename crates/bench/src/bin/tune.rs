@@ -89,7 +89,7 @@ fn main() {
     if let Some(flag) = std::env::args().skip(1).find(|a| a.starts_with("--")) {
         milc_bench::usage_error(&format!("unknown flag {flag}"), USAGE);
     }
-    let l = milc_bench::lattice_arg(16, USAGE);
+    let l = milc_bench::lattice_arg(16, milc_bench::even_lattice, USAGE);
     let cache_path: PathBuf = std::env::args()
         .nth(2)
         .map(PathBuf::from)

@@ -1,11 +1,9 @@
 //! Shared experiment machinery: the Fig. 6 sweep, the Table I profile
-//! run, the QUDA recon sweep, the timing-model calibration, the Table I
-//! cost-model drift, and the CSV writers of every committed
-//! `results/*.csv` (the `perfdiff` gate regenerates each file through
-//! the same writer).
+//! run, the QUDA recon sweep, the Table I cost-model drift, and the CSV
+//! writers of every committed `results/*.csv` (the `perfdiff` gate
+//! regenerates each file through the same writer).
 
 use crate::paper;
-use gpu_sim::timing::CalibrationSample;
 use gpu_sim::{
     Counters, DeviceGroup, DeviceSpec, Interconnect, LaunchReport, ProfileReport, QueueMode, Regime,
 };
@@ -426,53 +424,6 @@ fn short_order(order: IndexOrder) -> &'static str {
         IndexOrder::IMajor => "i",
         IndexOrder::LMajor => "l",
     }
-}
-
-/// Build calibration samples: our measured counters for each Table I
-/// configuration against the paper's measured duration.  Durations are
-/// scale-invariant under the volume-matched device, so the paper's
-/// microseconds are used as-is.
-pub fn calibration_samples(
-    exp: &Experiment,
-    problem: &mut DslashProblem<DoubleComplex>,
-) -> Vec<CalibrationSample> {
-    paper::TABLE1
-        .iter()
-        .map(|col| {
-            let cfg = KernelConfig::new(col.strategy, col.order);
-            let ls = paper::table1_local_size(col.strategy);
-            let out = run_config_warm(problem, cfg, ls, &exp.device, QueueMode::OutOfOrder)
-                .expect("calibration configuration must launch");
-            CalibrationSample {
-                counters: out.report.counters,
-                occupancy: out.report.occupancy,
-                target_us: col.duration_us,
-            }
-        })
-        .collect()
-}
-
-/// QUDA calibration samples: the three recon schemes' counters against
-/// the durations implied by the paper's GFLOP/s (Section IV-D3).
-/// Including them alongside the twelve Table I samples pins down the
-/// split between per-transaction and per-instruction cost that the SYCL
-/// configurations alone leave underdetermined (they all share nearly the
-/// same bytes-per-instruction ratio; QUDA's vectorized, compressed loads
-/// do not).
-pub fn quda_calibration_samples(exp: &Experiment) -> Vec<CalibrationSample> {
-    [Recon::R18, Recon::R12, Recon::R9]
-        .into_iter()
-        .map(|recon| {
-            let gflops = quda_paper_gflops(recon);
-            let t = StaggeredDslashTest::random(exp.l, exp.seed, recon);
-            let out = t.run(&exp.device).expect("quda calibration run");
-            CalibrationSample {
-                counters: out.report.counters,
-                occupancy: out.report.occupancy,
-                target_us: paper::PAPER_FLOPS / gflops / 1e3,
-            }
-        })
-        .collect()
 }
 
 /// One point of the strong-scaling study: one rank count under one

@@ -36,7 +36,7 @@ impl<C: ComplexField> Kernel for OneLpKernel<C> {
 
     fn resources(&self, _local_size: u32) -> KernelResources {
         KernelResources {
-            registers_per_item: self.cfg.registers_per_item() + C::EXTRA_REGISTERS,
+            registers_per_item: self.cfg.strategy.registers_per_item() + C::EXTRA_REGISTERS,
             local_mem_bytes_per_group: 0,
         }
     }

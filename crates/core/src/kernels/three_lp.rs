@@ -80,7 +80,7 @@ impl<C: ComplexField> Kernel for ThreeLpKernel<C> {
 
     fn resources(&self, local_size: u32) -> KernelResources {
         KernelResources {
-            registers_per_item: self.cfg.registers_per_item() + C::EXTRA_REGISTERS,
+            registers_per_item: self.cfg.strategy.registers_per_item() + C::EXTRA_REGISTERS,
             local_mem_bytes_per_group: if self.cfg.strategy.uses_local_mem() {
                 self.cfg.shared_layout.required_bytes(local_size)
             } else {

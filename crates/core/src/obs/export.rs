@@ -245,63 +245,6 @@ pub fn parse_chrome(text: &str) -> Result<Trace, ChromeParseError> {
     Ok(Trace { spans, counters })
 }
 
-/// Render a [`Trace`] in folded-stacks format — one
-/// `track;outer;inner self_µs` line per distinct stack, the input
-/// `flamegraph.pl` and speedscope consume.
-///
-/// Stacks are rebuilt the same way [`Trace::self_times`] rebuilds the
-/// span tree: spans in open (`seq`) order, a span nests under the
-/// closest preceding span of smaller depth, and each frame is weighted
-/// by its *self* time (duration minus direct children).  Values are
-/// rounded to whole microseconds; stacks that round to zero are
-/// dropped.  Lines are sorted, so the output is deterministic.
-pub fn to_folded_stacks(trace: &Trace) -> String {
-    let mut in_open_order: Vec<&SpanRecord> = trace.spans.iter().collect();
-    in_open_order.sort_by_key(|s| s.seq);
-
-    let mut totals: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
-    // Open frames: (depth, folded path, self time so far).
-    let mut stack: Vec<(u32, String, f64)> = Vec::new();
-    let close = |frame: (u32, String, f64),
-                 totals: &mut std::collections::BTreeMap<String, f64>| {
-        *totals.entry(frame.1).or_insert(0.0) += frame.2;
-    };
-    for s in in_open_order {
-        while let Some(top) = stack.last() {
-            if top.0 >= s.depth {
-                let frame = stack.pop().expect("non-empty");
-                close(frame, &mut totals);
-            } else {
-                break;
-            }
-        }
-        let path = match stack.last_mut() {
-            Some(parent) => {
-                parent.2 -= s.dur_us;
-                format!("{};{}", parent.1, s.name)
-            }
-            None => format!("{};{}", s.track, s.name),
-        };
-        stack.push((s.depth, path, s.dur_us));
-    }
-    while let Some(frame) = stack.pop() {
-        close(frame, &mut totals);
-    }
-
-    let mut out = String::new();
-    for (path, us) in totals {
-        let rounded = us.round();
-        if rounded <= 0.0 {
-            continue;
-        }
-        out.push_str(&path);
-        out.push(' ');
-        out.push_str(&format!("{}", rounded as u64));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,40 +299,6 @@ mod tests {
         }
         tids.sort_unstable();
         assert_eq!(tids, vec![1, 2]);
-    }
-
-    #[test]
-    fn folded_stacks_weight_frames_by_self_time() {
-        let t = Tracer::new();
-        {
-            let _outer = t.span_on("main", "solve");
-            std::thread::sleep(std::time::Duration::from_millis(4));
-            {
-                let _inner = t.span_on("main", "launch");
-                std::thread::sleep(std::time::Duration::from_millis(4));
-            }
-            {
-                let _inner = t.span_on("main", "launch");
-                std::thread::sleep(std::time::Duration::from_millis(4));
-            }
-        }
-        let folded = to_folded_stacks(&t.snapshot());
-        let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(lines.len(), 2, "{folded}");
-        // Sorted: the parent frame precedes the child path.
-        assert!(lines[0].starts_with("main;solve "), "{folded}");
-        assert!(lines[1].starts_with("main;solve;launch "), "{folded}");
-        let value = |line: &str| -> u64 { line.rsplit(' ').next().unwrap().parse().unwrap() };
-        // The two launch frames aggregate into one stack (~8 ms); the
-        // parent keeps only its self time (~4 ms, total minus both
-        // children) — so the child stack outweighs the parent frame.
-        assert!(value(lines[1]) > value(lines[0]), "{folded}");
-        assert!(value(lines[0]) >= 1 && value(lines[1]) >= 1);
-    }
-
-    #[test]
-    fn folded_stacks_of_an_empty_trace_are_empty() {
-        assert_eq!(to_folded_stacks(&Trace::default()), "");
     }
 
     #[test]

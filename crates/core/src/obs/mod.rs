@@ -42,9 +42,7 @@ pub mod metrics;
 pub mod prof;
 pub mod trace;
 
-pub use export::{
-    parse_chrome, to_chrome_events, to_folded_stacks, write_chrome, ChromeParseError,
-};
+pub use export::{parse_chrome, to_chrome_events, write_chrome, ChromeParseError};
 pub use metrics::{Metrics, DURATION_BUCKETS_US};
 pub use trace::{AttrValue, CounterSample, SpanGuard, SpanRecord, Trace, Tracer};
 

@@ -177,10 +177,6 @@ pub struct KernelConfig {
     /// models the CUDA `-maxrregcount 64` study: the default compilation
     /// spills a little, the capped one does not (Section IV-D4).
     pub spills_per_item: u32,
-    /// Override the strategy's per-item register estimate (ablation
-    /// studies of the occupancy/register trade-off; `None` uses
-    /// [`Strategy::registers_per_item`]).
-    pub registers_override: Option<u32>,
     /// Work-group local-memory layout (meaningful only for strategies
     /// with [`Strategy::uses_local_mem`]; a tunable dimension).
     pub shared_layout: SharedLayout,
@@ -195,7 +191,6 @@ impl KernelConfig {
             order,
             index_style: IndexStyle::Direct,
             spills_per_item: DEFAULT_SPILLS,
-            registers_override: None,
             shared_layout: SharedLayout::Flat,
         }
     }
@@ -215,12 +210,6 @@ impl KernelConfig {
         } else {
             vec![SharedLayout::Flat]
         }
-    }
-
-    /// The effective per-item register count of this configuration.
-    pub fn registers_per_item(&self) -> u32 {
-        self.registers_override
-            .unwrap_or_else(|| self.strategy.registers_per_item())
     }
 
     /// Global size for a given half-volume (paper: items/site x L^4/2).

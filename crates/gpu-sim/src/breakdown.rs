@@ -84,18 +84,6 @@ impl TimeBreakdown {
     pub fn dominant(&self) -> &Share {
         &self.shares[0]
     }
-
-    /// Render as an aligned table.
-    pub fn render(&self) -> String {
-        let mut out = String::from("modelled-time attribution:\n");
-        for s in &self.shares {
-            if s.work <= 0.0 {
-                continue;
-            }
-            out.push_str(&format!("  {:32} {:6.1}%\n", s.class, s.pct));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -151,9 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_counters_render_cleanly() {
+    fn empty_counters_attribute_no_work() {
         let b = TimeBreakdown::new(&TimingModel::calibrated(), &Counters::default());
         assert_eq!(b.total_work, 0.0);
-        assert!(b.render().contains("attribution"));
+        assert!(b.shares.iter().all(|s| s.pct == 0.0));
     }
 }

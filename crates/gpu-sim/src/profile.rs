@@ -120,17 +120,6 @@ impl ProfileReport {
             ),
         ]
     }
-
-    /// Render as an aligned two-column table.
-    pub fn render(&self) -> String {
-        let rows = self.rows();
-        let width = rows.iter().map(|(d, _)| d.len()).max().unwrap_or(0);
-        let mut out = format!("== {} ==\n", self.label);
-        for (desc, val) in rows {
-            out.push_str(&format!("{desc:width$}  {val}\n"));
-        }
-        out
-    }
 }
 
 /// Render several profiles side by side (configs as columns), like the
@@ -239,16 +228,6 @@ mod tests {
         assert!((p.peak_pct - 8.5).abs() < 0.2, "peak {}", p.peak_pct);
         assert!(p.sm_throughput_pct > 0.0 && p.sm_throughput_pct < 100.0);
         assert_eq!(p.avg_divergent_branches, 0.0);
-    }
-
-    #[test]
-    fn render_contains_all_rows() {
-        let d = DeviceSpec::a100();
-        let p = ProfileReport::from_launch("cfg", &fake_launch(), &d);
-        let s = p.render();
-        assert!(s.contains("Duration (us)"));
-        assert!(s.contains("L1 tag requests global"));
-        assert!(s.contains("86M"));
     }
 
     #[test]

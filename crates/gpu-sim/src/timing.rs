@@ -1,15 +1,15 @@
-//! The analytic timing model and its calibration.
+//! The analytic timing model and its calibrated weights.
 //!
 //! **What is measured vs. what is calibrated.**  Every *counter* the
 //! model consumes (sectors, wavefronts, atomic passes, issue slots,
 //! barriers) is measured by simulating the kernel's real memory traffic.
-//! The *weights* that convert counters into time are calibrated once
-//! against the twelve kernel durations the paper reports in Table I
-//! (collected with Nsight Compute on a real A100) — the standard way an
-//! architectural simulator is fitted to its reference hardware.  All
-//! relative effects between kernel variants therefore come from the
-//! measured counters; the weights only set the exchange rates between
-//! event classes.
+//! The *weights* that convert counters into time are a fixed calibration
+//! against the kernel durations the paper reports (Table I, collected
+//! with Nsight Compute on a real A100, and the QUDA points of Section
+//! IV-D3) — the standard way an architectural simulator is fitted to its
+//! reference hardware.  All relative effects between kernel variants
+//! therefore come from the measured counters; the weights only set the
+//! exchange rates between event classes.
 //!
 //! The model:
 //!
@@ -61,15 +61,17 @@ pub struct TimingModel {
 }
 
 impl TimingModel {
-    /// The default calibrated model, fitted by
-    /// `cargo run -p milc-bench --bin calibrate --release -- 16` against
-    /// fifteen paper measurements: the twelve Table I durations plus the
-    /// three QUDA recon points of Section IV-D3 (recon 18 weighted as
-    /// Fig. 6's reference line).  7.2% RMS relative error; see module
-    /// docs and `EXPERIMENTS.md`.  The zero weights on pure-ALU/barrier
-    /// classes are the fit's statement that this workload is bound by
-    /// memory transactions, exactly as the paper concludes ("the
-    /// benchmark under consideration is memory-bound", Section V).
+    /// The default model: a fixed calibration against fifteen paper
+    /// measurements, the twelve Table I durations plus the three QUDA
+    /// recon points of Section IV-D3 (recon 18, Fig. 6's reference line,
+    /// counted three times).  Over those points, measured on the
+    /// volume-matched device at L = 16, it scores 7.3% RMS relative
+    /// error; see module docs and `EXPERIMENTS.md`.  Every committed
+    /// `results/` duration is priced with these weights, so changing one
+    /// moves all of them.  The zero weights on pure-ALU/barrier classes
+    /// say that this workload is bound by memory transactions, exactly
+    /// as the paper concludes ("the benchmark under consideration is
+    /// memory-bound", Section V).
     pub fn calibrated() -> Self {
         Self {
             weights: Weights {
@@ -84,11 +86,6 @@ impl TimingModel {
                 occ_alpha: 1.0,
             },
         }
-    }
-
-    /// A model with explicit weights.
-    pub fn with_weights(weights: Weights) -> Self {
-        Self { weights }
     }
 
     /// The per-launch "work" in SM-cycles.
@@ -115,119 +112,6 @@ impl TimingModel {
 impl Default for TimingModel {
     fn default() -> Self {
         Self::calibrated()
-    }
-}
-
-/// One calibration sample: measured counters + occupancy of a config,
-/// and the hardware duration (µs) it should map to.
-#[derive(Clone, Debug)]
-pub struct CalibrationSample {
-    /// Simulator counters of the configuration.
-    pub counters: Counters,
-    /// Simulator occupancy of the configuration.
-    pub occupancy: Occupancy,
-    /// Target duration in microseconds (from the paper's Table I),
-    /// already rescaled if the simulation ran a smaller lattice.
-    pub target_us: f64,
-}
-
-/// Fit non-negative weights (and the occupancy exponent) to calibration
-/// samples by minimizing the summed squared *relative* error, via
-/// projected coordinate descent over a grid of exponents.
-pub fn fit(samples: &[CalibrationSample], device: &DeviceSpec) -> TimingModel {
-    assert!(!samples.is_empty(), "need at least one calibration sample");
-    let mut best: Option<(f64, Weights)> = None;
-    for alpha_step in 0..=8 {
-        let alpha = alpha_step as f64 * 0.25;
-        let w = fit_linear(samples, device, alpha);
-        let model = TimingModel::with_weights(w);
-        let err = rel_error(&model, samples, device);
-        if best.is_none_or(|(e, _)| err < e) {
-            best = Some((err, w));
-        }
-    }
-    TimingModel::with_weights(best.expect("grid is non-empty").1)
-}
-
-/// Summed squared relative error of a model over samples.
-pub fn rel_error(model: &TimingModel, samples: &[CalibrationSample], device: &DeviceSpec) -> f64 {
-    samples
-        .iter()
-        .map(|s| {
-            let t = model.duration_us(&s.counters, &s.occupancy, device);
-            let r = (t - s.target_us) / s.target_us;
-            r * r
-        })
-        .sum()
-}
-
-/// For fixed alpha the model is linear in the weights; run projected
-/// (non-negative) coordinate descent on the relative-error objective.
-fn fit_linear(samples: &[CalibrationSample], device: &DeviceSpec, alpha: f64) -> Weights {
-    // Feature matrix: rows = samples, cols = 7 weight slots.
-    // Each row is divided by (num_sms * hide * clock) and by target (for
-    // relative error) so the objective is || F w - 1 ||^2.
-    let nf = 8;
-    let rows: Vec<[f64; 8]> = samples
-        .iter()
-        .map(|s| {
-            let hide = s.occupancy.achieved.max(1e-3).powf(alpha);
-            let scale = 1e6 / (device.num_sms as f64 * hide * device.clock_hz()) / s.target_us;
-            let c = &s.counters;
-            [
-                c.l1_tag_requests_global as f64 * scale,
-                c.l1_sector_requests as f64 * scale,
-                c.l2_sector_requests as f64 * scale,
-                c.l2_sector_misses as f64 * scale,
-                c.shared_wavefronts as f64 * scale,
-                c.atomic_passes as f64 * scale,
-                c.warp_instructions as f64 * scale,
-                c.barrier_waits as f64 * scale,
-            ]
-        })
-        .collect();
-
-    // Start from the default calibrated weights to keep the solution in
-    // a physically plausible basin.
-    let d = TimingModel::calibrated().weights;
-    let mut w = [
-        d.l1_tag,
-        d.l1_sector,
-        d.l2_sector,
-        d.dram_sector,
-        d.shared_wavefront,
-        d.atomic_pass,
-        d.issue,
-        d.barrier,
-    ];
-
-    for _pass in 0..200 {
-        for j in 0..nf {
-            // Optimal w_j holding others fixed:
-            // minimize Σ_r (Σ_k F_rk w_k - 1)^2 over w_j >= 0.
-            let mut num = 0.0;
-            let mut den = 0.0;
-            for r in &rows {
-                let partial: f64 = (0..nf).filter(|&k| k != j).map(|k| r[k] * w[k]).sum();
-                num += r[j] * (1.0 - partial);
-                den += r[j] * r[j];
-            }
-            if den > 0.0 {
-                w[j] = (num / den).max(0.0);
-            }
-        }
-    }
-
-    Weights {
-        l1_tag: w[0],
-        l1_sector: w[1],
-        l2_sector: w[2],
-        dram_sector: w[3],
-        shared_wavefront: w[4],
-        atomic_pass: w[5],
-        issue: w[6],
-        barrier: w[7],
-        occ_alpha: alpha,
     }
 }
 
@@ -275,95 +159,5 @@ mod tests {
         let fast = m.duration_us(&c, &occ(0.74), &d);
         let slow = m.duration_us(&c, &occ(0.40), &d);
         assert!(slow > fast);
-    }
-
-    #[test]
-    fn fit_recovers_a_planted_model() {
-        // Build synthetic samples from a known weight set and check the
-        // fitter reproduces its predictions.
-        let planted = TimingModel::with_weights(Weights {
-            l1_tag: 1.2,
-            l1_sector: 0.4,
-            l2_sector: 0.9,
-            dram_sector: 1.5,
-            shared_wavefront: 0.7,
-            atomic_pass: 10.0,
-            issue: 0.9,
-            barrier: 20.0,
-            occ_alpha: 0.5,
-        });
-        let d = DeviceSpec::a100();
-        let mut samples = Vec::new();
-        for i in 1..=12u64 {
-            let c = Counters {
-                l1_tag_requests_global: 20_000_000 + (i % 7) * 3_000_000,
-                l1_sector_requests: 40_000_000 + i * 7_000_000,
-                l2_sector_requests: 10_000_000 + (i % 5) * 4_000_000,
-                l2_sector_misses: 5_000_000 + (i % 3) * 2_000_000,
-                shared_wavefronts: (i % 4) * 3_000_000,
-                atomic_passes: (i % 2) * 1_000_000,
-                warp_instructions: 8_000_000 + i * 500_000,
-                barrier_waits: (i % 4) * 200_000,
-                ..Default::default()
-            };
-            let o = occ(0.45 + 0.03 * i as f64);
-            let t = planted.duration_us(&c, &o, &d);
-            samples.push(CalibrationSample {
-                counters: c,
-                occupancy: o,
-                target_us: t,
-            });
-        }
-        let fitted = fit(&samples, &d);
-        for s in &samples {
-            let t = fitted.duration_us(&s.counters, &s.occupancy, &d);
-            let rel = (t - s.target_us).abs() / s.target_us;
-            assert!(rel < 0.05, "relative error {rel}");
-        }
-    }
-
-    #[test]
-    fn fit_handles_single_sample() {
-        let d = DeviceSpec::a100();
-        let s = CalibrationSample {
-            counters: counters(100_000_000, 10_000_000),
-            occupancy: occ(0.7),
-            target_us: 900.0,
-        };
-        let m = fit(std::slice::from_ref(&s), &d);
-        let t = m.duration_us(&s.counters, &s.occupancy, &d);
-        assert!((t - 900.0).abs() / 900.0 < 0.02, "got {t}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one calibration sample")]
-    fn fit_rejects_empty() {
-        let _ = fit(&[], &DeviceSpec::a100());
-    }
-
-    #[test]
-    fn weights_are_nonnegative_after_fit() {
-        let d = DeviceSpec::a100();
-        let samples: Vec<CalibrationSample> = (1..6u64)
-            .map(|i| CalibrationSample {
-                counters: counters(i * 50_000_000, i * 5_000_000),
-                occupancy: occ(0.7),
-                target_us: 100.0 * i as f64,
-            })
-            .collect();
-        let m = fit(&samples, &d);
-        let w = m.weights;
-        for v in [
-            w.l1_tag,
-            w.l1_sector,
-            w.l2_sector,
-            w.dram_sector,
-            w.shared_wavefront,
-            w.atomic_pass,
-            w.issue,
-            w.barrier,
-        ] {
-            assert!(v >= 0.0);
-        }
     }
 }
