@@ -15,6 +15,9 @@ cargo clippy --offline --locked --manifest-path hostbench/Cargo.toml --all-targe
 echo "== cargo test =="
 cargo test --offline -q --workspace
 
+echo "== QUDA relation (paper §IV-D3: 3LP-1 beats QUDA recon 18 and the recon orders hold; ignored in debug builds, so it runs here in release) =="
+cargo test --offline --release -q --test paper_claims claim_3lp1_beats_quda
+
 echo "== examples (every example, end to end: quickstart validates one launch; traced_solve fails without steady-state memo hits) =="
 for example in quickstart cg_solver tuned_solver traced_solve; do
   cargo run --offline --release -q --example "$example"
@@ -26,8 +29,8 @@ cargo test --release --offline --locked -q --manifest-path hostbench/Cargo.toml
 # perfdiff diffs the committed results/*.csv against fresh replays, so it
 # runs before any step that rewrites one of them (table1 --trace rewrites
 # results/table1.csv): run later, it would gate the tree against itself.
-echo "== perfdiff (exact gate: table1/scaling/tune_ranked/tune_static CSVs replayed and diffed cell by cell, tuner winners included; warm and cold cost-model drift within tolerance; selftest proves the FAIL paths) =="
-cargo run --offline --release -p milc-bench --bin perfdiff -- 16 --scaling --ranked --static-tune --profile --selftest
+echo "== perfdiff (exact gate: table1/scaling/tune_static CSVs replayed and diffed cell by cell, tuner winners included; warm and cold cost-model drift within tolerance; selftest proves the FAIL paths) =="
+cargo run --offline --release -p milc-bench --bin perfdiff -- 16 --scaling --static-tune --profile --selftest
 
 echo "== sancheck (sanitizer gate) =="
 cargo run --offline --release -p milc-bench --bin sancheck
@@ -36,7 +39,7 @@ echo "== staticcheck (static analysis gate: whole-launch proofs + traffic cross-
 cargo run --offline --release -p milc-bench --bin staticcheck
 test -s results/staticcheck.md || { echo "staticcheck did not write the report"; exit 1; }
 
-echo "== tune (autotune smoke: cold sweep writes the cache, warm rerun is 100% hits, ranked sweeps avoid >= 60% of launches, static sweeps decide launch-free) =="
+echo "== tune (autotune smoke: cold sweep writes the cache, warm rerun is 100% hits, static sweeps decide launch-free within 5% of the exhaustive winner) =="
 TUNE_SMOKE_CACHE="$(mktemp -d)/tunecache.json"
 cargo run --offline --release -p milc-bench --bin tune -- 4 "$TUNE_SMOKE_CACHE"
 test -s "$TUNE_SMOKE_CACHE" || { echo "tune smoke did not write the cache"; exit 1; }
@@ -81,7 +84,7 @@ echo "== collecting artifacts =="
 ARTIFACTS_DIR="${ARTIFACTS_DIR:-target/ci-artifacts}"
 mkdir -p "$ARTIFACTS_DIR"
 cp results/*.trace.json results/metrics.txt results/staticcheck.md \
-  results/tune.md results/tune_ranked.csv results/tune_static.csv \
+  results/tune.md results/tune_static.csv \
   results/profile.md results/roofline.csv \
   "$ARTIFACTS_DIR"/
 echo "artifacts in $ARTIFACTS_DIR: $(ls "$ARTIFACTS_DIR" | tr '\n' ' ')"

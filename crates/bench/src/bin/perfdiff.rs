@@ -9,8 +9,7 @@
 //! predicted is model error, not nondeterminism.
 //!
 //! Usage: `cargo run -p milc-bench --release --bin perfdiff -- [L]
-//! [--fig6] [--scaling] [--ranked] [--static-tune] [--profile]
-//! [--selftest]`
+//! [--fig6] [--scaling] [--static-tune] [--profile] [--selftest]`
 //!
 //! - always: `results/table1.csv`, every column of the twelve Table I
 //!   launches (the committed file is L = 16, the default; L must be a
@@ -21,8 +20,6 @@
 //! - `--scaling`: `results/scaling.csv`, N = 1, 2, 4, 8 under both
 //!   exchange schedules, per-rank sizes from the committed
 //!   `results/tunecache.json` (never written back);
-//! - `--ranked`: `results/tune_ranked.csv`, by replaying
-//!   `SweepMode::Ranked` per configuration: winner and duration;
 //! - `--static-tune`: `results/tune_static.csv`, by replaying
 //!   `SweepMode::Static` plus a warm launch of each winner.
 //!   `regret_pct` is not compared: it needs the exhaustive sweep, and
@@ -42,9 +39,9 @@
 use gpu_sim::{QueueMode, Regime};
 use milc_bench::snapshot::{self, Table};
 use milc_bench::{
-    fig6_rows, paper, paper_lattice, quda_recon_csv, quda_recons, ranked_rows_to_csv, rows_to_csv,
-    scaling_rows_to_csv, static_rows_to_csv, strong_scaling, table1_csv, table1_drift,
-    table1_outcomes, table1_profiles, Experiment, StaticRow, RANKED_TOP_K,
+    fig6_rows, paper, paper_lattice, quda_recon_csv, quda_recons, rows_to_csv, scaling_rows_to_csv,
+    static_rows_to_csv, strong_scaling, table1_csv, table1_drift, table1_outcomes, table1_profiles,
+    Experiment, StaticRow,
 };
 use milc_complex::DoubleComplex;
 use milc_dslash::obs::prof::{DriftReport, DriftRow};
@@ -87,7 +84,6 @@ const TABLE1: Gate = gate("results/table1.csv", 1, &[], "sim_duration_us");
 const FIG6: Gate = gate("results/fig6.csv", 3, &[], "duration_us");
 const QUDA_RECON: Gate = gate("results/quda_recon.csv", 1, &[], "sim_gflops");
 const SCALING: Gate = gate("results/scaling.csv", 2, &[], "wall_us");
-const RANKED: Gate = gate("results/tune_ranked.csv", 1, &[], "duration_us");
 const STATIC_TUNE: Gate = gate("results/tune_static.csv", 1, &["regret_pct"], "measured_us");
 
 /// Report a bad argument or an unusable input in one line and exit 2.
@@ -158,13 +154,12 @@ fn replay_static(
 
 fn main() {
     let mut l: usize = 16;
-    let (mut fig6, mut scaling, mut ranked, mut static_tune) = (false, false, false, false);
+    let (mut fig6, mut scaling, mut static_tune) = (false, false, false);
     let (mut profile, mut selftest) = (false, false);
     for a in std::env::args().skip(1) {
         match a.as_str() {
             "--fig6" => fig6 = true,
             "--scaling" => scaling = true,
-            "--ranked" => ranked = true,
             "--static-tune" => static_tune = true,
             "--profile" => profile = true,
             "--selftest" => selftest = true,
@@ -172,7 +167,7 @@ fn main() {
                 l = paper_lattice(other).unwrap_or_else(|_| {
                     input_error(format!(
                         "unknown argument {other:?} (expected a lattice size, a power \
-                             of two >= 8, or --fig6/--scaling/--ranked/--static-tune/\
+                             of two >= 8, or --fig6/--scaling/--static-tune/\
                              --profile/--selftest)"
                     ))
                 })
@@ -188,7 +183,6 @@ fn main() {
         (fig6, FIG6),
         (fig6, QUDA_RECON),
         (scaling, SCALING),
-        (ranked, RANKED),
         (static_tune, STATIC_TUNE),
     ]
     .into_iter()
@@ -236,35 +230,11 @@ fn main() {
         fresh.push(scaling_rows_to_csv(&rows));
     }
 
-    let configs: Vec<KernelConfig> = paper::TABLE1
-        .iter()
-        .map(|col| KernelConfig::new(col.strategy, col.order))
-        .collect();
-    if ranked {
-        eprintln!("replaying 12 ranked sweeps (top-{RANKED_TOP_K} timed) ...");
-        let mut rows = Vec::new();
-        for &cfg in &configs {
-            match sweep(
-                &mut problem,
-                cfg,
-                &cfg.tunable_layouts(),
-                &exp.device,
-                QueueMode::OutOfOrder,
-                SweepMode::Ranked {
-                    time_top_k: RANKED_TOP_K,
-                },
-            ) {
-                Ok(s) => rows.push((cfg.label(), s.winner)),
-                Err(e) => failures.push(format!("{}: ranked sweep: {e}", cfg.label())),
-            }
-        }
-        fresh.push(ranked_rows_to_csv(&rows));
-    }
-
     if static_tune {
         eprintln!("replaying 12 static sweeps (warm launch + cold drift per winner) ...");
         let mut rows = Vec::new();
-        for &cfg in &configs {
+        for col in paper::TABLE1 {
+            let cfg = KernelConfig::new(col.strategy, col.order);
             match replay_static(&mut problem, &exp, cfg) {
                 Ok((row, cold)) => {
                     rows.push(row);

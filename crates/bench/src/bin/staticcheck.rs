@@ -35,7 +35,7 @@ use milc_dslash::{
 /// Tolerance of the static-vs-dynamic traffic cross-validation.
 const TRAFFIC_TOL: f64 = 0.01;
 
-/// Ranking gates, matching `tests/costmodel_diff.rs`: a winner-class
+/// Ranking gates, matching `tests/static_tune_diff.rs`: a winner-class
 /// candidate inside the predicted top-3, Spearman ≥ 0.8.
 const RANK_TOP_K: usize = 3;
 const MIN_SPEARMAN: f64 = 0.8;

@@ -1,29 +1,24 @@
 //! Autotune gate: materializes the persistent tune cache for the
 //! paper's twelve Table I configurations, then proves the cache works —
 //! an immediate warm rerun must be 100% cache hits (zero sweep
-//! launches) — and proves the statically ranked sweep mode: per
-//! configuration, `SweepMode::Ranked { time_top_k: 3 }` must land on a
-//! winner duration-equivalent to the exhaustive sweep's, and across all
-//! twelve configurations it must avoid ≥ 60% of the exhaustive sweep
-//! launches.  At L = 16 the 3LP-1 k-major winner must additionally
-//! match the best point of `results/fig6.csv` within 1%, and the
-//! ranked winners are written to `results/tune_ranked.csv`, which
-//! `perfdiff --ranked` regenerates by replaying the ranked sweeps and
-//! diffs exactly.
+//! launches).  At L = 16 the 3LP-1 k-major winner must additionally
+//! match the best point of `results/fig6.csv` within 1%.
 //!
-//! The same phase also gates **measurement-free tuning**: per
-//! configuration a `SweepMode::Static` sweep must spend *zero* launches
-//! and its winner's measured duration (read off the exhaustive sweep)
-//! must be within 5% of the exhaustive winner's.  At L = 16 the static
-//! winners land in `results/tune_static.csv`, which `perfdiff
-//! --static-tune` regenerates by replaying the static sweeps and diffs
-//! exactly (all but `regret_pct`, gated here).
+//! It also gates **measurement-free tuning**: per configuration a
+//! `SweepMode::Static` sweep must spend *zero* launches and its
+//! winner's measured duration (read off the exhaustive sweep) must be
+//! within 5% of the exhaustive winner's.  The exhaustive sweep is the
+//! one the cold tuning pass ran; only a configuration that pass served
+//! from the cache is swept again.  At L = 16 the static winners land in
+//! `results/tune_static.csv`, which `perfdiff --static-tune` regenerates
+//! by replaying the static sweeps and diffs exactly (all but
+//! `regret_pct`, gated here).
 //!
 //! Usage: `cargo run -p milc-bench --bin tune --release [L] [cache]`
 //! (default L = 16, cache = `results/tunecache.json`).
 //! Writes `results/tune.md`; exits 1 if the cold sweep fails, the warm
-//! rerun misses the cache, a ranked or static sweep misses its gates,
-//! or the Fig. 6 cross-check fails, and 2 on a malformed argument.
+//! rerun misses the cache, a static sweep misses its gate, or the
+//! Fig. 6 cross-check fails, and 2 on a malformed argument.
 //!
 //! To reset the tuner (e.g. after changing the timing model — though a
 //! `TUNECACHE_VERSION` bump handles that automatically), delete the
@@ -31,20 +26,11 @@
 
 use gpu_sim::{QueueMode, StaticCheckConfig};
 use milc_bench::snapshot::Table;
-use milc_bench::{paper, ranked_rows_to_csv, static_rows_to_csv, Experiment, RANKED_TOP_K};
+use milc_bench::{paper, static_rows_to_csv, Experiment};
 use milc_complex::DoubleComplex;
 use milc_dslash::tune::{sweep, LoadOutcome, SweepMode, Tuner};
 use milc_dslash::{run_config_staticcheck, DslashProblem, KernelConfig};
 use std::path::{Path, PathBuf};
-
-/// Ranked and exhaustive winners must agree to this relative duration
-/// (the sweeps' flat middles are noise-tied; a genuinely worse
-/// candidate is tens of percent away).
-const RANKED_WINNER_TOL: f64 = 5e-3;
-
-/// The fraction of exhaustive sweep launches the ranked mode must
-/// avoid, aggregated over all twelve configurations.
-const RANKED_MIN_AVOIDED: f64 = 0.6;
 
 /// Measurement-free gate: the static winner's *measured* duration may
 /// trail the exhaustive winner's by at most this much (the bound
@@ -283,19 +269,12 @@ fn main() {
         }
     ));
 
-    // -- Phase 3: the statically ranked sweep mode must reproduce the
-    //    exhaustive sweep's selections (duration-equivalent winners)
-    //    while avoiding most of its launches.
-    md.push_str(&format!(
-        "\n## Ranked sweeps (static pruning over local size × layout, top-{RANKED_TOP_K} timed)\n\n\
-         | config | candidates | sweep launches full | sweep launches ranked \
-         | launches avoided | winner full | winner ranked | Δ duration | status |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|---|\n"
-    ));
-    eprintln!("phase 3 (ranked sweeps): exhaustive vs statically pruned ...");
-    let mut full_launches = 0u64;
-    let mut ranked_launches = 0u64;
-    let mut ranked_rows = Vec::new();
+    // -- Phase 3: the static sweep must decide without launching, and
+    //    its winner — measured by the exhaustive sweep of the same
+    //    layouts — must be within STATIC_MAX_REGRET of the true winner.
+    //    Phase 1 ran that sweep on every cache miss; only a cache hit is
+    //    swept here.
+    eprintln!("phase 3 (static sweeps): predicted vs exhaustive ...");
     let mut static_rows = Vec::new();
     for &cfg in &configs {
         let mut run = |mode| {
@@ -308,30 +287,18 @@ fn main() {
                 mode,
             )
         };
-        let swept = run(SweepMode::Exhaustive)
-            .map_err(|e| ("exhaustive", e))
-            .and_then(|full| {
-                run(SweepMode::Ranked {
-                    time_top_k: RANKED_TOP_K,
-                })
-                .map(|ranked| (full, ranked))
-                .map_err(|e| ("ranked", e))
-            });
-        let (full, ranked) = match swept {
-            Ok(pair) => pair,
-            Err((mode, e)) => {
-                eprintln!("  {:16} {mode} sweep FAILED: {e}", cfg.label());
-                md.push_str(&format!(
-                    "| {} | — | — | — | — | — | — | — | FAILED: {e} |\n",
-                    cfg.label()
-                ));
+        let swept = decisions
+            .iter()
+            .find(|d| d.entry.key.kernel == cfg.label())
+            .and_then(|d| d.sweep.clone());
+        let full = match swept.map_or_else(|| run(SweepMode::Exhaustive), Ok) {
+            Ok(full) => full,
+            Err(e) => {
+                eprintln!("  {:16} exhaustive sweep FAILED: {e}", cfg.label());
                 failed = true;
                 continue;
             }
         };
-        // Measurement-free gate: the static sweep must decide without
-        // launching, and its winner — measured by the exhaustive sweep
-        // above — must be within STATIC_MAX_REGRET of the true winner.
         match run(SweepMode::Static) {
             Ok(stat) => {
                 let measured = full
@@ -366,65 +333,7 @@ fn main() {
                 failed = true;
             }
         }
-        let avoided = 1.0 - ranked.sweep_launches as f64 / full.sweep_launches as f64;
-        let rel =
-            (ranked.winner.duration_us - full.winner.duration_us).abs() / full.winner.duration_us;
-        let ok = rel <= RANKED_WINNER_TOL;
-        failed |= !ok;
-        full_launches += full.sweep_launches;
-        ranked_launches += ranked.sweep_launches;
-        ranked_rows.push((cfg.label(), ranked.winner.clone()));
-        eprintln!(
-            "  {:16} launches {:3} -> {:2} ({:4.1}% avoided), winner {:4} {} vs {:4} {} \
-             (|Δ| = {:.4}%) -> {}",
-            cfg.label(),
-            full.sweep_launches,
-            ranked.sweep_launches,
-            avoided * 100.0,
-            full.winner.local_size,
-            full.winner.layout.tag(),
-            ranked.winner.local_size,
-            ranked.winner.layout.tag(),
-            rel * 100.0,
-            if ok { "ok" } else { "FAIL" }
-        );
-        md.push_str(&format!(
-            "| {} | {} | {} | {} | {:.1}% | {} {} ({:.1} µs) | {} {} ({:.1} µs) | {:.4}% | {} |\n",
-            cfg.label(),
-            full.candidates.len(),
-            full.sweep_launches,
-            ranked.sweep_launches,
-            avoided * 100.0,
-            full.winner.local_size,
-            full.winner.layout.tag(),
-            full.winner.duration_us,
-            ranked.winner.local_size,
-            ranked.winner.layout.tag(),
-            ranked.winner.duration_us,
-            rel * 100.0,
-            if ok { "ok" } else { "FAIL: winner drifted" }
-        ));
     }
-    let total_avoided = if full_launches > 0 {
-        1.0 - ranked_launches as f64 / full_launches as f64
-    } else {
-        0.0
-    };
-    let avoided_ok = total_avoided >= RANKED_MIN_AVOIDED;
-    failed |= !avoided_ok;
-    eprintln!(
-        "phase 3: {full_launches} exhaustive vs {ranked_launches} ranked sweep launches \
-         ({:.1}% avoided) -> {}",
-        total_avoided * 100.0,
-        if avoided_ok { "ok" } else { "FAIL" }
-    );
-    md.push_str(&format!(
-        "\nTotal: {full_launches} exhaustive vs {ranked_launches} ranked sweep launches — \
-         **{:.1}% avoided** (gate ≥ {:.0}%): **{}**.\n",
-        total_avoided * 100.0,
-        RANKED_MIN_AVOIDED * 100.0,
-        if avoided_ok { "ok" } else { "FAIL" }
-    ));
     md.push_str(&format!(
         "\n## Static sweeps (measurement-free, zero launches, regret gate ≤ {:.0}%)\n\n\
          | config | static winner | layout | predicted (µs) | measured (µs) | regret |\n\
@@ -440,18 +349,8 @@ fn main() {
             regret * 100.0
         ));
     }
-    // The L = 16 run writes the files `perfdiff --ranked` and `perfdiff
-    // --static-tune` regenerate and diff.
-    if l == 16 && !ranked_rows.is_empty() {
-        let mut csv = milc_bench::provenance::header_comment(&exp.device);
-        csv.push_str(&ranked_rows_to_csv(&ranked_rows));
-        std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write("results/tune_ranked.csv", &csv).expect("write results/tune_ranked.csv");
-        eprintln!(
-            "phase 3: wrote results/tune_ranked.csv ({} rows)",
-            ranked_rows.len()
-        );
-    }
+    // The L = 16 run writes the file `perfdiff --static-tune`
+    // regenerates and diffs.
     if l == 16 && !static_rows.is_empty() {
         let mut csv = milc_bench::provenance::header_comment(&exp.device);
         csv.push_str(&static_rows_to_csv(&static_rows));

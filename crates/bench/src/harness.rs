@@ -582,26 +582,6 @@ pub fn rows_to_csv(rows: &[SweepRow], quda: &[(Recon, f64, u32)]) -> String {
     s
 }
 
-/// How many statically ranked candidates the ranked sweeps behind
-/// `results/tune_ranked.csv` time.
-pub const RANKED_TOP_K: usize = 3;
-
-/// Format ranked-sweep winners as `results/tune_ranked.csv`
-/// (`kernel,local_size,layout,duration_us`), one `(kernel label,
-/// winner)` per configuration.
-pub fn ranked_rows_to_csv(rows: &[(String, CandidatePoint)]) -> String {
-    let mut s = String::from("kernel,local_size,layout,duration_us\n");
-    for (kernel, w) in rows {
-        s.push_str(&format!(
-            "{kernel},{},{},{:.3}\n",
-            w.local_size,
-            w.layout.tag(),
-            w.duration_us
-        ));
-    }
-    s
-}
-
 /// One static-sweep winner: kernel label, the predicted winning point,
 /// its measured duration (µs) and its regret against the measured
 /// winner (fraction).

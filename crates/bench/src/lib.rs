@@ -19,9 +19,9 @@ pub mod snapshot;
 
 pub use harness::{
     aggregate_counters, best_of, best_of_order, fig6_rows, quda_paper_gflops, quda_recon_csv,
-    quda_recons, ranked_rows_to_csv, rows_to_csv, scaling_rows_to_csv, static_rows_to_csv,
-    strong_scaling, table1_csv, table1_drift, table1_outcomes, table1_profiles, Experiment,
-    ScalingPoint, ScalingRow, StaticRow, SweepRow, RANKED_TOP_K,
+    quda_recons, rows_to_csv, scaling_rows_to_csv, static_rows_to_csv, strong_scaling, table1_csv,
+    table1_drift, table1_outcomes, table1_profiles, Experiment, ScalingPoint, ScalingRow,
+    StaticRow, SweepRow,
 };
 
 /// Any lattice size the checkerboard admits: a positive even integer.

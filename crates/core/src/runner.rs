@@ -46,10 +46,7 @@ pub fn run_config<C: ComplexField>(
     device: &DeviceSpec,
     queue_mode: QueueMode,
 ) -> Result<RunOutcome, SimError> {
-    let mut state = DeviceState::new(device);
-    run_config_warm_on_state(
-        problem, cfg, local_size, device, queue_mode, &mut state, false,
-    )
+    run_on_fresh_state(problem, cfg, local_size, device, queue_mode, false)
 }
 
 /// Run one configuration with *warm* caches: one untimed warmup launch
@@ -65,10 +62,7 @@ pub fn run_config_warm<C: ComplexField>(
     device: &DeviceSpec,
     queue_mode: QueueMode,
 ) -> Result<RunOutcome, SimError> {
-    let mut state = DeviceState::new(device);
-    run_config_warm_on_state(
-        problem, cfg, local_size, device, queue_mode, &mut state, true,
-    )
+    run_on_fresh_state(problem, cfg, local_size, device, queue_mode, true)
 }
 
 /// Run one launch inside a `name` span on `track` and record its report
@@ -87,46 +81,39 @@ pub(crate) fn traced_launch(
     Ok((report, overhead))
 }
 
-/// The one run body: launch on a caller-owned device state, after an
-/// optional untimed warmup launch, then read, validate and compute
-/// GFLOP/s.  Back-to-back candidate timing — the way a live tuner
-/// actually runs a sweep — passes the same state for every candidate
-/// and warms only once: each timed launch of the same problem leaves
-/// the caches warm for the next, so later candidates skip their warmup
-/// launch entirely ([`crate::tune::SweepMode::Ranked`] counts those as
-/// avoided sweep launches).
-pub(crate) fn run_config_warm_on_state<C: ComplexField>(
+/// The one run body of [`run_config`] and [`run_config_warm`]: launch
+/// on a fresh device state, after an optional untimed warmup launch,
+/// then read, validate and compute GFLOP/s.
+fn run_on_fresh_state<C: ComplexField>(
     problem: &mut DslashProblem<C>,
     cfg: KernelConfig,
     local_size: u32,
     device: &DeviceSpec,
     queue_mode: QueueMode,
-    state: &mut DeviceState,
-    warmup: bool,
+    warm: bool,
 ) -> Result<RunOutcome, SimError> {
     let (range, kernel) = problem.launch(cfg, local_size, device)?;
     problem.zero_output();
     let label = cfg.label();
+    let mut state = DeviceState::new(device);
     // Warmup launch: executes fully (results overwritten below), fills
     // the caches, is not timed.
-    if warmup {
+    if warm {
         traced_launch(&label, "warmup", &label, device, || {
             let report = Launcher::new(device).launch_with_state(
                 kernel.as_ref(),
                 range,
                 problem.memory(),
-                state,
+                &mut state,
             )?;
             Ok((report, 0.0))
         })?;
         problem.zero_output();
     }
-    // The timed launch hits warm caches iff the state has run anything.
-    let warm = state.launches() > 0;
 
     let mut queue = Queue::on_device(device, queue_mode);
     let (report, overhead) = traced_launch(&label, "launch", &label, device, || {
-        let sub = queue.submit_with_state(kernel.as_ref(), range, problem.memory(), state)?;
+        let sub = queue.submit_with_state(kernel.as_ref(), range, problem.memory(), &mut state)?;
         Ok((sub.report.clone(), sub.overhead_us))
     })?;
 

@@ -95,8 +95,8 @@ pub struct RankedCandidate {
     /// The candidate local size.
     pub local_size: u32,
     /// Its cost estimate, or the reason none exists.  Candidates
-    /// without an estimate cannot be ranked — a ranked sweep must time
-    /// them rather than prune them.
+    /// without an estimate cannot be ranked — a static sweep rejects
+    /// them as inestimable.
     pub estimate: Result<CostEstimate, String>,
 }
 

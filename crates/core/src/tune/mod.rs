@@ -9,9 +9,9 @@
 //! disk.  This module is that subsystem for the simulated device:
 //!
 //! * [`mod@sweep`] measures — every legal (local size × layout) point
-//!   of a configuration is lint- and proof-gated, optionally pruned by
-//!   the static cost model, launched warm, validated, and the fastest
-//!   wins;
+//!   of a configuration is lint- and proof-gated, launched warm,
+//!   validated, and the fastest wins (or, launch-free, the static cost
+//!   model's best proven point wins);
 //! * [`cache`] remembers — winners persist as versioned JSON (default
 //!   `results/tunecache.json`) keyed by device-spec hash, lattice dims,
 //!   kernel label and sanitizer mode, so a later run (or a later
@@ -210,11 +210,11 @@ impl Tuner {
         self.tune_with_mode(problem, cfg, device, queue_mode, SweepMode::Exhaustive)
     }
 
-    /// [`tune`](Self::tune) with an explicit [`SweepMode`]: a ranked
-    /// sweep statically prunes to the top-K predicted candidates before
-    /// timing anything.  Cache semantics are identical — the mode only
-    /// governs how a cache *miss* spends launches, and the cache key
-    /// does not include it (a ranked winner is a winner).
+    /// [`tune`](Self::tune) with an explicit [`SweepMode`]:
+    /// [`SweepMode::Static`] decides from the cost model without a
+    /// launch.  Cache semantics are identical — the mode only governs
+    /// how a cache *miss* decides, and the cache key does not include it
+    /// (a static winner is a winner).
     pub fn tune_with_mode<C: ComplexField>(
         &mut self,
         problem: &mut DslashProblem<C>,

@@ -6,7 +6,7 @@
 //! static launch linter ([`gpu_sim::lint_launch`]); the tuner must never
 //! time, let alone select, a configuration `sancheck` would flag or the
 //! access analyzer has not proven race- and bounds-free (lazily, in rank
-//! order, in the pruning modes).  Timed candidates run warm (the
+//! order, in [`SweepMode::Static`]).  Timed candidates run warm (the
 //! conditions of [`run_config_warm`](crate::runner::run_config_warm)
 //! that produced `results/fig6.csv`), are validated against the CPU
 //! reference, and the minimum modelled duration wins (ties break toward
@@ -22,37 +22,29 @@ use crate::flops::theoretical_flops;
 use crate::kernels::common::SharedLayout;
 use crate::obs;
 use crate::problem::DslashProblem;
-use crate::runner::run_config_warm_on_state;
+use crate::runner::run_config_warm;
 use crate::staticcheck::{rank_candidates, staticcheck_kernel};
 use crate::strategy::KernelConfig;
 use gpu_sim::{
-    lint_launch, CostEstimate, DeviceSpec, DeviceState, QueueMode, Regime, RegimeCalibration,
-    SimError, StaticCheckConfig,
+    lint_launch, CostEstimate, DeviceSpec, QueueMode, Regime, RegimeCalibration, SimError,
+    StaticCheckConfig,
 };
 use milc_complex::ComplexField;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// How a sweep spends its timed launches.
+/// How a sweep decides: by measuring every candidate or by the static
+/// cost model alone.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SweepMode {
     /// Time every candidate that passes the static gates (the Fig. 6
     /// sweep; the default).
     Exhaustive,
-    /// Statically rank the lint survivors by the cost model's predicted
-    /// duration and prove and time only the top `time_top_k` clean
-    /// ones; the unproven tail is recorded as [`Reject::StaticRank`].
-    /// Candidates the cost model cannot estimate are always proven and
-    /// timed — a ranked sweep must never prune what it cannot rank.
-    Ranked {
-        /// How many top-ranked candidates to time (at least 1).
-        time_top_k: usize,
-    },
     /// Measurement-free: pick the first proven-clean candidate of the
     /// static ranking — *zero* timed launches (`sweep_launches == 0`).
     /// The winner is recorded as [`CandidateOutcome::Predicted`] with
-    /// its warm-calibrated duration (the serving regime the tuner's
-    /// timed modes also report).  Candidates ranked above it failed
+    /// its warm-calibrated duration (the serving regime the exhaustive
+    /// sweep also reports).  Candidates ranked above it failed
     /// their proofs ([`Reject::Static`]); the unproven rest is rejected
     /// with [`Reject::StaticRank`] or, when the cost model cannot
     /// estimate it, [`Reject::Inestimable`] — a mode that never
@@ -68,8 +60,8 @@ pub enum Reject {
     /// The static access analyzer proved a race or bounds violation
     /// over the whole ND-range (messages recorded).
     Static(Vec<String>),
-    /// A ranked sweep pruned the candidate: the cost model predicted it
-    /// too slow to be worth timing (or proving).
+    /// A [`SweepMode::Static`] sweep ranked the candidate below its
+    /// winner and left it unproven and untimed.
     StaticRank {
         /// 1-based predicted rank, skipping candidates whose proof failed.
         rank: usize,
@@ -175,13 +167,12 @@ pub struct SweepOutcome {
     /// Every candidate, in sweep order.
     pub candidates: Vec<CandidateOutcome>,
     /// Kernel launches the sweep spent (warmup + timed).  An exhaustive
-    /// sweep spends two per timed candidate; a ranked sweep warms once
-    /// and times top-K back-to-back, so pruned *and* shared-warmup
-    /// launches are both avoided; a [`SweepMode::Static`] sweep spends
-    /// exactly zero.
+    /// sweep spends two per successfully run candidate and one per
+    /// failed one; a [`SweepMode::Static`] sweep spends exactly zero.
     pub sweep_launches: u64,
     /// Candidates whose footprint proof ran: every lint survivor in
-    /// [`SweepMode::Exhaustive`], else only what the rank walk needed.
+    /// [`SweepMode::Exhaustive`], only what the rank walk needed in
+    /// [`SweepMode::Static`].
     pub proofs: u64,
 }
 
@@ -363,19 +354,18 @@ enum Fate {
 /// Every [`SweepMode`] runs the same steps:
 ///
 /// 1. the lints — never launch what the linter flags;
-/// 2. the proofs, in rank order, only what the mode needs — never time
-///    or select what the access analyzer has not proven race- and
-///    bounds-free.  Exhaustive proves every lint survivor; the pruning
-///    modes rank the survivors of *all* layouts once by predicted
-///    duration and prove down that order ([`walk_rank_order`]);
-/// 3. one fate per candidate: rejected by a gate or a proof, pruned
-///    unproven by its rank ([`Reject::StaticRank`]), inestimable
-///    ([`Reject::Inestimable`], Static only), predicted (Static's first
+/// 2. the proofs, only what the mode needs — never time or select what
+///    the access analyzer has not proven race- and bounds-free.
+///    Exhaustive proves every lint survivor; Static ranks the survivors
+///    of *all* layouts once by predicted duration and proves down that
+///    order until one is clean ([`walk_rank_order`]);
+/// 3. one fate per candidate: rejected by a gate or a proof, left
+///    unproven below the winner's rank ([`Reject::StaticRank`]),
+///    inestimable ([`Reject::Inestimable`]), predicted (Static's first
 ///    clean candidate, warm-calibrated by [`RegimeCalibration`]) or timed;
-/// 4. timing under the Fig. 6 measurement conditions — warm caches and
-///    the requested queue semantics.  Exhaustive warms a fresh device
-///    state for every candidate; Ranked times back-to-back on one state
-///    warmed once;
+/// 4. timing under the Fig. 6 measurement conditions
+///    ([`run_config_warm`]): each candidate warms a fresh device state
+///    once, then is timed under the requested queue semantics;
 /// 5. the winner: the minimum duration over timed and predicted points.
 pub fn sweep<C: ComplexField>(
     problem: &mut DslashProblem<C>,
@@ -437,7 +427,7 @@ fn sweep_with<C: ComplexField>(
         }
     }
 
-    // 2–3. Proofs; the pruning modes walk the static ranking.
+    // 2–3. Proofs; Static walks the static ranking.
     let mut proofs = 0u64;
     let mut prove_one = |layout: SharedLayout, ls: u32| {
         proofs += 1;
@@ -455,15 +445,12 @@ fn sweep_with<C: ComplexField>(
     } else {
         let ranking = rank_survivors(problem, cfg, layouts, device, &fates, &span);
         let flops = theoretical_flops(problem.lattice()) as f64;
-        walk_rank_order(mode, ranking, &mut fates, flops, prove_one);
+        walk_rank_order(ranking, &mut fates, flops, prove_one);
     }
     span.attr("proofs", proofs);
 
     // 4. Timing.
     let tol = problem.validation_tolerance();
-    let shares_state = matches!(mode, SweepMode::Ranked { .. });
-    let mut state: Option<DeviceState> = None;
-    let mut warmed = false;
     let mut sweep_launches = 0u64;
     let mut outcomes = Vec::with_capacity(fates.len());
     for (layout, ls, fate) in fates {
@@ -475,22 +462,8 @@ fn sweep_with<C: ComplexField>(
             },
             Fate::Predict(point) => CandidateOutcome::Predicted(point),
             Fate::Time => {
-                if !shares_state {
-                    state = None;
-                    warmed = false;
-                }
-                let st = state.get_or_insert_with(|| DeviceState::new(device));
-                let run = run_config_warm_on_state(
-                    problem,
-                    cfg.with_layout(layout),
-                    ls,
-                    device,
-                    queue_mode,
-                    st,
-                    !warmed,
-                );
-                sweep_launches += if run.is_ok() && !warmed { 2 } else { 1 };
-                warmed |= run.is_ok();
+                let run = run_config_warm(problem, cfg.with_layout(layout), ls, device, queue_mode);
+                sweep_launches += if run.is_ok() { 2 } else { 1 };
                 match run {
                     Ok(out) if out.error.rel >= tol => CandidateOutcome::Rejected {
                         local_size: ls,
@@ -556,11 +529,10 @@ fn fastest(candidates: &[CandidateOutcome]) -> Option<CandidatePoint> {
         .cloned()
 }
 
-/// The static ranking shared by [`SweepMode::Ranked`] and
-/// [`SweepMode::Static`]: [`rank_candidates`] once per layout, all
-/// layouts ordered jointly by [`static_rank_order`] (a layout enters
-/// through its predicted shared-memory wavefronts and its local-mem
-/// occupancy cost).  Returns the lint survivors (indices into `fates`)
+/// The ranking [`SweepMode::Static`] walks: [`rank_candidates`] once
+/// per layout, all layouts ordered jointly by [`static_rank_order`] (a
+/// layout enters through its predicted shared-memory wavefronts and its
+/// local-mem occupancy cost).  Returns the lint survivors (indices into `fates`)
 /// with their estimates in rank order, then the inestimable ones (an
 /// error or a non-finite duration), so a linted-out candidate never
 /// displaces the rank numbering of the ones still in play.
@@ -602,38 +574,33 @@ fn rank_survivors<C: ComplexField>(
     ranking
 }
 
-/// Give every lint survivor its fate, proving in rank order only while
-/// the mode still needs clean candidates (Static: one, `Ranked{k}`: k).
-/// A failed proof takes no rank number.  [`static_rank_order`] is a
-/// strict total order, so the first clean candidate of the walk is
-/// exactly rank #1 among proven-clean ones: proving lazily picks what
-/// proving everything would.
+/// Give every lint survivor its Static fate, proving in rank order
+/// only until one candidate is clean; it is predicted, the rest take
+/// their rank unproven, and the inestimable ones are rejected — a mode
+/// that never launches cannot time what it cannot rank.  A failed proof
+/// takes no rank number.  [`static_rank_order`] is a strict total
+/// order, so the first clean candidate of the walk is exactly rank #1
+/// among proven-clean ones: proving lazily picks what proving
+/// everything would.
 fn walk_rank_order(
-    mode: SweepMode,
     ranking: Vec<(usize, Result<CostEstimate, String>)>,
     fates: &mut [(SharedLayout, u32, Fate)],
     flops: f64,
     mut prove: impl FnMut(SharedLayout, u32) -> Fate,
 ) {
-    let wanted = match mode {
-        SweepMode::Ranked { time_top_k } => time_top_k.max(1),
-        _ => 1,
-    };
     let mut rank = 0;
     for (i, est) in ranking {
         let (layout, ls, fate) = &mut fates[i];
-        *fate = match (est, mode) {
-            (Err(why), SweepMode::Static) => Fate::Reject(Reject::Inestimable(why)),
-            (Ok(est), _) if rank >= wanted => Fate::Reject(Reject::StaticRank {
+        *fate = match est {
+            Err(why) => Fate::Reject(Reject::Inestimable(why)),
+            Ok(est) if rank > 0 => Fate::Reject(Reject::StaticRank {
                 rank: rank + 1,
                 predicted_us: est.duration_us,
             }),
-            (Ok(est), SweepMode::Static) => match prove(*layout, *ls) {
+            Ok(est) => match prove(*layout, *ls) {
                 Fate::Time => Fate::Predict(predicted_point(*layout, *ls, &est, flops)),
                 rejected => rejected,
             },
-            // A ranked sweep must never prune what it cannot rank.
-            _ => prove(*layout, *ls),
         };
         // Inestimable candidates come last, so their count is moot.
         rank += usize::from(!matches!(fate, Fate::Reject(Reject::Static(_))));
@@ -685,11 +652,6 @@ mod tests {
         )
     }
 
-    /// Relative duration gap between two winners.
-    fn winner_gap(a: &SweepOutcome, b: &SweepOutcome) -> f64 {
-        (a.winner.duration_us - b.winner.duration_us).abs() / b.winner.duration_us
-    }
-
     #[test]
     fn sweep_3lp1_kmajor_picks_a_paper_candidate() {
         let mut p = DslashProblem::<Z>::random(4, 2024);
@@ -704,72 +666,6 @@ mod tests {
             assert!(p.waves > 0.0);
             assert!((0.0..=1.0).contains(&p.tail_fraction));
         }
-    }
-
-    #[test]
-    fn ranked_sweep_times_top_k_and_prunes_the_tail_with_ranks() {
-        let mut p = DslashProblem::<Z>::random(4, 2024);
-        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::IMajor);
-        let layouts = [cfg.shared_layout];
-        let full = sweep_small(&mut p, cfg, &layouts, SweepMode::Exhaustive).unwrap();
-        let total = full.candidates.len();
-        assert!(total > 2, "need a candidate set worth pruning");
-
-        let ranked =
-            sweep_small(&mut p, cfg, &layouts, SweepMode::Ranked { time_top_k: 2 }).unwrap();
-        assert_eq!(ranked.candidates.len(), total);
-        assert_eq!(ranked.timed().count(), 2);
-        let pruned: Vec<_> = ranked
-            .candidates
-            .iter()
-            .filter_map(|c| match c {
-                CandidateOutcome::Rejected {
-                    reason: Reject::StaticRank { rank, predicted_us },
-                    ..
-                } => Some((*rank, *predicted_us)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(pruned.len(), total - 2);
-        for (rank, us) in &pruned {
-            assert!(*rank > 2, "pruned candidates sit below the timed top-K");
-            assert!(*us > 0.0);
-        }
-        // The ranked winner must be *duration-equivalent* to the
-        // exhaustive winner: the model's job is to keep a winner-class
-        // candidate inside the timed set.  (Exact identity is too
-        // strong on this tiny lattice, where every candidate sits
-        // within ~0.2% and the argmin is decided by cache-replacement
-        // noise the static model cannot see.)
-        let rel = winner_gap(&ranked, &full);
-        assert!(
-            rel <= 5e-3,
-            "ranked vs exhaustive winner {:.3}% apart",
-            rel * 100.0
-        );
-        // Launch accounting: exhaustive pays warmup+timed per
-        // candidate; ranked warms once and times top-K back-to-back.
-        assert_eq!(full.sweep_launches, 2 * full.timed().count() as u64);
-        assert_eq!(ranked.sweep_launches, 1 + ranked.timed().count() as u64);
-    }
-
-    #[test]
-    fn ranked_sweep_with_k_covering_all_candidates_is_exhaustive() {
-        let mut p = DslashProblem::<Z>::random(4, 7);
-        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let layouts = [cfg.shared_layout];
-        let full = sweep_small(&mut p, cfg, &layouts, SweepMode::Exhaustive).unwrap();
-        let ranked =
-            sweep_small(&mut p, cfg, &layouts, SweepMode::Ranked { time_top_k: 100 }).unwrap();
-        assert_eq!(ranked.timed().count(), full.timed().count());
-        // With every candidate timed the winner can only differ by the
-        // shared-state timing noise floor — assert duration equivalence.
-        let rel = winner_gap(&ranked, &full);
-        assert!(
-            rel <= 5e-3,
-            "ranked vs exhaustive winner {:.3}% apart",
-            rel * 100.0
-        );
     }
 
     #[test]
@@ -844,32 +740,6 @@ mod tests {
         assert_eq!(out.winner.local_size, plain.winner.local_size);
     }
 
-    #[test]
-    fn ranked_layout_sweep_prunes_jointly_and_keeps_the_winner_class() {
-        let mut p = DslashProblem::<Z>::random(4, 2024);
-        let cfg = KernelConfig::new(Strategy::ThreeLp1, IndexOrder::KMajor);
-        let layouts = cfg.tunable_layouts();
-        let full = sweep_small(&mut p, cfg, &layouts, SweepMode::Exhaustive).unwrap();
-        let ranked =
-            sweep_small(&mut p, cfg, &layouts, SweepMode::Ranked { time_top_k: 3 }).unwrap();
-        assert_eq!(ranked.candidates.len(), full.candidates.len());
-        assert_eq!(ranked.timed().count(), 3);
-        // ≥ 60% of the cross product goes untimed: ranked sweeps avoid
-        // most launches even with the layout axis.
-        let avoided = ranked.candidates.len() - ranked.timed().count();
-        assert!(avoided * 10 >= ranked.candidates.len() * 6);
-        assert_eq!(ranked.sweep_launches, 1 + ranked.timed().count() as u64);
-        // The cost model prices bank conflicts, so the joint top-K must
-        // keep a winner-class (size, layout) point in the timed set.
-        let rel = winner_gap(&ranked, &full);
-        assert!(
-            rel <= 5e-3,
-            "ranked vs exhaustive winner {:.3}% apart",
-            rel * 100.0
-        );
-        assert_ne!(ranked.winner.layout, SharedLayout::Flat);
-    }
-
     /// Each candidate's fate in sweep order: `T` timed, `P` predicted,
     /// or the reject kind (static-rank rejects carry their rank).
     fn fates(candidates: &[CandidateOutcome]) -> String {
@@ -891,12 +761,11 @@ mod tests {
         candidates.iter().map(fate).collect::<Vec<_>>().join(", ")
     }
 
-    /// Pins every mode of the joint (size × layout) sweep on 3LP-1
+    /// Pins both modes of the joint (size × layout) sweep on 3LP-1
     /// k-major at L = 4: the exact fate of each candidate, the launch
     /// count, and the state policy behind every timed duration —
     /// Exhaustive times each candidate on a fresh, once-warmed state
-    /// (bitwise `run_config_warm`); Ranked times its survivors
-    /// back-to-back on one state warmed once.
+    /// (bitwise `run_config_warm`).
     #[test]
     fn every_mode_pins_fates_launches_and_state_policy() {
         let device = DeviceSpec::test_small();
@@ -918,39 +787,6 @@ mod tests {
             let warm_us = warm.unwrap().report.duration_us;
             assert_eq!(
                 warm_us.to_bits(),
-                pt.duration_us.to_bits(),
-                "{}",
-                lcfg.label()
-            );
-        }
-
-        let ranked =
-            sweep_small(&mut p, cfg, &layouts, SweepMode::Ranked { time_top_k: 3 }).unwrap();
-        assert_eq!(
-            fates(&ranked.candidates),
-            "96 flat rank9, 96 xor2 T, 96 pad5 T, 192 flat rank10, 192 xor2 T, 192 pad5 rank4, \
-             384 flat rank11, 384 xor2 rank5, 384 pad5 rank6, 768 flat rank12, 768 xor2 rank7, \
-             768 pad5 rank8"
-        );
-        assert_eq!(ranked.sweep_launches, 4);
-        assert_eq!(ranked.proofs, 3, "Ranked proves only its top 3");
-        // Hand-driven replay: one state, one warmup, then every timed
-        // candidate back-to-back in sweep order.
-        let launcher = gpu_sim::Launcher::new(&device);
-        let mut state = DeviceState::new(&device);
-        for (i, pt) in ranked.timed().enumerate() {
-            let lcfg = cfg.with_layout(pt.layout);
-            let range = p.launch_range(lcfg, pt.local_size);
-            let kernel = p.make_kernel(lcfg, range.num_groups());
-            let mut launch = || {
-                let r = launcher.launch_with_state(kernel.as_ref(), range, p.memory(), &mut state);
-                r.unwrap().duration_us
-            };
-            if i == 0 {
-                launch();
-            }
-            assert_eq!(
-                launch().to_bits(),
                 pt.duration_us.to_bits(),
                 "{}",
                 lcfg.label()
@@ -1044,32 +880,6 @@ mod tests {
     }
 
     #[test]
-    fn ranked_walk_times_ranks_2_and_3_past_a_failed_rank_1() {
-        let (mut p, cfg, layouts) = cfg_3lp1();
-        let device = DeviceSpec::test_small();
-        let mut log = Vec::new();
-        let out = sweep_with(
-            &mut p,
-            cfg,
-            &layouts,
-            &device,
-            QueueMode::InOrder,
-            SweepMode::Ranked { time_top_k: 2 },
-            injected(&["96 xor2".to_string()], &mut log),
-        )
-        .unwrap();
-        assert_eq!(
-            fates(&out.candidates),
-            "96 flat rank8, 96 xor2 static, 96 pad5 T, 192 flat rank9, 192 xor2 T, \
-             192 pad5 rank3, 384 flat rank10, 384 xor2 rank4, 384 pad5 rank5, 768 flat rank11, \
-             768 xor2 rank6, 768 pad5 rank7"
-        );
-        assert_eq!(log, ["96 xor2", "96 pad5", "192 xor2"]);
-        assert_eq!(out.proofs, 3);
-        assert_eq!(out.sweep_launches, 3, "one warmup, two timed");
-    }
-
-    #[test]
     fn a_failure_in_every_proof_is_all_rejected_in_every_mode() {
         let (mut p, cfg, layouts) = cfg_3lp1();
         let device = DeviceSpec::test_small();
@@ -1077,11 +887,7 @@ mod tests {
             .into_iter()
             .flat_map(|ls| layouts.iter().map(move |&l| point(l, ls)))
             .collect();
-        for mode in [
-            SweepMode::Exhaustive,
-            SweepMode::Ranked { time_top_k: 3 },
-            SweepMode::Static,
-        ] {
+        for mode in [SweepMode::Exhaustive, SweepMode::Static] {
             let mut log = Vec::new();
             let err = sweep_with(
                 &mut p,
@@ -1114,82 +920,62 @@ mod tests {
         }
     }
 
-    /// Ranked proves an inestimable candidate before timing it and
-    /// rejects it when the proof fails; Static rejects it unproven.
-    /// Inestimability cannot be provoked on a shipped kernel, so the
-    /// walk runs on the real ranking with ranks #1 and #3 (96 and 192
-    /// xor2) turned inestimable, and 96 xor2's proof failing.
+    /// Static rejects an inestimable candidate unproven: it can neither
+    /// rank nor time it.  Inestimability cannot be provoked on a shipped
+    /// kernel, so the walk runs on the real ranking with ranks #1 and #3
+    /// (96 and 192 xor2) turned inestimable, and 96 xor2's proof failing
+    /// if it were ever asked.
     #[test]
-    fn inestimable_candidates_are_proven_before_timing_and_never_in_static() {
+    fn inestimable_candidates_are_never_proven_in_static() {
         let (p, cfg, layouts) = cfg_3lp1();
         let device = DeviceSpec::test_small();
         let inestimable = ["96 xor2".to_string(), "192 xor2".to_string()];
-        for (mode, want_log, want) in [
-            (
-                SweepMode::Ranked { time_top_k: 2 },
-                &["96 pad5", "192 pad5", "96 xor2", "192 xor2"][..],
-                "96 flat rank7, 96 xor2 static, 96 pad5 T, 192 flat rank8, 192 xor2 T, \
-                 192 pad5 T, 384 flat rank9, 384 xor2 rank3, 384 pad5 rank4, 768 flat rank10, \
-                 768 xor2 rank5, 768 pad5 rank6",
-            ),
-            (
-                SweepMode::Static,
-                &["96 pad5"][..],
-                "96 flat rank7, 96 xor2 inestimable, 96 pad5 P, 192 flat rank8, \
-                 192 xor2 inestimable, 192 pad5 rank2, 384 flat rank9, 384 xor2 rank3, \
-                 384 pad5 rank4, 768 flat rank10, 768 xor2 rank5, 768 pad5 rank6",
-            ),
-        ] {
-            // The lint survivors in sweep order: every candidate here.
-            let sizes = candidate_local_sizes(cfg, p.lattice().half_volume() as u64);
-            let mut cands: Vec<(SharedLayout, u32, Fate)> = sizes
+        // The lint survivors in sweep order: every candidate here.
+        let sizes = candidate_local_sizes(cfg, p.lattice().half_volume() as u64);
+        let mut cands: Vec<(SharedLayout, u32, Fate)> = sizes
+            .into_iter()
+            .flat_map(|ls| layouts.iter().map(move |&l| (l, ls, Fate::Time)))
+            .collect();
+        cands.sort_by_key(|(l, ls, _)| (*ls, l.required_bytes(*ls)));
+        let span = obs::span_on("tune", "test");
+        let (mut ranking, unranked): (Vec<_>, Vec<_>) =
+            rank_survivors(&p, cfg, &layouts, &device, &cands, &span)
                 .into_iter()
-                .flat_map(|ls| layouts.iter().map(move |&l| (l, ls, Fate::Time)))
-                .collect();
-            cands.sort_by_key(|(l, ls, _)| (*ls, l.required_bytes(*ls)));
-            let span = obs::span_on("tune", "test");
-            let (mut ranking, unranked): (Vec<_>, Vec<_>) =
-                rank_survivors(&p, cfg, &layouts, &device, &cands, &span)
-                    .into_iter()
-                    .partition(|&(i, _)| !inestimable.contains(&point(cands[i].0, cands[i].1)));
-            ranking.extend(
-                unranked
-                    .into_iter()
-                    .map(|(i, _)| (i, Err("injected".into()))),
-            );
+                .partition(|&(i, _)| !inestimable.contains(&point(cands[i].0, cands[i].1)));
+        ranking.extend(
+            unranked
+                .into_iter()
+                .map(|(i, _)| (i, Err("injected".into()))),
+        );
 
-            let mut log = Vec::new();
-            walk_rank_order(mode, ranking, &mut cands, 1.0, |l, ls| {
-                log.push(point(l, ls));
-                if point(l, ls) == "96 xor2" {
-                    Fate::Reject(Reject::Static(vec!["injected".into()]))
-                } else {
-                    Fate::Time
-                }
-            });
-            assert_eq!(log, want_log, "{mode:?}: proofs in walk order");
-            let outcomes: Vec<CandidateOutcome> = cands
-                .into_iter()
-                .map(|(layout, local_size, fate)| match fate {
-                    Fate::Reject(reason) => CandidateOutcome::Rejected {
-                        local_size,
-                        layout,
-                        reason,
-                    },
-                    Fate::Predict(p) => CandidateOutcome::Predicted(p),
-                    Fate::Time => CandidateOutcome::Timed(CandidatePoint {
-                        local_size,
-                        layout,
-                        duration_us: 0.0,
-                        gflops: 0.0,
-                        occupancy: 0.0,
-                        waves: 0.0,
-                        tail_fraction: 0.0,
-                    }),
-                })
-                .collect();
-            assert_eq!(fates(&outcomes), want, "{mode:?}");
-        }
+        let mut log = Vec::new();
+        walk_rank_order(ranking, &mut cands, 1.0, |l, ls| {
+            log.push(point(l, ls));
+            if point(l, ls) == "96 xor2" {
+                Fate::Reject(Reject::Static(vec!["injected".into()]))
+            } else {
+                Fate::Time
+            }
+        });
+        assert_eq!(log, ["96 pad5"], "proofs in walk order");
+        let outcomes: Vec<CandidateOutcome> = cands
+            .into_iter()
+            .map(|(layout, local_size, fate)| match fate {
+                Fate::Reject(reason) => CandidateOutcome::Rejected {
+                    local_size,
+                    layout,
+                    reason,
+                },
+                Fate::Predict(p) => CandidateOutcome::Predicted(p),
+                Fate::Time => unreachable!("Static times nothing"),
+            })
+            .collect();
+        assert_eq!(
+            fates(&outcomes),
+            "96 flat rank7, 96 xor2 inestimable, 96 pad5 P, 192 flat rank8, \
+             192 xor2 inestimable, 192 pad5 rank2, 384 flat rank9, 384 xor2 rank3, \
+             384 pad5 rank4, 768 flat rank10, 768 xor2 rank5, 768 pad5 rank6"
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! partial warps instead), so *ranking* candidates — the tuner's
 //! question — leans on the occupancy/tail terms the model gets from the
 //! same limiter calculation the engine uses; the differential suite
-//! (`tests/costmodel_diff.rs`) holds the ranking to the measured order.
+//! (`tests/static_tune_diff.rs`) holds the ranking to the measured order.
 
 use super::footprint::{AddrForm, LaunchModel, PhaseModel};
 use super::probe;

@@ -9,7 +9,7 @@
 //! whole candidate set: a change to the occupancy limiter model, the
 //! traffic estimator, or the calibrated timing weights that moves any
 //! prediction (or reorders any candidate) fails here instead of
-//! silently shifting which candidates a ranked sweep prunes.
+//! silently shifting which candidate a static sweep selects.
 //!
 //! **Updating the snapshot** (after an *intentional* model change):
 //!
@@ -19,7 +19,7 @@
 //!
 //! then review the diff like any other code change — every moved
 //! duration is a claim about predicted performance — and re-run the
-//! differential suite (`cargo test --test costmodel_diff`) to confirm
+//! differential suite (`cargo test --test static_tune_diff`) to confirm
 //! the predictions still track measurement.
 
 use milc_bench::snapshot::check_golden;

@@ -639,7 +639,7 @@ fn static_and_dynamic_race_verdicts_agree() {
 // ---------------------------------------------------------------------
 // Cost-model invariants: the occupancy calculator must be monotone in
 // kernel resources, the static ranking must be a stable total order
-// (even with duplicate candidates), and top-K pruning must never drop
+// (even with duplicate candidates), and the ranking's head must hold
 // the predicted-best candidate — for arbitrary resources and durations.
 
 proptest! {
@@ -763,10 +763,11 @@ proptest! {
         prop_assert_eq!(keys(&rank_estimates(ranked.clone())), keys(&ranked));
     }
 
-    /// Top-K pruning is sound by construction: for any candidate set and
-    /// any K ≥ 1, the timed head of the ranking contains the
+    /// The ranking's head is the predicted best by construction: for any
+    /// candidate set and any K ≥ 1, its first K entries contain the
     /// predicted-best candidate (minimum duration, smallest local size
-    /// on ties) — pruning only ever drops the predicted tail.
+    /// on ties), and a static sweep, which takes rank #1 among the
+    /// proven-clean candidates, selects it whenever it is clean.
     #[test]
     fn top_k_pruning_never_drops_the_predicted_best(
         cands in collection::vec((32u32..=1024, 1.0f64..1e4), 1..16),

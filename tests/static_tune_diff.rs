@@ -1,7 +1,7 @@
 //! Differential proof of **measurement-free tuning**: the static
 //! cost-model ranking, calibrated per regime by the shared
 //! [`RegimeCalibration`] table, is good enough to *replace* the
-//! measuring sweep — not just to prune it.
+//! measuring sweep.
 //!
 //! Four claims, each proved against the measuring simulator at L = 8
 //! (volume-matched device, the `tune_golden` conventions):
@@ -10,7 +10,13 @@
 //!    a [`SweepMode::Static`] layout sweep spends *zero* launches
 //!    (`sweep_launches == 0`, no timed candidates), proves only its
 //!    winner (`proofs == 1`), and its winner's *measured* warm duration
-//!    is within [`MAX_REGRET`] of the exhaustive sweep's winner.
+//!    is within [`MAX_REGRET`] of the exhaustive sweep's winner.  The
+//!    same exhaustive sweep, run once per test binary, is the ground
+//!    truth of the static ranking (`rank_candidates`, no lanes
+//!    executed): over its flat-layout points the predicted
+//!    top-[`TOP_K`] holds a winner-class candidate, and predicted
+//!    durations order like the measured ones, Spearman ≥
+//!    [`MIN_SPEARMAN`].
 //! 2. **Cold predictions land.**  The cold-regime calibrated estimate
 //!    (compulsory-miss L2 path × the committed cold scale) is within
 //!    [`MAX_COLD_DRIFT_PCT`] of a genuinely cold measured launch
@@ -28,28 +34,69 @@
 //!    within [`MAX_STREAM_DRIFT_PCT`], measured from the
 //!    `launch_duration_us` histogram the solve emits.
 //!
-//! Failures accumulate into one report (the `costmodel_diff` idiom) so
-//! a drifted model shows every miss at once, not just the first.
+//! Failures accumulate into one report so a drifted model shows every
+//! miss at once, not just the first.
+//!
+//! **Winner identity is duration equivalence, not local-size equality.**
+//! Several configurations have a flat middle: mid-range local sizes
+//! reach identical achieved occupancy and measure within parts-per-
+//! million of each other (the residual spread is cache-replacement
+//! order perturbed by warp interleaving — e.g. 2LP at L = 8 is an exact
+//! 8-way tie).  Inside such a tie the argmin is noise no static model
+//! can (or should) track, so "found the winner" means "found a
+//! candidate whose measured duration matches the measured winner's to
+//! within [`WINNER_REL_TOL`]".  For the same reason the Spearman
+//! comparison first quantizes durations to [`QUANT_REL`] relative
+//! buckets, collapsing noise-level near-ties into honest rank ties on
+//! both sides.  The model is tested against the simulator the way the
+//! simulator is tested against the paper: ranked order, not absolute
+//! microseconds.
 
-use gpu_sim::{Launcher, QueueMode, Regime, RegimeCalibration};
+use gpu_sim::{spearman, Launcher, QueueMode, Regime, RegimeCalibration};
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex as Z;
 use milc_dslash::obs;
 use milc_dslash::shard::{rank_tune_key, tune_rank_local_sizes, Phase, ShardedProblem};
-use milc_dslash::tune::{sweep, SweepMode, TuneCache, Tuner};
+use milc_dslash::tune::{sweep, CandidatePoint, SweepMode, SweepOutcome, TuneCache, Tuner};
 use milc_dslash::{
-    estimate_config, estimate_solve_stream, recommended_config, run_config, solve_with,
-    DeviceNormalOperator, DslashProblem, KernelConfig, Metrics,
+    estimate_config, estimate_solve_stream, rank_candidates, recommended_config, run_config,
+    solve_with, DeviceNormalOperator, DslashProblem, KernelConfig, Metrics,
 };
 use milc_lattice::{ColorVector, GaugeField, Lattice};
+use std::sync::OnceLock;
 
-/// Same lattice and seed as `costmodel_diff` / `tune_golden`.
+/// Same lattice and seed as the `tune_golden` snapshot: big enough that
+/// every configuration has a non-trivial candidate set, small enough to
+/// sweep all twelve exhaustively in a test.
 const L: usize = 8;
 const SEED: u64 = 2024;
 
-/// Headline regret bound from the issue: the static winner's measured
-/// duration may exceed the exhaustive winner's by at most 5%.
+/// Headline regret bound: the static winner's measured duration may
+/// exceed the exhaustive winner's by at most 5%.
 const MAX_REGRET: f64 = 0.05;
+
+/// Ranking thresholds, per configuration: a measured winner-class
+/// candidate inside the predicted top-3, Spearman ≥ 0.8.
+const TOP_K: usize = 3;
+const MIN_SPEARMAN: f64 = 0.8;
+
+/// Two measured durations within this relative distance are the same
+/// candidate as far as winner selection is concerned.  The flat-middle
+/// noise floor is parts-per-million; the gap to a genuinely worse
+/// candidate (an occupancy outlier) is tens of percent — 0.1% separates
+/// the two regimes with three orders of magnitude to spare each side.
+const WINNER_REL_TOL: f64 = 1e-3;
+
+/// Relative bucket width for quantizing durations before the Spearman
+/// comparison (log-scale rounding, same resolution as the winner
+/// tolerance).
+const QUANT_REL: f64 = 1e-3;
+
+/// Collapse noise-level duration differences into exact ties: round
+/// log-duration to multiples of `ln(1 + QUANT_REL)`.
+fn quantize(us: f64) -> f64 {
+    (us.ln() / (1.0 + QUANT_REL).ln()).round()
+}
 
 /// Cold-regime drift gate, percent: the calibrated cold prediction must
 /// land within ±25% of a cold measurement (same bound `perfdiff
@@ -71,6 +118,32 @@ fn pct(predicted: f64, measured: f64) -> f64 {
     (predicted - measured) / measured * 100.0
 }
 
+/// The one measured ground truth of claim 1: every Table I
+/// configuration's exhaustive layout sweep, in `paper::TABLE1` order,
+/// run once per test binary and shared by both claim-1 tests.
+fn exhaustive_sweeps() -> &'static [SweepOutcome] {
+    static SWEEPS: OnceLock<Vec<SweepOutcome>> = OnceLock::new();
+    SWEEPS.get_or_init(|| {
+        let exp = Experiment::new(L, SEED);
+        let mut problem = DslashProblem::<Z>::random(L, SEED);
+        paper::TABLE1
+            .iter()
+            .map(|col| {
+                let cfg = KernelConfig::new(col.strategy, col.order);
+                sweep(
+                    &mut problem,
+                    cfg,
+                    &cfg.tunable_layouts(),
+                    &exp.device,
+                    QueueMode::OutOfOrder,
+                    SweepMode::Exhaustive,
+                )
+                .unwrap_or_else(|e| panic!("{}: exhaustive sweep failed: {e}", cfg.label()))
+            })
+            .collect()
+    })
+}
+
 /// Claim 1: for every Table I configuration the static layout sweep
 /// spends zero launches and its winner measures within `MAX_REGRET` of
 /// the exhaustive winner.
@@ -80,7 +153,7 @@ fn static_sweep_winner_has_bounded_regret_on_all_table1_configs() {
     let mut problem = DslashProblem::<Z>::random(L, SEED);
     let mut failures: Vec<String> = Vec::new();
 
-    for col in paper::TABLE1 {
+    for (col, full) in paper::TABLE1.iter().zip(exhaustive_sweeps()) {
         let cfg = KernelConfig::new(col.strategy, col.order);
         let label = cfg.label();
 
@@ -111,16 +184,6 @@ fn static_sweep_winner_has_bounded_regret_on_all_table1_configs() {
             stat.proofs, 1,
             "{label}: a static sweep proves only its winner"
         );
-
-        let full = sweep(
-            &mut problem,
-            cfg,
-            &cfg.tunable_layouts(),
-            &exp.device,
-            QueueMode::OutOfOrder,
-            SweepMode::Exhaustive,
-        )
-        .unwrap_or_else(|e| panic!("{label}: exhaustive sweep failed: {e}"));
 
         // The static winner's *measured* duration comes from the
         // exhaustive sweep's record of the same (size, layout) point.
@@ -155,6 +218,105 @@ fn static_sweep_winner_has_bounded_regret_on_all_table1_configs() {
     assert!(
         failures.is_empty(),
         "static sweep regret out of bounds:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// Claim 1, ranking half: the static ranking of the flat layout matches
+/// the same exhaustive sweep's flat-layout measurements — a winner-class
+/// candidate in the predicted top-`TOP_K`, Spearman ≥ `MIN_SPEARMAN`.
+#[test]
+fn static_ranking_matches_measurement_on_all_table1_configs() {
+    let exp = Experiment::new(L, SEED);
+    let problem = DslashProblem::<Z>::random(L, SEED);
+    let mut failures: Vec<String> = Vec::new();
+
+    for (col, full) in paper::TABLE1.iter().zip(exhaustive_sweeps()) {
+        let cfg = KernelConfig::new(col.strategy, col.order);
+        let label = cfg.label();
+
+        // The static ranking against the same measurements, restricted
+        // to the configuration's own (flat) layout.
+        let flat: Vec<&CandidatePoint> = full
+            .timed()
+            .filter(|p| p.layout == cfg.shared_layout)
+            .collect();
+        assert!(
+            flat.len() >= 2,
+            "{label}: need at least two timed candidates to rank"
+        );
+        // The flat winner; `min_by` keeps the smaller size on ties.
+        let flat_winner = flat
+            .iter()
+            .min_by(|a, b| a.duration_us.total_cmp(&b.duration_us))
+            .expect("at least two flat points");
+        let winner_us = flat_winner.duration_us;
+        let measured_us = |ls: u32| {
+            flat.iter()
+                .find(|p| p.local_size == ls)
+                .map(|p| p.duration_us)
+        };
+
+        // Every Table I kernel is affine, so every candidate must be
+        // estimable; an inestimable one is a model regression.
+        let mut predicted: Vec<(u32, f64)> = Vec::new();
+        for r in rank_candidates(&problem, cfg, &exp.device) {
+            match r.estimate {
+                Ok(e) => predicted.push((r.local_size, e.duration_us)),
+                Err(why) => failures.push(format!(
+                    "{label}: local size {} inestimable: {why}",
+                    r.local_size
+                )),
+            }
+        }
+
+        // The predicted top-K must contain a winner-class candidate: one
+        // whose *measured* duration matches the measured winner's to
+        // within the noise tolerance.
+        let winner_rank = predicted
+            .iter()
+            .take(TOP_K)
+            .position(|&(ls, _)| {
+                measured_us(ls)
+                    .is_some_and(|us| (us - winner_us).abs() / winner_us <= WINNER_REL_TOL)
+            })
+            .map(|i| i + 1);
+        if winner_rank.is_none() {
+            failures.push(format!(
+                "{label}: no predicted top-{TOP_K} candidate measures within {:.2}% of the \
+                 measured winner {} @ {winner_us:.3} µs (predicted head: {:?})",
+                WINNER_REL_TOL * 100.0,
+                flat_winner.local_size,
+                &predicted[..TOP_K.min(predicted.len())],
+            ));
+        }
+
+        // Spearman rank correlation on quantized durations, pairing by
+        // local size.
+        let (pred_v, meas_v): (Vec<f64>, Vec<f64>) = predicted
+            .iter()
+            .filter_map(|&(ls, pred_us)| Some((quantize(pred_us), quantize(measured_us(ls)?))))
+            .unzip();
+        let rho = spearman(&pred_v, &meas_v);
+        if rho < MIN_SPEARMAN {
+            let measured: Vec<(u32, f64)> =
+                flat.iter().map(|p| (p.local_size, p.duration_us)).collect();
+            failures.push(format!(
+                "{label}: Spearman {rho:.3} < {MIN_SPEARMAN} \
+                 (predicted {predicted:?} vs measured {measured:?})"
+            ));
+        }
+        eprintln!(
+            "{label:16} flat candidates {:2}  winner {:4} @ rank {winner_rank:?}  \
+             spearman {rho:+.3}",
+            flat.len(),
+            flat_winner.local_size,
+        );
+    }
+
+    assert!(
+        failures.is_empty(),
+        "static ranking out of line with measurement:\n{}",
         failures.join("\n")
     );
 }
