@@ -205,7 +205,7 @@ pub fn record_launch(
     span.attr("global_size", report.range.global);
     span.attr("duration_us", report.duration_us);
     span.attr("host_wall_us", report.host_wall_us);
-    span.attr("replay", if report.memo_hit { "memo" } else { "full" });
+    span.attr("replay", report.replay.name());
     span.attr("queue_overhead_us", queue_overhead_us);
     span.attr("occupancy_pct", profile.occupancy_pct);
     span.attr("waves", report.waves());

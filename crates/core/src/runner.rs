@@ -95,16 +95,17 @@ fn run_on_fresh_state<C: ComplexField>(
     let (range, kernel) = problem.launch(cfg, local_size, device)?;
     problem.zero_output();
     let label = cfg.label();
-    let mut state = DeviceState::new(device);
     // Warmup launch: executes fully (results overwritten below), fills
-    // the caches, is not timed.
-    if warm {
+    // the caches, is not timed.  A cold run's caches die with its one
+    // launch, so `submit` records nothing for a repeat.
+    let mut state = warm.then(|| DeviceState::new(device));
+    if let Some(state) = state.as_mut() {
         traced_launch(&label, "warmup", &label, device, || {
             let report = Launcher::new(device).launch_with_state(
                 kernel.as_ref(),
                 range,
                 problem.memory(),
-                &mut state,
+                state,
             )?;
             Ok((report, 0.0))
         })?;
@@ -113,7 +114,12 @@ fn run_on_fresh_state<C: ComplexField>(
 
     let mut queue = Queue::on_device(device, queue_mode);
     let (report, overhead) = traced_launch(&label, "launch", &label, device, || {
-        let sub = queue.submit_with_state(kernel.as_ref(), range, problem.memory(), &mut state)?;
+        let sub = match state.as_mut() {
+            Some(state) => {
+                queue.submit_with_state(kernel.as_ref(), range, problem.memory(), state)?
+            }
+            None => queue.submit(kernel.as_ref(), range, problem.memory())?,
+        };
         Ok((sub.report.clone(), sub.overhead_us))
     })?;
 

@@ -156,17 +156,23 @@ pub fn run_sharded_with<C: ComplexField>(
             .collect();
         let halo_bytes_in: u64 = halo_in.iter().sum();
 
-        let mut state = DeviceState::new(device);
         let mut queue = Queue::on_device(device, QueueMode::InOrder);
-        // One phase on this rank's queue and state: `(kernel_us +
-        // overhead_us, local size)`; empty phases cost nothing.
-        let mut launch = |phase: Phase, name: &str| -> Result<(f64, u32), SimError> {
+        // One phase on this rank's queue: `(kernel_us + overhead_us,
+        // local size)`; empty phases cost nothing.  A phase with no
+        // `state` to carry its caches to the next starts cold.
+        let mut launch = |phase: Phase,
+                          name: &str,
+                          state: Option<&mut DeviceState>|
+         -> Result<(f64, u32), SimError> {
             let Some((range, kernel)) = rank.launch(cfg, phase, requested_ls) else {
                 return Ok((0.0, requested_ls));
             };
             let (report, overhead) = traced_launch(&track, name, &cfg.label(), device, || {
-                let sub =
-                    queue.submit_with_state(kernel.as_ref(), range, rank.memory(), &mut state)?;
+                let (kernel, mem) = (kernel.as_ref(), rank.memory());
+                let sub = match state {
+                    Some(state) => queue.submit_with_state(kernel, range, mem, state)?,
+                    None => queue.submit(kernel, range, mem)?,
+                };
                 Ok((sub.report.clone(), sub.overhead_us))
             })?;
             Ok((report.duration_us + overhead, range.local))
@@ -175,12 +181,15 @@ pub fn run_sharded_with<C: ComplexField>(
         let comm_serialized_us = group.link.serialized_us(halo_in.iter().copied());
         let (comm_us, interior_us, boundary_us, local_size) = match mode {
             ShardMode::InOrder => {
-                let (full_us, ls) = launch(Phase::Full, "dslash.full")?;
+                let (full_us, ls) = launch(Phase::Full, "dslash.full", None)?;
                 (comm_serialized_us, 0.0, full_us, ls)
             }
             ShardMode::Overlapped => {
-                let (interior_us, ls) = launch(Phase::Interior, "dslash.interior")?;
-                let (boundary_us, _) = launch(Phase::Boundary, "dslash.boundary")?;
+                let mut state = DeviceState::new(device);
+                let (interior_us, ls) =
+                    launch(Phase::Interior, "dslash.interior", Some(&mut state))?;
+                let (boundary_us, _) =
+                    launch(Phase::Boundary, "dslash.boundary", Some(&mut state))?;
                 let comm_us = group.link.pipelined_us(halo_in.iter().copied());
                 (comm_us, interior_us, boundary_us, ls)
             }

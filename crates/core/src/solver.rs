@@ -629,9 +629,11 @@ mod tests {
             Some(obs::AttrValue::Str(r)) => r.clone(),
             other => panic!("launch span without a replay attr: {other:?}"),
         };
-        // Per parity state: the first launch records the shape, the
-        // second finds the fixed point, and every later one hits.
-        assert!(launches[..4].iter().all(|s| replay(s) == "full"));
+        // Per parity state: the first launch replays in full and
+        // records, the second replays the recorded cache ops and finds
+        // the fixed point, and every later one hits.
+        assert!(launches[..2].iter().all(|s| replay(s) == "full"));
+        assert!(launches[2..4].iter().all(|s| replay(s) == "cache"));
         let hits = launches.iter().filter(|s| replay(s) == "memo").count() as u64;
         assert_eq!(hits, op.applications() - 4);
         // The memo reproduces the replayed duration exactly: every warm

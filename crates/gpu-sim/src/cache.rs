@@ -187,7 +187,14 @@ impl Cache {
         self.access_inner(line_addr, sector_mask, true)
     }
 
-    fn access_inner(&mut self, line_addr: u64, sector_mask: u8, write: bool) -> CacheOutcome {
+    /// [`access_write`](Self::access_write) if `write`, else
+    /// [`access`](Self::access).
+    pub(crate) fn access_inner(
+        &mut self,
+        line_addr: u64,
+        sector_mask: u8,
+        write: bool,
+    ) -> CacheOutcome {
         debug_assert_eq!(line_addr % self.cfg.line_bytes as u64, 0);
         debug_assert!(sector_mask != 0);
         self.clock += 1;

@@ -2,7 +2,7 @@
 
 /// Everything the simulator counts during a launch.  These are the raw
 //  inputs of both the Nsight-style profile (Table I) and the timing model.
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Counters {
     /// Warp-level global load instructions issued.
     pub global_load_instructions: u64,

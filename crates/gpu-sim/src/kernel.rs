@@ -84,10 +84,6 @@ pub struct Lane<'a> {
     /// the index tables a kernel gathers through.  The footprint fitter
     /// uses these to explain data-dependent addresses.
     u32_log: Option<&'a mut Vec<(usize, u32)>>,
-    /// Undo log of a speculative launch: before each global store or
-    /// atomic writes a word, `(address, old bits)` is appended, so the
-    /// engine can put memory back if the launch has to run again.
-    undo: Option<&'a mut Vec<(u64, u64)>>,
 }
 
 impl<'a> Lane<'a> {
@@ -113,7 +109,6 @@ impl<'a> Lane<'a> {
             tolerant: false,
             probe: false,
             u32_log: None,
-            undo: None,
         }
     }
 
@@ -147,20 +142,6 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn set_tolerant(&mut self) {
         self.tolerant = true;
-    }
-
-    /// Log every global word this lane overwrites into `undo` first.
-    #[inline]
-    pub(crate) fn set_undo_log(&mut self, undo: &'a mut Vec<(u64, u64)>) {
-        self.undo = Some(undo);
-    }
-
-    /// Record `addr`'s current word in the undo log, if there is one.
-    #[inline]
-    fn save(&mut self, addr: u64) {
-        if let Some(undo) = self.undo.as_deref_mut() {
-            undo.push((addr, self.mem.load_bits(addr)));
-        }
     }
 
     /// Whether a global access may actually touch the arena: always in
@@ -217,7 +198,6 @@ impl<'a> Lane<'a> {
     pub fn st_global_f64(&mut self, addr: u64, v: f64) {
         self.events.push(Event::GlobalStore { addr, bytes: 8 });
         if !self.probe && self.global_ok(addr, 8, 8) {
-            self.save(addr);
             self.mem.write_f64(addr, v);
         }
     }
@@ -273,8 +253,6 @@ impl<'a> Lane<'a> {
     pub fn st_global_c64_vec(&mut self, addr: u64, re: f64, im: f64) {
         self.events.push(Event::GlobalStore { addr, bytes: 16 });
         if !self.probe && self.global_ok(addr, 8, 16) {
-            self.save(addr);
-            self.save(addr + 8);
             self.mem.write_f64(addr, re);
             self.mem.write_f64(addr + 8, im);
         }
@@ -288,7 +266,6 @@ impl<'a> Lane<'a> {
         if self.probe || !self.global_ok(addr, 8, 8) {
             return 0.0;
         }
-        self.save(addr);
         self.mem.atomic_add_f64(addr, v)
     }
 

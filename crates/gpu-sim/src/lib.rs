@@ -102,7 +102,7 @@ pub mod warp;
 pub use breakdown::TimeBreakdown;
 pub use counters::Counters;
 pub use device::DeviceSpec;
-pub use engine::{DeviceState, LaunchReport, Launcher};
+pub use engine::{DeviceState, LaunchReport, Launcher, Replay};
 pub use error::SimError;
 pub use event::Event;
 pub use group::{DeviceGroup, Interconnect};

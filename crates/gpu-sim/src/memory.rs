@@ -196,20 +196,6 @@ impl DeviceMemory {
         self.mark_init(addr, 8);
     }
 
-    /// The raw bits of the word holding 8-byte-aligned address `addr`.
-    #[inline]
-    pub(crate) fn load_bits(&self, addr: u64) -> u64 {
-        self.word(addr).load(Ordering::Relaxed)
-    }
-
-    /// Put back bits read by [`load_bits`](Self::load_bits).  The
-    /// initialization bitmap is left alone: the word was written once
-    /// already.
-    #[inline]
-    pub(crate) fn restore_bits(&self, addr: u64, bits: u64) {
-        self.word(addr).store(bits, Ordering::Relaxed);
-    }
-
     /// Read a `u32` at a 4-byte-aligned device address.
     #[inline]
     pub fn read_u32(&self, addr: u64) -> u32 {

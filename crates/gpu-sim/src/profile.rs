@@ -203,7 +203,7 @@ mod tests {
             duration_us: 929.0,
             host_wall_us: 0.0,
             sanitizer: None,
-            memo_hit: false,
+            replay: crate::engine::Replay::Full,
         }
     }
 

@@ -197,6 +197,48 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
+/// How a cache op reaches the caches.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Access {
+    Load = 0,
+    Store = 1,
+    /// Resolves at L2, bypassing L1, and dirties its sectors
+    /// (read-modify-write).
+    Atomic = 2,
+}
+
+/// One line-granular request of a warp instruction: what the cache model
+/// sees of it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct CacheOp {
+    pub(crate) line: u64,
+    pub(crate) mask: u8,
+    pub(crate) access: Access,
+}
+
+impl CacheOp {
+    /// Drive this op through an SM's L1 and the L2: loads and stores look
+    /// up L1 and send its missed sectors to L2; atomics go to L2 alone.
+    /// Counts what depends on the cache state: the L1 sector misses and
+    /// the L2 sector requests and misses.
+    #[inline]
+    pub(crate) fn apply(self, l1: &mut Cache, l2: &mut Cache, counters: &mut Counters) {
+        let CacheOp { line, mask, access } = self;
+        let l2_mask = if access == Access::Atomic {
+            mask
+        } else {
+            let o = l1.access_inner(line, mask, access == Access::Store);
+            counters.l1_sector_misses += o.sector_misses as u64;
+            o.missed_mask
+        };
+        if l2_mask != 0 {
+            let o2 = l2.access_inner(line, l2_mask, access != Access::Load);
+            counters.l2_sector_requests += l2_mask.count_ones() as u64;
+            counters.l2_sector_misses += o2.sector_misses as u64;
+        }
+    }
+}
+
 /// Replay one warp's per-lane event streams (one phase) into the sinks.
 ///
 /// `streams[lane]` is the ordered event list lane `lane` produced;
@@ -209,6 +251,15 @@ thread_local! {
 /// Returns [`SimError::LaneDivergenceMismatch`] if lanes sharing a path
 /// fall out of lockstep (an undeclared divergent branch in the kernel).
 pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Result<(), SimError> {
+    replay_warp_recording(streams, sinks, |_| {})
+}
+
+/// [`replay_warp`], handing every cache op to `record` as it is applied.
+pub(crate) fn replay_warp_recording(
+    streams: &[Vec<Event>],
+    sinks: &mut ReplaySinks<'_>,
+    mut record: impl FnMut(CacheOp),
+) -> Result<(), SimError> {
     SCRATCH.with(|scratch| {
         let Scratch {
             align,
@@ -239,12 +290,12 @@ pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Resul
             match event(&active[0]) {
                 Event::GlobalLoad { .. } | Event::GlobalStore { .. } => {
                     addrs.clear();
-                    let mut is_store = false;
+                    let mut access = Access::Load;
                     for m in active {
                         match event(m) {
                             Event::GlobalLoad { addr, bytes } => addrs.push((addr, bytes)),
                             Event::GlobalStore { addr, bytes } => {
-                                is_store = true;
+                                access = Access::Store;
                                 addrs.push((addr, bytes));
                             }
                             _ => return Err(mismatch(m, "global access")),
@@ -254,23 +305,11 @@ pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Resul
                     sinks.counters.l1_tag_requests_global += lines.len() as u64;
                     for &(line, mask) in lines.iter() {
                         sinks.counters.l1_sector_requests += mask.count_ones() as u64;
-                        let o = if is_store {
-                            sinks.l1.access_write(line, mask)
-                        } else {
-                            sinks.l1.access(line, mask)
-                        };
-                        sinks.counters.l1_sector_misses += o.sector_misses as u64;
-                        if o.missed_mask != 0 {
-                            let o2 = if is_store {
-                                sinks.l2.access_write(line, o.missed_mask)
-                            } else {
-                                sinks.l2.access(line, o.missed_mask)
-                            };
-                            sinks.counters.l2_sector_requests += o.sector_misses as u64;
-                            sinks.counters.l2_sector_misses += o2.sector_misses as u64;
-                        }
+                        let op = CacheOp { line, mask, access };
+                        op.apply(sinks.l1, sinks.l2, sinks.counters);
+                        record(op);
                     }
-                    if is_store {
+                    if access == Access::Store {
                         sinks.counters.global_store_instructions += 1;
                     } else {
                         sinks.counters.global_load_instructions += 1;
@@ -290,13 +329,15 @@ pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Resul
                     let a = model_atomic_instruction(atomic_addrs);
                     sinks.counters.atomic_passes += a.passes;
                     sinks.counters.atomic_instructions += 1;
-                    // Atomics resolve at L2, bypassing L1, and dirty
-                    // their sectors (read-modify-write).
                     coalesce_into(addrs, sinks.line_bytes, sinks.sector_bytes, lines);
                     for &(line, mask) in lines.iter() {
-                        let o2 = sinks.l2.access_write(line, mask);
-                        sinks.counters.l2_sector_requests += mask.count_ones() as u64;
-                        sinks.counters.l2_sector_misses += o2.sector_misses as u64;
+                        let op = CacheOp {
+                            line,
+                            mask,
+                            access: Access::Atomic,
+                        };
+                        op.apply(sinks.l1, sinks.l2, sinks.counters);
+                        record(op);
                     }
                     sinks.counters.warp_instructions += a.passes;
                 }

@@ -1,7 +1,7 @@
-//! Differential proof of the steady-state launch memo on every Table I
-//! configuration: a warm launch that skips warp replay must report
-//! exactly what a full replay reports, and write exactly the same
-//! output.
+//! Differential proof of the launch memo on every Table I configuration:
+//! a warm launch that replays only its recorded cache ops, or nothing,
+//! must report exactly what a full replay reports, and write exactly the
+//! same output.
 //!
 //! Each configuration × tunable layout runs at L = 4, on `test_small`
 //! and on the volume-matched A100, as five launches on one
@@ -9,10 +9,11 @@
 //! the sequence with an access-free launch before each Dslash launch:
 //! it touches no cache line but replaces the state's one-slot memo, so
 //! every oracle launch replays in full.  Every report field but
-//! `host_wall_us` and `memo_hit`, and every output, must be bitwise
-//! equal, and the memo must fire from the third launch on.
+//! `host_wall_us` and `replay`, and every output, must be bitwise
+//! equal.  The second launch must replay only cache ops and every later
+//! one nothing.
 
-use gpu_sim::{DeviceSpec, Kernel, KernelResources, Lane, LaunchReport, Launcher, NdRange};
+use gpu_sim::{DeviceSpec, Kernel, KernelResources, Lane, LaunchReport, Launcher, NdRange, Replay};
 use milc_bench::{paper, Experiment};
 use milc_complex::DoubleComplex as Z;
 use milc_dslash::validate::bitwise_equal;
@@ -42,13 +43,13 @@ impl Kernel for Idle {
     }
 }
 
-/// A report with the two fields a memo hit may change blanked, as text:
+/// A report with the two fields the memo may change blanked, as text:
 /// `{:?}` prints every float exactly, so equal text means bitwise-equal
 /// reports.
 fn modelled(r: &LaunchReport) -> String {
     let mut r = r.clone();
     r.host_wall_us = 0.0;
-    r.memo_hit = false;
+    r.replay = Replay::Full;
     format!("{r:?}")
 }
 
@@ -107,8 +108,11 @@ fn memo_hits_equal_full_replay_on_every_table1_config() {
                 let memo = run(cfg, device, false);
                 let oracle = run(cfg, device, true);
                 for (i, ((m, m_out), (o, o_out))) in memo.iter().zip(&oracle).enumerate() {
-                    assert!(!o.memo_hit, "{what}: oracle launch {i} hit the memo");
-                    assert_eq!(m.memo_hit, i >= 2, "{what}: launch {i} memo_hit");
+                    let tier = [Replay::Full, Replay::Cache][..]
+                        .get(i)
+                        .unwrap_or(&Replay::Memo);
+                    assert_eq!(o.replay, Replay::Full, "{what}: oracle launch {i}");
+                    assert_eq!(m.replay, *tier, "{what}: launch {i} replay");
                     assert_eq!(modelled(m), modelled(o), "{what}: launch {i} report");
                     assert!(bitwise_equal(m_out, o_out), "{what}: launch {i} output");
                 }
