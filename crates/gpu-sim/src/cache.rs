@@ -106,15 +106,51 @@ struct LineState {
     stamp: u64,
 }
 
+/// A line number's set, without a divide.  A power-of-two set count (every
+/// L1) takes a mask.  Any other count (the L2 scaled to a lattice volume:
+/// 80 sets at L = 8) takes Lemire's direct remainder: with
+/// `magic = ceil(2^64 / sets)`, `line % sets` is the high word of
+/// `(magic · line mod 2^64) · sets`, exactly, for `line` and `sets` below
+/// 2^32 (Lemire, Kaser and Kurz, "Faster remainder by direct computation",
+/// 2019).  Line numbers from 2^32 on, which the arena never reaches, take
+/// the `%`.
+#[derive(Copy, Clone, Debug)]
+enum SetIndex {
+    Mask(u64),
+    Remainder { sets: u64, magic: u64 },
+}
+
+impl SetIndex {
+    fn new(sets: u64) -> Self {
+        if sets.is_power_of_two() {
+            Self::Mask(sets - 1)
+        } else {
+            // `sets` is not a power of two, so `2^64 / sets` is not whole.
+            Self::Remainder {
+                sets,
+                magic: u64::MAX / sets + 1,
+            }
+        }
+    }
+
+    #[inline]
+    fn of(self, line: u64) -> u64 {
+        match self {
+            Self::Mask(mask) => line & mask,
+            Self::Remainder { sets, magic } if (line | sets) >> 32 == 0 => {
+                ((magic.wrapping_mul(line) as u128 * sets as u128) >> 64) as u64
+            }
+            Self::Remainder { sets, .. } => line % sets,
+        }
+    }
+}
+
 /// A sectored set-associative cache.
 pub struct Cache {
     cfg: CacheConfig,
-    sets: u64,
     /// `log2(line_bytes)`: a line address shifted right is its line number.
     line_shift: u32,
-    /// `sets - 1` when the set count is a power of two (every shipped
-    /// configuration), so set selection is a mask instead of a `%`.
-    set_mask: Option<u64>,
+    set_index: SetIndex,
     lines: Vec<LineState>,
     clock: u64,
     /// The clock at the last [`reset`](Self::reset): lines stamped at or
@@ -130,9 +166,8 @@ impl Cache {
         debug_assert!(cfg.line_bytes.is_power_of_two());
         Self {
             cfg,
-            sets,
             line_shift: cfg.line_bytes.trailing_zeros(),
-            set_mask: sets.is_power_of_two().then_some(sets - 1),
+            set_index: SetIndex::new(sets),
             lines: vec![LineState::default(); (sets * cfg.ways as u64) as usize],
             clock: 0,
             epoch: 0,
@@ -166,11 +201,7 @@ impl Cache {
 
     #[inline]
     fn set_of(&self, line_addr: u64) -> u64 {
-        let line = line_addr >> self.line_shift;
-        match self.set_mask {
-            Some(mask) => line & mask,
-            None => line % self.sets,
-        }
+        self.set_index.of(line_addr >> self.line_shift)
     }
 
     /// Access one line with a mask of requested sectors (read).  Returns
@@ -516,6 +547,20 @@ mod tests {
             let mut fresh = small();
             prop_assert_eq!(run(&mut reused, &after), run(&mut fresh, &after));
             prop_assert_eq!(reused.stats(), fresh.stats());
+        }
+
+        /// The divide-free set index is the remainder, for every set count
+        /// a cache may have, below 2^32 and above.
+        #[test]
+        fn set_index_is_the_remainder(
+            sets in 1u64..=4096,
+            low in 0u64..(1 << 32),
+            high in 0u64..u64::MAX,
+        ) {
+            let index = SetIndex::new(sets);
+            for line in [low, high, (1 << 32) - 1 - low % sets] {
+                prop_assert_eq!(index.of(line), line % sets);
+            }
         }
 
         #[test]

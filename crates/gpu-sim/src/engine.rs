@@ -5,10 +5,35 @@
 //! scheduler for a uniform kernel.  Each SM owns an L1 cache whose state
 //! persists across the groups it runs; the L2 is shared.
 //!
-//! Execution is fully deterministic: groups are processed in group-id
-//! order against the one shared L2.  Group-id order approximates
-//! temporal interleaving because consecutive groups run on *different*
-//! SMs round-robin, just as on hardware.
+//! Every launch is split at the cache line into two halves on two
+//! threads.  The calling thread runs, group by group in group-id order,
+//! everything that touches device memory or reads no cache state: the
+//! lanes, the sanitizer, the launch memo (`memo.rs`: the digest check,
+//! the recorded tallies, and encoding and decoding the recorded ops), and
+//! the alignment, coalescing, bank, atomic and divergence models
+//! ([`model_warp`]), so a [`SimError::LaneDivergenceMismatch`] is raised
+//! before any later lane runs.  What is left is one stream of cache ops
+//! in issue order, each tagged with its SM.  The calling thread sends it
+//! in batches over a bounded channel to a scoped cache thread, which owns
+//! the L1s and the L2: it applies the ops in the order sent and counts
+//! the three counters that depend on cache state.  It allocates nothing,
+//! so every buffer of a launch comes from the calling thread's heap.
+//!
+//! The split is deterministic because nothing flows back during a
+//! launch: no counter or decision of the calling thread reads the caches,
+//! and the cache thread sees the same accesses in the same order as a
+//! one-thread replay ([`replay_warp`](crate::warp::replay_warp) is the
+//! serial composition of the same two halves).  The snapshots of the memo's fixed-point check are
+//! taken while the caches are at rest: on entry before the cache thread
+//! starts, on exit after it is joined.  Groups meet the one shared L2 in
+//! group-id order, which approximates temporal interleaving because
+//! consecutive groups run on *different* SMs round-robin, just as on
+//! hardware.
+//!
+//! The cache thread starts with a launch's first full batch.  A launch
+//! with less cache work than one batch (a [`Replay::Memo`] launch has
+//! none) applies it on the calling thread at its end, where nothing would
+//! overlap it, and starts no thread.
 
 use crate::cache::{Cache, CacheConfig, CacheStats, LruSnapshot};
 use crate::counters::Counters;
@@ -23,7 +48,9 @@ use crate::occupancy::{occupancy, Occupancy};
 use crate::sanitizer::{Sanitizer, SanitizerConfig, SanitizerReport};
 use crate::sharedmem::LocalMem;
 use crate::timing::TimingModel;
-use crate::warp::{replay_warp, replay_warp_recording, ReplaySinks};
+use crate::warp::{model_warp, CacheOp, Geometry};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Persistent cache state of the simulated device, carried across
 /// kernel launches.  The paper's Table I profiles "specifically, the
@@ -302,12 +329,11 @@ impl<'d> Launcher<'d> {
         // now means a launch that fails leaves none.
         let shape = LaunchShape::new(self.device, range, &res, kernel.num_phases());
         let last = state.memo.take().filter(|m| m.shape == shape);
-        let mut walk =
-            (remember && self.sanitizer.is_none()).then(|| Walk::new(last, shape, self.device));
+        let mut walk = (remember && self.sanitizer.is_none())
+            .then(|| Walk::new(last, shape, self.device, &mut state.entry));
         if let Some(w) = walk.as_mut().filter(|w| w.tier == Replay::Cache) {
             // Driving recorded ops may end at a fixed point.
-            snapshot(&state.l1s, &state.l2, &mut state.entry);
-            w.snapped = true;
+            w.snapshot(&state.l1s, &state.l2);
         }
 
         // Shadow state snapshots the init bitmap now, before any kernel
@@ -328,9 +354,22 @@ impl<'d> Launcher<'d> {
         let l2_before = *state.l2.stats();
         let mut counters = Counters::default();
         let mut exec = GroupExecutor::new(kernel, range, self.device, mem, res);
-        for g in 0..range.num_groups() {
-            exec.run_group(g, state, &mut counters, san.as_mut(), walk.as_mut())?;
-        }
+        let caches = Caches {
+            l1s: &mut state.l1s,
+            l2: &mut state.l2,
+            sm: 0,
+            counters: Counters::default(),
+        };
+        let (ran, cached) = std::thread::scope(|scope| {
+            let mut pipe = Pipe::new(scope, caches);
+            let ran = (0..range.num_groups()).try_for_each(|g| {
+                exec.run_group(g, &mut counters, san.as_mut(), walk.as_mut(), &mut pipe)
+            });
+            // A failed launch still applies the ops its lanes issued.
+            (ran, pipe.finish())
+        });
+        ran?;
+        counters.merge(&cached);
         state.launches += 1;
 
         let upper = walk.as_ref().filter(|w| w.tier == Replay::Memo);
@@ -359,7 +398,7 @@ impl<'d> Launcher<'d> {
         if let Some(mut w) = walk {
             if w.snapped {
                 snapshot(&state.l1s, &state.l2, &mut state.exit);
-                if state.exit.equivalent(&state.entry) {
+                if state.exit.equivalent(w.entry) {
                     w.memo.steady = Some(Steady {
                         counters,
                         l1,
@@ -391,7 +430,7 @@ fn delta(after: &CacheStats, before: &CacheStats) -> CacheStats {
 }
 
 /// A launch's walk over its state's memo, warp by warp in launch order.
-struct Walk {
+struct Walk<'s> {
     memo: Memo,
     /// The tier answering the launch so far: `Full` without a record of
     /// this shape, and from the first warp that does not repeat it on.
@@ -399,14 +438,21 @@ struct Walk {
     /// Warps run so far, and per group (phases included).
     warp: usize,
     group_warps: usize,
+    num_sms: usize,
     /// Where in the record's ops the walk is.
     coder: OpCoder,
-    /// Whether `DeviceState::entry` holds the caches on entry.
+    /// The caches on entry, once `snapped`.
+    entry: &'s mut LruSnapshot,
     snapped: bool,
 }
 
-impl Walk {
-    fn new(last: Option<Memo>, shape: LaunchShape, device: &DeviceSpec) -> Self {
+impl<'s> Walk<'s> {
+    fn new(
+        last: Option<Memo>,
+        shape: LaunchShape,
+        device: &DeviceSpec,
+        entry: &'s mut LruSnapshot,
+    ) -> Self {
         let (memo, tier) = match last {
             Some(m) if m.steady.is_some() => (m, Replay::Memo),
             Some(m) => (m, Replay::Cache),
@@ -417,9 +463,17 @@ impl Walk {
             tier,
             warp: 0,
             group_warps: shape.group_warps(),
+            num_sms: device.num_sms as usize,
             coder: OpCoder::new(device.line_bytes),
+            entry,
             snapped: false,
         }
+    }
+
+    /// Snapshot the caches on entry, before any op of the launch.
+    fn snapshot(&mut self, l1s: &[Cache], l2: &Cache) {
+        snapshot(l1s, l2, self.entry);
+        self.snapped = true;
     }
 
     /// Answer the warp just run on SM `sm` from the record if its lanes
@@ -429,8 +483,8 @@ impl Walk {
     fn answer(
         &mut self,
         digest: u128,
-        state: &mut DeviceState,
         sm: usize,
+        pipe: &mut Pipe<'_, '_, '_>,
         counters: &mut Counters,
     ) -> bool {
         let i = self.warp;
@@ -440,18 +494,17 @@ impl Walk {
         }
         if self.memo.digests.get(i) == Some(&digest) {
             if self.tier == Replay::Cache {
-                self.drive(i, sm, state, counters);
+                self.drive(i, sm, pipe, counters);
             }
             return true;
         }
         if self.tier == Replay::Memo {
             // The deferred ops have not touched the caches yet: the
             // entry state is still there to snapshot.
-            snapshot(&state.l1s, &state.l2, &mut state.entry);
-            self.snapped = true;
-            let num_sms = state.l1s.len();
+            let (l1s, l2) = pipe.at_rest();
+            self.snapshot(l1s, l2);
             for j in 0..i {
-                self.drive(j, j / self.group_warps % num_sms, state, counters);
+                self.drive(j, j / self.group_warps % self.num_sms, pipe, counters);
             }
         }
         self.memo.truncate(i, self.coder.at);
@@ -459,41 +512,155 @@ impl Walk {
         false
     }
 
-    /// Add recorded warp `j`'s counters and drive its ops through SM
-    /// `sm`'s L1 and the L2.
-    fn drive(&mut self, j: usize, sm: usize, state: &mut DeviceState, counters: &mut Counters) {
+    /// Add recorded warp `j`'s counters and send its ops for SM `sm`.
+    fn drive(&mut self, j: usize, sm: usize, pipe: &mut Pipe<'_, '_, '_>, counters: &mut Counters) {
         let (tally, ops) = self.memo.tally(j);
         counters.merge(&tally);
-        let (l1, l2) = (&mut state.l1s[sm], &mut state.l2);
+        pipe.at(sm);
         self.coder
-            .get(&self.memo.ops, ops, |op| op.apply(l1, l2, counters));
-    }
-
-    /// Replay a warp in full into `sinks`, whose counters start at zero,
-    /// and append it to the record.
-    fn record(
-        &mut self,
-        digest: u128,
-        streams: &[Vec<Event>],
-        sinks: &mut ReplaySinks<'_>,
-    ) -> Result<(), SimError> {
-        let mut ops = 0usize;
-        replay_warp_recording(streams, sinks, |op| {
-            self.coder.put(&mut self.memo.ops, op);
-            ops += 1;
-        })?;
-        let ops = u32::try_from(ops).expect("fewer than 2^32 cache ops per warp");
-        self.memo.push(digest, *sinks.counters, ops);
-        Ok(())
+            .get(&self.memo.ops, ops, |op| pipe.send(Cmd::Op(op)));
     }
 }
 
-/// Executes work-groups of one launch: runs lanes phase-by-phase,
-/// collects their event streams, and replays warps.
+/// What the calling thread tells the cache thread, in launch order.
+#[derive(Copy, Clone)]
+enum Cmd {
+    /// Send later ops through this SM's L1.
+    Sm(usize),
+    /// Apply an op.
+    Op(CacheOp),
+}
+
+/// Commands per batch: 64 KiB, so that a hand-off, a few microseconds,
+/// costs about a nanosecond per op.
+const BATCH: usize = 4096;
+/// Batches queued for the cache thread before the calling thread waits.
+const QUEUED: usize = 2;
+
+/// The cache half of a launch: the caches and the counters that depend
+/// on their state.
+struct Caches<'c> {
+    l1s: &'c mut [Cache],
+    l2: &'c mut Cache,
+    sm: usize,
+    counters: Counters,
+}
+
+impl Caches<'_> {
+    fn apply(&mut self, cmds: &[Cmd]) {
+        for &cmd in cmds {
+            match cmd {
+                Cmd::Op(op) => op.apply(&mut self.l1s[self.sm], self.l2, &mut self.counters),
+                Cmd::Sm(sm) => self.sm = sm,
+            }
+        }
+    }
+}
+
+/// The calling thread's end of the split: batches commands and starts
+/// the cache thread with the first full batch.
+struct Pipe<'scope, 'env, 'c: 'scope> {
+    scope: &'scope Scope<'scope, 'env>,
+    /// The cache half, until its thread starts.
+    idle: Option<Caches<'c>>,
+    thread: Option<(SyncSender<Vec<Cmd>>, ScopedJoinHandle<'scope, Counters>)>,
+    batch: Vec<Cmd>,
+    /// The SM of the last [`Cmd::Sm`] (the cache half starts at 0).
+    sm: usize,
+}
+
+impl<'scope, 'env, 'c: 'scope> Pipe<'scope, 'env, 'c> {
+    fn new(scope: &'scope Scope<'scope, 'env>, caches: Caches<'c>) -> Self {
+        Self {
+            scope,
+            idle: Some(caches),
+            thread: None,
+            // Grown on first use: most launches of a solve send nothing.
+            batch: Vec::new(),
+            sm: 0,
+        }
+    }
+
+    /// The caches, which no op has reached yet.
+    fn at_rest(&self) -> (&[Cache], &Cache) {
+        let caches = self.idle.as_ref().filter(|_| self.batch.is_empty());
+        let caches = caches.expect("the caches are at rest before the first op");
+        (caches.l1s, caches.l2)
+    }
+
+    /// Send later ops through SM `sm`'s L1.
+    #[inline]
+    fn at(&mut self, sm: usize) {
+        if sm != self.sm {
+            self.sm = sm;
+            self.send(Cmd::Sm(sm));
+        }
+    }
+
+    #[inline]
+    fn send(&mut self, cmd: Cmd) {
+        self.batch.push(cmd);
+        if self.batch.len() == BATCH {
+            self.flush();
+        }
+    }
+
+    /// Hand the batch to the cache thread, starting it first if need be.
+    fn flush(&mut self) {
+        let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH));
+        let (tx, _) = self.thread.get_or_insert_with(|| {
+            let mut caches = self.idle.take().expect("an idle cache half");
+            let (tx, rx) = sync_channel::<Vec<Cmd>>(QUEUED);
+            let thread = self.scope.spawn(move || {
+                for batch in rx {
+                    caches.apply(&batch);
+                }
+                caches.counters
+            });
+            (tx, thread)
+        });
+        if tx.send(batch).is_err() {
+            // Only a panic ends the cache thread early: raise it here.
+            let (_, thread) = self.thread.take().expect("started above");
+            join(thread);
+        }
+    }
+
+    /// Apply what is left and return the cache half's counters.  If the
+    /// calling thread unwinds instead, dropping the sender ends the cache
+    /// thread's loop, so the scope can join it.
+    fn finish(mut self) -> Counters {
+        match self.thread.take() {
+            None => {
+                let mut caches = self.idle.take().expect("an idle cache half");
+                caches.apply(&self.batch);
+                caches.counters
+            }
+            Some((tx, thread)) => {
+                // A failed send means the thread panicked; `join` raises it.
+                let _ = tx.send(std::mem::take(&mut self.batch));
+                drop(tx);
+                join(thread)
+            }
+        }
+    }
+}
+
+/// Join the cache thread, raising its panic on the calling thread.
+fn join(thread: ScopedJoinHandle<'_, Counters>) -> Counters {
+    thread
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// Executes work-groups of one launch on the calling thread: runs lanes
+/// phase-by-phase, collects their event streams, models each warp and
+/// hands its cache ops to the cache thread.
 struct GroupExecutor<'a> {
     kernel: &'a dyn Kernel,
     range: NdRange,
     device: &'a DeviceSpec,
+    geometry: Geometry,
     mem: &'a DeviceMemory,
     local_mem_bytes: u32,
     phases: usize,
@@ -516,6 +683,12 @@ impl<'a> GroupExecutor<'a> {
             kernel,
             range,
             device,
+            geometry: Geometry {
+                line_bytes: device.line_bytes,
+                sector_bytes: device.sector_bytes,
+                banks: device.shared_banks,
+                bank_width: device.bank_width,
+            },
             mem,
             local_mem_bytes: res.local_mem_bytes_per_group,
             phases: kernel.num_phases(),
@@ -524,21 +697,21 @@ impl<'a> GroupExecutor<'a> {
         }
     }
 
-    /// Run one group's phases warp by warp on its SM's L1 and the L2.
-    /// With a `walk`, each warp is answered from the memo or replayed and
-    /// recorded.
+    /// Run one group's phases warp by warp and send their cache ops for
+    /// its SM.  With a `walk`, each warp is answered from the memo or
+    /// modelled and recorded.
     fn run_group(
         &mut self,
         group: u64,
-        state: &mut DeviceState,
         counters: &mut Counters,
         mut sanitizer: Option<&mut Sanitizer<'_>>,
-        mut walk: Option<&mut Walk>,
+        mut walk: Option<&mut Walk<'_>>,
+        pipe: &mut Pipe<'_, '_, '_>,
     ) -> Result<(), SimError> {
         let local_size = self.range.local;
         let warp = self.device.warp_size;
         let warps = local_size.div_ceil(warp);
-        let sm = (group % state.l1s.len() as u64) as usize;
+        let sm = (group % self.device.num_sms as u64) as usize;
         if self.local.len() != self.local_mem_bytes as usize {
             self.local = LocalMem::new(self.local_mem_bytes);
         } else {
@@ -579,30 +752,30 @@ impl<'a> GroupExecutor<'a> {
                     }
                 }
                 if let Some(s) = sanitizer.as_deref_mut() {
-                    // Inspect the streams before replay: if replay aborts
+                    // Inspect the streams before the models: if they fail
                     // on a divergence mismatch, the accesses up to that
                     // warp were still checked.
                     s.process_warp(group, phase as u32, w * warp, &self.streams);
                 }
                 let digest = digest.map(|d| d.value());
                 if let (Some(walk), Some(digest)) = (walk.as_deref_mut(), digest) {
-                    if walk.answer(digest, state, sm, counters) {
+                    if walk.answer(digest, sm, pipe, counters) {
                         continue;
                     }
                 }
                 let mut tally = Counters::default();
-                let mut sinks = ReplaySinks {
-                    l1: &mut state.l1s[sm],
-                    l2: &mut state.l2,
-                    counters: &mut tally,
-                    line_bytes: self.device.line_bytes,
-                    sector_bytes: self.device.sector_bytes,
-                    banks: self.device.shared_banks,
-                    bank_width: self.device.bank_width,
-                };
-                match (walk.as_deref_mut(), digest) {
-                    (Some(walk), Some(digest)) => walk.record(digest, &self.streams, &mut sinks)?,
-                    _ => replay_warp(&self.streams, &mut sinks)?,
+                let mut ops = 0usize;
+                pipe.at(sm);
+                model_warp(&self.streams, self.geometry, &mut tally, |op| {
+                    ops += 1;
+                    pipe.send(Cmd::Op(op));
+                    if let Some(w) = walk.as_deref_mut() {
+                        w.coder.put(&mut w.memo.ops, op);
+                    }
+                })?;
+                if let (Some(walk), Some(digest)) = (walk.as_deref_mut(), digest) {
+                    let ops = u32::try_from(ops).expect("fewer than 2^32 cache ops per warp");
+                    walk.memo.push(digest, tally, ops);
                 }
                 counters.merge(&tally);
             }

@@ -111,12 +111,10 @@ impl Memo {
         self.steady = None;
     }
 
-    /// Append a warp whose ops were just put into `ops`.  The counters'
-    /// state-dependent fields are dropped.
-    pub(crate) fn push(&mut self, digest: u128, mut counters: Counters, ops: u32) {
-        counters.l1_sector_misses = 0;
-        counters.l2_sector_requests = 0;
-        counters.l2_sector_misses = 0;
+    /// Append a warp with its state-free counters (as
+    /// [`model_warp`](crate::warp::model_warp) counts them) and the number
+    /// of cache ops it put into `ops`.
+    pub(crate) fn push(&mut self, digest: u128, counters: Counters, ops: u32) {
         let key = (counters, ops);
         let next = u32::try_from(self.tallies.len()).expect("fewer than 2^32 distinct warps");
         let tally = *self.tally_index.entry(key).or_insert(next);

@@ -250,16 +250,54 @@ impl CacheOp {
 ///
 /// Returns [`SimError::LaneDivergenceMismatch`] if lanes sharing a path
 /// fall out of lockstep (an undeclared divergent branch in the kernel).
+///
+/// This is the serial composition of the engine's two halves: the
+/// state-free [`model_warp`] hands each cache op straight to
+/// [`CacheOp::apply`].
 pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Result<(), SimError> {
-    replay_warp_recording(streams, sinks, |_| {})
+    let geometry = Geometry {
+        line_bytes: sinks.line_bytes,
+        sector_bytes: sinks.sector_bytes,
+        banks: sinks.banks,
+        bank_width: sinks.bank_width,
+    };
+    let (l1, l2) = (&mut *sinks.l1, &mut *sinks.l2);
+    let mut cached = Counters::default();
+    let modelled = model_warp(streams, geometry, sinks.counters, |op| {
+        op.apply(l1, l2, &mut cached)
+    });
+    sinks.counters.merge(&cached);
+    modelled
 }
 
-/// [`replay_warp`], handing every cache op to `record` as it is applied.
-pub(crate) fn replay_warp_recording(
+/// The device parameters the state-free models of a warp read.
+#[derive(Copy, Clone)]
+pub(crate) struct Geometry {
+    pub(crate) line_bytes: u32,
+    pub(crate) sector_bytes: u32,
+    pub(crate) banks: u32,
+    pub(crate) bank_width: u32,
+}
+
+/// The state-free half of a warp's replay: align the lanes and model
+/// divergence, coalescing, shared-memory banks and atomics into
+/// `counters`, handing every line-granular request to `emit` in issue
+/// order.  Nothing here reads cache state, so the cache ops can be
+/// applied anywhere later, as long as they are applied in this order.
+/// On a [`SimError::LaneDivergenceMismatch`] the ops of the instructions
+/// before the failing one have been emitted.
+pub(crate) fn model_warp(
     streams: &[Vec<Event>],
-    sinks: &mut ReplaySinks<'_>,
-    mut record: impl FnMut(CacheOp),
+    geometry: Geometry,
+    counters: &mut Counters,
+    mut emit: impl FnMut(CacheOp),
 ) -> Result<(), SimError> {
+    let Geometry {
+        line_bytes,
+        sector_bytes,
+        banks,
+        bank_width,
+    } = geometry;
     SCRATCH.with(|scratch| {
         let Scratch {
             align,
@@ -281,9 +319,9 @@ pub(crate) fn replay_warp_recording(
             // branch — which is why Table I row 13 is zero for every 3LP
             // variant despite their single-writer collapses.
             if group_ord > 0 {
-                sinks.counters.replayed_instructions += 1;
+                counters.replayed_instructions += 1;
                 if step == 0 {
-                    sinks.counters.divergent_branches += 1;
+                    counters.divergent_branches += 1;
                 }
             }
 
@@ -301,20 +339,18 @@ pub(crate) fn replay_warp_recording(
                             _ => return Err(mismatch(m, "global access")),
                         }
                     }
-                    coalesce_into(addrs, sinks.line_bytes, sinks.sector_bytes, lines);
-                    sinks.counters.l1_tag_requests_global += lines.len() as u64;
+                    coalesce_into(addrs, line_bytes, sector_bytes, lines);
+                    counters.l1_tag_requests_global += lines.len() as u64;
                     for &(line, mask) in lines.iter() {
-                        sinks.counters.l1_sector_requests += mask.count_ones() as u64;
-                        let op = CacheOp { line, mask, access };
-                        op.apply(sinks.l1, sinks.l2, sinks.counters);
-                        record(op);
+                        counters.l1_sector_requests += mask.count_ones() as u64;
+                        emit(CacheOp { line, mask, access });
                     }
                     if access == Access::Store {
-                        sinks.counters.global_store_instructions += 1;
+                        counters.global_store_instructions += 1;
                     } else {
-                        sinks.counters.global_load_instructions += 1;
+                        counters.global_load_instructions += 1;
                     }
-                    sinks.counters.warp_instructions += 1;
+                    counters.warp_instructions += 1;
                 }
                 Event::AtomicRmw { .. } => {
                     atomic_addrs.clear();
@@ -327,19 +363,17 @@ pub(crate) fn replay_warp_recording(
                         addrs.push((addr, bytes));
                     }
                     let a = model_atomic_instruction(atomic_addrs);
-                    sinks.counters.atomic_passes += a.passes;
-                    sinks.counters.atomic_instructions += 1;
-                    coalesce_into(addrs, sinks.line_bytes, sinks.sector_bytes, lines);
+                    counters.atomic_passes += a.passes;
+                    counters.atomic_instructions += 1;
+                    coalesce_into(addrs, line_bytes, sector_bytes, lines);
                     for &(line, mask) in lines.iter() {
-                        let op = CacheOp {
+                        emit(CacheOp {
                             line,
                             mask,
                             access: Access::Atomic,
-                        };
-                        op.apply(sinks.l1, sinks.l2, sinks.counters);
-                        record(op);
+                        });
                     }
-                    sinks.counters.warp_instructions += a.passes;
+                    counters.warp_instructions += a.passes;
                 }
                 Event::LocalLoad { .. } | Event::LocalStore { .. } => {
                     local_accs.clear();
@@ -352,11 +386,11 @@ pub(crate) fn replay_warp_recording(
                             _ => return Err(mismatch(m, "local access")),
                         }
                     }
-                    let r = model_shared_instruction(local_accs, sinks.banks, sinks.bank_width);
-                    sinks.counters.shared_wavefronts += r.wavefronts;
-                    sinks.counters.shared_wavefronts_ideal += r.ideal_wavefronts;
-                    sinks.counters.local_instructions += 1;
-                    sinks.counters.warp_instructions += r.wavefronts.max(1);
+                    let r = model_shared_instruction(local_accs, banks, bank_width);
+                    counters.shared_wavefronts += r.wavefronts;
+                    counters.shared_wavefronts_ideal += r.ideal_wavefronts;
+                    counters.local_instructions += 1;
+                    counters.warp_instructions += r.wavefronts.max(1);
                 }
                 Event::Flops(_) => {
                     let mut worst = 0u64;
@@ -364,23 +398,23 @@ pub(crate) fn replay_warp_recording(
                         let Event::Flops(n) = event(m) else {
                             return Err(mismatch(m, "flops"));
                         };
-                        sinks.counters.flops += n as u64;
+                        counters.flops += n as u64;
                         worst = worst.max(n as u64);
                     }
                     // An fp64 FMA retires 2 FLOPs per lane per slot,
                     // so a batched Flops(n) event occupies ceil(n/2)
                     // issue slots (the A100's fp64 pipe issues one
                     // warp FMA per SM per cycle).
-                    sinks.counters.warp_instructions += worst.div_ceil(2).max(1);
+                    counters.warp_instructions += worst.div_ceil(2).max(1);
                 }
                 Event::Iops(_) => {
                     for m in active {
                         let Event::Iops(n) = event(m) else {
                             return Err(mismatch(m, "iops"));
                         };
-                        sinks.counters.iops += n as u64;
+                        counters.iops += n as u64;
                     }
-                    sinks.counters.warp_instructions += 1;
+                    counters.warp_instructions += 1;
                 }
                 Event::SetPath(_) => {
                     debug_assert!(false, "SetPath inside a segment is impossible");

@@ -10,10 +10,11 @@
 //! compiles against real rayon).
 //!
 //! Not a general work-stealing pool: each parallel call spawns up to
-//! `available_parallelism()` scoped threads.  The workloads here
-//! (per-site lattice loops, per-SM simulation slices) are coarse and
-//! uniform, which is the one shape where eager contiguous chunking and
-//! work stealing behave the same.
+//! `available_parallelism()` scoped threads.  The workloads here (the
+//! per-site lattice loops of the parallel CPU reference, `parallel_cpu`,
+//! and the optimized CPU Dslash, `cpu_opt`) are coarse and uniform, which
+//! is the one shape where eager contiguous chunking and work stealing
+//! behave the same.
 
 use std::ops::Range;
 
