@@ -26,6 +26,13 @@ done
 echo "== hostbench unit tests (the benchmark still builds against the workspace API; --locked fails if its lock file would change) =="
 cargo test --release --offline --locked -q --manifest-path hostbench/Cargo.toml
 
+echo "== hostbench workloads (each once for a second: the benchmark's own checks, Table I goldens bit for bit, CG validation and the static tuner's winners, gate every CI run) =="
+for workload in table1 cg tune-static; do
+  cargo run --release --offline --locked -q --manifest-path hostbench/Cargo.toml -- \
+    --workload "$workload" --seconds 1 > /dev/null \
+    || { echo "hostbench $workload: a check failed or the run did not finish"; exit 1; }
+done
+
 # perfdiff diffs the committed results/*.csv against fresh replays, so it
 # runs before any step that rewrites one of them (table1 --trace rewrites
 # results/table1.csv): run later, it would gate the tree against itself.

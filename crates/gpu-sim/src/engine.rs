@@ -19,13 +19,21 @@
 //! the three counters that depend on cache state.  It allocates nothing,
 //! so every buffer of a launch comes from the calling thread's heap.
 //!
+//! A global instruction that repeats the previous one's lines and fits
+//! the L1 sends nothing: every access of it would hit and leave every
+//! cache LRU-equivalent ([`model_warp`] gives the argument).  Its L1 tag
+//! and sector requests go to a per-SM [`Repeats`] tally, which is added
+//! to the L1 statistics after the join, failed launches included.
+//!
 //! The split is deterministic because nothing flows back during a
 //! launch: no counter or decision of the calling thread reads the caches,
-//! and the cache thread sees the same accesses in the same order as a
-//! one-thread replay ([`replay_warp`](crate::warp::replay_warp) is the
-//! serial composition of the same two halves).  The snapshots of the memo's fixed-point check are
-//! taken while the caches are at rest: on entry before the cache thread
-//! starts, on exit after it is joined.  Groups meet the one shared L2 in
+//! and the cache thread sees the accesses of a one-thread replay in the
+//! same order, less the repeats, which change no cache's LRU-canonical
+//! state ([`replay_warp`](crate::warp::replay_warp) is the serial
+//! composition of the same two halves, applying every repeat's ops).
+//! The snapshots of the memo's fixed-point check are taken while the
+//! caches are at rest: on entry before the cache thread starts, on exit
+//! after it is joined.  Groups meet the one shared L2 in
 //! group-id order, which approximates temporal interleaving because
 //! consecutive groups run on *different* SMs round-robin, just as on
 //! hardware.
@@ -48,7 +56,7 @@ use crate::occupancy::{occupancy, Occupancy};
 use crate::sanitizer::{Sanitizer, SanitizerConfig, SanitizerReport};
 use crate::sharedmem::LocalMem;
 use crate::timing::TimingModel;
-use crate::warp::{model_warp, CacheOp, Geometry};
+use crate::warp::{model_warp, CacheOp, Geometry, Repeats};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::thread::{Scope, ScopedJoinHandle};
 
@@ -512,11 +520,13 @@ impl<'s> Walk<'s> {
         false
     }
 
-    /// Add recorded warp `j`'s counters and send its ops for SM `sm`.
+    /// Add recorded warp `j`'s counters and repeats, and send its ops for
+    /// SM `sm`.
     fn drive(&mut self, j: usize, sm: usize, pipe: &mut Pipe<'_, '_, '_>, counters: &mut Counters) {
-        let (tally, ops) = self.memo.tally(j);
+        let (tally, ops, repeats) = self.memo.tally(j);
         counters.merge(&tally);
         pipe.at(sm);
+        pipe.repeat(repeats);
         self.coder
             .get(&self.memo.ops, ops, |op| pipe.send(Cmd::Op(op)));
     }
@@ -563,22 +573,31 @@ struct Pipe<'scope, 'env, 'c: 'scope> {
     scope: &'scope Scope<'scope, 'env>,
     /// The cache half, until its thread starts.
     idle: Option<Caches<'c>>,
-    thread: Option<(SyncSender<Vec<Cmd>>, ScopedJoinHandle<'scope, Counters>)>,
+    thread: Option<(SyncSender<Vec<Cmd>>, ScopedJoinHandle<'scope, Caches<'c>>)>,
     batch: Vec<Cmd>,
     /// The SM of the last [`Cmd::Sm`] (the cache half starts at 0).
     sm: usize,
+    /// Per SM, the repeats that reach its L1 as statistics alone.
+    repeats: Vec<Repeats>,
 }
 
 impl<'scope, 'env, 'c: 'scope> Pipe<'scope, 'env, 'c> {
     fn new(scope: &'scope Scope<'scope, 'env>, caches: Caches<'c>) -> Self {
         Self {
             scope,
+            repeats: vec![Repeats::default(); caches.l1s.len()],
             idle: Some(caches),
             thread: None,
             // Grown on first use: most launches of a solve send nothing.
             batch: Vec::new(),
             sm: 0,
         }
+    }
+
+    /// Count repeats into the L1 of the SM later ops go through.
+    #[inline]
+    fn repeat(&mut self, repeats: Repeats) {
+        self.repeats[self.sm].add(repeats);
     }
 
     /// The caches, which no op has reached yet.
@@ -615,7 +634,7 @@ impl<'scope, 'env, 'c: 'scope> Pipe<'scope, 'env, 'c> {
                 for batch in rx {
                     caches.apply(&batch);
                 }
-                caches.counters
+                caches
             });
             (tx, thread)
         });
@@ -626,15 +645,16 @@ impl<'scope, 'env, 'c: 'scope> Pipe<'scope, 'env, 'c> {
         }
     }
 
-    /// Apply what is left and return the cache half's counters.  If the
-    /// calling thread unwinds instead, dropping the sender ends the cache
-    /// thread's loop, so the scope can join it.
+    /// Apply what is left, count the repeats into their L1s' statistics
+    /// and return the cache half's counters.  If the calling thread
+    /// unwinds instead, dropping the sender ends the cache thread's loop,
+    /// so the scope can join it.
     fn finish(mut self) -> Counters {
-        match self.thread.take() {
+        let caches = match self.thread.take() {
             None => {
                 let mut caches = self.idle.take().expect("an idle cache half");
                 caches.apply(&self.batch);
-                caches.counters
+                caches
             }
             Some((tx, thread)) => {
                 // A failed send means the thread panicked; `join` raises it.
@@ -642,12 +662,16 @@ impl<'scope, 'env, 'c: 'scope> Pipe<'scope, 'env, 'c> {
                 drop(tx);
                 join(thread)
             }
+        };
+        for (l1, repeats) in caches.l1s.iter_mut().zip(&self.repeats) {
+            l1.add_stats(&repeats.stats());
         }
+        caches.counters
     }
 }
 
 /// Join the cache thread, raising its panic on the calling thread.
-fn join(thread: ScopedJoinHandle<'_, Counters>) -> Counters {
+fn join<'c>(thread: ScopedJoinHandle<'_, Caches<'c>>) -> Caches<'c> {
     thread
         .join()
         .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
@@ -688,6 +712,8 @@ impl<'a> GroupExecutor<'a> {
                 sector_bytes: device.sector_bytes,
                 banks: device.shared_banks,
                 bank_width: device.bank_width,
+                l1_sets: cache_configs(device).0.sets(),
+                l1_ways: device.l1_ways,
             },
             mem,
             local_mem_bytes: res.local_mem_bytes_per_group,
@@ -764,18 +790,29 @@ impl<'a> GroupExecutor<'a> {
                     }
                 }
                 let mut tally = Counters::default();
+                let mut repeats = Repeats::default();
                 let mut ops = 0usize;
                 pipe.at(sm);
-                model_warp(&self.streams, self.geometry, &mut tally, |op| {
-                    ops += 1;
-                    pipe.send(Cmd::Op(op));
-                    if let Some(w) = walk.as_deref_mut() {
-                        w.coder.put(&mut w.memo.ops, op);
-                    }
-                })?;
+                let modelled = model_warp(
+                    &self.streams,
+                    self.geometry,
+                    &mut tally,
+                    Some(&mut repeats),
+                    |op| {
+                        ops += 1;
+                        pipe.send(Cmd::Op(op));
+                        if let Some(w) = walk.as_deref_mut() {
+                            w.coder.put(&mut w.memo.ops, op);
+                        }
+                    },
+                );
+                // The repeats before a failing instruction count, as its
+                // ops do.
+                pipe.repeat(repeats);
+                modelled?;
                 if let (Some(walk), Some(digest)) = (walk.as_deref_mut(), digest) {
                     let ops = u32::try_from(ops).expect("fewer than 2^32 cache ops per warp");
-                    walk.memo.push(digest, tally, ops);
+                    walk.memo.push(digest, tally, ops, repeats);
                 }
                 counters.merge(&tally);
             }
@@ -1273,6 +1310,104 @@ mod tests {
         );
         // After the failure the state starts over.
         assert_eq!(tiers, [Full, Cache, Memo, Full, Cache].map(Ok));
+    }
+
+    /// `dst[i] = 2 · src[i]` over complex numbers, loaded and stored as
+    /// two 8-byte halves, or as one 16-byte access with `vec`.
+    struct Halves {
+        src: u64,
+        dst: u64,
+        vec: bool,
+    }
+
+    impl Kernel for Halves {
+        fn name(&self) -> &str {
+            "halves"
+        }
+        fn resources(&self, _ls: u32) -> KernelResources {
+            KernelResources {
+                registers_per_item: 16,
+                local_mem_bytes_per_group: 0,
+            }
+        }
+        fn run_phase(&self, _phase: usize, lane: &mut Lane<'_>) {
+            let (src, dst) = (
+                self.src + lane.global_id() * 16,
+                self.dst + lane.global_id() * 16,
+            );
+            let (re, im) = if self.vec {
+                lane.ld_global_c64_vec(src)
+            } else {
+                lane.ld_global_c64(src)
+            };
+            lane.flops(2);
+            if self.vec {
+                lane.st_global_c64_vec(dst, 2.0 * re, 2.0 * im);
+            } else {
+                lane.st_global_c64(dst, 2.0 * re, 2.0 * im);
+            }
+        }
+    }
+
+    #[test]
+    fn two_halves_record_one_half_and_repeat_like_the_oracle() {
+        use Replay::{Cache, Full, Memo};
+        // 64 KiB in and 64 KiB out over four SMs of 16 KiB L1: the stored
+        // lines are evicted dirty.
+        const ITEMS: u64 = 4096;
+        let device = DeviceSpec::test_small();
+        let mut mem = DeviceMemory::new();
+        let src = mem.alloc(ITEMS * 16, "src");
+        let dst = mem.alloc(ITEMS * 16, "dst");
+        for j in 0..ITEMS * 2 {
+            mem.write_f64(src.addr(j * 8), j as f64);
+        }
+        let range = NdRange::linear(ITEMS, 64);
+        let launcher = Launcher::new(&device);
+        let run = |vec: bool, oracle: bool| -> Vec<LaunchReport> {
+            let k = Halves {
+                src: src.base(),
+                dst: dst.base(),
+                vec,
+            };
+            let mut state = DeviceState::new(&device);
+            (0..3)
+                .map(|i| {
+                    if oracle {
+                        launcher
+                            .launch_with_state(&Idle, IDLE_RANGE, &mem, &mut state)
+                            .unwrap();
+                    }
+                    let r = launcher
+                        .launch_with_state(&k, range, &mem, &mut state)
+                        .unwrap();
+                    if i == 0 && !vec && !oracle {
+                        // The record holds the first half's ops alone.
+                        let memo = state.memo.as_ref().expect("a record");
+                        let ops: u64 = (0..memo.digests.len())
+                            .map(|w| memo.tally(w).1 as u64)
+                            .sum();
+                        assert_eq!(ops * 2, r.counters.l1_tag_requests_global);
+                    }
+                    r
+                })
+                .collect()
+        };
+        let (halves, oracle, vec) = (run(false, false), run(false, true), run(true, false));
+        for (i, tier) in [Full, Cache, Memo].into_iter().enumerate() {
+            assert_eq!(halves[i].replay, tier, "launch {i}");
+            assert_eq!(oracle[i].replay, Full, "oracle launch {i}");
+            assert_eq!(modelled(&halves[i]), modelled(&oracle[i]), "launch {i}");
+            // One 16-byte access leaves the caches as the two halves do: the
+            // second half of each hits, and the stored sectors stay dirty.
+            let (h, v) = (&halves[i].l1_stats, &vec[i].l1_stats);
+            assert_eq!(h.tag_requests, 2 * v.tag_requests, "launch {i}");
+            assert_eq!(h.sector_requests, 2 * v.sector_requests, "launch {i}");
+            let outcome = |s: &CacheStats| (s.sector_misses, s.evictions, s.writeback_sectors);
+            assert_eq!(outcome(h), outcome(v), "launch {i}");
+            assert!(h.writeback_sectors > 0, "launch {i}");
+            assert_eq!(halves[i].l2_stats, vec[i].l2_stats, "launch {i}");
+        }
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! Coalescing, bank wavefronts, atomic passes and divergence depend on the
 //! address streams alone, which repeat from launch to launch; only L1 and
 //! L2 depend on the state.  So a full launch records, per warp, a
-//! [`StreamDigest`] of its lanes, its state-free counters and its
-//! [`CacheOp`]s, and the engine (`engine.rs`) checks a later launch of the
-//! same [`LaunchShape`] against the record warp by warp.
+//! [`StreamDigest`] of its lanes, its state-free counters, its
+//! [`CacheOp`]s and its [`Repeats`] (the L1 requests of the instructions
+//! that repeat their predecessor's lines and so issued no ops), and the
+//! engine (`engine.rs`) checks a later launch of the same [`LaunchShape`]
+//! against the record warp by warp.  A recorded warp's repeats are its
+//! own: a warp never repeats the last instruction of the warp before it.
 
 use std::collections::HashMap;
 
@@ -16,10 +19,15 @@ use crate::device::DeviceSpec;
 use crate::event::Event;
 use crate::kernel::KernelResources;
 use crate::ndrange::NdRange;
-use crate::warp::{Access, CacheOp};
+use crate::warp::{Access, CacheOp, Repeats};
 
 /// Everything besides the lanes' event streams that a launch's replay
 /// outcome depends on.
+///
+/// The record also depends on the L1's sets and ways, which decide which
+/// repeats fit the L1 and issue no ops.  They are not part of the shape
+/// because the memo lives in a `DeviceState`, which refuses a device of
+/// any other cache geometry (`DeviceState::check`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct LaunchShape {
     warp_size: u32,
@@ -57,6 +65,9 @@ impl LaunchShape {
     }
 }
 
+/// A recorded warp's state-free counters, cache-op count and repeats.
+pub(crate) type Tally = (Counters, u32, Repeats);
+
 /// The outcome of a recorded launch that left the caches LRU-equivalent
 /// to how it found them.
 pub(crate) struct Steady {
@@ -67,17 +78,17 @@ pub(crate) struct Steady {
 }
 
 /// What a `DeviceState` remembers of its last launch: per warp in launch
-/// order, the digest of its lanes, its state-free counters and its cache
-/// ops.
+/// order, the digest of its lanes, its state-free counters, its cache ops
+/// and its [`Repeats`].
 pub(crate) struct Memo {
     pub(crate) shape: LaunchShape,
     pub(crate) digests: Vec<u128>,
     /// Per warp, an index into `tallies`.
     tally_of: Vec<u32>,
-    /// The distinct (state-free counters, cache-op count) of the warps,
-    /// and where each is in `tallies`.
-    tallies: Vec<(Counters, u32)>,
-    tally_index: HashMap<(Counters, u32), u32>,
+    /// The distinct (state-free counters, cache-op count, repeats) of the
+    /// warps, and where each is in `tallies`.
+    tallies: Vec<Tally>,
+    tally_index: HashMap<Tally, u32>,
     pub(crate) ops: OpLog,
     /// `Some` when the record was made at a cache fixed point.
     pub(crate) steady: Option<Steady>,
@@ -97,8 +108,8 @@ impl Memo {
         }
     }
 
-    /// Warp `i`'s state-free counters and cache-op count.
-    pub(crate) fn tally(&self, i: usize) -> (Counters, u32) {
+    /// Warp `i`'s state-free counters, cache-op count and repeats.
+    pub(crate) fn tally(&self, i: usize) -> Tally {
         self.tallies[self.tally_of[i] as usize]
     }
 
@@ -111,11 +122,11 @@ impl Memo {
         self.steady = None;
     }
 
-    /// Append a warp with its state-free counters (as
+    /// Append a warp with its state-free counters and repeats (as
     /// [`model_warp`](crate::warp::model_warp) counts them) and the number
     /// of cache ops it put into `ops`.
-    pub(crate) fn push(&mut self, digest: u128, counters: Counters, ops: u32) {
-        let key = (counters, ops);
+    pub(crate) fn push(&mut self, digest: u128, counters: Counters, ops: u32, repeats: Repeats) {
+        let key = (counters, ops, repeats);
         let next = u32::try_from(self.tallies.len()).expect("fewer than 2^32 distinct warps");
         let tally = *self.tally_index.entry(key).or_insert(next);
         if tally == next {

@@ -16,7 +16,15 @@
 //! * within a path group, lanes advance in lockstep; each aligned step is
 //!   one warp instruction, dispatched to the coalescer + cache hierarchy
 //!   (global), the bank model (shared) or the serialization model
-//!   (atomics).
+//!   (atomics);
+//! * a global instruction of the previous global instruction's kind,
+//!   lane count and widths, whose every lane touches the sectors its
+//!   counterpart touched, is a *repeat*, such as the second 8-byte half
+//!   of a complex load.  It
+//!   re-touches exactly the previous instruction's lines and masks, so
+//!   it takes the previous coalesced list.  For the engine
+//!   ([`model_warp`] with a [`Repeats`] tally), a repeat whose lines fit
+//!   the L1 is a tally of L1 hits rather than cache ops.
 //!
 //! The alignment contract: lanes on the same path must produce the same
 //! event kinds in the same order (true by construction for structured
@@ -31,7 +39,7 @@
 use std::cell::RefCell;
 
 use crate::atomics::model_atomic_instruction;
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheStats};
 use crate::coalesce::coalesce_into;
 use crate::counters::Counters;
 use crate::error::SimError;
@@ -188,9 +196,17 @@ impl Alignment {
 struct Scratch {
     align: Alignment,
     addrs: Vec<(u64, u8)>,
+    /// The previous global instruction of the warp: its lanes' accesses,
+    /// its kind, and its coalesced lines with their sector count.
+    prev_addrs: Vec<(u64, u8)>,
+    prev_access: Option<Access>,
     lines: Vec<(u64, u8)>,
+    sectors: u64,
     local_accs: Vec<(u32, u8)>,
     atomic_addrs: Vec<u64>,
+    atomic_lines: Vec<(u64, u8)>,
+    /// Lines per L1 set, for [`fit`].
+    per_set: Vec<u8>,
 }
 
 thread_local! {
@@ -239,6 +255,31 @@ impl CacheOp {
     }
 }
 
+/// The L1 requests of the global instructions that [`model_warp`]
+/// answered as repeats.  Every sector of a repeat hits, so these are all
+/// it counts.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub(crate) struct Repeats {
+    pub(crate) tags: u64,
+    pub(crate) sectors: u64,
+}
+
+impl Repeats {
+    pub(crate) fn add(&mut self, other: Repeats) {
+        self.tags += other.tags;
+        self.sectors += other.sectors;
+    }
+
+    /// What the repeats' hits add to their SM's L1 statistics.
+    pub(crate) fn stats(self) -> CacheStats {
+        CacheStats {
+            tag_requests: self.tags,
+            sector_requests: self.sectors,
+            ..CacheStats::default()
+        }
+    }
+}
+
 /// Replay one warp's per-lane event streams (one phase) into the sinks.
 ///
 /// `streams[lane]` is the ordered event list lane `lane` produced;
@@ -253,17 +294,20 @@ impl CacheOp {
 ///
 /// This is the serial composition of the engine's two halves: the
 /// state-free [`model_warp`] hands each cache op straight to
-/// [`CacheOp::apply`].
+/// [`CacheOp::apply`].  It keeps no [`Repeats`] tally, so it applies a
+/// repeat's ops like any others.
 pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Result<(), SimError> {
     let geometry = Geometry {
         line_bytes: sinks.line_bytes,
         sector_bytes: sinks.sector_bytes,
         banks: sinks.banks,
         bank_width: sinks.bank_width,
+        l1_sets: sinks.l1.config().sets(),
+        l1_ways: sinks.l1.config().ways,
     };
     let (l1, l2) = (&mut *sinks.l1, &mut *sinks.l2);
     let mut cached = Counters::default();
-    let modelled = model_warp(streams, geometry, sinks.counters, |op| {
+    let modelled = model_warp(streams, geometry, sinks.counters, None, |op| {
         op.apply(l1, l2, &mut cached)
     });
     sinks.counters.merge(&cached);
@@ -277,6 +321,42 @@ pub(crate) struct Geometry {
     pub(crate) sector_bytes: u32,
     pub(crate) banks: u32,
     pub(crate) bank_width: u32,
+    pub(crate) l1_sets: u64,
+    pub(crate) l1_ways: u32,
+}
+
+/// Whether `lines`, ascending as coalesced, fit an L1 of `sets` sets of
+/// `ways` ways: no set receives more of them than it has ways.  Lines
+/// that number no more than the ways, or span fewer line numbers than
+/// there are sets, fit at once.  Any others are counted set by set into
+/// `per_set`, which is all zeros before and after.
+fn fit(lines: &[(u64, u8)], line_shift: u32, sets: u64, ways: u32, per_set: &mut Vec<u8>) -> bool {
+    let (Some(&(first, _)), Some(&(last, _))) = (lines.first(), lines.last()) else {
+        return true;
+    };
+    if lines.len() <= ways as usize || (last - first) >> line_shift < sets {
+        return true;
+    }
+    // A power-of-two set count, as every shipped L1 has, takes a mask.
+    let set = |line: u64| {
+        let n = line >> line_shift;
+        (if sets.is_power_of_two() {
+            n & (sets - 1)
+        } else {
+            n % sets
+        }) as usize
+    };
+    per_set.resize(sets as usize, 0);
+    let mut fits = true;
+    for &(line, _) in lines {
+        let n = &mut per_set[set(line)];
+        *n = n.saturating_add(1);
+        fits &= u32::from(*n) <= ways;
+    }
+    for &(line, _) in lines {
+        per_set[set(line)] = 0;
+    }
+    fits
 }
 
 /// The state-free half of a warp's replay: align the lanes and model
@@ -286,10 +366,22 @@ pub(crate) struct Geometry {
 /// applied anywhere later, as long as they are applied in this order.
 /// On a [`SimError::LaneDivergenceMismatch`] the ops of the instructions
 /// before the failing one have been emitted.
+///
+/// With `repeats`, a global instruction that repeats the previous global
+/// instruction of the warp (see the module docs) and whose lines fit the
+/// L1 emits nothing: its L1 requests go to `repeats` instead.  It is the
+/// same kind of access as its predecessor, which left every line it
+/// touches resident with those sectors filled (and dirty, for a store),
+/// and only atomics, which bypass the L1, can come between.  So every
+/// access of it would hit, reach no L2, set no sector or dirty bit, and
+/// re-stamp the lines its predecessor stamped last, in the same order:
+/// the LRU-canonical state of every cache stays as it is.  A repeat that
+/// does not fit is emitted like any other instruction.
 pub(crate) fn model_warp(
     streams: &[Vec<Event>],
     geometry: Geometry,
     counters: &mut Counters,
+    mut repeats: Option<&mut Repeats>,
     mut emit: impl FnMut(CacheOp),
 ) -> Result<(), SimError> {
     let Geometry {
@@ -297,15 +389,25 @@ pub(crate) fn model_warp(
         sector_bytes,
         banks,
         bank_width,
+        l1_sets,
+        l1_ways,
     } = geometry;
+    let (line_shift, sector_shift) = (line_bytes.trailing_zeros(), sector_bytes.trailing_zeros());
     SCRATCH.with(|scratch| {
         let Scratch {
             align,
             addrs,
+            prev_addrs,
+            prev_access,
             lines,
+            sectors,
             local_accs,
             atomic_addrs,
+            atomic_lines,
+            per_set,
         } = &mut *scratch.borrow_mut();
+        // A warp repeats no instruction of the warp before it.
+        *prev_access = None;
         align.for_each_instruction(streams, |group_ord, step, active| {
             let event = |m: &GroupLane| streams[m.lane][m.start + step];
             let mismatch = |m: &GroupLane, expected| SimError::LaneDivergenceMismatch {
@@ -329,21 +431,47 @@ pub(crate) fn model_warp(
                 Event::GlobalLoad { .. } | Event::GlobalStore { .. } => {
                     addrs.clear();
                     let mut access = Access::Load;
-                    for m in active {
-                        match event(m) {
-                            Event::GlobalLoad { addr, bytes } => addrs.push((addr, bytes)),
+                    // Lane by lane, whether the first and last sector of the
+                    // lane's access are those of the previous instruction's
+                    // lane at the same place, with the same width.
+                    let mut repeat = repeats.is_some() && prev_addrs.len() == active.len();
+                    for (k, m) in active.iter().enumerate() {
+                        let (addr, bytes) = match event(m) {
+                            Event::GlobalLoad { addr, bytes } => (addr, bytes),
                             Event::GlobalStore { addr, bytes } => {
                                 access = Access::Store;
-                                addrs.push((addr, bytes));
+                                (addr, bytes)
                             }
                             _ => return Err(mismatch(m, "global access")),
+                        };
+                        if repeat {
+                            let (p, p_bytes) = prev_addrs[k];
+                            let ends = (addr + bytes as u64 - 1) ^ (p + p_bytes as u64 - 1);
+                            repeat = bytes == p_bytes && ((addr ^ p) | ends) >> sector_shift == 0;
                         }
+                        addrs.push((addr, bytes));
                     }
-                    coalesce_into(addrs, line_bytes, sector_bytes, lines);
+                    let repeat = repeat && *prev_access == Some(access);
+                    std::mem::swap(addrs, prev_addrs);
+                    *prev_access = Some(access);
+                    if !repeat {
+                        coalesce_into(prev_addrs, line_bytes, sector_bytes, lines);
+                        *sectors = lines.iter().map(|&(_, m)| m.count_ones() as u64).sum();
+                    }
                     counters.l1_tag_requests_global += lines.len() as u64;
-                    for &(line, mask) in lines.iter() {
-                        counters.l1_sector_requests += mask.count_ones() as u64;
-                        emit(CacheOp { line, mask, access });
+                    counters.l1_sector_requests += *sectors;
+                    match repeats.as_deref_mut() {
+                        Some(r) if repeat && fit(lines, line_shift, l1_sets, l1_ways, per_set) => {
+                            r.add(Repeats {
+                                tags: lines.len() as u64,
+                                sectors: *sectors,
+                            });
+                        }
+                        _ => {
+                            for &(line, mask) in lines.iter() {
+                                emit(CacheOp { line, mask, access });
+                            }
+                        }
                     }
                     if access == Access::Store {
                         counters.global_store_instructions += 1;
@@ -365,8 +493,8 @@ pub(crate) fn model_warp(
                     let a = model_atomic_instruction(atomic_addrs);
                     counters.atomic_passes += a.passes;
                     counters.atomic_instructions += 1;
-                    coalesce_into(addrs, line_bytes, sector_bytes, lines);
-                    for &(line, mask) in lines.iter() {
+                    coalesce_into(addrs, line_bytes, sector_bytes, atomic_lines);
+                    for &(line, mask) in atomic_lines.iter() {
                         emit(CacheOp {
                             line,
                             mask,
@@ -428,7 +556,8 @@ pub(crate) fn model_warp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheConfig, CacheStats};
+    use crate::cache::{CacheConfig, LruSnapshot};
+    use proptest::prelude::*;
 
     fn sinks_with<'a>(
         l1: &'a mut Cache,
@@ -789,5 +918,192 @@ mod tests {
         let mut c = Counters::default();
         replay_warp(&streams, &mut sinks_with(&mut l1, &mut l2, &mut c)).unwrap();
         assert_eq!(c, Counters::default());
+    }
+
+    /// A cache of `sets` × `ways` lines of 128 bytes.
+    fn cache(sets: u64, ways: u32) -> Cache {
+        Cache::new(CacheConfig {
+            capacity: sets * ways as u64 * 128,
+            line_bytes: 128,
+            sector_bytes: 32,
+            ways,
+        })
+    }
+
+    fn geometry(l1: &Cache) -> Geometry {
+        Geometry {
+            line_bytes: 128,
+            sector_bytes: 32,
+            banks: 32,
+            bank_width: 4,
+            l1_sets: l1.config().sets(),
+            l1_ways: l1.config().ways,
+        }
+    }
+
+    /// The engine's half of a warp: `model_warp` with a repeat tally,
+    /// its ops applied and its repeats counted into `l1`.  Returns the
+    /// ops it emitted and the repeats.
+    fn model_eliding(
+        streams: &[Vec<Event>],
+        l1: &mut Cache,
+        l2: &mut Cache,
+        counters: &mut Counters,
+    ) -> (usize, Repeats) {
+        let (mut ops, mut repeats, mut cached) = (0, Repeats::default(), Counters::default());
+        model_warp(streams, geometry(l1), counters, Some(&mut repeats), |op| {
+            ops += 1;
+            op.apply(l1, l2, &mut cached);
+        })
+        .unwrap();
+        counters.merge(&cached);
+        l1.add_stats(&repeats.stats());
+        (ops, repeats)
+    }
+
+    #[test]
+    fn a_repeat_is_elided_only_where_its_lines_fit_the_l1() {
+        // Complex numbers loaded as two 8-byte halves: both halves touch
+        // the same four lines, 32 to 35, with every sector.
+        let streams: Vec<Vec<Event>> = (0..32)
+            .map(|i| {
+                let addr = 4096 + i * 16;
+                [addr, addr + 8]
+                    .map(|addr| Event::GlobalLoad { addr, bytes: 8 })
+                    .to_vec()
+            })
+            .collect();
+        // (sets, ways, whether the second half is elided): four lines fit
+        // one set of four ways, four sets of one way (they span fewer
+        // line numbers than there are sets), and two sets of two ways
+        // (two lines per set, counted), but not one set of two ways or
+        // two sets of one way.  The counted fit comes last, after counts
+        // that did not fit.
+        for (sets, ways, elided) in [
+            (1, 4, true),
+            (4, 1, true),
+            (1, 2, false),
+            (2, 1, false),
+            (2, 2, true),
+        ] {
+            let (mut l1, mut l2) = (cache(sets, ways), cache(64, 4));
+            let mut c = Counters::default();
+            let (ops, repeats) = model_eliding(&streams, &mut l1, &mut l2, &mut c);
+            let want = if elided { (4, 4, 16) } else { (8, 0, 0) };
+            assert_eq!((ops, repeats.tags, repeats.sectors), want, "{sets}x{ways}");
+            assert_eq!(c.l1_tag_requests_global, 8);
+            assert_eq!(l1.stats().tag_requests, 8);
+        }
+    }
+
+    /// Lanes of the generated warps: few, so that an instruction's lines
+    /// outnumber a small L1's ways only sometimes.
+    const LANES: usize = 8;
+    /// Lane strides, widths and moves of the generated global instructions:
+    /// lanes within one sector, across sectors and across lines.
+    const STRIDES: [u64; 4] = [8, 16, 40, 136];
+    const WIDTHS: [u8; 3] = [4, 8, 16];
+    const MOVES: [u64; 6] = [0, 4, 8, 16, 32, 128];
+
+    /// One warp from instruction specs `(kind, a, b, c)`:
+    ///
+    /// * kinds 0 and 1 load and store at fresh addresses: lane `i` at
+    ///   `a · 24 + i · STRIDES[b]`, `WIDTHS[c]` bytes;
+    /// * kinds 2 and 3 load and store where the previous global
+    ///   instruction did, moved by `MOVES[b]` bytes, so that some are
+    ///   repeats and some are not;
+    /// * kind 4 is an atomic and kind 5 a local load.
+    ///
+    /// Lane `i` returns after `exits[i]` instructions.
+    fn generated_warp(specs: &[(u8, u64, u8, u8)], exits: &[usize]) -> Vec<Vec<Event>> {
+        let mut global = (1 << 16, STRIDES[0], WIDTHS[0]);
+        let events: Vec<_> = specs
+            .iter()
+            .map(|&(kind, a, b, c)| {
+                let (b, c) = (b as usize, c as usize);
+                match kind {
+                    0 | 1 => global = ((1 << 16) + a * 24, STRIDES[b % 4], WIDTHS[c % 3]),
+                    2 | 3 => global.0 += MOVES[b % 6],
+                    _ => {}
+                }
+                let (base, stride, bytes) = global;
+                move |lane: u64| {
+                    let addr = base + lane * stride;
+                    match kind {
+                        0 | 2 => Event::GlobalLoad { addr, bytes },
+                        1 | 3 => Event::GlobalStore { addr, bytes },
+                        4 => Event::AtomicRmw {
+                            addr: (1 << 16) + a * 8,
+                            bytes: 8,
+                        },
+                        _ => Event::LocalLoad {
+                            offset: lane as u32 * 8,
+                            bytes: 8,
+                        },
+                    }
+                }
+            })
+            .collect();
+        (0..LANES)
+            .map(|lane| {
+                events[..exits[lane].min(events.len())]
+                    .iter()
+                    .map(|event| event(lane as u64))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every cache in LRU-canonical form.
+    fn snapshot(caches: [&Cache; 2]) -> LruSnapshot {
+        let mut snap = LruSnapshot::default();
+        caches.iter().for_each(|c| snap.push(c));
+        snap
+    }
+
+    #[test]
+    fn elided_repeats_replay_like_their_ops_on_small_l1s() {
+        // The proptest loop written out, to count what all cases elide.
+        let mut rng = proptest::TestRng::deterministic("elided_repeats");
+        let mut elided = 0;
+        for case in 0..200 {
+            let (sets, ways) = ((1u64..=8).pick(&mut rng), (1u32..=4).pick(&mut rng));
+            let warps: Vec<_> = (0..(1usize..6).pick(&mut rng))
+                .map(|_| {
+                    let specs = (0u8..6, 0u64..40, 0u8..6, 0u8..3);
+                    let specs = proptest::collection::vec(specs, 1..14).pick(&mut rng);
+                    let exits = proptest::collection::vec(0usize..16, LANES..LANES + 1);
+                    (specs, exits.pick(&mut rng))
+                })
+                .collect();
+            let [mut l1, mut l2, mut oracle_l1, mut oracle_l2] = [
+                cache(sets, ways),
+                cache(16, 2),
+                cache(sets, ways),
+                cache(16, 2),
+            ];
+            let (mut c, mut oracle) = (Counters::default(), Counters::default());
+            for (w, (specs, exits)) in warps.iter().enumerate() {
+                let streams = generated_warp(specs, exits);
+                let what = format!("case {case} ({sets}x{ways}), warp {w}: {streams:?}");
+                elided += model_eliding(&streams, &mut l1, &mut l2, &mut c).1.tags;
+                let mut sinks = ReplaySinks {
+                    l1: &mut oracle_l1,
+                    l2: &mut oracle_l2,
+                    counters: &mut oracle,
+                    line_bytes: 128,
+                    sector_bytes: 32,
+                    banks: 32,
+                    bank_width: 4,
+                };
+                replay_warp(&streams, &mut sinks).unwrap();
+                prop_assert_eq!(c, oracle, "{}", what);
+                prop_assert_eq!(l1.stats(), oracle_l1.stats(), "{}", what);
+                prop_assert_eq!(l2.stats(), oracle_l2.stats(), "{}", what);
+                let snaps = [snapshot([&l1, &l2]), snapshot([&oracle_l1, &oracle_l2])];
+                prop_assert!(snaps[0].equivalent(&snaps[1]), "{}", what);
+            }
+        }
+        assert!(elided > 100, "only {elided} lines elided");
     }
 }

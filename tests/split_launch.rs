@@ -4,9 +4,12 @@
 //! simulator's public parts alone (`Lane`, `replay_warp`, `Cache`, the
 //! occupancy and timing models), bit for bit.
 //!
-//! The Table I configurations run at L = 4 on `test_small` and on the
-//! volume-matched A100, cold and warm (a full, a cache-tier and a
-//! memo-tier launch on one state).  Every report field but `host_wall_us`
+//! The Table I configurations run at L = 4 on `test_small`, on the
+//! volume-matched A100 and on a `test_small` whose L1 is a single set,
+//! cold and warm (a full, a cache-tier and a memo-tier launch on one
+//! state).  The single set makes the engine apply every repeat of more
+//! lines than the set has ways as plain ops, where the other devices
+//! count it as L1 hits.  Every report field but `host_wall_us`
 //! and `replay`, and every word of device memory, must be equal.  A
 //! strided kernel checks the failure paths, late enough in a launch that
 //! its cache thread runs: an undeclared divergence in the middle of a
@@ -173,6 +176,27 @@ fn devices() -> [(&'static str, DeviceSpec); 2] {
 
 #[test]
 fn split_launches_equal_the_serial_loop_on_every_table1_config() {
+    let checked = check_every_table1_config(&devices());
+    assert_eq!(checked, 2 * paper::TABLE1.len());
+}
+
+/// A `test_small` whose L1 is one set of four ways: every repeat of more
+/// than four lines is applied as plain ops instead of being elided.
+#[test]
+fn split_launches_equal_the_serial_loop_with_a_one_set_l1() {
+    let device = DeviceSpec {
+        l1_bytes: 512,
+        l1_ways: 4,
+        ..DeviceSpec::test_small()
+    };
+    let checked = check_every_table1_config(&[("one-set L1", device)]);
+    assert_eq!(checked, paper::TABLE1.len());
+}
+
+/// Launch every Table I configuration on each device, cold and then
+/// three times on one state, against the serial loop; returns the
+/// (configuration, device) pairs checked.
+fn check_every_table1_config(devices: &[(&str, DeviceSpec)]) -> usize {
     let lattice = Lattice::hypercubic(L);
     let mut checked = 0;
     for col in &paper::TABLE1 {
@@ -181,7 +205,7 @@ fn split_launches_equal_the_serial_loop_on_every_table1_config() {
             .legal_local_sizes(lattice.half_volume() as u64)
             .last()
             .unwrap_or_else(|| panic!("{}: no legal local size at L = {L}", cfg.label()));
-        for (name, device) in &devices() {
+        for (name, device) in devices {
             let what = format!("{} on {name}", cfg.label());
             // The same problem twice, one per launch loop.
             let mut problems = [0, 1].map(|_| DslashProblem::<Z>::random(L, SEED));
@@ -228,7 +252,7 @@ fn split_launches_equal_the_serial_loop_on_every_table1_config() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 2 * paper::TABLE1.len());
+    checked
 }
 
 const GROUPS: u64 = 32;
