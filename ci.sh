@@ -36,8 +36,8 @@ done
 # perfdiff diffs the committed results/*.csv against fresh replays, so it
 # runs before any step that rewrites one of them (table1 --trace rewrites
 # results/table1.csv): run later, it would gate the tree against itself.
-echo "== perfdiff (exact gate: table1/scaling/tune_static CSVs replayed and diffed cell by cell, tuner winners included; warm and cold cost-model drift within tolerance; selftest proves the FAIL paths) =="
-cargo run --offline --release -p milc-bench --bin perfdiff -- 16 --scaling --static-tune --profile --selftest
+echo "== perfdiff (exact gate: table1/fig6/quda_recon/scaling/tune_static CSVs replayed and diffed cell by cell, tuner winners included; warm and cold cost-model drift within tolerance; selftest proves the FAIL paths) =="
+cargo run --offline --release -p milc-bench --bin perfdiff -- 16 --fig6 --scaling --static-tune --profile --selftest
 
 echo "== sancheck (sanitizer gate) =="
 cargo run --offline --release -p milc-bench --bin sancheck

@@ -157,6 +157,8 @@ pub struct Cache {
     /// before it are invalid, so a reset need not touch the lines.
     epoch: u64,
     stats: CacheStats,
+    /// Lines per set, for [`fits`](Self::fits): all zeros between calls.
+    per_set: Vec<u8>,
 }
 
 impl Cache {
@@ -172,6 +174,7 @@ impl Cache {
             clock: 0,
             epoch: 0,
             stats: CacheStats::default(),
+            per_set: vec![0; sets as usize],
         }
     }
 
@@ -202,6 +205,31 @@ impl Cache {
     #[inline]
     fn set_of(&self, line_addr: u64) -> u64 {
         self.set_index.of(line_addr >> self.line_shift)
+    }
+
+    /// Whether `lines`, ascending as coalesced, fit this cache: no set
+    /// receives more of them than it has ways.  Lines that number no more
+    /// than the ways, or span fewer line numbers than there are sets, fit
+    /// at once.  Any others are counted set by set.
+    pub(crate) fn fits(&mut self, lines: &[(u64, u8)]) -> bool {
+        let (index, shift, ways) = (self.set_index, self.line_shift, self.cfg.ways as usize);
+        let span = lines
+            .first()
+            .zip(lines.last())
+            .map_or(0, |(f, l)| (l.0 - f.0) >> shift);
+        if lines.len() <= ways || span < self.per_set.len() as u64 {
+            return true;
+        }
+        let set = |line: u64| index.of(line >> shift) as usize;
+        let fits = lines.iter().all(|&(line, _)| {
+            let n = &mut self.per_set[set(line)];
+            *n += 1;
+            usize::from(*n) <= ways
+        });
+        lines
+            .iter()
+            .for_each(|&(line, _)| self.per_set[set(line)] = 0);
+        fits
     }
 
     /// Access one line with a mask of requested sectors (read).  Returns

@@ -56,17 +56,33 @@ pub fn coalesce(accesses: &[(u64, u8)], line_bytes: u32, sector_bytes: u32) -> C
 
 /// [`coalesce`] into a caller-owned buffer: `out` is cleared, then
 /// holds the unique `(line base, sector mask)` pairs in ascending line
-/// order.  The warp replayer reuses one buffer for every instruction,
-/// so coalescing allocates nothing once the buffer has grown.
-///
-/// Lanes usually walk memory upward, so a line at or past the last
-/// recorded one is merged or appended in place; only an out-of-order
-/// line pays a binary search and insert.
+/// order.  Coalescing allocates nothing once the buffer has grown.
 pub fn coalesce_into(
     accesses: &[(u64, u8)],
     line_bytes: u32,
     sector_bytes: u32,
     out: &mut Vec<(u64, u8)>,
+) {
+    out.clear();
+    for &(addr, bytes) in accesses {
+        access_lines(addr, bytes, line_bytes, sector_bytes, |line, mask| {
+            merge_line(out, line, mask)
+        });
+    }
+}
+
+/// The lines one `(addr, bytes)` access touches, in ascending order, each
+/// with the mask of its sectors the access touches: one line, or two for
+/// an access that straddles a line boundary.
+///
+/// `line_bytes` must be a power of two and a multiple of `sector_bytes`.
+#[inline]
+pub(crate) fn access_lines(
+    addr: u64,
+    bytes: u8,
+    line_bytes: u32,
+    sector_bytes: u32,
+    mut each: impl FnMut(u64, u8),
 ) {
     debug_assert!(line_bytes.is_power_of_two());
     debug_assert_eq!(line_bytes % sector_bytes, 0);
@@ -74,26 +90,30 @@ pub fn coalesce_into(
     // A divisor of a power of two is one too, so both are shifts/masks.
     let line_mask = !(line_bytes as u64 - 1);
     let sector_shift = sector_bytes.trailing_zeros();
-    out.clear();
-    for &(addr, bytes) in accesses {
-        let mut a = addr;
-        let end = addr + bytes as u64;
-        while a < end {
-            let line = a & line_mask;
-            let sector = ((a - line) >> sector_shift) as u8;
-            let bit = 1u8 << sector;
-            match out.last_mut() {
-                Some(last) if last.0 == line => last.1 |= bit,
-                Some(last) if last.0 > line => match out.binary_search_by_key(&line, |&(l, _)| l) {
-                    Ok(idx) => out[idx].1 |= bit,
-                    Err(idx) => out.insert(idx, (line, bit)),
-                },
-                _ => out.push((line, bit)),
-            }
-            // Advance to the next sector boundary (an access can straddle
-            // sectors and even lines if unaligned).
-            a = line + ((sector as u64 + 1) << sector_shift);
-        }
+    let end = addr + bytes as u64;
+    let mut a = addr;
+    while a < end {
+        let line = a & line_mask;
+        let last = (end - 1).min(line + line_bytes as u64 - 1);
+        let (first, last) = ((a - line) >> sector_shift, (last - line) >> sector_shift);
+        each(line, ((2u16 << last) - (1u16 << first)) as u8);
+        a = line + line_bytes as u64;
+    }
+}
+
+/// OR `mask` into `line`'s entry of `out`, which holds unique lines in
+/// ascending order.  Lanes usually walk memory upward, so a line at or
+/// past the last one is merged or appended in place; only an
+/// out-of-order line pays a binary search and insert.
+#[inline]
+pub(crate) fn merge_line(out: &mut Vec<(u64, u8)>, line: u64, mask: u8) {
+    match out.last_mut() {
+        Some(last) if last.0 == line => last.1 |= mask,
+        Some(last) if last.0 > line => match out.binary_search_by_key(&line, |&(l, _)| l) {
+            Ok(idx) => out[idx].1 |= mask,
+            Err(idx) => out.insert(idx, (line, mask)),
+        },
+        _ => out.push((line, mask)),
     }
 }
 

@@ -5,35 +5,43 @@
 //! scheduler for a uniform kernel.  Each SM owns an L1 cache whose state
 //! persists across the groups it runs; the L2 is shared.
 //!
-//! Every launch is split at the cache line into two halves on two
-//! threads.  The calling thread runs, group by group in group-id order,
-//! everything that touches device memory or reads no cache state: the
-//! lanes, the sanitizer, the launch memo (`memo.rs`: the digest check,
-//! the recorded tallies, and encoding and decoding the recorded ops), and
-//! the alignment, coalescing, bank, atomic and divergence models
-//! ([`model_warp`]), so a [`SimError::LaneDivergenceMismatch`] is raised
-//! before any later lane runs.  What is left is one stream of cache ops
-//! in issue order, each tagged with its SM.  The calling thread sends it
-//! in batches over a bounded channel to a scoped cache thread, which owns
-//! the L1s and the L2: it applies the ops in the order sent and counts
-//! the three counters that depend on cache state.  It allocates nothing,
-//! so every buffer of a launch comes from the calling thread's heap.
+//! Every launch is split at the access into two halves on two threads.
+//! The calling thread runs, group by group in group-id order, everything
+//! that touches device memory or reads no line: the lanes, the sanitizer,
+//! the memo's digests and tier decisions (`memo.rs`), and the alignment,
+//! divergence, bank, atomic-pass and repeat models ([`model_warp`]), so a
+//! [`SimError::LaneDivergenceMismatch`] is raised before any later lane
+//! runs.  What is left is one stream of commands in issue order: per
+//! modelled warp its SM, then each global or atomic instruction as its
+//! lanes' accesses, merged into runs of consecutive lanes in one line, or
+//! as one repeat of the previous global instruction; per warp answered
+//! from the memo, one replay of the recorded warp.  The calling thread
+//! sends it in batches over a bounded channel to a scoped cache thread.
 //!
-//! A global instruction that repeats the previous one's lines and fits
-//! the L1 sends nothing: every access of it would hit and leave every
-//! cache LRU-equivalent ([`model_warp`] gives the argument).  Its L1 tag
-//! and sector requests go to a per-SM [`Repeats`] tally, which is added
-//! to the L1 statistics after the join, failed launches included.
+//! The cache thread owns the L1s, the L2 and the memo's op record.  It
+//! takes the commands in the order sent ([`Lines::step`]): it coalesces
+//! each instruction's runs into lines and drives them through the SM's L1
+//! and the L2, decides whether a repeat's lines fit its L1 (then they
+//! would all hit and leave every cache LRU-equivalent, [`model_warp`]
+//! gives the argument, so they only count as hits), appends each modelled
+//! warp's ops and repeats to the record, and decodes and drives a
+//! recorded warp for a replay.  It counts the L1 requests and the
+//! counters that depend on cache state.  It allocates nothing, so every
+//! buffer of a launch comes from the calling thread's heap: it sends a
+//! chunk for the record with every batch.  A batch is cut by the work it
+//! hands over, its length plus each repeat's runs and each replayed
+//! warp's recorded ops, so that a launch that replays starts the cache
+//! thread after a few warps.
 //!
 //! The split is deterministic because nothing flows back during a
-//! launch: no counter or decision of the calling thread reads the caches,
-//! and the cache thread sees the accesses of a one-thread replay in the
-//! same order, less the repeats, which change no cache's LRU-canonical
-//! state ([`replay_warp`](crate::warp::replay_warp) is the serial
-//! composition of the same two halves, applying every repeat's ops).
-//! The snapshots of the memo's fixed-point check are taken while the
-//! caches are at rest: on entry before the cache thread starts, on exit
-//! after it is joined.  Groups meet the one shared L2 in
+//! launch: no counter or decision of the calling thread reads a line or
+//! a cache, and the cache thread sees the instructions of a one-thread
+//! replay in the same order, less the repeats that fit, which change no
+//! cache's LRU-canonical state ([`replay_warp`](crate::warp::replay_warp)
+//! is the serial composition of the same two halves, applying every
+//! repeat's ops).  The snapshots of the memo's fixed-point check are
+//! taken while the caches are at rest: on entry before the cache thread
+//! starts, on exit after it is joined.  Groups meet the one shared L2 in
 //! group-id order, which approximates temporal interleaving because
 //! consecutive groups run on *different* SMs round-robin, just as on
 //! hardware.
@@ -49,14 +57,14 @@ use crate::device::DeviceSpec;
 use crate::error::SimError;
 use crate::event::Event;
 use crate::kernel::{Kernel, KernelResources, Lane};
-use crate::memo::{LaunchShape, Memo, OpCoder, Steady, StreamDigest};
+use crate::memo::{LaunchShape, Memo, OpLog, Recorder, Room, Steady, StreamDigest, BATCH_OPS};
 use crate::memory::DeviceMemory;
 use crate::ndrange::NdRange;
 use crate::occupancy::{occupancy, Occupancy};
 use crate::sanitizer::{Sanitizer, SanitizerConfig, SanitizerReport};
 use crate::sharedmem::LocalMem;
 use crate::timing::TimingModel;
-use crate::warp::{model_warp, CacheOp, Geometry, Repeats};
+use crate::warp::{model_warp, Geometry, Lines, Step};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::thread::{Scope, ScopedJoinHandle};
 
@@ -367,13 +375,17 @@ impl<'d> Launcher<'d> {
             l2: &mut state.l2,
             sm: 0,
             counters: Counters::default(),
+            lines: Lines::new(self.device.warp_size, self.device.line_bytes),
+            recorder: walk
+                .as_mut()
+                .map(|w| Recorder::new(std::mem::take(&mut w.memo.ops), self.device.line_bytes)),
         };
-        let (ran, cached) = std::thread::scope(|scope| {
+        let (ran, (cached, record)) = std::thread::scope(|scope| {
             let mut pipe = Pipe::new(scope, caches);
             let ran = (0..range.num_groups()).try_for_each(|g| {
                 exec.run_group(g, &mut counters, san.as_mut(), walk.as_mut(), &mut pipe)
             });
-            // A failed launch still applies the ops its lanes issued.
+            // A failed launch still applies the steps its lanes issued.
             (ran, pipe.finish())
         });
         ran?;
@@ -414,6 +426,8 @@ impl<'d> Launcher<'d> {
                     });
                 }
             }
+            w.memo
+                .restore(record.expect("a walk lends the cache half its record"));
             state.memo = Some(w.memo);
         }
         Ok(report(
@@ -447,8 +461,6 @@ struct Walk<'s> {
     warp: usize,
     group_warps: usize,
     num_sms: usize,
-    /// Where in the record's ops the walk is.
-    coder: OpCoder,
     /// The caches on entry, once `snapped`.
     entry: &'s mut LruSnapshot,
     snapped: bool,
@@ -472,7 +484,6 @@ impl<'s> Walk<'s> {
             warp: 0,
             group_warps: shape.group_warps(),
             num_sms: device.num_sms as usize,
-            coder: OpCoder::new(device.line_bytes),
             entry,
             snapped: false,
         }
@@ -485,8 +496,8 @@ impl<'s> Walk<'s> {
     }
 
     /// Answer the warp just run on SM `sm` from the record if its lanes
-    /// digest to the recorded warp's: add its counters, and drive its ops
-    /// through the caches now (lower tier) or defer them (upper tier).
+    /// digest to the recorded warp's: add its counters, and have the cache
+    /// thread drive its ops now (lower tier) or defer them (upper tier).
     /// From the first warp that does not match on, returns false.
     fn answer(
         &mut self,
@@ -515,53 +526,83 @@ impl<'s> Walk<'s> {
                 self.drive(j, j / self.group_warps % self.num_sms, pipe, counters);
             }
         }
-        self.memo.truncate(i, self.coder.at);
+        self.memo.truncate(i);
         self.tier = Replay::Full;
         false
     }
 
-    /// Add recorded warp `j`'s counters and repeats, and send its ops for
-    /// SM `sm`.
-    fn drive(&mut self, j: usize, sm: usize, pipe: &mut Pipe<'_, '_, '_>, counters: &mut Counters) {
-        let (tally, ops, repeats) = self.memo.tally(j);
-        counters.merge(&tally);
-        pipe.at(sm);
-        pipe.repeat(repeats);
-        self.coder
-            .get(&self.memo.ops, ops, |op| pipe.send(Cmd::Op(op)));
+    /// Add recorded warp `j`'s counters, and have the cache thread drive
+    /// its ops and repeats through SM `sm`.
+    fn drive(&self, j: usize, sm: usize, pipe: &mut Pipe<'_, '_, '_>, counters: &mut Counters) {
+        counters.merge(self.memo.tally(j));
+        let warp = u32::try_from(j).expect("fewer than 2^32 warps per launch");
+        pipe.extra += self.memo.op_counts[j] as usize;
+        pipe.send(Cmd::Replay {
+            warp,
+            sm: sm as u32,
+        });
     }
 }
 
 /// What the calling thread tells the cache thread, in launch order.
 #[derive(Copy, Clone)]
 enum Cmd {
-    /// Send later ops through this SM's L1.
-    Sm(usize),
-    /// Apply an op.
-    Op(CacheOp),
+    /// A modelled warp on SM `sm`: its steps follow.  A recording launch
+    /// appends it to the record.
+    Warp(u32),
+    /// Drive recorded warp `warp` through SM `sm`'s L1.
+    Replay { warp: u32, sm: u32 },
+    /// A step of the warp modelled last.
+    Step(Step),
 }
 
 /// Commands per batch: 64 KiB, so that a hand-off, a few microseconds,
-/// costs about a nanosecond per op.
+/// costs about a nanosecond per command.
 const BATCH: usize = 4096;
+// A batch ends at `BATCH` commands and repeated runs, which its last
+// command, a repeat of at most three runs per lane, may pass by a few
+// hundred: its ops still fit one chunk of the record.
+const _: () = assert!(BATCH + 1024 <= BATCH_OPS);
 /// Batches queued for the cache thread before the calling thread waits.
 const QUEUED: usize = 2;
 
-/// The cache half of a launch: the caches and the counters that depend
-/// on their state.
+/// A batch of commands, with room for what a recording launch appends
+/// while the cache thread applies them.
+struct Batch {
+    cmds: Vec<Cmd>,
+    room: Option<Room>,
+}
+
+/// The cache half of a launch: the caches, the counters that the line
+/// step and the cache state decide, and the memo's op record.
 struct Caches<'c> {
     l1s: &'c mut [Cache],
     l2: &'c mut Cache,
     sm: usize,
     counters: Counters,
+    lines: Lines,
+    recorder: Option<Recorder>,
 }
 
 impl Caches<'_> {
-    fn apply(&mut self, cmds: &[Cmd]) {
-        for &cmd in cmds {
+    fn apply(&mut self, batch: Batch) {
+        if let (Some(r), Some(room)) = (self.recorder.as_mut(), batch.room) {
+            r.supply(room);
+        }
+        for &cmd in &batch.cmds {
+            if let Cmd::Warp(sm) | Cmd::Replay { sm, .. } = cmd {
+                self.sm = sm as usize;
+            }
+            let (l1, recorder) = (&mut self.l1s[self.sm], self.recorder.as_mut());
             match cmd {
-                Cmd::Op(op) => op.apply(&mut self.l1s[self.sm], self.l2, &mut self.counters),
-                Cmd::Sm(sm) => self.sm = sm,
+                Cmd::Step(step) => self
+                    .lines
+                    .step(step, l1, self.l2, &mut self.counters, recorder),
+                Cmd::Warp(_) => recorder.into_iter().for_each(Recorder::begin),
+                Cmd::Replay { warp, .. } => {
+                    let r = recorder.expect("a launch with a record");
+                    r.replay(warp as usize, l1, self.l2, &mut self.counters);
+                }
             }
         }
     }
@@ -573,66 +614,71 @@ struct Pipe<'scope, 'env, 'c: 'scope> {
     scope: &'scope Scope<'scope, 'env>,
     /// The cache half, until its thread starts.
     idle: Option<Caches<'c>>,
-    thread: Option<(SyncSender<Vec<Cmd>>, ScopedJoinHandle<'scope, Caches<'c>>)>,
+    thread: Option<(SyncSender<Batch>, ScopedJoinHandle<'scope, Caches<'c>>)>,
     batch: Vec<Cmd>,
-    /// The SM of the last [`Cmd::Sm`] (the cache half starts at 0).
-    sm: usize,
-    /// Per SM, the repeats that reach its L1 as statistics alone.
-    repeats: Vec<Repeats>,
+    /// The ops the batch's commands stand for beyond one each: a repeat's
+    /// runs, a replay's ops.  A batch is cut when its length and these
+    /// reach [`BATCH`], so that the cache thread starts early in a launch
+    /// that replays, and a batch never appends more than its length and
+    /// these ops to the record.
+    extra: usize,
+    /// The most chunks the record may hold, when the launch records.
+    chunks: Option<usize>,
 }
 
 impl<'scope, 'env, 'c: 'scope> Pipe<'scope, 'env, 'c> {
     fn new(scope: &'scope Scope<'scope, 'env>, caches: Caches<'c>) -> Self {
         Self {
             scope,
-            repeats: vec![Repeats::default(); caches.l1s.len()],
+            chunks: caches.recorder.as_ref().map(|r| r.log.chunks()),
             idle: Some(caches),
             thread: None,
             // Grown on first use: most launches of a solve send nothing.
             batch: Vec::new(),
-            sm: 0,
+            extra: 0,
         }
     }
 
-    /// Count repeats into the L1 of the SM later ops go through.
-    #[inline]
-    fn repeat(&mut self, repeats: Repeats) {
-        self.repeats[self.sm].add(repeats);
-    }
-
-    /// The caches, which no op has reached yet.
+    /// The caches, which no command has reached yet.
     fn at_rest(&self) -> (&[Cache], &Cache) {
         let caches = self.idle.as_ref().filter(|_| self.batch.is_empty());
-        let caches = caches.expect("the caches are at rest before the first op");
+        let caches = caches.expect("the caches are at rest before the first command");
         (caches.l1s, caches.l2)
-    }
-
-    /// Send later ops through SM `sm`'s L1.
-    #[inline]
-    fn at(&mut self, sm: usize) {
-        if sm != self.sm {
-            self.sm = sm;
-            self.send(Cmd::Sm(sm));
-        }
     }
 
     #[inline]
     fn send(&mut self, cmd: Cmd) {
+        if let Cmd::Step(Step::Repeat(runs)) = cmd {
+            self.extra += runs as usize;
+        }
         self.batch.push(cmd);
-        if self.batch.len() == BATCH {
+        if self.batch.len() + self.extra >= BATCH {
             self.flush();
         }
     }
 
+    /// The batch so far, with room for the record unless it is empty, and
+    /// `next` in its place.  A batch adds at most one chunk to the record.
+    fn take(&mut self, next: Vec<Cmd>) -> Batch {
+        self.extra = 0;
+        let cmds = std::mem::replace(&mut self.batch, next);
+        let chunks = self.chunks.as_mut().filter(|_| !cmds.is_empty());
+        let room = chunks.map(|n| {
+            *n += 1;
+            OpLog::room(*n)
+        });
+        Batch { cmds, room }
+    }
+
     /// Hand the batch to the cache thread, starting it first if need be.
     fn flush(&mut self) {
-        let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH));
+        let batch = self.take(Vec::with_capacity(BATCH));
         let (tx, _) = self.thread.get_or_insert_with(|| {
             let mut caches = self.idle.take().expect("an idle cache half");
-            let (tx, rx) = sync_channel::<Vec<Cmd>>(QUEUED);
+            let (tx, rx) = sync_channel::<Batch>(QUEUED);
             let thread = self.scope.spawn(move || {
                 for batch in rx {
-                    caches.apply(&batch);
+                    caches.apply(batch);
                 }
                 caches
             });
@@ -645,28 +691,25 @@ impl<'scope, 'env, 'c: 'scope> Pipe<'scope, 'env, 'c> {
         }
     }
 
-    /// Apply what is left, count the repeats into their L1s' statistics
-    /// and return the cache half's counters.  If the calling thread
-    /// unwinds instead, dropping the sender ends the cache thread's loop,
-    /// so the scope can join it.
-    fn finish(mut self) -> Counters {
+    /// Apply what is left and return the cache half's counters and the
+    /// record.  If the calling thread unwinds instead, dropping the sender
+    /// ends the cache thread's loop, so the scope can join it.
+    fn finish(mut self) -> (Counters, Option<OpLog>) {
+        let batch = self.take(Vec::new());
         let caches = match self.thread.take() {
             None => {
                 let mut caches = self.idle.take().expect("an idle cache half");
-                caches.apply(&self.batch);
+                caches.apply(batch);
                 caches
             }
             Some((tx, thread)) => {
                 // A failed send means the thread panicked; `join` raises it.
-                let _ = tx.send(std::mem::take(&mut self.batch));
+                let _ = tx.send(batch);
                 drop(tx);
                 join(thread)
             }
         };
-        for (l1, repeats) in caches.l1s.iter_mut().zip(&self.repeats) {
-            l1.add_stats(&repeats.stats());
-        }
-        caches.counters
+        (caches.counters, caches.recorder.map(|r| r.log))
     }
 }
 
@@ -679,7 +722,7 @@ fn join<'c>(thread: ScopedJoinHandle<'_, Caches<'c>>) -> Caches<'c> {
 
 /// Executes work-groups of one launch on the calling thread: runs lanes
 /// phase-by-phase, collects their event streams, models each warp and
-/// hands its cache ops to the cache thread.
+/// hands its steps to the cache thread.
 struct GroupExecutor<'a> {
     kernel: &'a dyn Kernel,
     range: NdRange,
@@ -712,8 +755,6 @@ impl<'a> GroupExecutor<'a> {
                 sector_bytes: device.sector_bytes,
                 banks: device.shared_banks,
                 bank_width: device.bank_width,
-                l1_sets: cache_configs(device).0.sets(),
-                l1_ways: device.l1_ways,
             },
             mem,
             local_mem_bytes: res.local_mem_bytes_per_group,
@@ -723,8 +764,8 @@ impl<'a> GroupExecutor<'a> {
         }
     }
 
-    /// Run one group's phases warp by warp and send their cache ops for
-    /// its SM.  With a `walk`, each warp is answered from the memo or
+    /// Run one group's phases warp by warp and send their steps for its
+    /// SM.  With a `walk`, each warp is answered from the memo or
     /// modelled and recorded.
     fn run_group(
         &mut self,
@@ -790,29 +831,12 @@ impl<'a> GroupExecutor<'a> {
                     }
                 }
                 let mut tally = Counters::default();
-                let mut repeats = Repeats::default();
-                let mut ops = 0usize;
-                pipe.at(sm);
-                let modelled = model_warp(
-                    &self.streams,
-                    self.geometry,
-                    &mut tally,
-                    Some(&mut repeats),
-                    |op| {
-                        ops += 1;
-                        pipe.send(Cmd::Op(op));
-                        if let Some(w) = walk.as_deref_mut() {
-                            w.coder.put(&mut w.memo.ops, op);
-                        }
-                    },
-                );
-                // The repeats before a failing instruction count, as its
-                // ops do.
-                pipe.repeat(repeats);
-                modelled?;
+                pipe.send(Cmd::Warp(sm as u32));
+                model_warp(&self.streams, self.geometry, &mut tally, true, |step| {
+                    pipe.send(Cmd::Step(step))
+                })?;
                 if let (Some(walk), Some(digest)) = (walk.as_deref_mut(), digest) {
-                    let ops = u32::try_from(ops).expect("fewer than 2^32 cache ops per warp");
-                    walk.memo.push(digest, tally, ops, repeats);
+                    walk.memo.push(digest, tally);
                 }
                 counters.merge(&tally);
             }
@@ -1385,7 +1409,7 @@ mod tests {
                         // The record holds the first half's ops alone.
                         let memo = state.memo.as_ref().expect("a record");
                         let ops: u64 = (0..memo.digests.len())
-                            .map(|w| memo.tally(w).1 as u64)
+                            .map(|w| memo.ops.warps[w].0 as u64)
                             .sum();
                         assert_eq!(ops * 2, r.counters.l1_tag_requests_global);
                     }

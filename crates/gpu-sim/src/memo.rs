@@ -3,17 +3,23 @@
 //!
 //! Coalescing, bank wavefronts, atomic passes and divergence depend on the
 //! address streams alone, which repeat from launch to launch; only L1 and
-//! L2 depend on the state.  So a full launch records, per warp, a
-//! [`StreamDigest`] of its lanes, its state-free counters, its
-//! [`CacheOp`]s and its [`Repeats`] (the L1 requests of the instructions
-//! that repeat their predecessor's lines and so issued no ops), and the
+//! L2 depend on the state.  So a full launch records every warp, and the
 //! engine (`engine.rs`) checks a later launch of the same [`LaunchShape`]
-//! against the record warp by warp.  A recorded warp's repeats are its
-//! own: a warp never repeats the last instruction of the warp before it.
+//! against the record warp by warp.  The record is split as the launch is:
+//!
+//! * the calling thread's [`Memo`] holds, per warp in launch order, a
+//!   [`StreamDigest`] of its lanes and its state-free counters;
+//! * the cache thread's [`OpLog`] holds, per warp, the [`CacheOp`]s its
+//!   instructions sent and its [`Repeats`]: the L1 requests of the
+//!   instructions that repeated their predecessor's lines and so sent no
+//!   ops.  A launch lends it to the cache thread as a [`Recorder`].
+//!
+//! A recorded warp's repeats are its own: a warp never repeats the last
+//! instruction of the warp before it.
 
 use std::collections::HashMap;
 
-use crate::cache::CacheStats;
+use crate::cache::{Cache, CacheStats};
 use crate::counters::Counters;
 use crate::device::DeviceSpec;
 use crate::event::Event;
@@ -65,9 +71,6 @@ impl LaunchShape {
     }
 }
 
-/// A recorded warp's state-free counters, cache-op count and repeats.
-pub(crate) type Tally = (Counters, u32, Repeats);
-
 /// The outcome of a recorded launch that left the caches LRU-equivalent
 /// to how it found them.
 pub(crate) struct Steady {
@@ -78,18 +81,22 @@ pub(crate) struct Steady {
 }
 
 /// What a `DeviceState` remembers of its last launch: per warp in launch
-/// order, the digest of its lanes, its state-free counters, its cache ops
-/// and its [`Repeats`].
+/// order, the digest of its lanes and its state-free counters, and the
+/// cache thread's half of the record.
 pub(crate) struct Memo {
     pub(crate) shape: LaunchShape,
     pub(crate) digests: Vec<u128>,
     /// Per warp, an index into `tallies`.
     tally_of: Vec<u32>,
-    /// The distinct (state-free counters, cache-op count, repeats) of the
-    /// warps, and where each is in `tallies`.
-    tallies: Vec<Tally>,
-    tally_index: HashMap<Tally, u32>,
+    /// The distinct state-free counters of the warps, and where each is
+    /// in `tallies`.
+    tallies: Vec<Counters>,
+    tally_index: HashMap<Counters, u32>,
+    /// The cache thread's half, lent to it during a launch.
     pub(crate) ops: OpLog,
+    /// Per warp, its op count as the cache thread's half holds it: how
+    /// much work a replay of it hands the cache thread.
+    pub(crate) op_counts: Vec<u32>,
     /// `Some` when the record was made at a cache fixed point.
     pub(crate) steady: Option<Steady>,
 }
@@ -103,48 +110,137 @@ impl Memo {
             tally_of: Vec::with_capacity(warps),
             tallies: Vec::new(),
             tally_index: HashMap::default(),
-            ops: OpLog::default(),
+            ops: OpLog {
+                warps: Vec::with_capacity(warps),
+                ..OpLog::default()
+            },
+            op_counts: Vec::with_capacity(warps),
             steady: None,
         }
     }
 
-    /// Warp `i`'s state-free counters, cache-op count and repeats.
-    pub(crate) fn tally(&self, i: usize) -> Tally {
-        self.tallies[self.tally_of[i] as usize]
+    /// Warp `i`'s state-free counters.
+    pub(crate) fn tally(&self, i: usize) -> &Counters {
+        &self.tallies[self.tally_of[i] as usize]
     }
 
-    /// Forget every warp from `warps` on and every op from `ops` on, and
-    /// the fixed point, which was a property of the whole record.
-    pub(crate) fn truncate(&mut self, warps: usize, ops: LogPos) {
+    /// Forget every warp from `warps` on, and the fixed point, which was a
+    /// property of the whole record.  The cache thread truncates its half
+    /// where it appends the next warp ([`Recorder::begin`]).
+    pub(crate) fn truncate(&mut self, warps: usize) {
         self.digests.truncate(warps);
         self.tally_of.truncate(warps);
-        self.ops.truncate(ops);
         self.steady = None;
     }
 
-    /// Append a warp with its state-free counters and repeats (as
-    /// [`model_warp`](crate::warp::model_warp) counts them) and the number
-    /// of cache ops it put into `ops`.
-    pub(crate) fn push(&mut self, digest: u128, counters: Counters, ops: u32, repeats: Repeats) {
-        let key = (counters, ops, repeats);
+    /// Take back the cache thread's half after a launch.
+    pub(crate) fn restore(&mut self, ops: OpLog) {
+        self.op_counts.clear();
+        self.op_counts.extend(ops.warps.iter().map(|&(n, _)| n));
+        self.ops = ops;
+    }
+
+    /// Append a warp with its state-free counters, as
+    /// [`model_warp`](crate::warp::model_warp) counts them.
+    pub(crate) fn push(&mut self, digest: u128, counters: Counters) {
         let next = u32::try_from(self.tallies.len()).expect("fewer than 2^32 distinct warps");
-        let tally = *self.tally_index.entry(key).or_insert(next);
+        let tally = *self.tally_index.entry(counters).or_insert(next);
         if tally == next {
-            self.tallies.push(key);
+            self.tallies.push(counters);
         }
         self.digests.push(digest);
         self.tally_of.push(tally);
     }
 }
 
-/// Bytes per chunk of an [`OpLog`]: the log grows a chunk at a time and
-/// never copies what it holds.  Tests take small chunks to cross them.
-const CHUNK: usize = if cfg!(test) { 1 << 10 } else { 1 << 16 };
+/// A launch's pass over the cache thread's half of a record, warp by warp
+/// in launch order: it drives the warps the calling thread answered from
+/// the record and appends the rest.  It allocates nothing: the per-warp
+/// table was sized for the whole launch, and the calling thread supplies
+/// every chunk the log fills ([`Room`]).
+pub(crate) struct Recorder {
+    pub(crate) log: OpLog,
+    coder: OpCoder,
+    /// Warps driven or appended so far.
+    next: usize,
+}
 
-/// Encoded cache ops, in chunks that no op straddles.
+impl Recorder {
+    pub(crate) fn new(log: OpLog, line_bytes: u32) -> Self {
+        Self {
+            log,
+            coder: OpCoder::new(line_bytes),
+            next: 0,
+        }
+    }
+
+    /// Take the room the calling thread sent with a batch of commands.
+    pub(crate) fn supply(&mut self, (chunk, mut list): Room) {
+        let log = &mut self.log;
+        if log.spare.capacity() == 0 {
+            log.spare = chunk;
+        }
+        list.append(&mut log.chunks);
+        log.chunks = list;
+    }
+
+    /// Drive recorded warp `warp`, the next one, through an SM's L1 and
+    /// the L2: its ops, then its repeats.
+    pub(crate) fn replay(&mut self, warp: usize, l1: &mut Cache, l2: &mut Cache, c: &mut Counters) {
+        debug_assert_eq!(warp, self.next, "recorded warps replay in order");
+        let (ops, repeats) = self.log.warps[warp];
+        self.coder.get(&self.log, ops, |op| op.apply(l1, l2, c));
+        repeats.count(l1, c);
+        self.next = warp + 1;
+    }
+
+    /// Append a warp, first forgetting every recorded warp from this one
+    /// on: the launch stopped matching the record here.
+    pub(crate) fn begin(&mut self) {
+        if self.log.warps.len() > self.next {
+            self.log.truncate(self.next, self.coder.at);
+        }
+        self.log.warps.push((0, Repeats::default()));
+        self.next += 1;
+    }
+
+    /// Append an op of the warp begun last.
+    #[inline]
+    pub(crate) fn put(&mut self, op: CacheOp) {
+        self.coder.put(&mut self.log, op);
+        if let Some((ops, _)) = self.log.warps.last_mut() {
+            *ops += 1;
+        }
+    }
+
+    /// Count repeats into the warp begun last.
+    pub(crate) fn repeat(&mut self, repeats: Repeats) {
+        if let Some((_, r)) = self.log.warps.last_mut() {
+            r.add(repeats);
+        }
+    }
+}
+
+/// What the calling thread sends with each batch of commands, so that the
+/// recorder never allocates: a fresh chunk, and a list with room for every
+/// chunk the log may then hold.  A batch adds at most [`BATCH_OPS`] ops,
+/// which fill at most one chunk: a writer opens one only when the last
+/// lacks room for a window of `WINDOW` ops, and a fresh chunk holds a
+/// batch and a window more.
+pub(crate) type Room = (Vec<u8>, Vec<Vec<u8>>);
+
+/// Bytes per chunk of an [`OpLog`]: the log grows a chunk at a time and
+/// never copies what it holds.
+const CHUNK: usize = 1 << 16;
+
+/// The cache thread's half of a record: encoded cache ops, in chunks that
+/// no op straddles, and per warp its op count and repeats.
 #[derive(Default)]
 pub(crate) struct OpLog {
     chunks: Vec<Vec<u8>>,
+    /// The chunk the log goes on in when its last one is full.
+    spare: Vec<u8>,
+    pub(crate) warps: Vec<(u32, Repeats)>,
 }
 
 /// A byte of an [`OpLog`].
@@ -155,8 +251,19 @@ pub(crate) struct LogPos {
 }
 
 impl OpLog {
-    /// Drop every byte from `at` on.
-    fn truncate(&mut self, at: LogPos) {
+    /// The chunks the log holds.
+    pub(crate) fn chunks(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Room for a batch after which the log holds at most `chunks` chunks.
+    pub(crate) fn room(chunks: usize) -> Room {
+        (Vec::with_capacity(CHUNK), Vec::with_capacity(chunks))
+    }
+
+    /// Drop every warp from `warps` on and every byte from `at` on.
+    fn truncate(&mut self, warps: usize, at: LogPos) {
+        self.warps.truncate(warps);
         self.chunks.truncate(at.chunk + 1);
         if let Some(chunk) = self.chunks.get_mut(at.chunk) {
             chunk.truncate(at.byte);
@@ -170,7 +277,10 @@ const ESCAPE: u8 = 255;
 /// The most bytes one op takes: the escape and a varint of up to 74 bits.
 const MAX_OP_BYTES: usize = 12;
 /// Ops a writer makes room for at a time.
-const BATCH: usize = 256;
+const WINDOW: usize = 256;
+/// The most ops a batch of commands may add to a log: one chunk holds
+/// them and a window more.
+pub(crate) const BATCH_OPS: usize = (CHUNK - WINDOW * MAX_OP_BYTES) / MAX_OP_BYTES;
 
 /// Encodes cache ops into an [`OpLog`] and decodes them back, one byte
 /// per op in the common case.
@@ -186,8 +296,8 @@ pub(crate) struct OpCoder {
     /// Line number of the previous op.
     prev: u64,
     line_shift: u32,
-    /// Where the next op is read or written.
-    pub(crate) at: LogPos,
+    /// Where the next op is read.
+    at: LogPos,
     /// Ops the writer's chunk still has room for.
     room: usize,
 }
@@ -210,19 +320,21 @@ impl OpCoder {
     }
 
     /// Append `op` to `log`, whose end must be where this coder stopped
-    /// reading, if it read.
+    /// reading, if it read.  A full log goes on in its spare chunk.
     #[inline]
     pub(crate) fn put(&mut self, log: &mut OpLog, op: CacheOp) {
         if self.room == 0 {
-            let need = BATCH * MAX_OP_BYTES;
+            let need = WINDOW * MAX_OP_BYTES;
             if log
                 .chunks
                 .last()
                 .is_none_or(|c| c.capacity() - c.len() < need)
             {
-                log.chunks.push(Vec::with_capacity(CHUNK.max(need)));
+                let spare = std::mem::take(&mut log.spare);
+                assert!(spare.capacity() >= need, "a log fills only supplied chunks");
+                log.chunks.push(spare);
             }
-            self.room = BATCH;
+            self.room = WINDOW;
         }
         self.room -= 1;
         let chunk = log.chunks.last_mut().expect("made room above");
@@ -412,8 +524,14 @@ mod tests {
         }
     }
 
+    /// Encode `ops`, supplying a chunk whenever the log has no spare.
     fn encode(coder: &mut OpCoder, log: &mut OpLog, ops: &[CacheOp]) {
-        ops.iter().for_each(|&op| coder.put(log, op));
+        for &op in ops {
+            if log.spare.capacity() == 0 {
+                log.spare = Vec::with_capacity(CHUNK);
+            }
+            coder.put(log, op);
+        }
     }
 
     fn decode(reader: &mut OpCoder, log: &OpLog, n: usize, warp: usize) -> Vec<CacheOp> {
@@ -435,7 +553,7 @@ mod tests {
         #[test]
         fn op_log_round_trips(
             ops in proptest::collection::vec((0u8..3, 0u64..(1 << 57), 0u8..=255, 0u8..3), 1..300),
-            repeat in 1usize..100,
+            repeat in 1usize..400,
             warp in 1usize..200,
             cut in 0usize..30_000,
         ) {
@@ -456,7 +574,7 @@ mod tests {
             prop_assert_eq!(decode(&mut reader, &whole, cut, warp), &stream[..cut]);
             let mut log = OpLog::default();
             encode(&mut OpCoder::new(128), &mut log, &stream);
-            log.truncate(reader.at);
+            log.truncate(0, reader.at);
             encode(&mut reader, &mut log, &stream[cut..]);
             prop_assert_eq!(log.chunks.concat(), whole.chunks.concat());
             prop_assert_eq!(decode(&mut OpCoder::new(128), &log, stream.len(), warp), stream);

@@ -20,11 +20,14 @@
 //! * a global instruction of the previous global instruction's kind,
 //!   lane count and widths, whose every lane touches the sectors its
 //!   counterpart touched, is a *repeat*, such as the second 8-byte half
-//!   of a complex load.  It
-//!   re-touches exactly the previous instruction's lines and masks, so
-//!   it takes the previous coalesced list.  For the engine
-//!   ([`model_warp`] with a [`Repeats`] tally), a repeat whose lines fit
-//!   the L1 is a tally of L1 hits rather than cache ops.
+//!   of a complex load.  It re-touches exactly the previous instruction's
+//!   lines and masks.
+//!
+//! [`model_warp`], the state-free half, emits each global or atomic
+//! instruction as [`Step`]s: runs of consecutive lanes in one line, or one
+//! repeat.  [`Lines`], the line step, coalesces runs into lines, drives
+//! them through an L1 and the L2, and counts a repeat whose lines fit the
+//! L1 as L1 hits rather than ops.  [`replay_warp`] composes the two.
 //!
 //! The alignment contract: lanes on the same path must produce the same
 //! event kinds in the same order (true by construction for structured
@@ -40,10 +43,11 @@ use std::cell::RefCell;
 
 use crate::atomics::model_atomic_instruction;
 use crate::cache::{Cache, CacheStats};
-use crate::coalesce::coalesce_into;
+use crate::coalesce::{access_lines, merge_line};
 use crate::counters::Counters;
 use crate::error::SimError;
 use crate::event::Event;
+use crate::memo::Recorder;
 use crate::sharedmem::model_shared_instruction;
 
 /// Lanes the bank and atomic models sort on the stack.  A wider warp
@@ -191,31 +195,31 @@ impl Alignment {
     }
 }
 
-/// Per-thread replay scratch, reused by every warp the thread replays.
+/// Per-thread scratch of [`model_warp`], reused by every warp the thread
+/// models.
 #[derive(Default)]
 struct Scratch {
     align: Alignment,
     addrs: Vec<(u64, u8)>,
     /// The previous global instruction of the warp: its lanes' accesses,
-    /// its kind, and its coalesced lines with their sector count.
+    /// its kind, and the runs it emitted.
     prev_addrs: Vec<(u64, u8)>,
     prev_access: Option<Access>,
-    lines: Vec<(u64, u8)>,
-    sectors: u64,
+    prev_runs: u32,
     local_accs: Vec<(u32, u8)>,
     atomic_addrs: Vec<u64>,
-    atomic_lines: Vec<(u64, u8)>,
-    /// Lines per L1 set, for [`fit`].
-    per_set: Vec<u8>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    /// The cache half of [`replay_warp`].
+    static LINES: RefCell<Lines> = RefCell::new(Lines::default());
 }
 
 /// How a cache op reaches the caches.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) enum Access {
+    #[default]
     Load = 0,
     Store = 1,
     /// Resolves at L2, bypassing L1, and dirties its sectors
@@ -235,14 +239,16 @@ pub(crate) struct CacheOp {
 impl CacheOp {
     /// Drive this op through an SM's L1 and the L2: loads and stores look
     /// up L1 and send its missed sectors to L2; atomics go to L2 alone.
-    /// Counts what depends on the cache state: the L1 sector misses and
-    /// the L2 sector requests and misses.
+    /// Counts the L1 requests, and what depends on the cache state: the
+    /// L1 sector misses and the L2 sector requests and misses.
     #[inline]
     pub(crate) fn apply(self, l1: &mut Cache, l2: &mut Cache, counters: &mut Counters) {
         let CacheOp { line, mask, access } = self;
         let l2_mask = if access == Access::Atomic {
             mask
         } else {
+            counters.l1_tag_requests_global += 1;
+            counters.l1_sector_requests += mask.count_ones() as u64;
             let o = l1.access_inner(line, mask, access == Access::Store);
             counters.l1_sector_misses += o.sector_misses as u64;
             o.missed_mask
@@ -255,13 +261,13 @@ impl CacheOp {
     }
 }
 
-/// The L1 requests of the global instructions that [`model_warp`]
-/// answered as repeats.  Every sector of a repeat hits, so these are all
-/// it counts.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
+/// The L1 requests of global instructions that repeated their predecessor
+/// and fit the L1.  Every sector of them hits, so these are all they
+/// count.  A warp's stay far below 2^32.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Repeats {
-    pub(crate) tags: u64,
-    pub(crate) sectors: u64,
+    pub(crate) tags: u32,
+    pub(crate) sectors: u32,
 }
 
 impl Repeats {
@@ -270,14 +276,29 @@ impl Repeats {
         self.sectors += other.sectors;
     }
 
-    /// What the repeats' hits add to their SM's L1 statistics.
-    pub(crate) fn stats(self) -> CacheStats {
-        CacheStats {
-            tag_requests: self.tags,
-            sector_requests: self.sectors,
+    /// Count these hits into an SM's L1 statistics and the counters.
+    pub(crate) fn count(self, l1: &mut Cache, counters: &mut Counters) {
+        let (tags, sectors) = (self.tags as u64, self.sectors as u64);
+        l1.add_stats(&CacheStats {
+            tag_requests: tags,
+            sector_requests: sectors,
             ..CacheStats::default()
-        }
+        });
+        counters.l1_tag_requests_global += tags;
+        counters.l1_sector_requests += sectors;
     }
+}
+
+/// What [`model_warp`] hands on of a global or atomic instruction.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Consecutive lanes that touch one line: its base, the sectors.
+    Run(u64, u8),
+    /// The instruction whose runs came last is complete.
+    End(Access),
+    /// A global instruction that repeats the warp's previous one, which
+    /// had this many runs.
+    Repeat(u32),
 }
 
 /// Replay one warp's per-lane event streams (one phase) into the sinks.
@@ -286,29 +307,32 @@ impl Repeats {
 /// lanes beyond the launch boundary simply pass empty streams.
 ///
 /// Replay allocates nothing per warp or per instruction: its buffers
-/// live in a per-thread scratch that every call clears and reuses, so
+/// live in per-thread scratch that every call clears and reuses, so
 /// only a thread's first (or first wider) warp grows them.
 ///
 /// Returns [`SimError::LaneDivergenceMismatch`] if lanes sharing a path
 /// fall out of lockstep (an undeclared divergent branch in the kernel).
 ///
 /// This is the serial composition of the engine's two halves: the
-/// state-free [`model_warp`] hands each cache op straight to
-/// [`CacheOp::apply`].  It keeps no [`Repeats`] tally, so it applies a
-/// repeat's ops like any others.
+/// state-free [`model_warp`] hands each step straight to the cache half,
+/// [`Lines::step`].  It tests no instruction for a repeat, so it
+/// coalesces and applies every one.
 pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Result<(), SimError> {
     let geometry = Geometry {
         line_bytes: sinks.line_bytes,
         sector_bytes: sinks.sector_bytes,
         banks: sinks.banks,
         bank_width: sinks.bank_width,
-        l1_sets: sinks.l1.config().sets(),
-        l1_ways: sinks.l1.config().ways,
     };
     let (l1, l2) = (&mut *sinks.l1, &mut *sinks.l2);
     let mut cached = Counters::default();
-    let modelled = model_warp(streams, geometry, sinks.counters, None, |op| {
-        op.apply(l1, l2, &mut cached)
+    let modelled = LINES.with(|lines| {
+        let lines = &mut *lines.borrow_mut();
+        // Forget the runs of an instruction that failed.
+        lines.next.clear();
+        model_warp(streams, geometry, sinks.counters, false, |step| {
+            lines.step(step, l1, l2, &mut cached, None)
+        })
     });
     sinks.counters.merge(&cached);
     modelled
@@ -321,90 +345,78 @@ pub(crate) struct Geometry {
     pub(crate) sector_bytes: u32,
     pub(crate) banks: u32,
     pub(crate) bank_width: u32,
-    pub(crate) l1_sets: u64,
-    pub(crate) l1_ways: u32,
 }
 
-/// Whether `lines`, ascending as coalesced, fit an L1 of `sets` sets of
-/// `ways` ways: no set receives more of them than it has ways.  Lines
-/// that number no more than the ways, or span fewer line numbers than
-/// there are sets, fit at once.  Any others are counted set by set into
-/// `per_set`, which is all zeros before and after.
-fn fit(lines: &[(u64, u8)], line_shift: u32, sets: u64, ways: u32, per_set: &mut Vec<u8>) -> bool {
-    let (Some(&(first, _)), Some(&(last, _))) = (lines.first(), lines.last()) else {
-        return true;
+/// Emit the lines `accesses` touch as runs, merging consecutive accesses
+/// that fall in one line, and return how many runs there were.
+fn emit_runs(accesses: &[(u64, u8)], geometry: Geometry, emit: &mut impl FnMut(Step)) -> u32 {
+    let (mut runs, mut run) = (0, (0, 0));
+    let mut each = |line, mask| {
+        if line != run.0 && run.1 != 0 {
+            emit(Step::Run(run.0, run.1));
+            runs += 1;
+            run.1 = 0;
+        }
+        run = (line, run.1 | mask);
     };
-    if lines.len() <= ways as usize || (last - first) >> line_shift < sets {
-        return true;
+    for &(addr, bytes) in accesses {
+        access_lines(
+            addr,
+            bytes,
+            geometry.line_bytes,
+            geometry.sector_bytes,
+            &mut each,
+        );
     }
-    // A power-of-two set count, as every shipped L1 has, takes a mask.
-    let set = |line: u64| {
-        let n = line >> line_shift;
-        (if sets.is_power_of_two() {
-            n & (sets - 1)
-        } else {
-            n % sets
-        }) as usize
-    };
-    per_set.resize(sets as usize, 0);
-    let mut fits = true;
-    for &(line, _) in lines {
-        let n = &mut per_set[set(line)];
-        *n = n.saturating_add(1);
-        fits &= u32::from(*n) <= ways;
+    if run.1 != 0 {
+        emit(Step::Run(run.0, run.1));
+        runs += 1;
     }
-    for &(line, _) in lines {
-        per_set[set(line)] = 0;
-    }
-    fits
+    runs
 }
 
 /// The state-free half of a warp's replay: align the lanes and model
-/// divergence, coalescing, shared-memory banks and atomics into
-/// `counters`, handing every line-granular request to `emit` in issue
-/// order.  Nothing here reads cache state, so the cache ops can be
-/// applied anywhere later, as long as they are applied in this order.
-/// On a [`SimError::LaneDivergenceMismatch`] the ops of the instructions
-/// before the failing one have been emitted.
+/// divergence, shared-memory banks and atomic passes into `counters`, and
+/// hand every global and atomic instruction to `emit` in issue order, as
+/// its lanes' runs ([`Step::Run`], then [`Step::End`]).  Nothing here
+/// reads cache state, so the steps can be taken anywhere later, as long as
+/// they are taken in this order ([`Lines::step`]).  On a
+/// [`SimError::LaneDivergenceMismatch`] the instructions before the
+/// failing one have been emitted, and nothing of it.
 ///
 /// With `repeats`, a global instruction that repeats the previous global
-/// instruction of the warp (see the module docs) and whose lines fit the
-/// L1 emits nothing: its L1 requests go to `repeats` instead.  It is the
-/// same kind of access as its predecessor, which left every line it
-/// touches resident with those sectors filled (and dirty, for a store),
-/// and only atomics, which bypass the L1, can come between.  So every
-/// access of it would hit, reach no L2, set no sector or dirty bit, and
-/// re-stamp the lines its predecessor stamped last, in the same order:
-/// the LRU-canonical state of every cache stays as it is.  A repeat that
-/// does not fit is emitted like any other instruction.
+/// instruction of the warp (see the module docs) is one
+/// [`Step::Repeat`]: it re-touches exactly that instruction's lines and
+/// masks.  If they fit the L1, it takes no cache op: it is the same kind
+/// of access as its predecessor, which left every line it touches
+/// resident with those sectors filled (and dirty, for a store), and only
+/// atomics, which bypass the L1, can come between.  So every access of it
+/// would hit, reach no L2, set no sector or dirty bit, and re-stamp the
+/// lines its predecessor stamped last, in the same order: the
+/// LRU-canonical state of every cache stays as it is.
 pub(crate) fn model_warp(
     streams: &[Vec<Event>],
     geometry: Geometry,
     counters: &mut Counters,
-    mut repeats: Option<&mut Repeats>,
-    mut emit: impl FnMut(CacheOp),
+    repeats: bool,
+    mut emit: impl FnMut(Step),
 ) -> Result<(), SimError> {
     let Geometry {
-        line_bytes,
         sector_bytes,
         banks,
         bank_width,
-        l1_sets,
-        l1_ways,
+        ..
     } = geometry;
-    let (line_shift, sector_shift) = (line_bytes.trailing_zeros(), sector_bytes.trailing_zeros());
+    let sector_shift = sector_bytes.trailing_zeros();
     SCRATCH.with(|scratch| {
         let Scratch {
             align,
             addrs,
             prev_addrs,
             prev_access,
-            lines,
-            sectors,
+            prev_runs,
             local_accs,
             atomic_addrs,
-            atomic_lines,
-            per_set,
         } = &mut *scratch.borrow_mut();
         // A warp repeats no instruction of the warp before it.
         *prev_access = None;
@@ -434,7 +446,7 @@ pub(crate) fn model_warp(
                     // Lane by lane, whether the first and last sector of the
                     // lane's access are those of the previous instruction's
                     // lane at the same place, with the same width.
-                    let mut repeat = repeats.is_some() && prev_addrs.len() == active.len();
+                    let mut repeat = repeats && prev_addrs.len() == active.len();
                     for (k, m) in active.iter().enumerate() {
                         let (addr, bytes) = match event(m) {
                             Event::GlobalLoad { addr, bytes } => (addr, bytes),
@@ -454,24 +466,11 @@ pub(crate) fn model_warp(
                     let repeat = repeat && *prev_access == Some(access);
                     std::mem::swap(addrs, prev_addrs);
                     *prev_access = Some(access);
-                    if !repeat {
-                        coalesce_into(prev_addrs, line_bytes, sector_bytes, lines);
-                        *sectors = lines.iter().map(|&(_, m)| m.count_ones() as u64).sum();
-                    }
-                    counters.l1_tag_requests_global += lines.len() as u64;
-                    counters.l1_sector_requests += *sectors;
-                    match repeats.as_deref_mut() {
-                        Some(r) if repeat && fit(lines, line_shift, l1_sets, l1_ways, per_set) => {
-                            r.add(Repeats {
-                                tags: lines.len() as u64,
-                                sectors: *sectors,
-                            });
-                        }
-                        _ => {
-                            for &(line, mask) in lines.iter() {
-                                emit(CacheOp { line, mask, access });
-                            }
-                        }
+                    if repeat {
+                        emit(Step::Repeat(*prev_runs));
+                    } else {
+                        *prev_runs = emit_runs(prev_addrs, geometry, &mut emit);
+                        emit(Step::End(access));
                     }
                     if access == Access::Store {
                         counters.global_store_instructions += 1;
@@ -493,14 +492,8 @@ pub(crate) fn model_warp(
                     let a = model_atomic_instruction(atomic_addrs);
                     counters.atomic_passes += a.passes;
                     counters.atomic_instructions += 1;
-                    coalesce_into(addrs, line_bytes, sector_bytes, atomic_lines);
-                    for &(line, mask) in atomic_lines.iter() {
-                        emit(CacheOp {
-                            line,
-                            mask,
-                            access: Access::Atomic,
-                        });
-                    }
+                    emit_runs(addrs, geometry, &mut emit);
+                    emit(Step::End(Access::Atomic));
                     counters.warp_instructions += a.passes;
                 }
                 Event::LocalLoad { .. } | Event::LocalStore { .. } => {
@@ -553,10 +546,84 @@ pub(crate) fn model_warp(
     })
 }
 
+/// The cache half of a warp's replay, the line step: it coalesces each
+/// instruction's runs into its lines, drives them through an SM's L1 and
+/// the L2, and decides whether a repeat fits the L1.  The engine keeps one
+/// on its cache thread; [`replay_warp`] keeps one per thread.
+#[derive(Default)]
+pub(crate) struct Lines {
+    /// The previous global instruction's lines and kind.
+    prev: Vec<(u64, u8)>,
+    access: Access,
+    /// The lines of the instruction whose runs are coming.
+    next: Vec<(u64, u8)>,
+}
+
+impl Lines {
+    /// Line step of a device whose warps have `warp_size` lanes, with
+    /// room for any instruction's lines (an access of at most 255 bytes
+    /// touches few), so that it never allocates.
+    pub(crate) fn new(warp_size: u32, line_bytes: u32) -> Self {
+        let lines = warp_size as usize * (u8::MAX as usize / line_bytes as usize + 2);
+        let (prev, next) = (Vec::with_capacity(lines), Vec::with_capacity(lines));
+        let access = Access::Load;
+        Self { prev, access, next }
+    }
+
+    /// Take one of [`model_warp`]'s steps, through `l1` and `l2`.  Each op
+    /// applied and each repeat counted as hits goes to the `recorder` too.
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        step: Step,
+        l1: &mut Cache,
+        l2: &mut Cache,
+        counters: &mut Counters,
+        mut recorder: Option<&mut Recorder>,
+    ) {
+        let (lines, access) = match step {
+            Step::Run(line, mask) => return merge_line(&mut self.next, line, mask),
+            Step::End(access) => {
+                if access != Access::Atomic {
+                    std::mem::swap(&mut self.prev, &mut self.next);
+                    self.access = access;
+                    self.next.clear();
+                    (&self.prev, access)
+                } else {
+                    (&self.next, access)
+                }
+            }
+            Step::Repeat(_) if l1.fits(&self.prev) => {
+                let repeats = Repeats {
+                    tags: self.prev.len() as u32,
+                    sectors: self.prev.iter().map(|&(_, m)| m.count_ones()).sum(),
+                };
+                repeats.count(l1, counters);
+                if let Some(r) = recorder {
+                    r.repeat(repeats);
+                }
+                return;
+            }
+            Step::Repeat(_) => (&self.prev, self.access),
+        };
+        for &(line, mask) in lines {
+            let op = CacheOp { line, mask, access };
+            op.apply(l1, l2, counters);
+            if let Some(r) = recorder.as_deref_mut() {
+                r.put(op);
+            }
+        }
+        if access == Access::Atomic {
+            self.next.clear();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::{CacheConfig, LruSnapshot};
+    use crate::memo::OpLog;
     use proptest::prelude::*;
 
     fn sinks_with<'a>(
@@ -930,35 +997,32 @@ mod tests {
         })
     }
 
-    fn geometry(l1: &Cache) -> Geometry {
-        Geometry {
-            line_bytes: 128,
-            sector_bytes: 32,
-            banks: 32,
-            bank_width: 4,
-            l1_sets: l1.config().sets(),
-            l1_ways: l1.config().ways,
-        }
-    }
+    const GEOMETRY: Geometry = Geometry {
+        line_bytes: 128,
+        sector_bytes: 32,
+        banks: 32,
+        bank_width: 4,
+    };
 
-    /// The engine's half of a warp: `model_warp` with a repeat tally,
-    /// its ops applied and its repeats counted into `l1`.  Returns the
-    /// ops it emitted and the repeats.
+    /// A warp as the engine takes it: `model_warp` testing repeats, and
+    /// its steps taken on one line step into `l1` and `l2` and recorded.
+    /// Returns the warp's recorded op count and repeats.
     fn model_eliding(
         streams: &[Vec<Event>],
         l1: &mut Cache,
         l2: &mut Cache,
         counters: &mut Counters,
-    ) -> (usize, Repeats) {
-        let (mut ops, mut repeats, mut cached) = (0, Repeats::default(), Counters::default());
-        model_warp(streams, geometry(l1), counters, Some(&mut repeats), |op| {
-            ops += 1;
-            op.apply(l1, l2, &mut cached);
+    ) -> (u32, Repeats) {
+        let mut recorder = Recorder::new(OpLog::default(), 128);
+        recorder.supply(OpLog::room(1));
+        recorder.begin();
+        let (mut lines, mut cached) = (Lines::new(32, 128), Counters::default());
+        model_warp(streams, GEOMETRY, counters, true, |step| {
+            lines.step(step, l1, l2, &mut cached, Some(&mut recorder))
         })
         .unwrap();
         counters.merge(&cached);
-        l1.add_stats(&repeats.stats());
-        (ops, repeats)
+        recorder.log.warps[0]
     }
 
     #[test]
@@ -992,6 +1056,7 @@ mod tests {
             let want = if elided { (4, 4, 16) } else { (8, 0, 0) };
             assert_eq!((ops, repeats.tags, repeats.sectors), want, "{sets}x{ways}");
             assert_eq!(c.l1_tag_requests_global, 8);
+            assert_eq!(c.l1_sector_requests, 32);
             assert_eq!(l1.stats().tag_requests, 8);
         }
     }

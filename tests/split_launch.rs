@@ -1,8 +1,8 @@
 //! Differential proof of the two-thread launch: every launch, whose lanes
-//! and models run on the calling thread and whose L1/L2 walk runs on a
-//! cache thread, must equal a one-thread launch loop built from the
-//! simulator's public parts alone (`Lane`, `replay_warp`, `Cache`, the
-//! occupancy and timing models), bit for bit.
+//! and models run on the calling thread and whose line step, L1/L2 walk
+//! and op record run on a cache thread, must equal a one-thread launch
+//! loop built from the simulator's public parts alone (`Lane`,
+//! `replay_warp`, `Cache`, the occupancy and timing models), bit for bit.
 //!
 //! The Table I configurations run at L = 4 on `test_small`, on the
 //! volume-matched A100 and on a `test_small` whose L1 is a single set,
@@ -11,9 +11,12 @@
 //! lines than the set has ways as plain ops, where the other devices
 //! count it as L1 hits.  Every report field but `host_wall_us`
 //! and `replay`, and every word of device memory, must be equal.  A
-//! strided kernel checks the failure paths, late enough in a launch that
-//! its cache thread runs: an undeclared divergence in the middle of a
-//! warp, and a lane that panics.
+//! strided kernel checks, late enough in a launch that its cache thread
+//! runs: an instruction whose runs straddle a batch of commands; a launch
+//! that stops matching the record mid-launch, on the cache and the memo
+//! tier; an undeclared divergence right after a plain load and right
+//! after a repeat; and a lane that panics.  Each sequence runs on one
+//! state, so the launch after each case checks what it left behind.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
@@ -257,20 +260,38 @@ fn check_every_table1_config(devices: &[(&str, DeviceSpec)]) -> usize {
 
 const GROUPS: u64 = 32;
 const LOCAL: u32 = 64;
-const LOADS: u64 = 8;
-/// Each warp issues `LOADS` loads of 32 lines and a store of two, so the
-/// launch has sent several batches before this group.
+const LOADS: u64 = 7;
+/// The group that diverges or moves with the flag: the launch has sent
+/// several batches before it.
 const LATE_GROUP: u64 = 20;
 const RANGE: NdRange = NdRange {
     global: GROUPS * LOCAL as u64,
     local: LOCAL,
 };
 
-/// Each lane sums `LOADS` doubles a line apart from its neighbours' and
-/// stores the sum.  With `flag` set, lane 5 of warp 1 of `LATE_GROUP`
-/// counts flops where the rest of its warp loads, halfway through and
-/// without declaring a path: a `LaneDivergenceMismatch`.  With
+/// Flag values of a [`Strided`] launch: lane 5 of warp 1 of `LATE_GROUP`
+/// counts flops, without declaring a path, in place of the first half
+/// of load `LOADS / 2` (right after a repeat), or of its second half
+/// (right after a plain load): a `LaneDivergenceMismatch`.
+const DIVERGE_AFTER_REPEAT: u32 = 1;
+const DIVERGE_AFTER_LOAD: u32 = 2;
+/// The last group loads other sectors: a launch that matches the record
+/// up to that group, and leaves the caches as no other launch does.
+const MOVE: u32 = 3;
+
+/// Each lane loads the flag and its SM's line (group `g` runs on SM
+/// `g % 4` of `test_small`), then `LOADS` complex numbers a line apart
+/// from its neighbours', each as two 8-byte halves (the second a repeat
+/// of the first, which fits the L1), stores their sum and loads its SM's
+/// line and the flag again.  So every warp ends as the next begins, and
+/// each group finds its SM's line in the L1 only on the right SM.  With
 /// `panic_group`, lane 3 of that group panics.
+///
+/// A warp sends 250 commands: its SM, two per single-line load, 33 per
+/// first half and one per second, and three for the store; and its
+/// repeats stand for 224 more ops.  With batches cut at 4,096 commands
+/// and repeat ops, three of a launch's seven cuts fall inside a first
+/// half's runs, the first in the 18th warp.
 struct Strided {
     src: u64,
     out: u64,
@@ -293,17 +314,33 @@ impl Kernel for Strided {
         if self.panic_group == Some(group) && lane.local_id() == 3 {
             panic!("lane panic in group {group}");
         }
-        let diverges =
-            lane.ld_global_u32(self.flag) != 0 && group == LATE_GROUP && lane.local_id() == 32 + 5;
+        let sm_line = self.flag + 128 * (1 + group % 4);
+        let flag = lane.ld_global_u32(self.flag);
+        lane.ld_global_u32(sm_line);
+        let odd = group == LATE_GROUP && lane.local_id() == 32 + 5;
+        let moved = if group == GROUPS - 1 && flag == MOVE {
+            64
+        } else {
+            0
+        };
         let mut sum = 0.0;
         for k in 0..LOADS {
-            if diverges && k == LOADS / 2 {
-                lane.flops(1);
-            } else {
-                sum += lane.ld_global_f64(self.src + (k * RANGE.global + i) * 128);
+            let addr = self.src + (k * RANGE.global + i) * 128 + moved;
+            match flag {
+                DIVERGE_AFTER_REPEAT if odd && k == LOADS / 2 => lane.flops(1),
+                DIVERGE_AFTER_LOAD if odd && k == LOADS / 2 => {
+                    sum += lane.ld_global_f64(addr);
+                    lane.flops(1);
+                }
+                _ => {
+                    let (re, im) = lane.ld_global_c64(addr);
+                    sum += re + im;
+                }
             }
         }
         lane.st_global_f64(self.out + i * 8, sum);
+        lane.ld_global_u32(sm_line);
+        lane.ld_global_u32(self.flag);
     }
 }
 
@@ -312,9 +349,10 @@ fn strided() -> (DeviceMemory, Strided, Buffer) {
     let mut mem = DeviceMemory::new();
     let src = mem.alloc(LOADS * RANGE.global * 128, "src");
     let out = mem.alloc(RANGE.global * 8, "out");
-    let flag = mem.alloc(8, "flag");
-    for j in 0..LOADS * RANGE.global {
-        mem.write_f64(src.addr(j * 128), j as f64 + 0.5);
+    // The flag's line, then one line per SM.
+    let flag = mem.alloc(5 * 128, "flag");
+    for j in 0..LOADS * RANGE.global * 16 {
+        mem.write_f64(src.addr(j * 8), j as f64 + 0.5);
     }
     mem.zero(&out);
     mem.zero(&flag);
@@ -327,17 +365,18 @@ fn strided() -> (DeviceMemory, Strided, Buffer) {
     (mem, k, out)
 }
 
-#[test]
-fn an_undeclared_divergence_mid_launch_fails_like_the_serial_loop() {
+/// Launch [`Strided`] with each flag in turn, the first cold and the rest
+/// on one state, against the serial loop: equal reports or errors, and
+/// equal memory.  Returns each launch's tier, `None` for an error.
+fn strided_like_the_serial_loop(flags: &[u32]) -> Vec<Option<Replay>> {
     let device = DeviceSpec::test_small();
     let [split, one] = [0, 1].map(|_| strided());
     let launcher = Launcher::new(&device);
     let (mut state, mut serial) = (DeviceState::new(&device), Serial::new(&device));
-    let steps = [false, true, false, false, false, true, false, false];
     let mut tiers = Vec::new();
-    for (i, diverge) in [true].into_iter().chain(steps).enumerate() {
+    for (i, &flag) in flags.iter().enumerate() {
         for (mem, k, out) in [&split, &one] {
-            mem.write_u32(k.flag, diverge as u32);
+            mem.write_u32(k.flag, flag);
             mem.zero(out);
         }
         let (got, want) = if i == 0 {
@@ -352,12 +391,12 @@ fn an_undeclared_divergence_mid_launch_fails_like_the_serial_loop() {
             )
         };
         assert_eq!(modelled(&got), modelled(&want), "launch {i}");
-        // No lane past the failing warp ran.
+        // No lane past a failing warp ran.
         assert!(
             arena(&split.0) == arena(&one.0),
             "launch {i}: memory differs"
         );
-        if diverge {
+        if matches!(flag, DIVERGE_AFTER_REPEAT | DIVERGE_AFTER_LOAD) {
             assert!(
                 matches!(got, Err(SimError::LaneDivergenceMismatch { .. })),
                 "launch {i}: {got:?}"
@@ -365,9 +404,50 @@ fn an_undeclared_divergence_mid_launch_fails_like_the_serial_loop() {
         }
         tiers.push(got.map(|r| r.replay).ok());
     }
-    // The divergence fails a cold launch, then a launch on each tier of
-    // the memo; a failed launch leaves none.
+    tiers
+}
+
+#[test]
+fn an_instructions_runs_straddle_a_batch_like_the_serial_loop() {
     use Replay::{Cache, Full, Memo};
+    let tiers = strided_like_the_serial_loop(&[0, 0, 0, 0]);
+    assert_eq!(tiers, [Some(Full), Some(Full), Some(Cache), Some(Memo)]);
+}
+
+#[test]
+fn a_launch_that_stops_matching_mid_launch_records_like_the_serial_loop() {
+    use Replay::{Cache, Full, Memo};
+    // The third launch drives the record's first groups on the cache
+    // tier, then truncates it and records the last group anew; the sixth
+    // defers them on the memo tier and catches up on the cache thread.
+    // The launch after each replays the whole record.
+    let tiers = strided_like_the_serial_loop(&[0, 0, MOVE, MOVE, MOVE, 0, 0, 0]);
+    let want = [Full, Full, Full, Cache, Memo, Full, Cache, Memo];
+    assert_eq!(tiers, want.map(Some));
+}
+
+#[test]
+fn an_undeclared_divergence_mid_launch_fails_like_the_serial_loop() {
+    use Replay::{Cache, Full, Memo};
+    // The divergence fails a cold launch, then a launch on each tier of
+    // the memo, right after a repeat and right after a plain load; a
+    // failed launch leaves no memo.
+    let (after_repeat, after_load) = (DIVERGE_AFTER_REPEAT, DIVERGE_AFTER_LOAD);
+    let flags = [
+        after_repeat,
+        0,
+        after_load,
+        0,
+        0,
+        0,
+        after_repeat,
+        0,
+        0,
+        0,
+        after_load,
+        0,
+    ];
+    let tiers = strided_like_the_serial_loop(&flags);
     let want = [
         None,
         Some(Full),
@@ -376,8 +456,13 @@ fn an_undeclared_divergence_mid_launch_fails_like_the_serial_loop() {
         Some(Cache),
         Some(Memo),
         None,
+        Some(Full),
+        Some(Cache),
+        Some(Memo),
+        None,
+        Some(Full),
     ];
-    assert_eq!(tiers, [&want[..], &[Some(Full), Some(Cache)]].concat());
+    assert_eq!(tiers, want);
 }
 
 #[test]
