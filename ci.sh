@@ -12,6 +12,9 @@ echo "== cargo clippy (deny warnings; workspace and hostbench, whose --locked fa
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo clippy --offline --locked --manifest-path hostbench/Cargo.toml --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings: broken intra-doc links and public docs linking private items) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== cargo test =="
 cargo test --offline -q --workspace
 

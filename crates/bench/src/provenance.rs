@@ -35,7 +35,7 @@ pub fn git_sha() -> String {
 }
 
 /// The invocation as a reproducible `cargo run` command: binary name
-/// (argv[0] without its path) plus the arguments as given.
+/// (`argv[0]` without its path) plus the arguments as given.
 pub fn command_line() -> String {
     let mut args = std::env::args();
     let bin = args

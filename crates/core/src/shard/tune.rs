@@ -13,7 +13,7 @@
 //! of the rank ([`RankProblem::tunable_local_sizes`]), so the tuned
 //! size is usable by both exchange schedules without refitting.  Each
 //! phase is estimated by the single-device tuner's base-and-derive
-//! estimator ([`derive_estimates`]), and the ranking metric is the
+//! estimator (`derive_estimates`), and the ranking metric is the
 //! summed **cold** predicted duration over the rank's present phases: a
 //! sharded step interleaves interior, boundary and exchange work whose
 //! launches keep evicting each other, so first-touch cost is the honest

@@ -139,7 +139,7 @@ pub(crate) fn derive_estimates(
 
 /// Statically rank every legal local size of a configuration by
 /// predicted duration (ascending; ties toward the smaller local size)
-/// through [`derive_estimates`].  Estimable candidates come first in
+/// through `derive_estimates`.  Estimable candidates come first in
 /// rank order; inestimable ones follow in local-size order with their
 /// reasons.  Traced as a `staticrank` span on the config's track.
 pub fn rank_candidates<C: ComplexField>(

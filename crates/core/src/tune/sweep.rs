@@ -7,7 +7,7 @@
 //! time, let alone select, a configuration `sancheck` would flag or the
 //! access analyzer has not proven race- and bounds-free (lazily, in rank
 //! order, in [`SweepMode::Static`]).  Timed candidates run warm (the
-//! conditions of [`run_config_warm`](crate::runner::run_config_warm)
+//! conditions of [`crate::runner::run_config_warm`]
 //! that produced `results/fig6.csv`), are validated against the CPU
 //! reference, and the minimum modelled duration wins (ties break toward
 //! the smaller local size, which wastes fewer tail resources).
@@ -358,7 +358,7 @@ enum Fate {
 ///    the access analyzer has not proven race- and bounds-free.
 ///    Exhaustive proves every lint survivor; Static ranks the survivors
 ///    of *all* layouts once by predicted duration and proves down that
-///    order until one is clean ([`walk_rank_order`]);
+///    order until one is clean (`walk_rank_order`);
 /// 3. one fate per candidate: rejected by a gate or a proof, left
 ///    unproven below the winner's rank ([`Reject::StaticRank`]),
 ///    inestimable ([`Reject::Inestimable`]), predicted (Static's first

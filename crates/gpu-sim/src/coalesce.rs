@@ -90,14 +90,15 @@ pub(crate) fn access_lines(
     // A divisor of a power of two is one too, so both are shifts/masks.
     let line_mask = !(line_bytes as u64 - 1);
     let sector_shift = sector_bytes.trailing_zeros();
-    let end = addr + bytes as u64;
+    // A wild access may end past 2^64: cut at its last byte's sector.
+    let end = addr.saturating_add(bytes as u64);
     let mut a = addr;
     while a < end {
         let line = a & line_mask;
-        let last = (end - 1).min(line + line_bytes as u64 - 1);
+        let last = (end - 1).min(line + (line_bytes as u64 - 1));
         let (first, last) = ((a - line) >> sector_shift, (last - line) >> sector_shift);
         each(line, ((2u16 << last) - (1u16 << first)) as u8);
-        a = line + line_bytes as u64;
+        a = line.saturating_add(line_bytes as u64);
     }
 }
 

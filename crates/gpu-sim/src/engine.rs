@@ -7,24 +7,31 @@
 //!
 //! Every launch is split at the access into two halves on two threads.
 //! The calling thread runs, group by group in group-id order, everything
-//! that touches device memory or reads no line: the lanes, the sanitizer,
-//! the memo's digests and tier decisions (`memo.rs`), and the alignment,
-//! divergence, bank, atomic-pass and repeat models ([`model_warp`]), so a
-//! [`SimError::LaneDivergenceMismatch`] is raised before any later lane
-//! runs.  What is left is one stream of commands in issue order: per
-//! modelled warp its SM, then each global or atomic instruction as its
-//! lanes' accesses, merged into runs of consecutive lanes in one line, or
-//! as one repeat of the previous global instruction; per warp answered
-//! from the memo, one replay of the recorded warp.  The calling thread
-//! sends it in batches over a bounded channel to a scoped cache thread.
+//! that touches device memory or reads no line: the lanes, which fold
+//! each event into their warp's memo digest as they record it when the
+//! launch is remembered (`memo.rs`), the sanitizer, the memo's tier
+//! decisions, and the alignment, divergence, bank, atomic-pass and repeat
+//! models (`warp::model_warp`), so a [`SimError::LaneDivergenceMismatch`]
+//! is raised before any later lane runs.  A remembered launch that stops
+//! matching its record, or has none, also keeps a table of one entry per
+//! warp slot of a group (phase × warp index): the digest and counters of
+//! the last warp of the slot that sent no cache command.  A later warp of
+//! the launch with that digest is answered from the table: its streams
+//! alone decide what it adds.  What is left is one stream of commands in
+//! issue order: per modelled or table-answered warp its SM, then each
+//! global or atomic instruction of a modelled warp as its lanes'
+//! accesses, merged into runs of consecutive lanes in one line, or as one
+//! repeat of the previous global instruction; per warp answered from the
+//! record, one replay of the recorded warp.  The calling thread sends it
+//! in batches over a bounded channel to a scoped cache thread.
 //!
 //! The cache thread owns the L1s, the L2 and the memo's op record.  It
-//! takes the commands in the order sent ([`Lines::step`]): it coalesces
-//! each instruction's runs into lines and drives them through the SM's L1
-//! and the L2, decides whether a repeat's lines fit its L1 (then they
-//! would all hit and leave every cache LRU-equivalent, [`model_warp`]
-//! gives the argument, so they only count as hits), appends each modelled
-//! warp's ops and repeats to the record, and decodes and drives a
+//! takes the commands in the order sent (the line step, `warp::Lines`):
+//! it coalesces each instruction's runs into lines and drives them
+//! through the SM's L1 and the L2, decides whether a repeat's lines fit
+//! its L1 (then they would all hit and leave every cache LRU-equivalent,
+//! `model_warp` gives the argument, so they only count as hits), appends
+//! each warp's ops and repeats to the record, and decodes and drives a
 //! recorded warp for a replay.  It counts the L1 requests and the
 //! counters that depend on cache state.  It allocates nothing, so every
 //! buffer of a launch comes from the calling thread's heap: it sends a
@@ -321,6 +328,9 @@ impl<'d> Launcher<'d> {
         let host_start = std::time::Instant::now();
         state.check(self.device)?;
         range.validate(self.device)?;
+        if kernel.num_phases() == 0 {
+            return Err(SimError::NoPhases);
+        }
         let res = kernel.resources(range.local);
         let occ = occupancy(self.device, range.local, &res, range.num_groups())?;
         let report = |counters: Counters,
@@ -464,6 +474,10 @@ struct Walk<'s> {
     /// The caches on entry, once `snapped`.
     entry: &'s mut LruSnapshot,
     snapped: bool,
+    /// Per warp slot of a group (phase × warp index), the digest and
+    /// counters of the last warp modelled there in this launch that sent
+    /// no cache command; empty until the first.
+    table: Vec<Option<(u128, Counters)>>,
 }
 
 impl<'s> Walk<'s> {
@@ -486,6 +500,7 @@ impl<'s> Walk<'s> {
             num_sms: device.num_sms as usize,
             entry,
             snapped: false,
+            table: Vec::new(),
         }
     }
 
@@ -495,40 +510,68 @@ impl<'s> Walk<'s> {
         self.snapped = true;
     }
 
-    /// Answer the warp just run on SM `sm` from the record if its lanes
-    /// digest to the recorded warp's: add its counters, and have the cache
-    /// thread drive its ops now (lower tier) or defer them (upper tier).
-    /// From the first warp that does not match on, returns false.
+    /// Answer the warp just run in warp slot `slot` (phase × warp index)
+    /// on SM `sm` from the record if its lanes digest to the recorded
+    /// warp's: add its counters, and have the cache thread drive its ops
+    /// now (lower tier) or defer them (upper tier).  From the first warp
+    /// that does not match on, answer it from the table if the last warp
+    /// of this launch that [`record`](Self::record) kept in its slot had
+    /// its digest: add and record that warp's counters, and send the cache
+    /// thread the SM alone, as modelling it would.  Returns false if the
+    /// warp is to be modelled.
     fn answer(
         &mut self,
         digest: u128,
+        slot: usize,
         sm: usize,
         pipe: &mut Pipe<'_, '_, '_>,
         counters: &mut Counters,
     ) -> bool {
         let i = self.warp;
         self.warp += 1;
-        if self.tier == Replay::Full {
-            return false;
-        }
-        if self.memo.digests.get(i) == Some(&digest) {
-            if self.tier == Replay::Cache {
-                self.drive(i, sm, pipe, counters);
+        if self.tier != Replay::Full {
+            if self.memo.digests.get(i) == Some(&digest) {
+                if self.tier == Replay::Cache {
+                    self.drive(i, sm, pipe, counters);
+                }
+                return true;
             }
-            return true;
-        }
-        if self.tier == Replay::Memo {
-            // The deferred ops have not touched the caches yet: the
-            // entry state is still there to snapshot.
-            let (l1s, l2) = pipe.at_rest();
-            self.snapshot(l1s, l2);
-            for j in 0..i {
-                self.drive(j, j / self.group_warps % self.num_sms, pipe, counters);
+            if self.tier == Replay::Memo {
+                // The deferred ops have not touched the caches yet: the
+                // entry state is still there to snapshot.
+                let (l1s, l2) = pipe.at_rest();
+                self.snapshot(l1s, l2);
+                for j in 0..i {
+                    self.drive(j, j / self.group_warps % self.num_sms, pipe, counters);
+                }
             }
+            self.memo.truncate(i);
+            self.tier = Replay::Full;
         }
-        self.memo.truncate(i);
-        self.tier = Replay::Full;
-        false
+        match self.table.get(slot) {
+            Some(&Some((d, tally))) if d == digest => {
+                #[cfg(test)]
+                tests::TABLE_ANSWERS.with(|n| n.set(n.get() + 1));
+                counters.merge(&tally);
+                pipe.send(Cmd::Warp(sm as u32));
+                self.memo.push(digest, tally);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Append a modelled warp of slot `slot` to the record, and keep it in
+    /// the table if it sent no cache command: its streams alone then decide
+    /// everything it adds, so an equal warp of the slot adds the same.
+    fn record(&mut self, digest: u128, slot: usize, tally: Counters, cache_free: bool) {
+        self.memo.push(digest, tally);
+        if cache_free {
+            if self.table.is_empty() {
+                self.table.resize(self.group_warps, None);
+            }
+            self.table[slot] = Some((digest, tally));
+        }
     }
 
     /// Add recorded warp `j`'s counters, and have the cache thread drive
@@ -765,8 +808,9 @@ impl<'a> GroupExecutor<'a> {
     }
 
     /// Run one group's phases warp by warp and send their steps for its
-    /// SM.  With a `walk`, each warp is answered from the memo or
-    /// modelled and recorded.
+    /// SM.  With a `walk`, each lane folds its events into its warp's
+    /// digest, and each warp is answered from the record or the launch's
+    /// table, or modelled and recorded.
     fn run_group(
         &mut self,
         group: u64,
@@ -813,9 +857,11 @@ impl<'a> GroupExecutor<'a> {
                     if sanitizer.is_some() {
                         ctx.set_tolerant();
                     }
+                    ctx.digest = digest;
                     self.kernel.run_phase(phase, &mut ctx);
+                    digest = ctx.digest;
                     if let Some(d) = digest.as_mut() {
-                        d.lane(&self.streams[lane as usize]);
+                        d.end_lane(self.streams[lane as usize].len());
                     }
                 }
                 if let Some(s) = sanitizer.as_deref_mut() {
@@ -825,18 +871,20 @@ impl<'a> GroupExecutor<'a> {
                     s.process_warp(group, phase as u32, w * warp, &self.streams);
                 }
                 let digest = digest.map(|d| d.value());
+                let slot = phase * warps as usize + w as usize;
                 if let (Some(walk), Some(digest)) = (walk.as_deref_mut(), digest) {
-                    if walk.answer(digest, sm, pipe, counters) {
+                    if walk.answer(digest, slot, sm, pipe, counters) {
                         continue;
                     }
                 }
-                let mut tally = Counters::default();
+                let (mut tally, mut cache_free) = (Counters::default(), true);
                 pipe.send(Cmd::Warp(sm as u32));
                 model_warp(&self.streams, self.geometry, &mut tally, true, |step| {
+                    cache_free = false;
                     pipe.send(Cmd::Step(step))
                 })?;
                 if let (Some(walk), Some(digest)) = (walk.as_deref_mut(), digest) {
-                    walk.memo.push(digest, tally);
+                    walk.record(digest, slot, tally, cache_free);
                 }
                 counters.merge(&tally);
             }
@@ -849,6 +897,12 @@ impl<'a> GroupExecutor<'a> {
 mod tests {
     use super::*;
     use crate::kernel::KernelResources;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Warps the launches on this thread answered from their tables.
+        pub(super) static TABLE_ANSWERS: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// Doubles every element of a buffer.
     struct DoubleKernel {
@@ -1449,6 +1503,159 @@ mod tests {
             assert_eq!(r.replay, Replay::Full);
             assert!(r.sanitizer.is_some());
         }
+    }
+
+    /// Three phases, like 4LP's last two after a gather: phases 0 and 1
+    /// only move local memory, the same way in every group, and phase 2
+    /// stores each lane's value.
+    struct Shuffle {
+        out: u64,
+    }
+
+    impl Kernel for Shuffle {
+        fn name(&self) -> &str {
+            "shuffle"
+        }
+        fn num_phases(&self) -> usize {
+            3
+        }
+        fn resources(&self, ls: u32) -> KernelResources {
+            KernelResources {
+                registers_per_item: 16,
+                local_mem_bytes_per_group: 2 * ls * 8,
+            }
+        }
+        fn run_phase(&self, phase: usize, lane: &mut Lane<'_>) {
+            let (lid, ls) = (lane.local_id(), lane.local_size());
+            match phase {
+                0 => lane.st_local_f64(lid * 8, lane.global_id() as f64),
+                1 => {
+                    let v = lane.ld_local_f64((lid + 1) % ls * 8);
+                    lane.st_local_f64((ls + lid) * 8, v);
+                }
+                _ => {
+                    let v = lane.ld_local_f64((ls + lid) * 8);
+                    lane.st_global_f64(self.out + lane.global_id() * 8, v);
+                }
+            }
+        }
+    }
+
+    /// Warps `launch` answered from its table, and its tier.
+    fn table_answers(launch: impl FnOnce() -> Result<LaunchReport, SimError>) -> (u64, Replay) {
+        let before = TABLE_ANSWERS.get();
+        let replay = launch().unwrap().replay;
+        (TABLE_ANSWERS.get() - before, replay)
+    }
+
+    #[test]
+    fn a_recording_launch_answers_repeated_cache_free_warps_from_its_table() {
+        use Replay::{Cache, Full, Memo};
+        let device = DeviceSpec::test_small();
+        let mut mem = DeviceMemory::new();
+        let out = mem.alloc(1024 * 8, "out");
+        let k = Shuffle { out: out.base() };
+        let range = NdRange::linear(1024, 64);
+        let launcher = Launcher::new(&device);
+        let sanitized = Launcher::new(&device).with_sanitizer(SanitizerConfig::default());
+        let mut state = DeviceState::new(&device);
+        // Cold and sanitized launches keep no table.
+        assert_eq!(
+            table_answers(|| launcher.launch(&k, range, &mem)),
+            (0, Full)
+        );
+        let r = table_answers(|| sanitized.launch_with_state(&k, range, &mem, &mut state));
+        assert_eq!(r, (0, Full));
+        // 16 groups of two warps: each warp of phases 0 and 1 after the
+        // first group repeats the warp of its slot in the group before.
+        // A launch that repeats the record answers every warp from it.
+        for (i, want) in [(2 * 2 * 15, Full), (0, Cache), (0, Memo)]
+            .into_iter()
+            .enumerate()
+        {
+            let r = table_answers(|| launcher.launch_with_state(&k, range, &mem, &mut state));
+            assert_eq!(r, want, "launch {i}");
+        }
+    }
+
+    /// Requires its lanes to fold a digest, or not to.
+    struct Folds(bool);
+
+    impl Kernel for Folds {
+        fn name(&self) -> &str {
+            "folds"
+        }
+        fn resources(&self, _ls: u32) -> KernelResources {
+            KernelResources {
+                registers_per_item: 16,
+                local_mem_bytes_per_group: 0,
+            }
+        }
+        fn run_phase(&self, _phase: usize, lane: &mut Lane<'_>) {
+            assert_eq!(lane.digest.is_some(), self.0, "lane {}", lane.global_id());
+            lane.flops(1);
+        }
+    }
+
+    #[test]
+    fn only_the_lanes_of_a_remembered_launch_fold_a_digest() {
+        let device = DeviceSpec::test_small();
+        let mem = DeviceMemory::new();
+        let range = NdRange::linear(128, 64);
+        let launcher = Launcher::new(&device);
+        let sanitized = Launcher::new(&device).with_sanitizer(SanitizerConfig::default());
+        let mut state = DeviceState::new(&device);
+        launcher.launch(&Folds(false), range, &mem).unwrap();
+        sanitized.launch(&Folds(false), range, &mem).unwrap();
+        sanitized
+            .launch_with_state(&Folds(false), range, &mem, &mut state)
+            .unwrap();
+        let config = crate::staticcheck::StaticCheckConfig::full();
+        crate::staticcheck::analyze(&Folds(false), &range, &device, &mem, &config);
+        // A recording launch and the launches that repeat it.
+        for _ in 0..3 {
+            launcher
+                .launch_with_state(&Folds(true), range, &mem, &mut state)
+                .unwrap();
+        }
+    }
+
+    /// Declares no phases, so no launch may run it.
+    struct NoPhases;
+
+    impl Kernel for NoPhases {
+        fn name(&self) -> &str {
+            "no-phases"
+        }
+        fn num_phases(&self) -> usize {
+            0
+        }
+        fn resources(&self, _ls: u32) -> KernelResources {
+            KernelResources {
+                registers_per_item: 16,
+                local_mem_bytes_per_group: 0,
+            }
+        }
+        fn run_phase(&self, _phase: usize, _lane: &mut Lane<'_>) {
+            panic!("a kernel without phases has no phase to run");
+        }
+    }
+
+    #[test]
+    fn a_kernel_without_phases_is_refused_before_any_lane() {
+        let device = DeviceSpec::test_small();
+        let mem = DeviceMemory::new();
+        let range = NdRange::linear(128, 64);
+        let mut state = DeviceState::new(&device);
+        let plain = Launcher::new(&device);
+        let sanitized = Launcher::new(&device).with_sanitizer(SanitizerConfig::default());
+        for launcher in [&plain, &sanitized] {
+            let cold = launcher.launch(&NoPhases, range, &mem);
+            assert_eq!(cold.unwrap_err(), SimError::NoPhases);
+            let warm = launcher.launch_with_state(&NoPhases, range, &mem, &mut state);
+            assert_eq!(warm.unwrap_err(), SimError::NoPhases);
+        }
+        assert_eq!(state.launches(), 0);
     }
 
     #[test]

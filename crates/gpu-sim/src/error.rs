@@ -96,6 +96,8 @@ pub enum SimError {
         /// The device's value of that field.
         device: u64,
     },
+    /// The kernel declares no phases: a kernel body has at least one.
+    NoPhases,
 }
 
 impl fmt::Display for SimError {
@@ -160,6 +162,7 @@ impl fmt::Display for SimError {
                 f,
                 "device state's {level} {field} is {state} but the device's is {device}"
             ),
+            SimError::NoPhases => write!(f, "kernel declares no phases (a body has at least one)"),
         }
     }
 }

@@ -7,7 +7,8 @@
 //! conflicts, atomic serialization and branch divergence — the alignment
 //! is valid because all lanes execute the same program, so lanes on the
 //! same control-flow path produce the same event *kinds* in the same
-//! order (asserted in debug builds).
+//! order (checked in every build profile: a violation fails the launch
+//! with [`SimError::LaneDivergenceMismatch`](crate::SimError::LaneDivergenceMismatch)).
 
 /// One recorded per-lane event.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -62,8 +63,8 @@ pub enum Event {
 
 impl Event {
     /// Human-readable event kind, used by the replayer's lockstep
-    /// diagnostics ([`SimError::LaneDivergenceMismatch`]
-    /// (crate::SimError::LaneDivergenceMismatch)).
+    /// diagnostics
+    /// ([`SimError::LaneDivergenceMismatch`](crate::SimError::LaneDivergenceMismatch)).
     #[inline]
     pub fn kind_name(&self) -> &'static str {
         match self {

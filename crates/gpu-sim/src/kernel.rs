@@ -11,9 +11,14 @@
 //! global memory, the work-group's local memory, and the event recorder.
 //! Every architectural action — loads, stores, atomics, FLOPs, integer
 //! index arithmetic, control-flow path changes — goes through `Lane`, so
-//! executing the kernel *is* instrumenting it.
+//! executing the kernel *is* instrumenting it.  When the launch is
+//! remembered (the launch memo, `memo.rs`), the lane also folds each
+//! event into its warp's digest as it records it, so the engine never
+//! reads a stream a second time to digest it; probe, sanitized and
+//! cold-launch lanes fold nothing.
 
 use crate::event::Event;
+use crate::memo::StreamDigest;
 use crate::memory::DeviceMemory;
 use crate::sharedmem::LocalMem;
 
@@ -84,6 +89,10 @@ pub struct Lane<'a> {
     /// the index tables a kernel gathers through.  The footprint fitter
     /// uses these to explain data-dependent addresses.
     u32_log: Option<&'a mut Vec<(usize, u32)>>,
+    /// The digest of the warp this lane runs in, when its launch is
+    /// remembered (`memo.rs`): every event folds in as it is recorded.
+    /// Probe, sanitized and cold-launch lanes have none.
+    pub(crate) digest: Option<StreamDigest>,
 }
 
 impl<'a> Lane<'a> {
@@ -109,6 +118,7 @@ impl<'a> Lane<'a> {
             tolerant: false,
             probe: false,
             u32_log: None,
+            digest: None,
         }
     }
 
@@ -157,6 +167,15 @@ impl<'a> Lane<'a> {
         !self.tolerant || (off as usize + bytes as usize <= self.local.len())
     }
 
+    /// Record `event`, folding it into the digest if there is one.
+    #[inline(always)]
+    fn record(&mut self, event: Event) {
+        if let Some(d) = self.digest.as_mut() {
+            d.event(&event, self.events.len());
+        }
+        self.events.push(event);
+    }
+
     /// `item.get_global_id(0)`.
     #[inline]
     pub fn global_id(&self) -> u64 {
@@ -184,9 +203,9 @@ impl<'a> Lane<'a> {
     // ---- global memory ----------------------------------------------
 
     /// 8-byte global load.
-    #[inline]
+    #[inline(always)]
     pub fn ld_global_f64(&mut self, addr: u64) -> f64 {
-        self.events.push(Event::GlobalLoad { addr, bytes: 8 });
+        self.record(Event::GlobalLoad { addr, bytes: 8 });
         if !self.global_ok(addr, 8, 8) {
             return 0.0;
         }
@@ -194,18 +213,18 @@ impl<'a> Lane<'a> {
     }
 
     /// 8-byte global store.
-    #[inline]
+    #[inline(always)]
     pub fn st_global_f64(&mut self, addr: u64, v: f64) {
-        self.events.push(Event::GlobalStore { addr, bytes: 8 });
+        self.record(Event::GlobalStore { addr, bytes: 8 });
         if !self.probe && self.global_ok(addr, 8, 8) {
             self.mem.write_f64(addr, v);
         }
     }
 
     /// 4-byte global load (neighbor tables).
-    #[inline]
+    #[inline(always)]
     pub fn ld_global_u32(&mut self, addr: u64) -> u32 {
-        self.events.push(Event::GlobalLoad { addr, bytes: 4 });
+        self.record(Event::GlobalLoad { addr, bytes: 4 });
         let v = if self.global_ok(addr, 4, 4) {
             self.mem.read_u32(addr)
         } else {
@@ -221,7 +240,7 @@ impl<'a> Lane<'a> {
     /// two loads — the paper's coalescing analysis is phrased in 8-byte
     /// words, and `double2` loads on the A100 split into two 64-bit
     /// transactions per lane at the LSU).
-    #[inline]
+    #[inline(always)]
     pub fn ld_global_c64(&mut self, addr: u64) -> (f64, f64) {
         let re = self.ld_global_f64(addr);
         let im = self.ld_global_f64(addr + 8);
@@ -229,7 +248,7 @@ impl<'a> Lane<'a> {
     }
 
     /// Store a complex number as two 8-byte stores.
-    #[inline]
+    #[inline(always)]
     pub fn st_global_c64(&mut self, addr: u64, re: f64, im: f64) {
         self.st_global_f64(addr, re);
         self.st_global_f64(addr + 8, im);
@@ -239,9 +258,9 @@ impl<'a> Lane<'a> {
     /// access width QUDA's fields are laid out for.  Same data as
     /// [`ld_global_c64`](Self::ld_global_c64) but half the instructions
     /// and no duplicate sector requests.
-    #[inline]
+    #[inline(always)]
     pub fn ld_global_c64_vec(&mut self, addr: u64) -> (f64, f64) {
-        self.events.push(Event::GlobalLoad { addr, bytes: 16 });
+        self.record(Event::GlobalLoad { addr, bytes: 16 });
         if !self.global_ok(addr, 8, 16) {
             return (0.0, 0.0);
         }
@@ -249,9 +268,9 @@ impl<'a> Lane<'a> {
     }
 
     /// Vectorized complex store: one 16-byte (`double2`) transaction.
-    #[inline]
+    #[inline(always)]
     pub fn st_global_c64_vec(&mut self, addr: u64, re: f64, im: f64) {
-        self.events.push(Event::GlobalStore { addr, bytes: 16 });
+        self.record(Event::GlobalStore { addr, bytes: 16 });
         if !self.probe && self.global_ok(addr, 8, 16) {
             self.mem.write_f64(addr, re);
             self.mem.write_f64(addr + 8, im);
@@ -260,9 +279,9 @@ impl<'a> Lane<'a> {
 
     /// Relaxed global atomic f64 add (the 3LP-2/3LP-3 `atomic_ref` op).
     /// Returns the previous value.
-    #[inline]
+    #[inline(always)]
     pub fn atomic_add_global_f64(&mut self, addr: u64, v: f64) -> f64 {
-        self.events.push(Event::AtomicRmw { addr, bytes: 8 });
+        self.record(Event::AtomicRmw { addr, bytes: 8 });
         if self.probe || !self.global_ok(addr, 8, 8) {
             return 0.0;
         }
@@ -272,9 +291,9 @@ impl<'a> Lane<'a> {
     // ---- work-group local memory --------------------------------------
 
     /// 8-byte local-memory load at byte offset `off`.
-    #[inline]
+    #[inline(always)]
     pub fn ld_local_f64(&mut self, off: u32) -> f64 {
-        self.events.push(Event::LocalLoad {
+        self.record(Event::LocalLoad {
             offset: off,
             bytes: 8,
         });
@@ -285,9 +304,9 @@ impl<'a> Lane<'a> {
     }
 
     /// 8-byte local-memory store.
-    #[inline]
+    #[inline(always)]
     pub fn st_local_f64(&mut self, off: u32, v: f64) {
-        self.events.push(Event::LocalStore {
+        self.record(Event::LocalStore {
             offset: off,
             bytes: 8,
         });
@@ -298,9 +317,9 @@ impl<'a> Lane<'a> {
 
     /// Load a complex from local memory (one 16-byte access: the
     /// `double_complex` struct loads as a vectorized pair).
-    #[inline]
+    #[inline(always)]
     pub fn ld_local_c64(&mut self, off: u32) -> (f64, f64) {
-        self.events.push(Event::LocalLoad {
+        self.record(Event::LocalLoad {
             offset: off,
             bytes: 16,
         });
@@ -311,9 +330,9 @@ impl<'a> Lane<'a> {
     }
 
     /// Store a complex to local memory (one 16-byte access).
-    #[inline]
+    #[inline(always)]
     pub fn st_local_c64(&mut self, off: u32, re: f64, im: f64) {
-        self.events.push(Event::LocalStore {
+        self.record(Event::LocalStore {
             offset: off,
             bytes: 16,
         });
@@ -326,24 +345,24 @@ impl<'a> Lane<'a> {
     // ---- instruction accounting ---------------------------------------
 
     /// Record `n` floating-point operations.
-    #[inline]
+    #[inline(always)]
     pub fn flops(&mut self, n: u32) {
-        self.events.push(Event::Flops(n));
+        self.record(Event::Flops(n));
     }
 
     /// Record `n` integer index-arithmetic operations.
-    #[inline]
+    #[inline(always)]
     pub fn iops(&mut self, n: u32) {
-        self.events.push(Event::Iops(n));
+        self.record(Event::Iops(n));
     }
 
     /// Declare that this lane is now on control-flow path `path`.
     /// Call it at every kernel branch whose condition can differ between
     /// lanes of one warp (e.g. the 4LP `if (l == 0) ... else if ...`
     /// chain, or the single-writer `if (k == 0)` collapse).
-    #[inline]
+    #[inline(always)]
     pub fn set_path(&mut self, path: u32) {
-        self.events.push(Event::SetPath(path));
+        self.record(Event::SetPath(path));
     }
 }
 

@@ -8,7 +8,8 @@
 //! against the record warp by warp.  The record is split as the launch is:
 //!
 //! * the calling thread's [`Memo`] holds, per warp in launch order, a
-//!   [`StreamDigest`] of its lanes and its state-free counters;
+//!   [`StreamDigest`] of its lanes, which they fold as they record, and
+//!   its state-free counters;
 //! * the cache thread's [`OpLog`] holds, per warp, the [`CacheOp`]s its
 //!   instructions sent and its [`Repeats`]: the L1 requests of the
 //!   instructions that repeated their predecessor's lines and so sent no
@@ -16,6 +17,12 @@
 //!
 //! A recorded warp's repeats are its own: a warp never repeats the last
 //! instruction of the warp before it.
+//!
+//! A launch that records also answers, from a table of one entry per warp
+//! slot of a group (phase × warp index), a warp that sends no cache
+//! command and digests as the last such warp of its slot did: its
+//! counters are that warp's, and it is recorded as a warp without ops
+//! (`engine.rs`).
 
 use std::collections::HashMap;
 
@@ -397,18 +404,24 @@ impl OpCoder {
     }
 }
 
-/// A 128-bit digest of one warp's lane event streams, taken lane by lane
-/// as each lane finishes.  The warp contributes its phase, index and
-/// active lane count, then each lane's stream length and events, so equal
-/// digests mean (up to an accident of about 2^-100) equal streams, split
-/// into the same lanes.
+/// A 128-bit digest of one warp's lane event streams, folded as the lanes
+/// record them: the lane folds each event as it pushes it
+/// ([`Lane`](crate::kernel::Lane)), and the engine each lane's stream
+/// length once the lane returns.  The warp contributes its phase, index
+/// and active lane count, then each lane's events and stream length, so
+/// equal digests mean (up to an accident of about 2^-64) equal streams,
+/// split into the same lanes.  Digests are never persisted, so the
+/// composition may change from one version to the next.
 ///
 /// Every word `w` at position `i` of that sequence adds the full 128-bit
-/// product `(x ^ A) · (x ^ B)` with `x = w ^ (i · K)` into a wrapping
-/// sum.  The product is nonlinear in `x`, and the position enters each
-/// term, so reordered, moved or changed words change the sum.  Unlike a
-/// hash chain, no term waits for the one before it, so the digest runs at
-/// multiplier throughput rather than latency.
+/// square of `x = w ^ (i · K)` into a wrapping sum.  The square is
+/// nonlinear in `x`, and the position enters each term, so reordered,
+/// moved or changed words change the sum: one changed word always does
+/// (two squares of distinct 64-bit values differ by less than 2^128), and
+/// several undo each other's change only by an accident of about 2^-64.
+/// Unlike a hash chain, no term waits for the one before it, and a term is
+/// one multiply, so a lane folds an event for a few instructions and one
+/// store.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct StreamDigest {
     sum: u128,
@@ -418,8 +431,6 @@ pub(crate) struct StreamDigest {
 
 /// Odd Weyl increment giving each position its own 64-bit mask.
 const K: u64 = 0x9E37_79B9_7F4A_7C15;
-const A: u64 = 0x243F_6A88_85A3_08D3;
-const B: u64 = 0xA409_3822_299F_31D0;
 /// Tags in the top byte that keep header words apart from event words,
 /// whose top byte is the event kind (0..=7).
 const WARP: u64 = 0xFF << 56;
@@ -438,20 +449,38 @@ impl StreamDigest {
 
     #[inline(always)]
     fn word(&mut self, w: u64) {
-        let x = w ^ self.position;
+        self.add(w ^ self.position);
         self.position = self.position.wrapping_add(K);
-        self.sum = self
-            .sum
-            .wrapping_add(((x ^ A) as u128).wrapping_mul((x ^ B) as u128));
     }
 
-    /// Fold in one lane's stream.  Called right after the lane ran, while
-    /// its stream is still in the host's L1 cache.
+    #[inline(always)]
+    fn add(&mut self, x: u64) {
+        self.sum = self.sum.wrapping_add(x as u128 * x as u128);
+    }
+
+    /// Fold in event `index` of the running lane.  Inlined at a push site,
+    /// the event's kind and width are constants, and the position comes
+    /// from `index` rather than from the event before.
+    #[inline(always)]
+    pub(crate) fn event(&mut self, event: &Event, index: usize) {
+        self.add(word(event) ^ self.position.wrapping_add((index as u64).wrapping_mul(K)));
+    }
+
+    /// End the running lane, which recorded `events` events.
+    #[inline]
+    pub(crate) fn end_lane(&mut self, events: usize) {
+        self.position = self.position.wrapping_add((events as u64).wrapping_mul(K));
+        self.word(LANE | events as u64);
+    }
+
+    /// Fold in one lane's whole stream: the composition a recording lane
+    /// and the engine make between them.
+    #[cfg(test)]
     pub(crate) fn lane(&mut self, stream: &[Event]) {
-        self.word(LANE | stream.len() as u64);
-        for event in stream {
-            self.word(word(event));
+        for (i, event) in stream.iter().enumerate() {
+            self.event(event, i);
         }
+        self.end_lane(stream.len());
     }
 
     /// The digest's value.
@@ -521,6 +550,76 @@ mod tests {
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(*v, base, "variant {i} collides");
+        }
+    }
+
+    /// Have `lane` record the event `op` (one per `Lane` method that
+    /// records) on operand `x`.
+    fn record(lane: &mut crate::kernel::Lane<'_>, base: u64, op: u8, x: u32) {
+        let (addr, off) = (base + x as u64 * 16, x * 16);
+        match op {
+            0 => {
+                lane.ld_global_f64(addr);
+            }
+            1 => lane.st_global_f64(addr, 1.0),
+            2 => {
+                lane.ld_global_u32(addr);
+            }
+            3 => {
+                lane.ld_global_c64(addr);
+            }
+            4 => lane.st_global_c64(addr, 1.0, 2.0),
+            5 => {
+                lane.ld_global_c64_vec(addr);
+            }
+            6 => lane.st_global_c64_vec(addr, 1.0, 2.0),
+            7 => {
+                lane.atomic_add_global_f64(addr, 1.0);
+            }
+            8 => {
+                lane.ld_local_f64(off);
+            }
+            9 => lane.st_local_f64(off, 1.0),
+            10 => {
+                lane.ld_local_c64(off);
+            }
+            11 => lane.st_local_c64(off, 1.0, 2.0),
+            12 => lane.flops(x),
+            13 => lane.iops(x),
+            _ => lane.set_path(x),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The digest lanes fold as they record, with each lane's length
+        /// folded after it returns, is `StreamDigest::lane` over the
+        /// streams they recorded, for any mix of every event kind.
+        #[test]
+        fn a_recording_lane_folds_the_digest_of_its_stream(
+            lanes in proptest::collection::vec(
+                proptest::collection::vec((0u8..15, 0u32..64), 0..40),
+                1..6,
+            ),
+            phase in 0usize..4,
+            warp in 0u32..8,
+        ) {
+            let mut mem = crate::memory::DeviceMemory::new();
+            let base = mem.alloc(64 * 16, "buf").base();
+            let mut local = crate::sharedmem::LocalMem::new(64 * 16);
+            let mut streams = vec![Vec::new(); lanes.len()];
+            let mut folded = StreamDigest::warp(phase, warp, lanes.len() as u32);
+            for (ops, stream) in lanes.iter().zip(&mut streams) {
+                let mut lane = crate::kernel::Lane::new(0, 0, 0, 1, &mem, &mut local, stream);
+                lane.digest = Some(folded);
+                for &(op, x) in ops {
+                    record(&mut lane, base, op, x);
+                }
+                folded = lane.digest.expect("a lane keeps its digest");
+                folded.end_lane(stream.len());
+            }
+            prop_assert_eq!(folded.value(), digest(phase, warp, &streams));
         }
     }
 

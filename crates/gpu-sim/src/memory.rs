@@ -164,7 +164,7 @@ impl DeviceMemory {
     /// range (cheap range check, not per-buffer).
     #[inline]
     pub fn check(&self, addr: u64, bytes: u64) -> Result<(), SimError> {
-        if addr < BASE_ADDR || addr + bytes > self.next {
+        if addr < BASE_ADDR || addr.checked_add(bytes).is_none_or(|end| end > self.next) {
             Err(SimError::OutOfBoundsAccess { addr })
         } else {
             Ok(())
@@ -344,6 +344,9 @@ mod tests {
         assert!(m.check(b.base(), 64).is_ok());
         assert_eq!(m.check(0, 8), Err(SimError::OutOfBoundsAccess { addr: 0 }));
         assert!(m.check((b.base() + 1) << 30, 8).is_err());
+        // An access whose end lies past 2^64.
+        assert!(m.check(u64::MAX - 7, 8).is_err());
+        assert!(m.check(b.base(), u64::MAX).is_err());
     }
 
     #[test]

@@ -40,6 +40,8 @@ pub enum LintKind {
     /// strategy's single-writer collapse would read slots of another
     /// group's local memory.
     SiteBlockMismatch,
+    /// The kernel declares no phases (would be rejected at launch).
+    NoPhases,
     /// The kernel declares work-group local memory but has a single
     /// phase — no barrier ever orders the producing and consuming
     /// lanes, so any cross-lane use of that memory is a race.
@@ -55,6 +57,7 @@ impl fmt::Display for LintKind {
             LintKind::RegisterPressure => "registers exceed the SM register file",
             LintKind::WarpUnaligned => "local size not warp-aligned",
             LintKind::SiteBlockMismatch => "local size not a site-block multiple",
+            LintKind::NoPhases => "kernel declares no phases",
             LintKind::LocalMemNoBarrier => "local memory used without a barrier",
         };
         write!(f, "launch lint: {s}")
@@ -129,6 +132,12 @@ pub fn lint_launch(
         push(
             LintKind::SiteBlockMismatch,
             format!("local size {local} % site block {local_size_multiple} != 0"),
+        );
+    }
+    if num_phases == 0 {
+        push(
+            LintKind::NoPhases,
+            "a kernel body has at least one phase".into(),
         );
     }
     if res.local_mem_bytes_per_group > 0 && num_phases <= 1 {
@@ -243,6 +252,16 @@ mod tests {
                 1
             )),
             vec![LintKind::LocalMemNoBarrier]
+        );
+        assert_eq!(
+            kinds(&lint_launch(
+                &d,
+                &NdRange::linear(960, 96),
+                &res(32, 0),
+                0,
+                1
+            )),
+            vec![LintKind::NoPhases]
         );
     }
 

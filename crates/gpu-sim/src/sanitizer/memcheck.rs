@@ -53,7 +53,7 @@ impl<'m> MemChecker<'m> {
     /// Whether `[addr, addr + bytes)` lies inside the arena (the cheap
     /// gate the race/init checks need even when memcheck is disabled).
     pub(super) fn global_in_bounds(&self, addr: u64, bytes: u8) -> bool {
-        addr >= BASE_ADDR && addr + bytes as u64 <= self.mem.arena_end()
+        self.mem.check(addr, bytes as u64).is_ok()
     }
 
     /// Full bounds + alignment check of one global access; returns

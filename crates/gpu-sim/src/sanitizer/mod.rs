@@ -2,7 +2,7 @@
 //! checking, and launch-configuration linting.
 //!
 //! The simulator already *records* every architectural action a kernel
-//! takes (the per-lane [`Event`](crate::event::Event) streams that feed
+//! takes (the per-lane [`Event`] streams that feed
 //! the warp replayer).  This module consumes the same streams a second
 //! time and checks them the way `compute-sanitizer` checks a CUDA
 //! binary:

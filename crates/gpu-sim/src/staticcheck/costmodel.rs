@@ -6,7 +6,7 @@
 //!
 //! 1. **Occupancy** ([`crate::occupancy`]) — residency, limiter, waves
 //!    and the achieved (tail-corrected) occupancy straight from
-//!    [`KernelResources`], exactly the quantities the dynamic engine
+//!    [`KernelResources`](crate::KernelResources), exactly the quantities the dynamic engine
 //!    uses for its latency-hiding term.
 //! 2. **Cache-state-independent counters** — every probed residue block
 //!    is replayed through the real warp replayer (coalescer + bank +
@@ -42,6 +42,7 @@ use super::probe;
 use super::traffic;
 use crate::counters::Counters;
 use crate::device::DeviceSpec;
+use crate::error::SimError;
 use crate::kernel::Kernel;
 use crate::memory::DeviceMemory;
 use crate::ndrange::NdRange;
@@ -299,6 +300,9 @@ pub fn estimate_launch(
             "launch shape {}x{} is invalid on this device",
             range.global, range.local
         ));
+    }
+    if kernel.num_phases() == 0 {
+        return Err(SimError::NoPhases.to_string());
     }
     let res = kernel.resources(range.local);
     let num_groups = range.num_groups();

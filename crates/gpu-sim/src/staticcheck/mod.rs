@@ -134,7 +134,7 @@ pub struct SlotSummary {
     pub label: Option<String>,
     /// Access width in bytes.
     pub bytes: u8,
-    /// Fitted form signature (see [`footprint::form_signature`]).
+    /// Fitted form signature (see `footprint::form_signature`).
     pub signature: String,
     /// Number of `(residue, instruction)` slots folded into this row.
     pub count: usize,
@@ -323,7 +323,7 @@ pub fn analyze(
     cfg: &StaticCheckConfig,
 ) -> StaticReport {
     let res = kernel.resources(range.local);
-    let num_phases = kernel.num_phases().max(1);
+    let num_phases = kernel.num_phases();
     let mut findings = Vec::new();
     if cfg.lint {
         findings.extend(lint_launch(
@@ -354,9 +354,10 @@ pub fn analyze(
         bank_proof: None,
     };
 
-    // Probing needs a well-formed launch shape and a local allocation
-    // that actually fits an SM.
-    let shape_ok = range.local > 0
+    // Probing needs a well-formed launch shape, a phase, and a local
+    // allocation that actually fits an SM.
+    let shape_ok = num_phases > 0
+        && range.local > 0
         && range.local <= device.max_group_size
         && range.global > 0
         && range.global.is_multiple_of(range.local as u64);
@@ -463,7 +464,9 @@ fn summarize_footprints(model: &LaunchModel) -> Vec<SlotSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
     use crate::kernel::{KernelResources, Lane};
+    use crate::sanitizer::{FindingKind, LintKind};
 
     /// `C[gid * stride_words] = 1.0` — stride 1 is clean and perfectly
     /// coalesced; stride 0 makes every lane hammer one address.
@@ -571,5 +574,45 @@ mod tests {
         assert_eq!(r.count_class("lint"), 1);
         assert_eq!(r.probes, 0);
         assert!(r.notes.iter().any(|n| n.contains("skipped")));
+    }
+
+    /// Declares no phases, so nothing may run it.
+    struct NoPhases;
+
+    impl Kernel for NoPhases {
+        fn name(&self) -> &str {
+            "no_phases"
+        }
+        fn num_phases(&self) -> usize {
+            0
+        }
+        fn resources(&self, _local: u32) -> KernelResources {
+            KernelResources {
+                registers_per_item: 1,
+                local_mem_bytes_per_group: 0,
+            }
+        }
+        fn run_phase(&self, _phase: usize, _lane: &mut Lane<'_>) {
+            panic!("a kernel without phases has no phase to run");
+        }
+    }
+
+    #[test]
+    fn a_kernel_without_phases_is_refused_before_any_probe() {
+        let (device, mem, _) = setup(64);
+        let range = NdRange::linear(128, 64);
+        let r = analyze(
+            &NoPhases,
+            &range,
+            &device,
+            &mem,
+            &StaticCheckConfig::default(),
+        );
+        let kinds: Vec<_> = r.findings.iter().map(|f| f.kind.clone()).collect();
+        assert_eq!(kinds, [FindingKind::Lint(LintKind::NoPhases)]);
+        assert_eq!(r.probes, 0);
+        let timing = crate::timing::TimingModel::calibrated();
+        let estimate = crate::estimate_launch(&NoPhases, &range, &device, &mem, &timing);
+        assert_eq!(estimate.unwrap_err(), SimError::NoPhases.to_string());
     }
 }

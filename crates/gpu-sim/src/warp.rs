@@ -23,9 +23,9 @@
 //!   of a complex load.  It re-touches exactly the previous instruction's
 //!   lines and masks.
 //!
-//! [`model_warp`], the state-free half, emits each global or atomic
-//! instruction as [`Step`]s: runs of consecutive lanes in one line, or one
-//! repeat.  [`Lines`], the line step, coalesces runs into lines, drives
+//! `model_warp`, the state-free half, emits each global or atomic
+//! instruction as `Step`s: runs of consecutive lanes in one line, or one
+//! repeat.  `Lines`, the line step, coalesces runs into lines, drives
 //! them through an L1 and the L2, and counts a repeat whose lines fit the
 //! L1 as L1 hits rather than ops.  [`replay_warp`] composes the two.
 //!
@@ -314,8 +314,8 @@ pub(crate) enum Step {
 /// fall out of lockstep (an undeclared divergent branch in the kernel).
 ///
 /// This is the serial composition of the engine's two halves: the
-/// state-free [`model_warp`] hands each step straight to the cache half,
-/// [`Lines::step`].  It tests no instruction for a repeat, so it
+/// state-free `model_warp` hands each step straight to the cache half,
+/// `Lines::step`.  It tests no instruction for a repeat, so it
 /// coalesces and applies every one.
 pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Result<(), SimError> {
     let geometry = Geometry {
@@ -458,7 +458,9 @@ pub(crate) fn model_warp(
                         };
                         if repeat {
                             let (p, p_bytes) = prev_addrs[k];
-                            let ends = (addr + bytes as u64 - 1) ^ (p + p_bytes as u64 - 1);
+                            // Wrapping: a wild access may end past 2^64.
+                            let end = |a: u64, b: u8| a.wrapping_add(b as u64 - 1);
+                            let ends = end(addr, bytes) ^ end(p, p_bytes);
                             repeat = bytes == p_bytes && ((addr ^ p) | ends) >> sector_shift == 0;
                         }
                         addrs.push((addr, bytes));

@@ -225,6 +225,47 @@ fn oob_gauge_index_is_exactly_one_memcheck_finding() {
     assert_eq!(san.count_class("memcheck"), 1);
 }
 
+/// Every lane loads the last word of the address space, and 16 bytes
+/// from there, which end past 2^64.
+struct WildLoad;
+
+impl Kernel for WildLoad {
+    fn name(&self) -> &str {
+        "wild-load"
+    }
+    fn resources(&self, _local_size: u32) -> KernelResources {
+        KernelResources {
+            registers_per_item: 16,
+            local_mem_bytes_per_group: 0,
+        }
+    }
+    fn run_phase(&self, _phase: usize, lane: &mut gpu_sim::Lane<'_>) {
+        assert_eq!(lane.ld_global_f64(u64::MAX - 7), 0.0);
+        assert_eq!(lane.ld_global_c64_vec(u64::MAX - 7), (0.0, 0.0));
+    }
+}
+
+#[test]
+fn a_wild_address_is_one_memcheck_finding_not_a_panic() {
+    let mut mem = gpu_sim::DeviceMemory::new();
+    mem.alloc(64, "buf");
+    let san = Launcher::new(&DeviceSpec::test_small())
+        .with_sanitizer(SanitizerConfig::default())
+        .launch(&WildLoad, NdRange::linear(64, 64), &mem)
+        .expect("a sanitized launch skips the wild access")
+        .sanitizer
+        .expect("sanitized launch has a report");
+    assert_eq!(san.findings.len(), 1, "{:?}", san.findings);
+    assert_eq!(
+        san.findings[0].kind,
+        FindingKind::GlobalOutOfBounds {
+            label: Some("buf".to_string())
+        }
+    );
+    // Two wild loads in each of 64 lanes.
+    assert_eq!(san.findings[0].occurrences, 128);
+}
+
 #[test]
 fn uninit_c_read_is_exactly_one_uninit_finding() {
     let san = run_defect(UninitCRead::new, 3, 96, SanitizerConfig::initcheck_only());

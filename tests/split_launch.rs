@@ -344,8 +344,17 @@ impl Kernel for Strided {
     }
 }
 
-/// A [`Strided`] kernel, its memory and its output buffer.
-fn strided() -> (DeviceMemory, Strided, Buffer) {
+/// A kernel with its memory, the address of the flag it reads and the
+/// buffer it writes.
+struct Case<K> {
+    mem: DeviceMemory,
+    kernel: K,
+    flag: u64,
+    out: Buffer,
+}
+
+/// A [`Strided`] kernel and its memory.
+fn strided() -> Case<Strided> {
     let mut mem = DeviceMemory::new();
     let src = mem.alloc(LOADS * RANGE.global * 128, "src");
     let out = mem.alloc(RANGE.global * 8, "out");
@@ -356,55 +365,79 @@ fn strided() -> (DeviceMemory, Strided, Buffer) {
     }
     mem.zero(&out);
     mem.zero(&flag);
-    let k = Strided {
+    let kernel = Strided {
         src: src.base(),
         out: out.base(),
         flag: flag.base(),
         panic_group: None,
     };
-    (mem, k, out)
+    Case {
+        mem,
+        flag: kernel.flag,
+        kernel,
+        out,
+    }
 }
 
-/// Launch [`Strided`] with each flag in turn, the first cold and the rest
-/// on one state, against the serial loop: equal reports or errors, and
-/// equal memory.  Returns each launch's tier, `None` for an error.
-fn strided_like_the_serial_loop(flags: &[u32]) -> Vec<Option<Replay>> {
+/// Launch `case`'s kernel over `range` with each flag in turn, the first
+/// cold and the rest on one state, against the serial loop: equal reports
+/// or errors, and equal memory.  A flag in `diverging` must fail with a
+/// `LaneDivergenceMismatch`.  Returns each launch's tier, `None` for an
+/// error.
+fn like_the_serial_loop<K: Kernel>(
+    case: fn() -> Case<K>,
+    range: NdRange,
+    flags: &[u32],
+    diverging: &[u32],
+) -> Vec<Option<Replay>> {
     let device = DeviceSpec::test_small();
-    let [split, one] = [0, 1].map(|_| strided());
+    let [split, one] = [0, 1].map(|_| case());
     let launcher = Launcher::new(&device);
     let (mut state, mut serial) = (DeviceState::new(&device), Serial::new(&device));
     let mut tiers = Vec::new();
     for (i, &flag) in flags.iter().enumerate() {
-        for (mem, k, out) in [&split, &one] {
-            mem.write_u32(k.flag, flag);
-            mem.zero(out);
+        for case in [&split, &one] {
+            case.mem.write_u32(case.flag, flag);
+            case.mem.zero(&case.out);
         }
         let (got, want) = if i == 0 {
             (
-                launcher.launch(&split.1, RANGE, &split.0),
-                Serial::new(&device).launch(&one.1, RANGE, &one.0),
+                launcher.launch(&split.kernel, range, &split.mem),
+                Serial::new(&device).launch(&one.kernel, range, &one.mem),
             )
         } else {
             (
-                launcher.launch_with_state(&split.1, RANGE, &split.0, &mut state),
-                serial.launch(&one.1, RANGE, &one.0),
+                launcher.launch_with_state(&split.kernel, range, &split.mem, &mut state),
+                serial.launch(&one.kernel, range, &one.mem),
             )
         };
         assert_eq!(modelled(&got), modelled(&want), "launch {i}");
         // No lane past a failing warp ran.
         assert!(
-            arena(&split.0) == arena(&one.0),
+            arena(&split.mem) == arena(&one.mem),
             "launch {i}: memory differs"
         );
-        if matches!(flag, DIVERGE_AFTER_REPEAT | DIVERGE_AFTER_LOAD) {
+        if diverging.contains(&flag) {
             assert!(
                 matches!(got, Err(SimError::LaneDivergenceMismatch { .. })),
                 "launch {i}: {got:?}"
             );
         }
+        if let Ok(r) = &got {
+            let ops = r.l1_stats.tag_requests;
+            assert!(
+                ops > ONE_BATCH,
+                "launch {i}: {ops} ops start no cache thread"
+            );
+        }
         tiers.push(got.map(|r| r.replay).ok());
     }
     tiers
+}
+
+fn strided_like_the_serial_loop(flags: &[u32]) -> Vec<Option<Replay>> {
+    let diverging = [DIVERGE_AFTER_REPEAT, DIVERGE_AFTER_LOAD];
+    like_the_serial_loop(strided, RANGE, flags, &diverging)
 }
 
 #[test]
@@ -471,7 +504,9 @@ fn a_panicking_lane_panics_on_the_caller_and_ends_the_cache_thread() {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             let device = DeviceSpec::test_small();
-            let (mem, mut k, _) = strided();
+            let Case {
+                mem, kernel: mut k, ..
+            } = strided();
             let launcher = Launcher::new(&device);
             let mut state = DeviceState::new(&device);
             if warm {
@@ -498,4 +533,173 @@ fn a_panicking_lane_panics_on_the_caller_and_ends_the_cache_thread() {
             "warm: {warm}"
         );
     }
+}
+
+/// A [`Staged`] launch: twice as many groups as a [`Strided`] one, so
+/// that its cache thread runs.
+const STAGED: NdRange = NdRange {
+    global: 2 * GROUPS * LOCAL as u64,
+    local: LOCAL,
+};
+/// Flag values of a [`Staged`] launch.  `RESHAPE`: phase 1 of
+/// `LATE_GROUP` reads local memory rotated by a slot, so that a launch
+/// stops matching the record in a warp that sends no cache command, and
+/// the groups after it repeat the groups before; the last group loads
+/// other sectors, so that the launch leaves the caches as no other launch
+/// does.  `DIVERGE_AFTER_TABLE`:
+/// lane 5 of that group's phase-2 warp 1 counts flops in place of its
+/// load, without declaring a path, right after a warp that repeats the
+/// warp of its slot in the group before.
+const RESHAPE: u32 = 4;
+const DIVERGE_AFTER_TABLE: u32 = 5;
+
+/// Four phases, like 4LP's.  Phase 0 gathers each lane's slot of a table
+/// that every group shares into local memory: the same lines in every
+/// group, so its warps repeat from group to group and send cache
+/// commands.  Phases 1 and 2 only move local memory, phase 2 on two
+/// declared paths, the same way in every group: each of their warps
+/// repeats the warp of its slot in the group before and sends no cache
+/// command.  Phase 3 adds each lane's own input, a line apart from its
+/// neighbours', and stores the sum.  Table slot 0 holds the flag, which
+/// phases 1 to 3 read from local memory.
+struct Staged {
+    table: u64,
+    src: u64,
+    out: u64,
+    flag: u64,
+}
+
+impl Kernel for Staged {
+    fn name(&self) -> &str {
+        "staged"
+    }
+    fn num_phases(&self) -> usize {
+        4
+    }
+    fn resources(&self, local_size: u32) -> KernelResources {
+        KernelResources {
+            registers_per_item: 24,
+            local_mem_bytes_per_group: 2 * local_size * 8,
+        }
+    }
+    fn run_phase(&self, phase: usize, lane: &mut Lane<'_>) {
+        let (i, lid, ls) = (lane.global_id(), lane.local_id(), lane.local_size());
+        let late = lane.group_id() == LATE_GROUP;
+        match phase {
+            0 => {
+                let t = lane.ld_global_f64(self.table + lid as u64 * 8);
+                lane.st_local_f64(lid * 8, t);
+            }
+            1 => {
+                let flag = lane.ld_local_f64(0).to_bits() as u32;
+                let from = if late && flag == RESHAPE {
+                    (lid + 1) % ls
+                } else {
+                    lid
+                };
+                let v = lane.ld_local_f64(from * 8);
+                lane.flops(1);
+                lane.st_local_f64((ls + lid) * 8, 2.0 * v);
+            }
+            2 => {
+                let flag = lane.ld_local_f64(0).to_bits() as u32;
+                lane.set_path(lid % 2);
+                let v = if late && flag == DIVERGE_AFTER_TABLE && lid == 32 + 5 {
+                    lane.flops(1);
+                    0.0
+                } else {
+                    lane.ld_local_f64((ls + lid) * 8)
+                };
+                if lid % 2 == 1 {
+                    lane.flops(1);
+                }
+                lane.st_local_f64((ls + (lid ^ 1)) * 8, v + 1.0);
+            }
+            _ => {
+                let flag = lane.ld_local_f64(0).to_bits() as u32;
+                let last = lane.group_id() == STAGED.num_groups() - 1;
+                let moved = if last && flag == RESHAPE { 64 } else { 0 };
+                let v = lane.ld_local_f64((ls + lid) * 8);
+                let x = lane.ld_global_f64(self.src + i * 128 + moved);
+                lane.flops(1);
+                lane.st_global_f64(self.out + i * 8, v + x);
+            }
+        }
+    }
+}
+
+/// A [`Staged`] kernel and its memory.
+fn staged() -> Case<Staged> {
+    let mut mem = DeviceMemory::new();
+    let table = mem.alloc(LOCAL as u64 * 8, "table");
+    let src = mem.alloc(STAGED.global * 128, "src");
+    let out = mem.alloc(STAGED.global * 8, "out");
+    for j in 0..LOCAL as u64 {
+        mem.write_f64(table.addr(j * 8), j as f64 * 0.25);
+    }
+    for j in 0..STAGED.global * 16 {
+        mem.write_f64(src.addr(j * 8), j as f64 + 0.5);
+    }
+    mem.zero(&out);
+    let kernel = Staged {
+        table: table.base(),
+        src: src.base(),
+        out: out.base(),
+        flag: table.base(),
+    };
+    Case {
+        mem,
+        flag: kernel.flag,
+        kernel,
+        out,
+    }
+}
+
+fn staged_like_the_serial_loop(flags: &[u32]) -> Vec<Option<Replay>> {
+    like_the_serial_loop(staged, STAGED, flags, &[DIVERGE_AFTER_TABLE])
+}
+
+#[test]
+fn repeated_cache_free_warps_replay_like_the_serial_loop_on_every_tier() {
+    use Replay::{Cache, Full, Memo};
+    let tiers = staged_like_the_serial_loop(&[0, 0, 0, 0]);
+    assert_eq!(tiers, [Some(Full), Some(Full), Some(Cache), Some(Memo)]);
+}
+
+#[test]
+fn a_launch_that_stops_matching_in_a_cache_free_warp_records_like_the_serial_loop() {
+    use Replay::{Cache, Full, Memo};
+    // The third launch drives the record, table-answered warps included,
+    // up to phase 1 of the late group on the cache tier, then models that
+    // warp and the rest of the group, and answers the groups after from
+    // its table again.  The sixth does so on the memo tier.
+    let tiers = staged_like_the_serial_loop(&[0, 0, RESHAPE, RESHAPE, RESHAPE, 0, 0, 0]);
+    let want = [Full, Full, Full, Cache, Memo, Full, Cache, Memo];
+    assert_eq!(tiers, want.map(Some));
+}
+
+#[test]
+fn an_undeclared_divergence_right_after_a_table_answer_fails_like_the_serial_loop() {
+    use Replay::{Cache, Full, Memo};
+    // The second launch, the state's first, records from the first warp
+    // on, so the warp before the failing one is answered from its table;
+    // the later failures come on the cache and the memo tier.
+    let diverge = DIVERGE_AFTER_TABLE;
+    let flags = [0, diverge, 0, diverge, 0, 0, diverge, 0, 0, 0, diverge, 0];
+    let tiers = staged_like_the_serial_loop(&flags);
+    let want = [
+        Some(Full),
+        None,
+        Some(Full),
+        None,
+        Some(Full),
+        Some(Cache),
+        None,
+        Some(Full),
+        Some(Cache),
+        Some(Memo),
+        None,
+        Some(Full),
+    ];
+    assert_eq!(tiers, want);
 }
